@@ -14,6 +14,7 @@ are exactly a basis of the kernel.
 from __future__ import annotations
 
 from .errors import AlgebraError, BaseNotDomain, RingMismatch
+from . import linalg
 from .modules import FreeMap, FreeModule, Presentation, Vector
 from .rings import Poly
 
@@ -777,96 +778,16 @@ def matrix_rank_generic(entries, ring):
     of the pivot submatrix, a nonzero element of the ring certifying the
     rank wherever it does not vanish.  Requires a domain.
     """
-    if not ring.base_is_domain:
-        raise BaseNotDomain("generic rank needs an integral base")
-    rows = [list(r) for r in entries]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    # cross-multiplication elimination: scaling a row by a nonzero element
-    # of a domain preserves rank, so no fractions are needed
-    work = [[ring.poly(rows[i][j]) for j in range(n)] for i in range(m)]
-    piv_rows, piv_cols = [], []
-    used_rows = set()
-    for col in range(n):
-        pivot = None
-        for i in range(m):
-            if i not in used_rows and not work[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        used_rows.add(pivot)
-        piv_rows.append(pivot)
-        piv_cols.append(col)
-        p = work[pivot][col]
-        for i in range(m):
-            if i in used_rows or work[i][col].is_zero():
-                continue
-            a = work[i][col]
-            for j in range(col, n):
-                work[i][j] = work[i][j] * p - a * work[pivot][j]
-    rank = len(piv_rows)
-    if rank == 0:
-        return 0, [], [], ring.one()
-    sub = [[rows[i][j] for j in piv_cols] for i in piv_rows]
-    minor = _exact_det(sub, ring)
+    rows = [{j: q for j, p in enumerate(row) if not (q := ring.poly(p)).is_zero()}
+            for row in entries]
+    rank, piv_rows, piv_cols, minor = linalg.domain_rank(rows, ring)
     return rank, sorted(piv_rows), piv_cols, minor
 
 
 def _exact_det(rows, ring):
     """Determinant over the ring; Bareiss on lifts, reduced at the end."""
-    n = len(rows)
-    if n == 0:
-        return ring.one()
-    # lift to the relation-free polynomial ring so exact division works
-    if ring.base_rel:
-        lift_ring = _relation_free(ring)
-        m = [[Poly(lift_ring, dict(p.terms), _reduce=False) for p in r] for r in rows]
-    else:
-        lift_ring = ring
-        m = [[p for p in r] for r in rows]
-    sign = 1
-    prev = lift_ring.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = None
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    swap = i
-                    break
-            if swap is None:
-                return ring.zero()
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = lift_ring.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    if ring.base_rel:
-        det = Poly(ring, dict(det.terms))
-    return det
-
-
-def _relation_free(ring):
-    from .rings import Ring
-
-    return Ring(
-        ring.field,
-        ring.names,
-        ring.nx,
-        ring.ny,
-        ring.nz,
-        ring.degrees,
-        ring.psi,
-        ring.order,
-        [],
-        [],
-    )
+    return linalg.domain_det([{j: p for j, p in enumerate(row) if not p.is_zero()}
+                              for row in rows], ring)
 
 
 def module_rank(pres):

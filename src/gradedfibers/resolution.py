@@ -168,10 +168,12 @@ def minimalize(complex_, keep_end=False):
             mats[i - 1] = [[row[k] for k in range(len(row)) if k != r] for row in down]
 
     modules = [FreeModule(ring, tuple(s)) for s in shifts]
-    # drop trailing zero-rank stages
-    while len(modules) > 1 and modules[-1].rank == 0:
-        modules.pop()
-        mats.pop()
+    # a zero module past F_0 ends the complex: stages beyond it are what a
+    # truncated resolution leaves uncancelled, not part of the resolution
+    for i in range(1, len(modules)):
+        if modules[i].rank == 0:
+            del modules[i:], mats[i:]
+            break
     maps = []
     for i in range(1, len(modules)):
         maps.append(FreeMap.from_entries(modules[i - 1], modules[i], mats[i],

@@ -78,6 +78,8 @@ class ModInt:
         return ModInt(self.v * other.v, self.p)
 
     def __truediv__(self, other):
+        if not other.v:
+            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
         return ModInt(self.v * pow(other.v, self.p - 2, self.p), self.p)
 
     def __neg__(self):
@@ -1198,6 +1200,9 @@ def _parse_poly(ring, src):
                     raise AlgebraError("division by zero in %r" % src)
                 if ring.field.char == 0:
                     a = a * Fraction(-1 if neg else 1, d)
+                elif d % ring.field.char == 0:
+                    raise AlgebraError("division by %d, which is zero in GF(%d), in %r"
+                                       % (d, ring.field.char, src))
                 else:
                     inv = ring.field.one / ring.field.coerce(d)
                     a = a * ((-inv) if neg else inv).v

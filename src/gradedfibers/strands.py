@@ -7,16 +7,19 @@ same machinery covers the inverse-monomial strands used for top local
 cohomology, where multiplication kills any term that escapes back to
 nonnegative exponents.
 
-Ranks come in two flavors: at a fiber point (exact linear algebra over
-the residue field, or over the residue domain for a generic point) and
-generically over the base, with a certifying minor whose nonvanishing
-locus is where the generic rank is attained.
+Strand matrices are built directly as sparse rows, and every rank,
+reduction and minor runs on those rows through the elimination kernel
+of linalg: unit pivots first, then fraction-free elimination on what
+remains.  Ranks come in two flavors: at a fiber point (exact linear
+algebra over the residue field, or over the residue domain for a
+generic point) and generically over the base, with a certifying minor
+whose nonvanishing locus is where the generic rank is attained.
 """
 
 from __future__ import annotations
 
-from .errors import AlgebraError, BaseNotDomain
-from . import groebner
+from .errors import AlgebraError
+from . import groebner, linalg
 
 
 def strand_basis(module, mu):
@@ -45,15 +48,21 @@ def inverse_strand_basis(module, mu):
 
 class StrandMatrix:
     """A strand of a graded map: rows and columns labeled by monomials,
-    entries in the base ring (z-only polynomials of the ambient ring)."""
+    entries in the base ring (z-only polynomials of the ambient ring).
 
-    __slots__ = ("ring", "rows", "cols", "entries", "_reduction")
+    The matrix is stored as sparse rows: data[i] maps a column index to
+    the nonzero entry of row i there.  Every elimination runs on these
+    rows through the one kernel of linalg; ``entries`` is a dense view
+    built on request.
+    """
 
-    def __init__(self, ring, rows, cols, entries):
+    __slots__ = ("ring", "rows", "cols", "data", "_reduction")
+
+    def __init__(self, ring, rows, cols, data):
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.data = data
         self._reduction = None
 
     @property
@@ -64,15 +73,23 @@ class StrandMatrix:
     def ncols(self):
         return len(self.cols)
 
+    @property
+    def entries(self):
+        """Dense rows of base polynomials (read-only, rebuilt per call)."""
+        zero = self.ring.zero()
+        return [[row.get(j, zero) for j in range(self.ncols)] for row in self.data]
+
     def is_zero(self):
-        return all(p.is_zero() for row in self.entries for p in row)
+        return not any(self.data)
 
     def entry_strings(self):
         return [[str(p) for p in row] for row in self.entries]
 
     def evaluate(self, point):
         """Scalar matrix at a rational point of the base."""
-        return [[point.evaluate_scalar(p) for p in row] for row in self.entries]
+        zero = self.ring.field.zero
+        return [[point.evaluate_scalar(row[j]) if j in row else zero
+                 for j in range(self.ncols)] for row in self.data]
 
     def reduced(self):
         """Clear unit entries: (smaller StrandMatrix, pivot count).
@@ -86,40 +103,17 @@ class StrandMatrix:
         """
         if self._reduction is not None:
             return self._reduction
-        field = self.ring.field
-        ent = [list(row) for row in self.entries]
-        rows = list(self.rows)
-        cols = list(self.cols)
-        piv = 0
-        while ent and ent[0]:
-            hit = None
-            for i, row in enumerate(ent):
-                for j, p in enumerate(row):
-                    c = p.constant_value()
-                    if c:
-                        hit = (i, j, c)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                break
-            i, j, c = hit
-            inv = field.one / c
-            prow = ent[i]
-            for k, row in enumerate(ent):
-                f = row[j]
-                if k == i or f.is_zero():
-                    continue
-                scale = f.map_coeffs(lambda v: v * inv)
-                ent[k] = [row[l] - scale * prow[l] for l in range(len(row))]
-            del ent[i], rows[i]
-            for row in ent:
-                del row[j]
-            del cols[j]
-            piv += 1
-        red = StrandMatrix(self.ring, rows, cols, ent)
+        pivots, residual = linalg.unit_pivots(self.data, self.ring)
+        used = {j for _i, j in pivots}
+        keep = [j for j in range(self.ncols) if j not in used]
+        index = {j: k for k, j in enumerate(keep)}
+        red = StrandMatrix(
+            self.ring,
+            [self.rows[i] for i in residual],
+            [self.cols[j] for j in keep],
+            [{index[j]: p for j, p in row.items()} for row in residual.values()])
         red._reduction = (red, 0)
-        self._reduction = (red, piv)
+        self._reduction = (red, len(pivots))
         return self._reduction
 
     def rank_at(self, point):
@@ -128,23 +122,25 @@ class StrandMatrix:
         if piv:
             return piv + red.rank_at(point)
         if point.is_rational:
-            return scalar_rank(self.evaluate(point), self.ring.field)
-        ring = point.residue_ring
-        rows = [[point.evaluate_poly(p) for p in row] for row in self.entries]
-        if not rows or not rows[0]:
+            rows = [{j: v for j, p in row.items() if (v := point.evaluate_scalar(p))}
+                    for row in self.data]
+            return linalg.field_rank(rows, self.ring.field)
+        if not self.rows or not self.cols:
             return 0
-        rank, _r, _c, _m = groebner.matrix_rank_generic(rows, ring)
-        return rank
+        ring = point.residue_ring
+        rows = [{j: q for j, p in row.items() if not (q := point.evaluate_poly(p)).is_zero()}
+                for row in self.data]
+        return linalg.domain_rank(rows, ring)[0]
 
     def generic_rank(self):
         """(rank over Frac(base), certifying minor) for a domain base."""
-        if not self.entries or not self.entries[0]:
+        if not self.rows or not self.cols:
             return 0, self.ring.one()
         red, piv = self.reduced()
         if piv:
             rank, minor = red.generic_rank()
             return rank + piv, minor
-        rank, _r, _c, minor = groebner.matrix_rank_generic(self.entries, self.ring)
+        rank, _r, _c, minor = linalg.domain_rank(self.data, self.ring)
         return rank, minor
 
     def minors_ideal(self, size):
@@ -167,10 +163,10 @@ class StrandMatrix:
                 "minor enumeration too large (%d x %d strand, size %d); "
                 "use a smaller degree window" % (self.nrows, self.ncols, size))
         out = []
-        for rset in combinations(range(self.nrows), size):
+        for rset in combinations(self.data, size):
             for cset in combinations(range(self.ncols), size):
-                sub = [[self.entries[i][j] for j in cset] for i in rset]
-                d = groebner._exact_det(sub, self.ring)
+                sub = [{k: row[j] for k, j in enumerate(cset) if j in row} for row in rset]
+                d = linalg.domain_det(sub, ring)
                 if not d.is_zero():
                     out.append(d)
         return out
@@ -186,8 +182,8 @@ class StrandMatrix:
         ring = self.ring
         field = ring.field
         zslot = ring.ngraded
-        rows = [[_ucoeffs(p, zslot) for p in row] for row in self.entries]
-        diag = [d for d in _smith_diagonal(rows, field) if d]
+        rows = [{j: _ucoeffs(p, zslot) for j, p in row.items()} for row in self.data]
+        diag = _smith_diagonal(rows, field)
         if len(diag) < size:
             return []
         # gcd over all size-subsets of products, by one pass of the
@@ -284,50 +280,46 @@ def _ugcd(a, b, field):
     return a
 
 
-def _smith_diagonal(mat, field):
-    """Diagonal of a PID-unimodular diagonalization; entries may repeat
-    or violate divisibility, which minors ideals do not care about."""
-    m = [list(row) for row in mat]
+def _smith_diagonal(rows, field):
+    """Diagonal of a PID-unimodular diagonalization of sparse rows of
+    coefficient lists; entries may repeat or violate divisibility, which
+    minors ideals do not care about."""
+    rows = [row for row in rows if row]
     diag = []
-    while m and m[0]:
-        nr, nc = len(m), len(m[0])
-        pivot = None
-        for i in range(nr):
-            for j in range(nc):
-                if m[i][j] and (pivot is None or len(m[i][j]) < len(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        m[0], m[i] = m[i], m[0]
-        for row in m:
-            row[0], row[j] = row[j], row[0]
-        p = m[0][0]
+    while rows:
+        i, j = min(((i, j) for i, row in enumerate(rows) for j in row),
+                   key=lambda ij: len(rows[ij[0]][ij[1]]))
+        prow = rows[i]
+        p = prow[j]
         dirty = False
-        for k in range(1, nr):
-            if m[k][0]:
-                q, _r = _udivmod(m[k][0], p, field)
-                m[k] = [_usubmul(m[k][l], field.one, 0, _umul(q, m[0][l], field), field)
-                        for l in range(nc)]
-                if m[k][0]:
+        for k, row in enumerate(rows):
+            if k == i or j not in row:
+                continue
+            q, _r = _udivmod(row[j], p, field)
+            new = dict(row)
+            for l, v in prow.items():
+                x = _usubmul(new.get(l, []), field.one, 0, _umul(q, v, field), field)
+                if x:
+                    new[l] = x
+                else:
+                    new.pop(l, None)
+            rows[k] = new
+            dirty = dirty or j in new
+        if not dirty:
+            # only the pivot row holds column j now, so clearing its other
+            # entries by column operations leaves their remainders there
+            for l in [l for l in prow if l != j]:
+                _q, r = _udivmod(prow[l], p, field)
+                if r:
+                    prow[l] = r
                     dirty = True
-        for l in range(1, nc):
-            if m[0][l]:
-                q, _r = _udivmod(m[0][l], p, field)
-                for row in m:
-                    row[l] = _usubmul(row[l], field.one, 0, _umul(q, row[0], field), field)
-                if m[0][l]:
-                    dirty = True
-        if dirty:
-            continue  # a remainder of smaller degree became the next pivot
-        diag.append(p)
-        m = [row[1:] for row in m[1:]]
+                else:
+                    del prow[l]
+        if not dirty:
+            diag.append(p)
+            del rows[i]
+        rows = [row for row in rows if row]
     return diag
-
-
-def _split_xy_z(ring, exps):
-    ng = ring.ngraded
-    return exps[:ng] + (0,) * ring.nz, (0,) * ng + exps[ng:]
 
 
 def strand_matrix(fmap, mu):
@@ -335,29 +327,13 @@ def strand_matrix(fmap, mu):
     ring = fmap.ring
     rows = strand_basis(fmap.target, mu)
     cols = strand_basis(fmap.source, mu)
-    row_index = {lab: k for k, lab in enumerate(rows)}
-    entries = [[ring.zero() for _ in cols] for _ in rows]
     ng = ring.ngraded
-    for cidx, (j, m) in enumerate(cols):
-        col = fmap.cols[j]
-        acc = {}
-        for (i, e), c in col.data.items():
-            xy = tuple(e[k] + m[k] for k in range(ng))
-            z = e[ng:]
-            lab = (i, xy + (0,) * ring.nz)
-            acc.setdefault(lab, {})
-            zexp = (0,) * ng + z
-            prev = acc[lab].get(zexp)
-            acc[lab][zexp] = c if prev is None else prev + c
-        for lab, zterms in acc.items():
-            ridx = row_index.get(lab)
-            if ridx is None:
-                raise AlgebraError("map is not homogeneous across the strand")
-            zterms = {e: c for e, c in zterms.items() if c}
-            from .rings import Poly
+    pad = (0,) * ring.nz
 
-            entries[ridx][cidx] = Poly(ring, zterms)
-    return StrandMatrix(ring, rows, cols, entries)
+    def image(e, m):
+        return tuple(e[k] + m[k] for k in range(ng)) + pad
+
+    return _strand_of(fmap, rows, cols, image)
 
 
 def inverse_strand_matrix(fmap, mu):
@@ -369,60 +345,54 @@ def inverse_strand_matrix(fmap, mu):
     ring = fmap.ring
     rows = inverse_strand_basis(fmap.target, mu)
     cols = inverse_strand_basis(fmap.source, mu)
-    row_index = {lab: k for k, lab in enumerate(rows)}
-    entries = [[ring.zero() for _ in cols] for _ in rows]
     nx = ring.nx
     ng = ring.ngraded
+    pad = (0,) * ring.nz
+
+    def image(e, m):
+        new = tuple(e[k] + m[k] for k in range(ng))
+        if any(new[k] >= 0 for k in range(nx)):
+            return None  # escaped the inverse range: dies in cohomology
+        return new + pad
+
+    return _strand_of(fmap, rows, cols, image)
+
+
+def _strand_of(fmap, rows, cols, image):
+    """Sparse rows of a strand: column (j, m) of the strand collects the
+    terms c * x^e * z^f of column j of fmap at row label (i, image(e, m)),
+    as the base coefficient c * z^f; terms with no image are dropped."""
     from .rings import Poly
 
+    ring = fmap.ring
+    ng = ring.ngraded
+    zpad = (0,) * ng
+    row_index = {lab: k for k, lab in enumerate(rows)}
+    data = [{} for _ in rows]
     for cidx, (j, m) in enumerate(cols):
-        col = fmap.cols[j]
         acc = {}
-        for (i, e), c in col.data.items():
-            new = tuple(e[k] + m[k] for k in range(ng))
-            if any(new[k] >= 0 for k in range(nx)):
-                continue  # escaped the inverse range: dies in cohomology
-            lab = (i, new + (0,) * ring.nz)
-            zexp = (0,) * ng + e[ng:]
-            slot = acc.setdefault(lab, {})
+        for (i, e), c in fmap.cols[j].data.items():
+            xy = image(e, m)
+            if xy is None:
+                continue
+            slot = acc.setdefault((i, xy), {})
+            zexp = zpad + e[ng:]
             prev = slot.get(zexp)
             slot[zexp] = c if prev is None else prev + c
         for lab, zterms in acc.items():
             ridx = row_index.get(lab)
             if ridx is None:
                 raise AlgebraError("map is not homogeneous across the strand")
-            zterms = {e: c for e, c in zterms.items() if c}
-            entries[ridx][cidx] = Poly(ring, zterms)
-    return StrandMatrix(ring, rows, cols, entries)
+            p = Poly(ring, {e: c for e, c in zterms.items() if c})
+            if p.terms:
+                data[ridx][cidx] = p
+    return StrandMatrix(ring, rows, cols, data)
 
 
 def scalar_rank(rows, field):
-    """Gaussian elimination rank over the coefficient field."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = None
-        for i in range(row, nr):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = field.one / m[row][col]
-        for i in range(row + 1, nr):
-            if m[i][col]:
-                f = m[i][col] * inv
-                for j in range(col, nc):
-                    m[i][j] = m[i][j] - f * m[row][j]
-        row += 1
-        rank += 1
-        if row == nr:
-            break
-    return rank
+    """Rank of a dense matrix over the coefficient field."""
+    return linalg.field_rank([{j: v for j, v in enumerate(row) if v} for row in rows],
+                             field)
 
 
 def presentation_strand_dim(pres, mu, point=None):
@@ -487,16 +457,6 @@ class PresentedComplex:
         if tgt is None:
             tgt = FreeModule(ring, [])
         return FreeMap(src, tgt, [tgt.zero() for _ in range(src.rank)], check=False)
-
-
-def _augmented_rank(phi_rows, psi_rows, field):
-    """rank [phi | psi] for scalar matrices sharing a row space."""
-    rows = []
-    for i in range(len(phi_rows)):
-        rows.append(list(phi_rows[i]) + list(psi_rows[i]))
-    if not rows:
-        return 0
-    return scalar_rank(rows, field)
 
 
 def presented_complex_strand_homology(pc, mu, point):

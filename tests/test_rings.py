@@ -159,6 +159,20 @@ def test_prime_field():
     assert R.poly("5*x").is_zero()
 
 
+def test_prime_field_division_by_zero_is_loud():
+    F = PrimeField(7)
+    with pytest.raises(ZeroDivisionError):
+        F.one / F.zero
+    with pytest.raises(ZeroDivisionError):
+        F.coerce(3) / F.coerce(14)
+    R = make_ring(["x"], [1], field=F)
+    with pytest.raises(AlgebraError, match="7"):
+        R.poly("x/7")
+    with pytest.raises(AlgebraError, match="7"):
+        R.poly("x/-14")
+    assert R.poly("x/3") * R.poly("3") == R.poly("x")
+
+
 def test_primitive_normalization():
     R = make_ring(["x"], [1], params=["t"])
     p = R.poly("(4*t^2 - 4*t)*x").primitive()
