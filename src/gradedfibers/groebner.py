@@ -13,6 +13,8 @@ are exactly a basis of the kernel.
 
 from __future__ import annotations
 
+import heapq
+
 from .errors import AlgebraError, BaseNotDomain, RingMismatch
 from . import linalg
 from .modules import FreeMap, FreeModule, Presentation, Vector
@@ -32,7 +34,6 @@ __all__ = [
     "subquotient_presentation",
     "colon_element",
     "colon_ideal",
-    "saturate_element",
     "saturate_ideal",
     "intersect_ideals",
     "eliminate_ideal",
@@ -49,7 +50,7 @@ __all__ = [
 
 
 class _Ctx:
-    """Shared state for one Groebner run: order key and divisor tables."""
+    """Shared state for one Groebner run: the order key, memoized per term."""
 
     __slots__ = ("ring", "shifts", "split", "field", "key")
 
@@ -59,14 +60,21 @@ class _Ctx:
         self.split = split
         self.field = ring.field
         rkey = ring._key
+        memo = {}
         if split:
-            def key(term, _rkey=rkey, _split=split):
-                c, e = term
-                return (1 if c < _split else 0, _rkey(e), -c)
+            def key(term, _rkey=rkey, _split=split, _memo=memo):
+                k = _memo.get(term)
+                if k is None:
+                    c, e = term
+                    k = _memo[term] = (1 if c < _split else 0, _rkey(e), -c)
+                return k
         else:
-            def key(term, _rkey=rkey):
-                c, e = term
-                return (_rkey(e), -c)
+            def key(term, _rkey=rkey, _memo=memo):
+                k = _memo.get(term)
+                if k is None:
+                    c, e = term
+                    k = _memo[term] = (_rkey(e), -c)
+                return k
         self.key = key
 
     def lead(self, data):
@@ -217,9 +225,11 @@ def _buchberger(ctx, gens_data):
         if h:
             push(h)
 
-    # pair queue keyed by (psi degree of lcm, i, j); same-component pairs only
+    # pair queue: a heap keyed by (psi degree of lcm, i, j), same-component
+    # pairs only; the set holds the pairs still queued, for the chain criterion
     rank1 = ctx.split == 0 and len(ctx.shifts) == 1
-    pairs = {}
+    queue = []
+    pairs = set()
 
     def lcm_exps(a, b):
         return tuple(x if x > y else y for x, y in zip(a, b))
@@ -233,15 +243,15 @@ def _buchberger(ctx, gens_data):
             l = lcm_exps(ei, ej)
             if rank1 and all(x + y == z for x, y, z in zip(ei, ej, l)):
                 continue  # coprime leads reduce to zero in the ideal case
-            psi = ctx.psi_of_term((cj, l))
-            pairs[(i, j)] = (psi, l)
+            heapq.heappush(queue, (ctx.psi_of_term((cj, l)), i, j, l))
+            pairs.add((i, j))
 
     for j in range(len(G)):
         add_pairs(j)
 
-    while pairs:
-        (i, j) = min(pairs, key=lambda p: (pairs[p][0], p))
-        psi, l = pairs.pop((i, j))
+    while queue:
+        _psi, i, j, l = heapq.heappop(queue)
+        pairs.remove((i, j))
         # chain criterion: a third lead dividing the lcm whose pairs are done
         skip = False
         for k in range(len(G)):
@@ -284,14 +294,17 @@ def _buchberger(ctx, gens_data):
         if not dominated:
             keep.append(i)
             kept_leads.append(leads[i])
-    # tail-reduce for the unique reduced basis
+    # tail-reduce for the unique reduced basis; every term below a lead is
+    # smaller than it, so no element's own lead divides its tail
+    table = _DivisorTable()
+    for i in keep:
+        table.add(G[i], leads[i])
     final = []
-    for pos, i in enumerate(keep):
-        table2 = _DivisorTable()
-        for pos2, k in enumerate(keep):
-            if pos2 != pos:
-                table2.add(G[k], leads[k])
-        final.append(_normalize(ctx, _reduce_full(ctx, G[i], table2)))
+    for i in keep:
+        lead = leads[i]
+        data = {lead: G[i][lead]}
+        data.update(_reduce_full(ctx, {t: c for t, c in G[i].items() if t != lead}, table))
+        final.append(_normalize(ctx, data))
     final.sort(key=lambda d: key(ctx.lead(d)), reverse=True)
     return final
 
@@ -532,21 +545,75 @@ def colon_ideal(gens, others, ring=None):
     return result
 
 
-def saturate_element(gens, f, ring=None):
-    """(gens) : f^infinity, by iterating the colon until it stabilizes."""
-    ring = ring or f.ring
-    current = ideal_gb(list(gens), ring=ring)
-    while True:
-        nxt = ideal_gb(colon_element(current, f, ring) or [ring.zero()], ring=ring)
-        if [g.terms for g in nxt] == [g.terms for g in current]:
-            return current
-        current = nxt
-
-
 def saturate_ideal(gens, others, ring=None):
-    """(gens) : (others)^infinity."""
+    """(gens) : (others)^infinity, as a reduced Groebner basis.
+
+    Homogeneous ideals saturated by the whole x-block of a standard
+    graded grevlex ring take Bayer's route; every other input iterates
+    colons.  Both return the same reduced basis.
+    """
     others = list(others)
     ring = ring or others[0].ring
+    gens = [ring.poly(g) for g in gens]
+    others = [ring.poly(f) for f in others]
+    if _bayer_applies(gens, others, ring):
+        return _saturate_bayer(gens, ring)
+    return _saturate_by_colons(gens, others, ring)
+
+
+def _bayer_applies(gens, others, ring):
+    """True when the saturator is exactly the x-variables, the x-block is
+    standard graded and ordered by grevlex ahead of the parameters, there
+    is no y-block and no base relation, and the generators are
+    homogeneous."""
+    nx = ring.nx
+    if ring.ny or ring.base_rel or ring.gdim != 1:
+        return False
+    if any(d != (1,) for d in ring.degrees[:nx]):
+        return False
+    if ring.order.stages[0] != ("grevlex", tuple(range(nx))):
+        return False
+    xs = set()
+    for f in others:
+        if len(f.terms) != 1:
+            return False
+        (e, c), = f.terms.items()
+        if c != ring.field.one or sum(e) != 1 or e.index(1) >= nx:
+            return False
+        xs.add(e.index(1))
+    return len(xs) == nx and all(ring.is_homogeneous(g) for g in gens)
+
+
+def _saturate_bayer(gens, ring):
+    """I : m^infinity as the meet over i of I : x_i^infinity.
+
+    With x_i last in grevlex, x_i divides a homogeneous element exactly
+    as often as it divides the element's lead, so dividing every element
+    of a Groebner basis of I by its largest power of x_i leaves a basis
+    of I : x_i^infinity (Bayer & Stillman, Invent. Math. 87, 1987).
+    """
+    nx = ring.nx
+    result = None
+    for i in range(nx):
+        if i == nx - 1:
+            iring = ring
+        else:
+            idxs = tuple(j for j in range(nx) if j != i) + (i,)
+            iring = ring.with_order((("grevlex", idxs),) + ring.order.stages[1:])
+        basis = ideal_gb([Poly(iring, dict(g.terms), _reduce=False) for g in gens],
+                         ring=iring)
+        part = []
+        for g in basis:
+            a = min(e[i] for e in g.terms)
+            part.append(Poly(ring, {e[:i] + (e[i] - a,) + e[i + 1:]: c
+                                    for e, c in g.terms.items()}, _reduce=False))
+        result = part if result is None else intersect_ideals(result, part, ring)
+    return result if nx > 1 else ideal_gb(result, ring=ring)
+
+
+def _saturate_by_colons(gens, others, ring):
+    """(gens) : (others)^infinity by iterating the colon until it stabilizes;
+    the reference route for any saturator."""
     current = ideal_gb(list(gens), ring=ring)
     while True:
         nxt = ideal_gb(colon_ideal(current, others, ring) or [ring.zero()], ring=ring)
@@ -584,7 +651,8 @@ def eliminate_ideal(gens, varnames, ring=None):
     if ring is None:
         ring = gens[0].ring
     varnames = list(varnames)
-    elim_ring = ring.with_elim_order(varnames)
+    idxs = tuple(sorted(ring.var_index(n) for n in varnames))
+    elim_ring = ring.with_order((("weight", idxs),) + ring.order.stages)
     from .rings import transfer
 
     moved = [transfer(ring.poly(g), elim_ring) for g in gens]

@@ -14,14 +14,15 @@ for a larger cutoff instead of extrapolating silently.
 from __future__ import annotations
 
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .errors import (AlgebraError, BaseNotDomain, InvalidFiber,
                      NotGenericallyFinite, NotHomogeneous, NotStandardGraded,
                      UnstableLimit)
 from . import groebner
 from .rings import make_ring, transfer
-from .specialize import FiberPoint, _fresh_names, sample_rational_point
+from .specialize import (FiberPoint, _fresh_names, _power_products,
+                         sample_rational_point)
 
 
 class RationalMap:
@@ -56,10 +57,6 @@ class RationalMap:
         self.forms = tuple(polys)
         self.form_degree = d
         self._cache = {}
-
-
-def rational_map(ring, forms):
-    return RationalMap(ring, forms)
 
 
 def _default_cutoff(fring):
@@ -175,13 +172,6 @@ def image_ideal(rmap, point=None):
     return list(_image_data(rmap, point)["gens"])
 
 
-def special_fiber_hilbert(rmap, point=None, upto=8):
-    """Hilbert values of the image coordinate ring in degrees 0..upto."""
-    data = _image_data(rmap, point)
-    return [groebner.quotient_strand_dim(data["gb"], (n,), generic=data["generic"])
-            for n in range(upto + 1)]
-
-
 def generically_finite(rmap, point=None):
     """True when the special fiber ring reaches the source dimension."""
     data = _image_data(rmap, point)
@@ -212,15 +202,43 @@ def image_degree(rmap, point=None):
 # -- powers and their first local cohomology ---------------------------------
 
 
-def _power_gens(forms, k):
-    out = []
-    for combo in combinations_with_replacement(forms, k):
-        p = combo[0]
-        for q in combo[1:]:
-            p = p * q
-        if not p.is_zero():
-            out.append(p)
-    return out
+class _Powers:
+    """The powers I^k of one ideal over one fiber ring, and their
+    saturations I^k : m^inf, each computed at most once."""
+
+    __slots__ = ("ring", "gens", "generic", "_powers", "_saturated")
+
+    def __init__(self, ring, gens, generic):
+        self.ring = ring
+        self.gens = gens
+        self.generic = generic
+        self._powers = {}
+        self._saturated = {}
+
+    def power(self, k):
+        if k not in self._powers:
+            self._powers[k] = _power_products(self.gens, k, self.ring)
+        return self._powers[k]
+
+    def saturated(self, k):
+        if k not in self._saturated:
+            xgens = [self.ring.var(n) for n in self.ring.xnames]
+            self._saturated[k] = groebner.saturate_ideal(self.power(k), xgens,
+                                                         ring=self.ring)
+        return self._saturated[k]
+
+
+def _map_powers(rmap, point):
+    """The powers of the ideal of the map's forms at a fiber, kept in the
+    map's cache so every invariant of that fiber shares them."""
+    key = ("powers", _point_key(point))
+    if key not in rmap._cache:
+        fring, forms, generic = _forms_at(rmap.ring, rmap.forms, point)
+        forms = [g for g in forms if not g.is_zero()]
+        if not forms:
+            raise InvalidFiber("every form vanishes at this fiber")
+        rmap._cache[key] = _Powers(fring, forms, generic)
+    return rmap._cache[key]
 
 
 def power_h1_dims(rmap, point=None, cutoff=None):
@@ -229,21 +247,16 @@ def power_h1_dims(rmap, point=None, cutoff=None):
     Since the ambient polynomial ring has depth at least two, this is
     the dimension of [(I^k : m^inf) / I^k] in degree k d.
     """
-    fring, forms, generic = _forms_at(rmap.ring, rmap.forms, point)
-    forms = [g for g in forms if not g.is_zero()]
-    if not forms:
-        raise InvalidFiber("every form vanishes at this fiber")
+    powers = _map_powers(rmap, point)
+    fring, generic = powers.ring, powers.generic
     if cutoff is None:
         cutoff = _default_cutoff(fring)
     d = rmap.form_degree
-    xgens = [fring.var(n) for n in fring.xnames]
     out = []
     for k in range(1, cutoff + 1):
-        gens = _power_gens(forms, k)
-        sat = groebner.saturate_ideal(gens, xgens, ring=fring)
         deg = (k * d,)
-        out.append(_ideal_strand_dim(sat, deg, fring, generic)
-                   - _ideal_strand_dim(gens, deg, fring, generic))
+        out.append(_ideal_strand_dim(powers.saturated(k), deg, fring, generic)
+                   - _ideal_strand_dim(powers.power(k), deg, fring, generic))
     return out
 
 
@@ -276,17 +289,14 @@ def saturated_fiber_multiplicity(rmap, point=None, cutoff=None, check=True):
     data = _image_data(rmap, point)
     if data["spread"] != data["fring"].nx:
         raise NotGenericallyFinite("saturated fiber multiplicity needs a finite map")
-    fring, forms, generic = data["fring"], data["forms"], data["generic"]
-    forms = [g for g in forms if not g.is_zero()]
+    powers = _map_powers(rmap, point)
+    fring = powers.ring
     if cutoff is None:
         cutoff = _default_cutoff(fring) + 2
     d = rmap.form_degree
     r = fring.nx - 1
-    xgens = [fring.var(n) for n in fring.xnames]
-    vals = []
-    for n in range(1, cutoff + 1):
-        sat = groebner.saturate_ideal(_power_gens(forms, n), xgens, ring=fring)
-        vals.append(_ideal_strand_dim(sat, (n * d,), fring, generic))
+    vals = [_ideal_strand_dim(powers.saturated(n), (n * d,), fring, powers.generic)
+            for n in range(1, cutoff + 1)]
     e = _stable_tail(vals, r)
     if e is None:
         raise UnstableLimit("saturated Hilbert values not stabilized; raise the cutoff")
@@ -315,16 +325,19 @@ def j_multiplicity(ring, ideal_gens, point=None, cutoff=None):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return 0
+    return _j_multiplicity(_Powers(fring, gens, generic), cutoff)
+
+
+def _j_multiplicity(powers, cutoff):
+    fring, generic = powers.ring, powers.generic
     if cutoff is None:
         cutoff = _default_cutoff(fring)
     r = fring.nx - 1
-    xgens = [fring.var(n) for n in fring.xnames]
     vals = []
     for n in range(1, cutoff + 1):
-        jn = _power_gens(gens, n)
-        jn1 = _power_gens(gens, n + 1)
-        sat = groebner.saturate_ideal(jn1, xgens, ring=fring)
-        num = groebner.intersect_ideals(sat, jn, fring)
+        jn = powers.power(n)
+        jn1 = powers.power(n + 1)
+        num = groebner.intersect_ideals(powers.saturated(n + 1), jn, fring)
         one_module, num_vecs = groebner._as_ideal_vectors(num, fring)
         _m, den_vecs = groebner._as_ideal_vectors(jn1, fring)
         pres, _incl = groebner.subquotient_presentation(
@@ -352,7 +365,7 @@ def hilbert_samuel_multiplicity(ring, ideal_gens, point=None, cutoff=None):
 
     vals = []
     for n in range(1, cutoff + 1):
-        pres = Presentation.cyclic(fring, _power_gens(gens, n))
+        pres = Presentation.cyclic(fring, _power_products(gens, n, fring))
         length = groebner.presentation_vecdim(pres, generic=generic)
         if length is None:
             raise AlgebraError("the ideal is not primary to the irrelevant ideal")
@@ -469,7 +482,7 @@ def fiber_invariants(rmap, point=None, cutoff=None):
         except UnstableLimit:
             out["stable"] = False
     try:
-        out["j"] = j_multiplicity(rmap.ring, rmap.forms, point=point, cutoff=cutoff)
+        out["j"] = _j_multiplicity(_map_powers(rmap, point), cutoff)
     except UnstableLimit:
         out["stable"] = False
     return out

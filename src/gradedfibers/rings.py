@@ -553,10 +553,13 @@ class Ring:
             )
         return self._fiber_ring
 
-    def with_elim_order(self, varnames):
-        """Same ring, order prefixed with a weight stage on the named variables."""
-        idxs = tuple(sorted(self.var_index(n) for n in varnames))
-        stages = (("weight", idxs),) + self.order.stages
+    def with_order(self, stages):
+        """Same variables, degrees and relations under another monomial order.
+
+        stages are MonomialOrder stages; eliminating a set S of variables
+        prefixes the current stages with ('weight', S), and Bayer's
+        saturation moves one variable to the end of a grevlex stage.
+        """
         return Ring(
             self.field,
             self.names,

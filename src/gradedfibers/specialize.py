@@ -460,21 +460,20 @@ def naive_power_dim(ring, ideal_gens, k, degree, point):
 
 
 def _power_products(gens, k, ring):
-    if k == 0:
-        return [ring.one()]
-    current = list(gens)
-    for _ in range(k - 1):
-        nxt = []
-        seen = set()
-        for a in current:
-            for g in gens:
-                p = a * g
-                key = tuple(sorted(p.terms.items()))
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(p)
-        current = nxt
-    return current
+    """Generators of the k-th power: the distinct nonzero products of k
+    of the generators, repetition allowed, in the order of first appearance."""
+    level = {(): ring.one()}
+    for _ in range(k):
+        level = {combo + (j,): p * gens[j] for combo, p in level.items()
+                 for j in range(combo[-1] if combo else 0, len(gens))}
+    out = []
+    seen = set()
+    for p in level.values():
+        key = tuple(sorted(p.terms.items()))
+        if p.terms and key not in seen:
+            seen.add(key)
+            out.append(p)
+    return out
 
 
 # -- specialized powers ------------------------------------------------------

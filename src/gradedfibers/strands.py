@@ -79,12 +79,6 @@ class StrandMatrix:
         zero = self.ring.zero()
         return [[row.get(j, zero) for j in range(self.ncols)] for row in self.data]
 
-    def is_zero(self):
-        return not any(self.data)
-
-    def entry_strings(self):
-        return [[str(p) for p in row] for row in self.entries]
-
     def evaluate(self, point):
         """Scalar matrix at a rational point of the base."""
         zero = self.ring.field.zero

@@ -19,6 +19,7 @@ CASES = {
     "cubic_qq": 0,
     "cubic_gf": 0,
     "module_loci": 0,
+    "rees_qq": 0,
     "bad_window": 1,
 }
 

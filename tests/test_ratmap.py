@@ -5,7 +5,7 @@ import pytest
 from gradedfibers.errors import (AlgebraError, NotGenericallyFinite,
                                  NotHomogeneous, NotStandardGraded, UnstableLimit)
 from gradedfibers.rings import make_ring
-from gradedfibers import ratmap
+from gradedfibers import groebner, ratmap
 from gradedfibers.specialize import FiberPoint
 
 
@@ -118,3 +118,33 @@ def test_map_constancy_report_off_the_jump():
     assert comp["generic"]["degY"] == 2
     assert comp["samples_match"]
     assert all(row["match"] for row in comp["samples"])
+
+
+def test_fiber_invariants_saturate_each_power_once(monkeypatch):
+    # degG reads k = 1..6, e_sat n = 1..8 and j the powers 2..7: eight
+    # distinct saturated powers, each computed once
+    calls = []
+    saturate = groebner.saturate_ideal
+
+    def counted(gens, others, ring=None):
+        calls.append(len(gens))
+        return saturate(gens, others, ring=ring)
+
+    monkeypatch.setattr(groebner, "saturate_ideal", counted)
+    inv = ratmap.fiber_invariants(ratmap.RationalMap(R, ["x^2", "x*y", "y^2"]))
+    assert (inv["degY"], inv["degG"], inv["e_sat"], inv["j"]) == (2, 1, 2, 4)
+    assert len(calls) == 8
+
+
+def test_multiplicity_identity_is_still_asserted(monkeypatch):
+    rm = ratmap.RationalMap(R, ["x^2", "y^2"])
+    real = ratmap.saturated_fiber_multiplicity
+    monkeypatch.setattr(ratmap, "saturated_fiber_multiplicity",
+                        lambda *a, **k: real(*a, **k) + 1)
+    with pytest.raises(AlgebraError, match="multiplicity identity failed"):
+        ratmap.fiber_invariants(rm)
+    monkeypatch.undo()
+    monkeypatch.setattr(ratmap, "map_degree",
+                        lambda *a, **k: {"degG": 3, "degY": 1, "h1_dims": []})
+    with pytest.raises(AlgebraError, match="multiplicity identity failed"):
+        ratmap.saturated_fiber_multiplicity(ratmap.RationalMap(R, ["x^2", "y^2"]))
