@@ -45,10 +45,6 @@ class BaseNotDomain(AlgebraError):
     """An operation needs an integral parameter ring."""
 
 
-class BaseNotField(AlgebraError):
-    """An operation needs a field parameter ring."""
-
-
 class NotStandardGraded(AlgebraError):
     """Sheaf-level output needs all variable degrees equal to 1."""
 

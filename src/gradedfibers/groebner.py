@@ -5,6 +5,11 @@ relations are handled by augmenting generator sets with relation
 multiples of the ambient basis, so normal forms and kernels are computed
 over the quotient without special cases downstream.
 
+Buchberger's loop and every normal form run on int vectors, fraction
+free over QQ and on residues mod p over GF(p); reduction takes the
+largest pending term off a heap.  Field coefficients are converted only
+where generators enter and where bases, normal forms and quotients leave.
+
 Kernels, syzygies and preimages all go through one graph construction:
 a Groebner basis of {(phi(e_j), e_j)} in target (+) source with the
 target block dominating; basis elements supported in the source block
@@ -13,12 +18,14 @@ are exactly a basis of the kernel.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import add, sub
 
 from .errors import AlgebraError, BaseNotDomain, RingMismatch
 from . import linalg
 from .modules import FreeMap, FreeModule, Presentation, Vector
-from .rings import Poly
+from .rings import Poly, _from_ints, _to_ints
 
 __all__ = [
     "GBasis",
@@ -50,35 +57,39 @@ __all__ = [
 
 
 class _Ctx:
-    """Shared state for one Groebner run: the order key, memoized per term."""
+    """Shared state for one Groebner run: the characteristic and the heap
+    key of a module term, memoized per term."""
 
-    __slots__ = ("ring", "shifts", "split", "field", "key")
+    __slots__ = ("ring", "shifts", "split", "p", "key")
 
     def __init__(self, ring, shifts, split):
         self.ring = ring
         self.shifts = shifts
         self.split = split
-        self.field = ring.field
-        rkey = ring._key
+        self.p = ring.field.char
+        hkey = ring.order.heap_key
         memo = {}
+        # ascending keys run from the largest term down: the target block
+        # (components below split) first, then the ring order, then the
+        # lower component
         if split:
-            def key(term, _rkey=rkey, _split=split, _memo=memo):
+            def key(term, _hkey=hkey, _split=split, _memo=memo):
                 k = _memo.get(term)
                 if k is None:
                     c, e = term
-                    k = _memo[term] = (1 if c < _split else 0, _rkey(e), -c)
+                    k = _memo[term] = (0 if c < _split else 1,) + _hkey(e) + (c,)
                 return k
         else:
-            def key(term, _rkey=rkey, _memo=memo):
+            def key(term, _hkey=hkey, _memo=memo):
                 k = _memo.get(term)
                 if k is None:
                     c, e = term
-                    k = _memo[term] = (_rkey(e), -c)
+                    k = _memo[term] = _hkey(e) + (c,)
                 return k
         self.key = key
 
     def lead(self, data):
-        return max(data, key=self.key)
+        return min(data, key=self.key)
 
     def psi_of_term(self, term):
         c, e = term
@@ -87,21 +98,28 @@ class _Ctx:
         return self.ring.psi_value(tuple(a + b for a, b in zip(d, s)))
 
 
+# The kernel runs on int vectors: over QQ a vector is scaled to integer
+# coefficients, over GF(p) it holds the residues in [0, p).  Field
+# elements come in through _to_ints and go out through _from_ints.
+
+
 def _scale_data(data, factor):
     return {t: c * factor for t, c in data.items()}
 
 
-def _sub_scaled(data, other, shift_exps, factor):
-    """data -= factor * x^shift * other, in place on a copy-on-write basis."""
+def _sub_scaled(data, other, shift_exps, factor, p):
+    """data - factor * x^shift * other on int vectors, as a new dict."""
     out = dict(data)
     for (c, e), oc in other.items():
-        key = (c, tuple(a + b for a, b in zip(e, shift_exps)))
+        key = (c, tuple(map(add, e, shift_exps)))
         v = out.get(key)
         w = factor * oc
         if v is None:
-            out[key] = -w
+            out[key] = -w % p if p else -w
         else:
-            v = v - w
+            v -= w
+            if p:
+                v %= p
             if v:
                 out[key] = v
             else:
@@ -110,24 +128,30 @@ def _sub_scaled(data, other, shift_exps, factor):
 
 
 class _DivisorTable:
-    """Leading terms bucketed by component for fast divisor lookup."""
+    """Leading terms bucketed by component for fast divisor lookup.
 
-    __slots__ = ("by_comp", "entries")
+    An entry is (lead, tail terms, lead coefficient, its inverse mod p).
+    """
 
-    def __init__(self):
+    __slots__ = ("p", "by_comp", "entries")
+
+    def __init__(self, p):
+        self.p = p
         self.by_comp = {}
         self.entries = []
 
     def add(self, data, lead):
         idx = len(self.entries)
-        self.entries.append((lead, data))
+        a = data[lead]
+        tail = [(t, c) for t, c in data.items() if t != lead]
+        self.entries.append((lead, tail, a, pow(a, self.p - 2, self.p) if self.p else 1))
         self.by_comp.setdefault(lead[0], []).append(idx)
 
     def find(self, term):
         c, e = term
+        entries = self.entries
         for idx in self.by_comp.get(c, ()):
-            lead, _ = self.entries[idx]
-            le = lead[1]
+            le = entries[idx][0][1]
             ok = True
             for a, b in zip(e, le):
                 if a < b:
@@ -139,63 +163,91 @@ class _DivisorTable:
 
 
 def _reduce_full(ctx, data, table, quotients=None):
-    """Fully reduce a term dict against the divisor table."""
+    """Fully reduce an int vector against the divisor table.
+
+    Returns (nf, mult) with mult * data = sum of q_i * g_i + nf, the q_i
+    added into quotients when given.  A step against g with lead
+    coefficient a clears a term with coefficient c: over GF(p) by
+    subtracting c/a times g, over QQ by h <- m*h - f*g with
+    (m, f) = (a, c) / gcd(a, c), so mult is the product of the m.  Terms
+    come off a heap largest first; a step only adds smaller terms, so a
+    popped term never comes back.
+    """
     if not data:
-        return data
+        return data, 1
+    p = ctx.p
     key = ctx.key
+    entries = table.entries
     rest = dict(data)
+    heap = [(key(t), t) for t in rest]
+    heapify(heap)
     out = {}
-    while rest:
-        term = max(rest, key=key)
-        coeff = rest.pop(term)
+    mult = 1
+    while heap:
+        term = heappop(heap)[1]
+        coeff = rest.pop(term, None)
+        if coeff is None:
+            continue  # cancelled after it was queued
         idx = table.find(term)
         if idx < 0:
             out[term] = coeff
             continue
-        lead, ddata = table.entries[idx]
-        shift = tuple(a - b for a, b in zip(term[1], lead[1]))
-        factor = coeff / ddata[lead]
+        lead, tail, a, inv = entries[idx]
+        if p:
+            f = coeff * inv % p
+        elif a == 1:
+            f = coeff
+        else:
+            g = gcd(a, coeff)
+            if a < 0:
+                g = -g
+            m, f = a // g, coeff // g
+            if m != 1:
+                mult *= m
+                rest = {t: v * m for t, v in rest.items()}
+                out = {t: v * m for t, v in out.items()}
+                if quotients is not None:
+                    for q in quotients:
+                        for t in q:
+                            q[t] *= m
+        shift = tuple(map(sub, term[1], lead[1]))
         if quotients is not None:
-            q = quotients[idx]
-            v = q.get(shift)
-            q[shift] = factor if v is None else v + factor
-        for (dc, de), dcoeff in ddata.items():
-            if (dc, de) == lead:
-                continue
-            t = (dc, tuple(a + b for a, b in zip(de, shift)))
+            quotients[idx][shift] = f
+        for (dc, de), dcoeff in tail:
+            t = (dc, tuple(map(add, de, shift)))
+            w = f * dcoeff
             v = rest.get(t)
-            w = factor * dcoeff
             if v is None:
-                rest[t] = -w
+                rest[t] = -w % p if p else -w
+                heappush(heap, (key(t), t))
+                continue
+            v -= w
+            if p:
+                v %= p
+            if v:
+                rest[t] = v
             else:
-                v = v - w
-                if v:
-                    rest[t] = v
-                else:
-                    del rest[t]
-    return out
+                del rest[t]
+    return out, mult
 
 
 def _normalize(ctx, data):
-    """Primitive integer form over QQ, monic over GF(p); canonical sign."""
+    """Primitive over QQ with a positive lead, monic over GF(p)."""
     if not data:
         return data
-    if ctx.field.char == 0:
-        from math import gcd, lcm
-        from fractions import Fraction
-
-        den = lcm(*(c.denominator for c in data.values()))
-        num = gcd(*(c.numerator for c in data.values()))
-        scale = Fraction(den, num)
-        if data[ctx.lead(data)] < 0:
-            scale = -scale
-        if scale == 1:
+    a = data[ctx.lead(data)]
+    p = ctx.p
+    if p:
+        if a == 1:
             return data
-        return {t: c * scale for t, c in data.items()}
-    inv = ctx.field.one / data[ctx.lead(data)]
-    if inv == ctx.field.one:
+        inv = pow(a, p - 2, p)
+        return {t: c * inv % p for t, c in data.items()}
+    g = gcd(*data.values())
+    if a < 0:
+        g = -g
+    if g == 1:
         return data
-    return {t: c * inv for t, c in data.items()}
+    return {t: c // g for t, c in data.items()}
 
 
 def _base_aug_data(ring, nc):
@@ -208,10 +260,12 @@ def _base_aug_data(ring, nc):
 
 
 def _buchberger(ctx, gens_data):
+    """Reduced Groebner basis of field vectors, as normalized int vectors."""
     key = ctx.key
+    p = ctx.p
     G = []
     leads = []
-    table = _DivisorTable()
+    table = _DivisorTable(p)
 
     def push(data):
         data = _normalize(ctx, data)
@@ -221,7 +275,7 @@ def _buchberger(ctx, gens_data):
         table.add(data, lead)
 
     for g in gens_data:
-        h = _reduce_full(ctx, g, table)
+        h, _m = _reduce_full(ctx, _to_ints(p, g)[0], table)
         if h:
             push(h)
 
@@ -243,14 +297,14 @@ def _buchberger(ctx, gens_data):
             l = lcm_exps(ei, ej)
             if rank1 and all(x + y == z for x, y, z in zip(ei, ej, l)):
                 continue  # coprime leads reduce to zero in the ideal case
-            heapq.heappush(queue, (ctx.psi_of_term((cj, l)), i, j, l))
+            heappush(queue, (ctx.psi_of_term((cj, l)), i, j, l))
             pairs.add((i, j))
 
     for j in range(len(G)):
         add_pairs(j)
 
     while queue:
-        _psi, i, j, l = heapq.heappop(queue)
+        _psi, i, j, l = heappop(queue)
         pairs.remove((i, j))
         # chain criterion: a third lead dividing the lcm whose pairs are done
         skip = False
@@ -270,18 +324,25 @@ def _buchberger(ctx, gens_data):
         sj = tuple(a - b for a, b in zip(l, lj[1]))
         ci = gi[li]
         cj = gj[lj]
-        # S = (x^si / ci) gi - (x^sj / cj) gj
+        # S = (cj x^si gi - ci x^sj gj) / gcd(ci, cj); over GF(p) cj/ci is
+        # taken mod p instead
+        if p:
+            fi, fj = 1, ci * pow(cj, p - 2, p) % p
+        else:
+            g = gcd(ci, cj)
+            fi, fj = cj // g, ci // g
         s = {}
         for (c, e), co in gi.items():
-            s[(c, tuple(a + b for a, b in zip(e, si)))] = co / ci
-        s = _sub_scaled(s, gj, sj, ctx.field.one / cj)
-        h = _reduce_full(ctx, s, table)
+            s[(c, tuple(a + b for a, b in zip(e, si)))] = co * fi
+        s = _sub_scaled(s, gj, sj, fj, p)
+        h, _m = _reduce_full(ctx, s, table)
         if h:
             push(h)
             add_pairs(len(G) - 1)
 
-    # minimalize: drop elements whose lead is divisible by another lead
-    order = sorted(range(len(G)), key=lambda i: key(leads[i]))
+    # minimalize: drop elements whose lead is divisible by another lead,
+    # taking the leads from the smallest up
+    order = sorted(range(len(G)), key=lambda i: key(leads[i]), reverse=True)
     keep = []
     kept_leads = []
     for i in order:
@@ -296,33 +357,38 @@ def _buchberger(ctx, gens_data):
             kept_leads.append(leads[i])
     # tail-reduce for the unique reduced basis; every term below a lead is
     # smaller than it, so no element's own lead divides its tail
-    table = _DivisorTable()
+    table = _DivisorTable(p)
     for i in keep:
         table.add(G[i], leads[i])
     final = []
     for i in keep:
         lead = leads[i]
-        data = {lead: G[i][lead]}
-        data.update(_reduce_full(ctx, {t: c for t, c in G[i].items() if t != lead}, table))
+        tail, m = _reduce_full(ctx, {t: c for t, c in G[i].items() if t != lead}, table)
+        data = {lead: G[i][lead] * m}
+        data.update(tail)
         final.append(_normalize(ctx, data))
-    final.sort(key=lambda d: key(ctx.lead(d)), reverse=True)
+    final.sort(key=lambda d: key(ctx.lead(d)))
     return final
 
 
 class GBasis:
-    """Reduced Groebner basis of a submodule, with normal form services."""
+    """Reduced Groebner basis of a submodule, with normal form services.
+
+    Built from int vectors (see _to_ints); the elements are their field
+    images, and the table keeps the int vectors for the reducer.
+    """
 
     __slots__ = ("module", "split", "elements", "_ctx", "_table")
 
     def __init__(self, module, split, data_list):
         self.module = module
         self.split = split
-        self._ctx = _Ctx(module.ring, module.shifts, split)
-        self.elements = tuple(Vector(module, d) for d in data_list)
-        self._table = _DivisorTable()
-        for v in self.elements:
-            if v.data:
-                self._table.add(v.data, self._ctx.lead(v.data))
+        self._ctx = ctx = _Ctx(module.ring, module.shifts, split)
+        self.elements = tuple(Vector(module, _from_ints(ctx.p, d)) for d in data_list)
+        self._table = _DivisorTable(ctx.p)
+        for d in data_list:
+            if d:
+                self._table.add(d, ctx.lead(d))
 
     def __len__(self):
         return len(self.elements)
@@ -333,21 +399,30 @@ class GBasis:
     def leads(self):
         return [self._ctx.lead(v.data) for v in self.elements if v.data]
 
-    def nf(self, v):
+    def _reduce(self, v, quotients=None):
+        """(nf, den) of v in int form: v * den reduces to nf."""
         if v.module.ring != self.module.ring or v.module.shifts != self.module.shifts:
             raise RingMismatch("normal form against a basis from another module")
-        return Vector(self.module, _reduce_full(self._ctx, v.data, self._table))
+        p = self._ctx.p
+        data, den = _to_ints(p, v.data)
+        nf, mult = _reduce_full(self._ctx, data, self._table, quotients)
+        return nf, den * mult
+
+    def nf(self, v):
+        nf, den = self._reduce(v)
+        return Vector(self.module, _from_ints(self._ctx.p, nf, den))
 
     def nf_with_quotients(self, v):
         """Normal form plus quotients: v = sum q_i * g_i + nf."""
         quotients = [dict() for _ in self._table.entries]
-        data = _reduce_full(self._ctx, v.data, self._table, quotients=quotients)
+        nf, den = self._reduce(v, quotients)
+        p = self._ctx.p
         ring = self.module.ring
-        qs = [Poly(ring, q, _reduce=False) for q in quotients]
-        return Vector(self.module, data), qs
+        qs = [Poly(ring, _from_ints(p, q, den), _reduce=False) for q in quotients]
+        return Vector(self.module, _from_ints(p, nf, den)), qs
 
     def contains(self, v):
-        return not self.nf(v).data
+        return not self._reduce(v)[0]
 
     def generic_lead_coefficients(self):
         """Leading base coefficients of the basis elements.
@@ -418,8 +493,10 @@ def nf_poly(p, gb_polys):
         return p
     ring = gb_polys[0].ring
     module = FreeModule(ring, [ring.zero_degree()])
-    basis = GBasis(module, 0, [module.element([g]).data for g in gb_polys]
-                   + [d for d in (_base_aug_data(ring, 1) if ring.base_rel else [])])
+    data = [module.element([g]).data for g in gb_polys]
+    if ring.base_rel:
+        data.extend(_base_aug_data(ring, 1))
+    basis = GBasis(module, 0, [_to_ints(ring.field.char, d)[0] for d in data])
     return basis.nf(module.element([p])).component(0)
 
 
@@ -461,7 +538,7 @@ def _graph_kernel(fmap, extra_target_gens=()):
         if not data:
             continue
         if all(c >= nt for (c, _e) in data):
-            shifted = {(c - nt, e): co for (c, e), co in data.items()}
+            shifted = _from_ints(ctx.p, {(c - nt, e): co for (c, e), co in data.items()})
             if ring.base_rel:
                 from .modules import _reduce_vec_base
 
@@ -908,14 +985,6 @@ def _evaluation_map(f0, functionals, ring):
     for i in range(f0.rank):
         cols.append(w.element([k.component(i) for k in functionals]))
     return FreeMap(f0, w, cols, check=False)
-
-
-def _in_submodule(v, gens, module):
-    gens = [g for g in gens if g.data]
-    if not gens:
-        return not v.data
-    gb = module_gb(gens, module)
-    return gb.contains(v)
 
 
 def embed_in_free(pres, seed=0):

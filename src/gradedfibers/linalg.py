@@ -14,9 +14,17 @@ matrix over a domain, taking pivots column by column from the first
 unused row with a nonzero entry.  After k steps an entry is the
 (k+1)-minor on the pivot rows and columns bordered by its own row and
 column, so every division is exact and the last pivot is the determinant
-of the pivot submatrix: the certifying minor of the rank.  Over a base
-with relations the elimination runs on lifts to the relation-free ring,
-where exact division holds, and tests pivots modulo the relations.
+of the pivot submatrix: the certifying minor of the rank.
+
+Bareiss runs on Python ints, not on Polys.  Each entry becomes a raw
+term dict {exponents: int}: over QQ every row is first multiplied by the
+lcm of its denominators, over GF(p) the coefficients are residues mod
+p.  Over a base with relations the raw terms are lifts to the
+relation-free ring, where exact division holds, and pivots are tested
+modulo the relations.  Products go through rings._mul_terms and the
+exact divisions through rings._div_terms; a certifying minor or a
+determinant becomes a Poly again only at the end, divided by the scales
+of the rows it was taken from.
 
 A Bareiss step only rescales a row whose entry in the pivot column is
 zero, by p_k / p_{k-1}.  Such rows are left alone: each row records the
@@ -27,9 +35,10 @@ next step that does change it.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import lcm, prod
 
 from .errors import BaseNotDomain
-from .rings import Poly, Ring
+from .rings import Poly, _div_terms, _from_ints, _mul_terms
 
 
 def unit_pivots(rows, ring):
@@ -71,17 +80,19 @@ def domain_rank(rows, ring):
     """
     if not ring.base_is_domain:
         raise BaseNotDomain("generic rank needs an integral base")
-    lift, work = _lifted(rows, ring)
+    p = ring.field.char
+    work, scales = _int_rows(rows, p)
     if ring.base_rel:
         def nonzero(e):
-            return bool(ring._reduce_base(dict(e.terms)))
+            return bool(ring._reduce_base({m: ring.field.coerce(c) for m, c in e.items()}))
     else:
         nonzero = None
-    steps = list(_bareiss(work, lift, nonzero))
+    steps = list(_bareiss(work, ring.order.heap_key, p, nonzero))
     if not steps:
         return 0, [], [], ring.one()
+    # the pivot rows were scaled by their denominators
     return (len(steps), [r for r, _c, _p in steps], [c for _r, c, _p in steps],
-            _lower(steps[-1][2], ring))
+            _to_poly(ring, steps[-1][2], prod(scales[r] for r, _c, _p in steps)))
 
 
 def domain_det(rows, ring):
@@ -89,16 +100,18 @@ def domain_det(rows, ring):
     n = len(rows)
     if n == 0:
         return ring.one()
-    lift, work = _lifted(rows, ring)
+    p = ring.field.char
+    work, scales = _int_rows(rows, p)
     order = []
-    for k, (r, c, p) in enumerate(_bareiss(work, lift, None)):
+    for k, (r, c, piv) in enumerate(_bareiss(work, ring.order.heap_key, p, None)):
         if c != k:
             return ring.zero()  # column k holds no pivot
         order.append(r)
     if len(order) < n:
         return ring.zero()
-    # the last pivot is the determinant with rows in pivot order
-    return _lower(-p if _odd(order) else p, ring)
+    # the last pivot is the determinant of the scaled rows in pivot order
+    den = prod(scales)
+    return _to_poly(ring, piv, -den if _odd(order) else den)
 
 
 # -- unit-pivot elimination ---------------------------------------------------
@@ -205,14 +218,15 @@ def _poly_pivot(prow, j):
 # -- fraction-free elimination ------------------------------------------------
 
 
-def _bareiss(work, lift, nonzero):
+def _bareiss(work, hkey, p, nonzero):
     """Yield (row, column, pivot) for each fraction-free elimination step.
 
-    work holds sparse rows over the relation-free ring lift.  A row's
-    lead is its first column whose entry passes nonzero (every stored
-    entry when nonzero is None); the next pivot is the smallest lead,
-    the first row among equals.  Updated rows replace their slot in work;
-    the row dicts themselves are never changed.
+    work holds sparse rows of int term dicts (see _int_rows) over the
+    relation-free polynomial ring; hkey is its order's heap key, for
+    exact division.  A row's lead is its first column whose entry passes
+    nonzero (every stored entry when nonzero is None); the next pivot is
+    the smallest lead, the first row among equals.  Updated rows replace
+    their slot in work; the row dicts themselves are never changed.
     """
     if nonzero is None:
         def lead(row):
@@ -220,6 +234,13 @@ def _bareiss(work, lift, nonzero):
     else:
         def lead(row):
             return min((j for j, e in row.items() if nonzero(e)), default=None)
+    memo = {}
+
+    def key(e):
+        k = memo.get(e)
+        if k is None:
+            k = memo[e] = hkey(e)
+        return k
 
     heap = []
     for i, row in enumerate(work):
@@ -229,39 +250,40 @@ def _bareiss(work, lift, nonzero):
     heapify(heap)
     leads = {i: c for c, i in heap}  # unused rows that can still pivot
     step = [0] * len(work)  # work[i] holds the row's values after step[i] steps
-    divisors = [lift.one()]  # divisors[s] is the pivot of step s - 1
+    pivots = []  # pivots[s] is the pivot of step s
     while heap:
         c, r = heappop(heap)
         if leads.get(r) != c:
             continue
         del leads[r]
-        k = len(divisors) - 1
+        k = len(pivots)
         prow = work[r]
         if step[r] < k:
-            scale = divisors[k]
-            prow = {j: e * scale for j, e in prow.items()}
+            scale = pivots[k - 1]
+            prow = {j: _mul(e, scale, p) for j, e in prow.items()}
             if step[r]:
-                div = divisors[step[r]]
-                prow = {j: e.exact_div(div) for j, e in prow.items()}
-        p = prow[c]
-        yield r, c, p
+                div = pivots[step[r] - 1]
+                prow = {j: _div_terms(e, div, key, p) for j, e in prow.items()}
+        piv = prow[c]
+        yield r, c, piv
         others = [(j, q) for j, q in prow.items() if j != c]
         for i in list(leads):
             row = work[i]
             a = row.get(c)
             if a is None:
                 continue
-            new = {j: e * p for j, e in row.items() if j != c}
+            new = {j: _mul(e, piv, p) for j, e in row.items() if j != c}
             for j, q in others:
+                aq = _mul(a, q, p)
                 old = new.get(j)
-                v = -(a * q) if old is None else old - a * q
+                v = _sub({}, aq, p) if old is None else _sub(old, aq, p)
                 if v:
                     new[j] = v
                 else:
                     new.pop(j, None)
             if step[i]:
-                div = divisors[step[i]]
-                new = {j: e.exact_div(div) for j, e in new.items()}
+                div = pivots[step[i] - 1]
+                new = {j: _div_terms(e, div, key, p) for j, e in new.items()}
             work[i] = new
             step[i] = k + 1
             nc = lead(new)
@@ -270,28 +292,54 @@ def _bareiss(work, lift, nonzero):
             else:
                 leads[i] = nc
                 heappush(heap, (nc, i))
-        divisors.append(p)
+        pivots.append(piv)
 
 
-def _lifted(rows, ring):
-    """(relation-free ring, copies of rows lifted to it)."""
-    if not ring.base_rel:
-        return ring, list(rows)
-    lift = _relation_free(ring)
-    return lift, [{j: Poly(lift, dict(e.terms), _reduce=False) for j, e in row.items()}
-                  for row in rows]
+def _int_rows(rows, p):
+    """(rows of int term dicts, row scales) for sparse rows of Polys.
+
+    Over QQ each row is multiplied by the lcm of its denominators, its
+    scale; over GF(p) the entries are the residues and every scale is 1.
+    Over a base with relations the raw terms are lifts to the
+    relation-free ring, where Bareiss' divisions are exact.
+    """
+    if p:
+        return ([{j: {m: c.v for m, c in e.terms.items()} for j, e in row.items()}
+                 for row in rows], [1] * len(rows))
+    work, scales = [], []
+    for row in rows:
+        den = lcm(*(c.denominator for e in row.values() for c in e.terms.values()))
+        work.append({j: {m: c.numerator * (den // c.denominator) for m, c in e.terms.items()}
+                     for j, e in row.items()})
+        scales.append(den)
+    return work, scales
 
 
-def _lower(e, ring):
-    """A lifted element back in ring, reduced modulo the relations."""
-    if ring.base_rel:
-        return Poly(ring, dict(e.terms))
-    return e
+def _to_poly(ring, terms, den):
+    """The Poly terms / den, reduced modulo the relations of ring."""
+    return Poly(ring, _from_ints(ring.field.char, terms, den))
 
 
-def _relation_free(ring):
-    return Ring(ring.field, ring.names, ring.nx, ring.ny, ring.nz, ring.degrees,
-                ring.psi, ring.order, [], [])
+def _mul(a, b, p):
+    out = _mul_terms(a, b)
+    if p:
+        return {m: v for m, c in out.items() if (v := c % p)}
+    return out
+
+
+def _sub(a, b, p):
+    """a - b for int term dicts, as a new dict."""
+    out = dict(a)
+    for m, c in b.items():
+        v = out.get(m)
+        v = -c if v is None else v - c
+        if p:
+            v %= p
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
 
 
 def _odd(perm):

@@ -14,8 +14,6 @@ engine is broken.
 
 from __future__ import annotations
 
-import json
-
 from .errors import AlgebraError, DualityMismatch
 from . import groebner, resolution, strands
 
@@ -38,20 +36,6 @@ class CohomologyTable:
         for (i, degree), d in sorted(self.dims.items()):
             out.append({"i": i, "degree": list(degree), "dim": d})
         return out
-
-    def to_json(self):
-        payload = {"meta": self.meta, "entries": self.rows()}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    def to_csv(self):
-        lines = ["i,degree,dim"]
-        for row in self.rows():
-            deg = ";".join(str(a) for a in row["degree"])
-            lines.append("%d,%s,%d" % (row["i"], deg, row["dim"]))
-        return "\n".join(lines) + "\n"
-
-    def nonzero(self):
-        return {k: v for k, v in self.dims.items() if v}
 
 
 def _as_tuple(degree):

@@ -21,8 +21,8 @@ from .errors import (AlgebraError, BaseNotDomain, InvalidFiber,
                      UnstableLimit)
 from . import groebner
 from .rings import make_ring, transfer
-from .specialize import (FiberPoint, _fresh_names, _power_products,
-                         sample_rational_point)
+from .specialize import (FiberPoint, _base_relation_polys, _fresh_names,
+                         _power_products, sample_rational_point)
 
 
 class RationalMap:
@@ -133,7 +133,7 @@ def _image_data(rmap, point):
         list(fring.xnames) + ynames,
         [1] * fring.nx + [d] * m,
         params=list(fring.znames),
-        relations=[str(g) for g in _base_polys(fring)],
+        relations=[str(g) for g in _base_relation_polys(fring)],
         field=fring.field,
     )
     rel = [big.var(yn) - transfer(g, big) for yn, g in zip(ynames, forms)]
@@ -142,7 +142,7 @@ def _image_data(rmap, point):
         ynames,
         [1] * m,
         params=list(fring.znames),
-        relations=[str(g) for g in _base_polys(fring)],
+        relations=[str(g) for g in _base_relation_polys(fring)],
         field=fring.field,
     )
     gens = [transfer(g, tring) for g in elim]
@@ -159,12 +159,6 @@ def _image_data(rmap, point):
     }
     rmap._cache[key] = data
     return data
-
-
-def _base_polys(ring):
-    from .rings import Poly
-
-    return [Poly(ring, dict(t), _reduce=False) for t in ring.base_rel]
 
 
 def image_ideal(rmap, point=None):

@@ -194,29 +194,6 @@ def minimal_generator_degrees(pres):
     return list(minimal_presentation(pres).gens_module.shifts)
 
 
-def homology_presentation(complex_, i):
-    """Presentation of H_i = ker(d_i)/im(d_{i+1}) of a chain complex.
-
-    Returns (presentation, inclusion) where inclusion carries the
-    homology generators into F_i.
-    """
-    fi = complex_.module(i)
-    if fi.rank == 0:
-        z = FreeModule(complex_.ring, [])
-        return Presentation.of_free(z), FreeMap(z, fi, [], check=False)
-    d_out = complex_.map(i)
-    d_in = complex_.map(i + 1)
-    if i == 0 or d_out.target.rank == 0 or d_out.is_zero():
-        kgens = [fi.basis_vector(j) for j in range(fi.rank)]
-    else:
-        kgens = groebner.kernel_gens(d_out)
-    if not kgens:
-        z = FreeModule(complex_.ring, [])
-        return Presentation.of_free(z), FreeMap(z, fi, [], check=False)
-    bgens = [col for col in d_in.cols if col.data]
-    return groebner.subquotient_presentation(kgens, bgens, fi)
-
-
 def ext_presentations(pres, twist=None, max_j=None):
     """Presentations of Ext^j(M, R(twist)) for j = 0..max_j.
 
@@ -259,14 +236,6 @@ def _ext_at(res, j, twist):
     return present
 
 
-def ext_presentation(pres, j, twist=None):
-    ring = pres.ring
-    if twist is None:
-        twist = ring.zero_degree()
-    res = free_resolution(pres, j + 1)
-    return _ext_at(res, j, twist)
-
-
 def top_dual_cokernel(pres, twist=None):
     """Cokernel of the transposed last differential one past the x count.
 
@@ -283,15 +252,3 @@ def top_dual_cokernel(pres, twist=None):
         return Presentation.of_free(FreeModule(ring, []))
     d = res.map(r + 1).transpose(twist)
     return Presentation(d)
-
-
-def betti_csv(table):
-    """CSV text for a Betti table: position, degree, count."""
-    lines = ["position,degree,count"]
-    def degkey(item):
-        (i, s), _n = item
-        return (i, s)
-    for (i, s), n in sorted(table.items(), key=degkey):
-        stxt = ";".join(str(a) for a in s)
-        lines.append("%d,%s,%d" % (i, stxt, n))
-    return "\n".join(lines) + "\n"

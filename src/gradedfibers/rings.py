@@ -3,8 +3,11 @@
 A ring here is k[x-block, y-block, z-block] where the x and y variables
 carry degrees in Z or Z^2 and the z variables are degree-zero parameters.
 An optional radical ideal in the parameters turns the parameter ring into
-a reduced quotient.  All coefficient arithmetic is exact: rationals via
-fractions.Fraction, prime fields via ModInt.
+a reduced quotient.  All coefficient arithmetic is exact.  Poly
+coefficients are fractions.Fraction over QQ and ModInt over GF(p); the
+Groebner and elimination kernels take them apart into Python ints on
+entry (denominators cleared over QQ, residues over GF(p)) and build field
+elements again only for their results.
 
 The monomial order always sorts the graded block before the parameter
 block, so parameter-generic leading terms can be read off directly and
@@ -14,6 +17,9 @@ eliminating graded variables never mixes in parameters.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, itemgetter, neg
 
 from .errors import (
     AlgebraError,
@@ -179,12 +185,18 @@ class MonomialOrder:
     Each stage is ('grevlex', idxs), ('lex', idxs) or ('weight', idxs);
     stages compare in sequence, so a leading ('weight', S) stage makes
     the order eliminate the variables in S.
+
+    key sorts terms ascending in the order.  heap_key is a flat tuple of
+    ints that sorts ascending exactly as key sorts descending, so the
+    largest term comes first off a heap: weight gives -sum, grevlex
+    -sum and then the exponents in reverse, lex the negated exponents.
     """
 
-    __slots__ = ("stages",)
+    __slots__ = ("stages", "heap_key")
 
     def __init__(self, stages):
         self.stages = tuple((kind, tuple(idxs)) for kind, idxs in stages)
+        self.heap_key = _flat_key(self.stages)
 
     def key(self, exps):
         parts = []
@@ -208,6 +220,39 @@ class MonomialOrder:
 
     def __repr__(self):
         return "MonomialOrder(%r)" % (self.stages,)
+
+
+def _flat_key(stages):
+    """The heap key of MonomialOrder, composed from one function per stage."""
+    parts = []
+    for kind, idxs in stages:
+        if kind not in ("weight", "grevlex", "lex"):
+            raise AlgebraError("unknown order stage %r" % (kind,))
+        if kind == "grevlex":
+            idxs = idxs[::-1]
+        if not idxs:
+            continue
+        if len(idxs) == 1:
+            get = lambda e, i=idxs[0]: (e[i],)
+        else:
+            get = itemgetter(*idxs)
+        if kind == "weight":
+            parts.append(lambda e, get=get: (-sum(get(e)),))
+        elif kind == "grevlex":
+            def grevlex(e, get=get):
+                t = get(e)
+                return (-sum(t),) + t
+            parts.append(grevlex)
+        else:
+            parts.append(lambda e, get=get: tuple(map(neg, get(e))))
+    if not parts:
+        return lambda e: ()
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2:
+        first, second = parts
+        return lambda e: first(e) + second(e)
+    return lambda e: sum((f(e) for f in parts), ())
 
 
 class Ring:
@@ -760,26 +805,8 @@ class Poly:
             raise AlgebraError("division by zero")
         if self.is_zero():
             return self
-        key = self.ring._key
-        lead_e, lead_c = other.leading_term()
-        rest = dict(self.terms)
-        q = {}
-        while rest:
-            e = max(rest, key=key)
-            c = rest[e]
-            qe = tuple(a - b for a, b in zip(e, lead_e))
-            if any(x < 0 for x in qe):
-                raise AlgebraError("inexact division")
-            qc = c / lead_c
-            q[qe] = qc
-            for oe, oc in other.terms.items():
-                ne = tuple(a + b for a, b in zip(qe, oe))
-                s = rest.get(ne, self.ring.field.zero) - qc * oc
-                if s:
-                    rest[ne] = s
-                else:
-                    rest.pop(ne, None)
-        return Poly(self.ring, q, _reduce=False)
+        return Poly(self.ring, _div_terms(self.terms, other.terms, self.ring.order.heap_key),
+                    _reduce=False)
 
     def support_vars(self):
         """Names of variables that actually occur."""
@@ -801,8 +828,6 @@ class Poly:
         if not self.terms:
             return self
         if self.ring.field.char == 0:
-            from math import gcd, lcm
-
             den = lcm(*(c.denominator for c in self.terms.values()))
             num = gcd(*(c.numerator for c in self.terms.values()))
             scale = Fraction(den, num)
@@ -858,7 +883,7 @@ def _mul_terms(a, b):
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             s = out.get(e)
             if s is None:
                 out[e] = c1 * c2
@@ -871,14 +896,100 @@ def _mul_terms(a, b):
     return out
 
 
-def _nf_terms(ring, terms, divisors):
-    """Normal form of a term dict against (lead_exps, term dict) divisors."""
-    key = ring._key
+def _to_ints(p, terms):
+    """(ints, den) with ints = den * terms for a dict of field coefficients.
+
+    Over QQ den is the lcm of the denominators; over GF(p) the ints are
+    the residues and den is 1.  The dict keys are kept as they are.
+    """
+    if p:
+        return {t: c.v for t, c in terms.items()}, 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    if den == 1:
+        return {t: c.numerator for t, c in terms.items()}, 1
+    return {t: c.numerator * (den // c.denominator) for t, c in terms.items()}, den
+
+
+def _from_ints(p, terms, den=1):
+    """Field coefficients ints / den: Fractions over QQ, ModInts over GF(p)."""
+    if p:
+        if den == 1:
+            return {t: ModInt(c, p) for t, c in terms.items()}
+        inv = pow(den, p - 2, p)
+        return {t: ModInt(c * inv, p) for t, c in terms.items()}
+    if den == 1:
+        return {t: Fraction(c) for t, c in terms.items()}
+    return {t: Fraction(c, den) for t, c in terms.items()}
+
+
+def _div_terms(terms, dterms, hkey, p=None):
+    """Exact quotient of two term dicts, or AlgebraError.
+
+    The largest remaining term comes off a heap under hkey, the heap key
+    of the monomial order.  Coefficients are field elements when p is
+    None, ints whose quotients must be integers when p is 0, and ints
+    mod p otherwise.
+    """
+    lead = min(dterms, key=hkey)
+    a = dterms[lead]
+    if p:
+        inv = pow(a, p - 2, p)
+    others = [(e, c) for e, c in dterms.items() if e != lead]
     rest = dict(terms)
+    heap = [(hkey(e), e) for e in rest]
+    heapify(heap)
+    q = {}
+    while heap:
+        e = heappop(heap)[1]
+        c = rest.pop(e, None)
+        if c is None:
+            continue  # cancelled after it was queued
+        qe = tuple(x - y for x, y in zip(e, lead))
+        if min(qe) < 0:
+            raise AlgebraError("inexact division")
+        if p is None:
+            qc = c / a
+        elif p:
+            qc = c * inv % p
+        else:
+            qc, r = divmod(c, a)
+            if r:
+                raise AlgebraError("inexact division")
+        q[qe] = qc
+        for oe, oc in others:
+            ne = tuple(x + y for x, y in zip(qe, oe))
+            w = qc * oc
+            v = rest.get(ne)
+            if v is None:
+                rest[ne] = -w % p if p else -w
+                heappush(heap, (hkey(ne), ne))
+                continue
+            v = v - w
+            if p:
+                v %= p
+            if v:
+                rest[ne] = v
+            else:
+                del rest[ne]
+    return q
+
+
+def _nf_terms(ring, terms, divisors):
+    """Normal form of a term dict against (lead_exps, term dict) divisors.
+
+    Terms are taken largest first off a heap; reduction only adds
+    smaller terms, so a popped term never comes back.
+    """
+    hkey = ring.order.heap_key
+    rest = dict(terms)
+    heap = [(hkey(e), e) for e in rest]
+    heapify(heap)
     out = {}
-    while rest:
-        e = max(rest, key=key)
-        c = rest.pop(e)
+    while heap:
+        e = heappop(heap)[1]
+        c = rest.pop(e, None)
+        if c is None:
+            continue  # cancelled after it was queued
         hit = None
         for lead, dterms in divisors:
             if all(a >= b for a, b in zip(e, lead)):
@@ -894,11 +1005,17 @@ def _nf_terms(ring, terms, divisors):
             if de == lead:
                 continue
             ne = tuple(a + b for a, b in zip(shift, de))
-            s = rest.get(ne, ring.field.zero) - factor * dc
-            if s:
-                rest[ne] = s
+            w = factor * dc
+            v = rest.get(ne)
+            if v is None:
+                rest[ne] = -w
+                heappush(heap, (hkey(ne), ne))
             else:
-                rest.pop(ne, None)
+                v = v - w
+                if v:
+                    rest[ne] = v
+                else:
+                    del rest[ne]
     return out
 
 

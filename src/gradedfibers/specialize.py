@@ -444,21 +444,6 @@ def _certificate_product(polys, ring):
     return acc.primitive()
 
 
-def naive_power_dim(ring, ideal_gens, k, degree, point):
-    """dim [I(p)^k]_degree computed directly from evaluated generators."""
-    fib = point.fiber_ring(ring)
-    gens = [point.evaluate(g) if point.is_rational else transfer(g, fib)
-            for g in ideal_gens]
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return 0
-    prods = _power_products(gens, k, fib)
-    module = FreeModule(fib, [fib.zero_degree()])
-    gb = groebner.module_gb([module.element([g]) for g in prods], module)
-    return groebner.submodule_strand_dim(gb, (degree,) if fib.gdim == 1 else degree,
-                                         generic=not point.is_rational)
-
-
 def _power_products(gens, k, ring):
     """Generators of the k-th power: the distinct nonzero products of k
     of the generators, repetition allowed, in the order of first appearance."""
@@ -582,11 +567,6 @@ def rees_powers(source, ring=None, b=None, seed=0):
     emb = FreeMap(src, free, [free.element([g]) for g in gens], check=False)
     tf = Presentation(FreeMap.from_columns(src, [], check=False))
     return PowersBundle(ring, "ideal", emb, tf, sym)
-
-
-def specialized_power_gens(bundle, k, point):
-    """Image generators of the k-th power over the fiber of the point."""
-    return bundle.power_vectors(k, point)
 
 
 def specialize_power(bundle, k, point):

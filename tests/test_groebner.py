@@ -2,16 +2,20 @@
 
 Property loops draw random ideals with a fixed seed; every invariant
 asserted here is a consequence of the definitions, not of any chosen
-basis, so the checks stay valid if internals change.
+basis, so the checks stay valid if internals change.  The engine runs on
+ints; a textbook Buchberger in Fractions (or ModInts) below is the
+reference for its reduced bases and normal forms.
 """
 
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from gradedfibers.errors import AlgebraError, BaseNotDomain
-from gradedfibers.modules import FreeModule, FreeMap, Presentation
-from gradedfibers.rings import PrimeField, make_ring
+from gradedfibers.modules import FreeModule, FreeMap, Presentation, Vector
+from gradedfibers.rings import MonomialOrder, PrimeField, make_ring
 from gradedfibers import groebner
 
 
@@ -201,3 +205,232 @@ def test_quotient_vecdim():
     gb = groebner.ideal_gb([R2.poly("x^2"), R2.poly("x*y"), R2.poly("y^2")], ring=R2)
     leads = [p.leading_monomial() for p in gb]
     assert groebner.quotient_vecdim(leads, ring=R2) == 3  # 1, x, y
+
+
+# -- the int kernel against a textbook Buchberger ----------------------------
+
+GF = PrimeField(32003)
+Rq3 = make_ring(["x", "y", "z"], [1, 1, 1])
+Rp3 = make_ring(["x", "y", "z"], [1, 1, 1], field=GF)
+Rt2 = make_ring(["x", "y"], [1, 1], params=["t"])
+COEFFS = [Fraction(1, 3), Fraction(7, 2), Fraction(-2), Fraction(1), Fraction(-5, 4), Fraction(6)]
+
+
+def term_key(ring, split):
+    """The module order as documented: the components below split first,
+    then the ring order, then the lower component."""
+    key = ring.order.key
+    return lambda t: (1 if t[0] < split else 0, key(t[1]), -t[0])
+
+
+def divides(a, b):
+    return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+
+
+def ref_reduce(f, basis, key, zero):
+    """Full reduction of f by the basis, largest term first, in field arithmetic."""
+    f = dict(f)
+    out = {}
+    while f:
+        t = max(f, key=key)
+        c = f.pop(t)
+        g = next((g for g in basis if divides(max(g, key=key), t)), None)
+        if g is None:
+            out[t] = c
+            continue
+        lt = max(g, key=key)
+        shift = tuple(a - b for a, b in zip(t[1], lt[1]))
+        factor = c / g[lt]
+        for (gc, ge), gv in g.items():
+            if (gc, ge) == lt:
+                continue
+            u = (gc, tuple(a + b for a, b in zip(ge, shift)))
+            v = f.get(u, zero) - factor * gv
+            if v:
+                f[u] = v
+            else:
+                f.pop(u, None)
+    return out
+
+
+def ref_normalize(g, key, field):
+    """Primitive with a positive lead over QQ, monic over GF(p)."""
+    lead = g[max(g, key=key)]
+    if field.char:
+        return {t: c / lead for t, c in g.items()}
+    scale = Fraction(lcm(*(c.denominator for c in g.values())),
+                     gcd(*(c.numerator for c in g.values())))
+    if lead < 0:
+        scale = -scale
+    return {t: c * scale for t, c in g.items()}
+
+
+def ref_gb(gens, ring, split):
+    """Reduced Groebner basis by the textbook loop: every S-pair, no
+    criteria, the pair with the smallest lcm first."""
+    key = term_key(ring, split)
+    zero = ring.field.zero
+    G = [dict(g) for g in gens if g]
+
+    def lcm_of(i, j):
+        li, lj = max(G[i], key=key), max(G[j], key=key)
+        if li[0] != lj[0]:
+            return None
+        return li[0], tuple(max(a, b) for a, b in zip(li[1], lj[1]))
+
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pairs:
+        i, j = min(pairs, key=lambda ij: key(lcm_of(*ij) or (0, (0,) * ring.nvars)))
+        pairs.remove((i, j))
+        lt = lcm_of(i, j)
+        if lt is None:
+            continue
+        li, lj = max(G[i], key=key), max(G[j], key=key)
+        l = lt[1]
+        s = {}
+        for g, lt, sign in ((G[i], li, 1), (G[j], lj, -1)):
+            shift = tuple(a - b for a, b in zip(l, lt[1]))
+            for (c, e), v in g.items():
+                u = (c, tuple(a + b for a, b in zip(e, shift)))
+                w = s.get(u, zero) + (v / g[lt] if sign > 0 else -(v / g[lt]))
+                if w:
+                    s[u] = w
+                else:
+                    s.pop(u, None)
+        h = ref_reduce(s, G, key, zero)
+        if h:
+            G.append(h)
+            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
+    G.sort(key=lambda g: key(max(g, key=key)))
+    minimal = []
+    for g in G:
+        if not any(divides(max(m, key=key), max(g, key=key)) for m in minimal):
+            minimal.append(g)
+    out = []
+    for k, g in enumerate(minimal):
+        others = minimal[:k] + minimal[k + 1:]
+        out.append(ref_normalize(ref_reduce(g, others, key, zero), key, ring.field))
+    out.sort(key=lambda g: key(max(g, key=key)), reverse=True)
+    return out
+
+
+def rand_poly(ring, rng, nterms, maxdeg):
+    n = ring.nvars
+    terms = {}
+    for _ in range(nterms):
+        e = [0] * n
+        for _ in range(rng.randint(0, maxdeg)):
+            e[rng.randrange(n)] += 1
+        c = ring.field.coerce(rng.choice(COEFFS))
+        if c:
+            terms[tuple(e)] = c
+    return terms
+
+
+def rand_vectors(ring, rng, rank, count, nterms, maxdeg):
+    out = []
+    for _ in range(count):
+        data = {}
+        for c in rng.sample(range(rank), rng.randint(1, rank)):
+            for e, v in rand_poly(ring, rng, nterms, maxdeg).items():
+                data[(c, e)] = v
+        if data:
+            out.append(data)
+    return out
+
+
+def rand_poly_data(ring, rng):
+    return {(0, e): c for e, c in rand_poly(ring, rng, 4, 3).items()}
+
+
+CASES = [  # ring, module rank, split
+    (Rq3, 1, 0), (Rp3, 1, 0), (Rt2, 1, 0),
+    (Rq3, 2, 0), (Rp3, 2, 0), (Rt2, 2, 0),
+    (Rq3, 3, 1), (Rp3, 3, 1), (Rt2, 3, 2),
+]
+
+
+@pytest.mark.parametrize("ring,rank,split", CASES)
+def test_reduced_basis_matches_textbook_buchberger(ring, rank, split):
+    rng = random.Random(41 + rank + split)
+    module = FreeModule(ring, [ring.zero_degree()] * rank)
+    for _ in range(6):
+        gens = rand_vectors(ring, rng, rank, rng.randint(2, 3), 3, 2)
+        if not gens:
+            continue
+        gb = groebner.module_gb([Vector(module, g) for g in gens], module, split=split)
+        assert [v.data for v in gb] == ref_gb(gens, ring, split)
+
+
+@pytest.mark.parametrize("ring", [Rq3, Rp3, Rt2])
+def test_nf_with_quotients_identity(ring):
+    """v = sum q_i * g_i + nf exactly, on inputs that are not primitive;
+    nf is reduced and equals the textbook normal form."""
+    rng = random.Random(43)
+    module = FreeModule(ring, [ring.zero_degree()])
+    key = term_key(ring, 0)
+    # 2x - 3y has lead coefficient 2: clearing x from a term with an odd
+    # coefficient takes the multiplier 2 over QQ
+    fixed = [{(0, (1, 1) + (0,) * (ring.nvars - 2)): ring.field.coerce(Fraction(2, 3)),
+              (0, (0, 2) + (0,) * (ring.nvars - 2)): ring.field.coerce(-1)},
+             {(0, (1,) + (0,) * (ring.nvars - 1)): ring.field.coerce(2),
+              (0, (0, 1) + (0,) * (ring.nvars - 2)): ring.field.coerce(-3)}]
+    for trial in range(8):
+        gens = fixed if trial == 0 else rand_vectors(ring, rng, 1, 2, 3, 2)
+        if not gens:
+            continue
+        gb = groebner.module_gb([Vector(module, g) for g in gens], module)
+        basis = [g.data for g in gb]
+        for _ in range(4):
+            v = Vector(module, rand_poly_data(ring, rng))
+            nf, qs = gb.nf_with_quotients(v)
+            acc = nf
+            for q, g in zip(qs, gb):
+                acc = acc + g.scale(q)
+            assert acc == v
+            assert gb.nf(v) == nf
+            assert nf.data == ref_reduce(v.data, basis, key, ring.field.zero)
+            assert not any(divides(max(g, key=key), t) for g in basis for t in nf.data)
+            assert gb.contains(v) == (not nf.data)
+
+
+def test_nf_multiplier_and_scaled_divisors():
+    """Normal forms against non-primitive divisors, and a lead coefficient
+    that does not divide the coefficient it clears."""
+    x, y = Rq3.var("x"), Rq3.var("y")
+    g = 2 * x - 3 * y
+    assert groebner.nf_poly(x ** 2 + Rq3.poly("y/3"), [g]) == Rq3.poly("9/4*y^2 + 1/3*y")
+    for scale in (Fraction(2, 3), Fraction(-7, 2), Fraction(5)):
+        assert groebner.nf_poly(x * y, [g * scale]) == Rq3.poly("3/2*y^2")
+    gb = groebner.module_gb([Vector(FreeModule(Rq3, [(0,)]), {(0, (1, 0, 0)): Fraction(4),
+                                                              (0, (0, 1, 0)): Fraction(-6)})])
+    # the basis is primitive: the content 2 of 4x - 6y is removed
+    assert [v.data for v in gb] == [{(0, (1, 0, 0)): 2, (0, (0, 1, 0)): -3}]
+
+
+ORDERS = [
+    [("grevlex", range(4))],
+    [("lex", range(4))],
+    [("lex", (2, 0, 3, 1))],
+    [("grevlex", (0, 1)), ("grevlex", (2, 3))],
+    [("weight", (1, 3)), ("grevlex", range(4))],
+    [("weight", (0,)), ("lex", (1,)), ("grevlex", (3, 2, 0, 1))],
+    [("grevlex", (0, 1, 3)), ("lex", (2,))],
+]
+
+
+@pytest.mark.parametrize("stages", ORDERS)
+def test_heap_key_sorts_like_the_order(stages):
+    order = MonomialOrder(stages)
+    rng = random.Random(44)
+    exps = list({tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(300)})
+    assert sorted(exps, key=order.heap_key) == sorted(exps, key=order.key, reverse=True)
+    assert len({order.heap_key(e) for e in exps}) == len(exps)
+
+
+def test_heap_key_of_derived_rings():
+    rng = random.Random(45)
+    for ring in (Rq3, Rt2, Rt2.with_order((("weight", (0,)),) + Rt2.order.stages)):
+        exps = list({tuple(rng.randint(0, 4) for _ in range(ring.nvars)) for _ in range(200)})
+        assert (sorted(exps, key=ring.order.heap_key)
+                == sorted(exps, key=ring.order.key, reverse=True))

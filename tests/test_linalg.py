@@ -1,9 +1,11 @@
 """The sparse elimination kernel against definitional computations.
 
-Random sparse and dense matrices over QQ, GF(32003), QQ[t], QQ[s,t] and
-QQ[s,t]/(s^2 - t^3).  Ranks are compared with evaluate-then-eliminate
-and with minors, pivots with the pivot rule stated through minors, and
-every minor with a cofactor expansion.
+Random sparse and dense matrices over QQ, GF(32003), QQ[t], QQ[s,t],
+GF(32003)[t] and QQ[s,t]/(s^2 - t^3).  Ranks are compared with
+evaluate-then-eliminate and with minors, pivots with the pivot rule
+stated through minors, and every minor with a cofactor expansion.  The
+kernel clears the denominators of each row and runs on ints, so entries
+with denominators check that the row scales are divided out again.
 """
 
 import random
@@ -19,11 +21,20 @@ Rp = make_ring(["x"], [1], field=PrimeField(32003))
 Rt = make_ring(["x"], [1], params=["t"])
 Rst = make_ring(["x"], [1], params=["s", "t"])
 Rc = make_ring(["x"], [1], params=["s", "t"], relations=["s^2 - t^3"])
+Rpt = make_ring(["x"], [1], params=["t"], field=PrimeField(32003))
 
 POOLS = {
     Rt: ["1", "-2", "t", "t - 1", "t^2", "3*t + 1"],
     Rst: ["1", "s", "t", "s - t", "s*t", "t + 2"],
     Rc: ["1", "s", "t", "s + t", "t^2", "s*t"],  # t^3 reduces to s^2
+}
+
+# entries with denominators; over GF(32003) they are residues
+FRACTION_POOLS = {
+    Rt: ["1/2", "t/3", "7/2*t - 1", "t^2", "-2/5", "3*t + 1/4"],
+    Rst: ["s/3", "1/2*t", "s - 7/2*t", "s*t/4", "3", "t + 2/7"],
+    Rpt: ["1/2", "t/3", "7/2*t - 1", "t^2 + 5", "t", "-2/5"],
+    Rc: ["s/2", "t/3", "s + 7/2*t", "t^2/5", "1", "s*t/6"],
 }
 
 
@@ -41,8 +52,8 @@ def rand_rows(rng, nr, nc, entry, density):
     return rows
 
 
-def rand_poly_rows(ring, rng, nr, nc, density):
-    pool = [ring.poly(s) for s in POOLS[ring]]
+def rand_poly_rows(ring, rng, nr, nc, density, pools=POOLS):
+    pool = [ring.poly(s) for s in pools[ring]]
     return rand_rows(rng, nr, nc, lambda: rng.choice(pool), density)
 
 
@@ -85,7 +96,7 @@ def points_of(ring, rng, count):
     out = []
     for _ in range(count):
         a = rng.randint(-4, 4)
-        if ring is Rt:
+        if ring is Rt or ring is Rpt:
             out.append({"t": a})
         elif ring is Rst:
             out.append({"s": a, "t": rng.randint(-4, 4)})
@@ -149,12 +160,20 @@ def test_unit_pivots_keep_minors(ring):
 
 @pytest.mark.parametrize("ring", [Rt, Rst, Rc])
 def test_domain_rank_pivots_and_minor(ring):
-    rng = random.Random(33)
+    check_domain_rank(ring, POOLS, random.Random(33))
+
+
+@pytest.mark.parametrize("ring", [Rt, Rst, Rpt, Rc])
+def test_domain_rank_with_denominators(ring):
+    check_domain_rank(ring, FRACTION_POOLS, random.Random(35))
+
+
+def check_domain_rank(ring, pools, rng):
     zero = ring.zero()
     for density in (0.35, 0.9):
         for _ in range(8):
             nr, nc = rng.randint(1, 6), rng.randint(1, 10)
-            rows = rand_poly_rows(ring, rng, nr, nc, density)
+            rows = rand_poly_rows(ring, rng, nr, nc, density, pools)
             m = dense(rows, nc, zero)
             rank, prows, pcols, minor = linalg.domain_rank(rows, ring)
 
@@ -192,11 +211,20 @@ def test_domain_rank_pivots_and_minor(ring):
 
 @pytest.mark.parametrize("ring", [Rq, Rt, Rst, Rc])
 def test_domain_det_matches_cofactor(ring):
-    rng = random.Random(34)
     if ring is Rq:
-        pool = [ring.poly(s) for s in ["1", "-1", "2", "1/3", "-5"]]
+        pool = ["1", "-1", "2", "1/3", "-5"]
     else:
-        pool = [ring.poly(s) for s in POOLS[ring]]
+        pool = POOLS[ring]
+    check_domain_det(ring, pool, random.Random(34))
+
+
+@pytest.mark.parametrize("ring", [Rt, Rst, Rpt, Rc])
+def test_domain_det_with_denominators(ring):
+    check_domain_det(ring, FRACTION_POOLS[ring], random.Random(36))
+
+
+def check_domain_det(ring, pool, rng):
+    pool = [ring.poly(s) for s in pool]
     for density in (0.4, 1.0):
         for _ in range(10):
             n = rng.randint(1, 6 if density < 1 else 5)
@@ -210,3 +238,16 @@ def test_generic_rank_needs_a_domain():
     A = make_ring(["x"], [1], params=["z"], relations=["z^2 - z"])
     with pytest.raises(BaseNotDomain):
         linalg.domain_rank([{0: A.poly("z")}], A)
+
+
+def test_row_scales_are_divided_out():
+    """Rows scaled by 1/6 and 2/3: the minor and the determinant carry
+    exactly those factors, and a row permutation flips the sign."""
+    m = [[Rt.poly("t/6"), Rt.poly("1/6")], [Rt.poly("2/3"), Rt.poly("2/3*t + 2")]]
+    rows = [{j: e for j, e in enumerate(row)} for row in m]
+    want = Rt.poly("t^2/9 + t/3 - 1/9")
+    assert cofactor_det(m, Rt) == want
+    assert linalg.domain_det(rows, Rt) == want
+    assert linalg.domain_det(rows[::-1], Rt) == -want
+    assert linalg.domain_rank(rows, Rt) == (2, [0, 1], [0, 1], want)
+    assert linalg.domain_rank([rows[0]], Rt) == (1, [0], [0], Rt.poly("t/6"))
