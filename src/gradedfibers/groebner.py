@@ -745,20 +745,38 @@ def eliminate_ideal(gens, varnames, ring=None):
 # -- counting --------------------------------------------------------------
 
 
+def _generic_leads(leads, ring):
+    """(component, exponents) leads over the generic fiber of the base.
+
+    With the block order the graded part of a lead is its leading term
+    over the generic fiber, so the parameter part is set to zero.  The
+    multiples of the base relations that module_gb adds have leads with
+    no graded part that a base-GB lead divides; they are zero over the
+    base, so they are dropped rather than read as unit leads.
+    """
+    ng = ring.ngraded
+    zpad = (0,) * ring.nz
+    base = [g.leading_monomial()[ng:] for g in ring.base_gb()]
+    out = []
+    for c, e in leads:
+        if not any(e[:ng]) and any(all(a >= b for a, b in zip(e[ng:], z)) for z in base):
+            continue
+        out.append((c, e[:ng] + zpad))
+    return out
+
+
 def standard_monomials(leads, module, deg, generic=False):
     """Module monomials of the given degree not divisible by any lead.
 
-    leads are (component, exponent tuple) pairs.  With generic=True the
-    x/y-part of each lead is used, which is the correct leading term over
-    the parameter-generic fiber thanks to the block order.
+    leads are (component, exponent tuple) pairs.  With generic=True they
+    are read over the parameter-generic fiber (see _generic_leads).
     """
     ring = module.ring
-    ng = ring.ngraded
     deg = ring.deg_tuple(deg)
+    if generic:
+        leads = _generic_leads(leads, ring)
     by_comp = {}
     for c, e in leads:
-        if generic:
-            e = e[:ng] + (0,) * ring.nz
         by_comp.setdefault(c, []).append(e)
     out = []
     for i, shift in enumerate(module.shifts):
@@ -798,14 +816,14 @@ def quotient_dimension(lead_exps_or_gb, ring=None, generic=False):
     variables may enter an independent set.
     """
     if isinstance(lead_exps_or_gb, GBasis):
-        gb = lead_exps_or_gb
-        ring = gb.module.ring
-        leads = [e for (_c, e) in gb.leads()]
+        ring = lead_exps_or_gb.module.ring
+        leads = lead_exps_or_gb.leads()
     else:
-        leads = list(lead_exps_or_gb)
+        leads = [(0, e) for e in lead_exps_or_gb]
     n = ring.ngraded if generic else ring.nvars
     if generic:
-        leads = [e[: ring.ngraded] for e in leads]
+        leads = _generic_leads(leads, ring)
+    leads = [e[:n] for _c, e in leads]
     if not leads:
         return n
     supports = []
@@ -876,10 +894,11 @@ def presentation_vecdim(pres, generic=False):
     ring = pres.ring
     ng = ring.ngraded
     gb = module_gb(list(pres.relations.cols), pres.gens_module)
+    leads = gb.leads()
+    if generic:
+        leads = _generic_leads(leads, ring)
     by_comp = {c: [] for c in range(pres.ngens)}
-    for c, e in gb.leads():
-        if generic:
-            e = e[:ng] + (0,) * ring.nz
+    for c, e in leads:
         by_comp[c].append(e[:ng])
     total = 0
     for c in range(pres.ngens):

@@ -20,6 +20,7 @@ CASES = {
     "cubic_gf": 0,
     "module_loci": 0,
     "rees_qq": 0,
+    "quotient_qq": 0,
     "bad_window": 1,
 }
 

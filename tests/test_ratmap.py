@@ -148,3 +148,20 @@ def test_multiplicity_identity_is_still_asserted(monkeypatch):
                         lambda *a, **k: {"degG": 3, "degY": 1, "h1_dims": []})
     with pytest.raises(AlgebraError, match="multiplicity identity failed"):
         ratmap.saturated_fiber_multiplicity(ratmap.RationalMap(R, ["x^2", "y^2"]))
+
+
+def _invariant_tuple(inv):
+    return (inv["generically_finite"], inv["degY"], inv["degG"], inv["e_sat"], inv["j"])
+
+
+def test_generic_fiber_on_a_base_with_relations_matches_a_point():
+    # module_gb adds multiples of the base relations, whose leads are pure
+    # parameter terms; over the generic fiber they must not count as units
+    G = FiberPoint.generic(Rt, ["t - 1"])
+    at_one = FiberPoint.rational(Rt, {"t": 1})
+    rm = ratmap.RationalMap(Rt, ["x^2", "t*x*y", "y^2"])
+    assert _invariant_tuple(ratmap.fiber_invariants(rm, G)) \
+        == _invariant_tuple(ratmap.fiber_invariants(rm, at_one)) == (True, 2, 1, 2, 4)
+    Q = make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"])
+    rq = ratmap.RationalMap(Q, ["x^2", "x*y", "y^2"])
+    assert _invariant_tuple(ratmap.fiber_invariants(rq)) == (True, 2, 1, 2, 4)
