@@ -164,6 +164,10 @@ def local_cohomology_table(pres, degrees, point=None, cross_check=True):
         d, certs = route_dims_at_degree(res, mu, ring=ring)
         all_certs.extend(certs)
         for i in range(r + 1):
+            if d[i] < 0:
+                raise AlgebraError(
+                    "negative dimension %d for H^%d at %s; the strand ranks"
+                    " behind it assume a prime relation ideal" % (d[i], i, mu))
             dims[(i, mu)] = d[i]
     if cross_check:
         _cross_validate(pres, res, degrees, dims)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import AlgebraError, InvalidFiber
 from . import groebner, localcohom, resolution, strands
-from .rings import Poly
+from .rings import irreducible_factors
 
 
 def _squarefree_gens(gens):
@@ -237,63 +237,14 @@ def duality_exclusion_locus(pres, window=None, slack=2):
 # -- radicals and components (parameter-only ideals) -------------------------
 
 
-def _to_sympy(p):
-    import sympy
-
-    ring = p.ring
-    syms = [sympy.Symbol(n) for n in ring.names]
-    expr = sympy.Integer(0)
-    for e, c in p.terms.items():
-        if ring.field.char == 0:
-            term = sympy.Rational(c.numerator, c.denominator)
-        else:
-            term = sympy.Integer(c.v)
-        for s, a in zip(syms, e):
-            if a:
-                term = term * s ** a
-        expr = expr + term
-    return expr, syms
-
-
-def _from_sympy(expr, ring):
-    import sympy
-    from fractions import Fraction
-
-    poly = sympy.Poly(sympy.expand(expr), *[sympy.Symbol(n) for n in ring.names])
-    terms = {}
-    for monom, coeff in poly.terms():
-        q = sympy.Rational(coeff)
-        c = ring.field.coerce(Fraction(int(q.p), int(q.q)))
-        if c:
-            terms[tuple(int(a) for a in monom)] = c
-    return Poly(ring, terms)
-
-
 def squarefree_part(p):
     """Product of the distinct irreducible factors, content dropped."""
-    import sympy
-
     if p.is_zero():
         return p
-    if p.ring.field.char != 0:
-        return p.primitive()  # no multivariate factorization over GF(p) here
-    expr, _ = _to_sympy(p)
-    _c, factors = sympy.factor_list(expr)
     acc = p.ring.one()
-    for base, _mult in factors:
-        acc = acc * _from_sympy(base, p.ring)
+    for f in irreducible_factors(p):
+        acc = acc * f
     return acc.primitive()
-
-
-def irreducible_factors(p):
-    """Distinct irreducible factors over the rationals, content dropped."""
-    import sympy
-
-    if p.ring.field.char != 0:
-        return [p.primitive()]
-    expr, _ = _to_sympy(p)
-    _c, factors = sympy.factor_list(expr)
-    return [_from_sympy(base, p.ring).primitive() for base, _m in factors]
 
 
 def locus_radical(gens, ring):

@@ -20,9 +20,9 @@ from .errors import (AlgebraError, BaseNotDomain, InvalidFiber,
                      NotGenericallyFinite, NotHomogeneous, NotStandardGraded,
                      UnstableLimit)
 from . import groebner
-from .rings import make_ring, transfer
-from .specialize import (FiberPoint, _base_relation_polys, _fresh_names,
-                         _power_products, sample_rational_point)
+from .rings import transfer
+from .specialize import (FiberPoint, _fresh_names, _power_products,
+                         sample_rational_point)
 
 
 class RationalMap:
@@ -129,22 +129,10 @@ def _image_data(rmap, point):
     d = rmap.form_degree
     m = len(forms)
     ynames = _fresh_names("y", m, set(fring.names))
-    big = make_ring(
-        list(fring.xnames) + ynames,
-        [1] * fring.nx + [d] * m,
-        params=list(fring.znames),
-        relations=[str(g) for g in _base_relation_polys(fring)],
-        field=fring.field,
-    )
+    big = fring.with_graded(list(fring.xnames) + ynames, [1] * fring.nx + [d] * m)
     rel = [big.var(yn) - transfer(g, big) for yn, g in zip(ynames, forms)]
     elim = groebner.eliminate_ideal(rel, list(fring.xnames), ring=big)
-    tring = make_ring(
-        ynames,
-        [1] * m,
-        params=list(fring.znames),
-        relations=[str(g) for g in _base_relation_polys(fring)],
-        field=fring.field,
-    )
+    tring = fring.with_graded(ynames, [1] * m)
     gens = [transfer(g, tring) for g in elim]
     gb = _ideal_gb_object(gens, tring)
     spread = groebner.quotient_dimension(gb, generic=generic)

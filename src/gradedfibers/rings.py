@@ -38,6 +38,7 @@ __all__ = [
     "Poly",
     "make_ring",
     "transfer",
+    "irreducible_factors",
 ]
 
 
@@ -258,9 +259,11 @@ def _flat_key(stages):
 class Ring:
     """Graded polynomial ring k[x, y, z]/(relations in z).
 
-    Do not call directly; use make_ring.  Variable layout is fixed as
-    x-block, then y-block, then z-block, and every exponent tuple in this
-    ring runs over all variables in that sequence.
+    Do not call directly: make_ring builds a ring, and with_graded,
+    with_order and with_extra_relations derive one from another.
+    Variable layout is fixed as x-block, then y-block, then z-block, and
+    every exponent tuple in this ring runs over all variables in that
+    sequence.
     """
 
     __slots__ = (
@@ -293,10 +296,11 @@ class Ring:
         self.gdim = len(self.degrees[0]) if self.degrees else len(psi)
         self.psi = tuple(psi)
         self.order = order
-        # raw term data for the parameter relations; Poly views are built lazily
-        self.base_rel = tuple(tuple(sorted(t.items())) for t in base_rel_raw)
+        # raw term data for the parameter relations, each a dict or a tuple
+        # of (exponents, coefficient) pairs; Poly views are built lazily
+        self.base_rel = tuple(tuple(sorted(dict(t).items())) for t in base_rel_raw)
         self.minimal_primes_raw = tuple(
-            tuple(tuple(sorted(t.items())) for t in comp) for comp in minimal_primes_raw
+            tuple(tuple(sorted(dict(t).items())) for t in comp) for comp in minimal_primes_raw
         )
         self._name_index = {n: i for i, n in enumerate(self.names)}
         self._base_gb = None
@@ -583,6 +587,45 @@ class Ring:
 
     # -- derived rings -------------------------------------------------
 
+    def _replace(self, **fields):
+        """This ring with some of its constructor arguments replaced."""
+        args = {
+            "field": self.field,
+            "names": self.names,
+            "nx": self.nx,
+            "ny": self.ny,
+            "nz": self.nz,
+            "degrees": self.degrees,
+            "psi": self.psi,
+            "order": self.order,
+            "base_rel_raw": self.base_rel,
+            "minimal_primes_raw": self.minimal_primes_raw,
+        }
+        args.update(fields)
+        return Ring(**args)
+
+    def with_graded(self, xvars, xdegrees, yvars=(), ydegrees=None):
+        """New graded blocks over the same base.
+
+        The field, the parameters, the relations and their minimal primes
+        carry over, with their exponents moved to the new layout; the
+        ring gets make_ring's default order and positivity functional.
+        """
+        ring = make_ring(xvars, xdegrees, yvars=yvars, ydegrees=ydegrees,
+                         params=self.znames, field=self.field)
+        if not self.base_rel:
+            return ring
+        ng = self.ngraded
+        pad = (0,) * ring.ngraded
+
+        def moved(raw):
+            return [(pad + e[ng:], c) for e, c in raw]
+
+        return ring._replace(
+            base_rel_raw=[moved(t) for t in self.base_rel],
+            minimal_primes_raw=[[moved(t) for t in comp] for comp in self.minimal_primes_raw],
+        )
+
     def fiber_ring(self):
         """The same graded variables over the plain coefficient field."""
         if self.nz == 0:
@@ -605,18 +648,7 @@ class Ring:
         prefixes the current stages with ('weight', S), and Bayer's
         saturation moves one variable to the end of a grevlex stage.
         """
-        return Ring(
-            self.field,
-            self.names,
-            self.nx,
-            self.ny,
-            self.nz,
-            self.degrees,
-            self.psi,
-            MonomialOrder(stages),
-            [dict(t) for t in self.base_rel],
-            [[dict(t) for t in comp] for comp in self.minimal_primes_raw],
-        )
+        return self._replace(order=MonomialOrder(stages))
 
     def with_extra_relations(self, polys, minimal_primes=None):
         """Adjoin parameter relations; the caller vouches for primality
@@ -633,18 +665,7 @@ class Ring:
             prim = [rel]
         else:
             prim = [[dict(self.poly(q).terms) for q in comp] for comp in minimal_primes]
-        return Ring(
-            self.field,
-            self.names,
-            self.nx,
-            self.ny,
-            self.nz,
-            self.degrees,
-            self.psi,
-            self.order,
-            rel,
-            prim,
-        )
+        return self._replace(base_rel_raw=rel, minimal_primes_raw=prim)
 
 
 def _compositions(total, parts):
@@ -1119,24 +1140,12 @@ def make_ring(
     if minimal_primes is not None:
         for comp in minimal_primes:
             prime_raw.append([parse_zpoly(g, "minimal prime generator").terms for g in comp])
-    elif len(rel_polys) == 1:
-        factors = _squarefree_factors(rel_polys[0])
-        if factors is not None:
-            prime_raw = [[f.terms] for f in factors]
+    elif len(rel_polys) == 1 and field.char == 0:
+        prime_raw = [[f.terms] for f in irreducible_factors(rel_polys[0])]
     if not rel_polys:
         return ring
-    return Ring(
-        field,
-        names,
-        nx,
-        ny,
-        nz,
-        degrees,
-        psi,
-        order,
-        [p.terms for p in rel_polys],
-        prime_raw,
-    )
+    return ring._replace(base_rel_raw=[p.terms for p in rel_polys],
+                         minimal_primes_raw=prime_raw)
 
 
 def _default_psi(degrees, gdim, nx):
@@ -1156,33 +1165,33 @@ def _default_psi(degrees, gdim, nx):
     raise PositivityViolation("no positivity functional found; pass psi explicitly")
 
 
-def _squarefree_factors(p):
-    """Irreducible factors of a parameter poly via sympy, or None."""
-    try:
-        import sympy
+def irreducible_factors(p):
+    """Distinct irreducible factors of a poly, content dropped.
 
-        ring = p.ring
-        syms = sympy.symbols(ring.names) if len(ring.names) > 1 else (sympy.Symbol(ring.names[0]),)
-        expr = sympy.Integer(0)
-        for e, c in p.terms.items():
-            if isinstance(c, ModInt):
-                return None
-            t = sympy.Rational(c)
-            for i, a in enumerate(e):
-                if a:
-                    t *= syms[i] ** a
-            expr = expr + t
-        _, factors = sympy.factor_list(expr)
-        out = []
-        for f, _mult in factors:
-            fp = sympy.Poly(f, *syms)
-            terms = {}
-            for mono, coeff in fp.terms():
-                terms[tuple(int(m) for m in mono)] = Fraction(coeff.p, coeff.q)
-            out.append(Poly(ring, terms, _reduce=False).primitive())
-        return out
-    except Exception:
-        return None
+    This is the one place sympy is called.  Over QQ each factor comes back
+    primitive; there is no multivariate factorization over GF(p) here, so
+    there the list holds the primitive part of p alone.
+    """
+    ring = p.ring
+    if ring.field.char:
+        return [p.primitive()]
+    import sympy
+
+    syms = [sympy.Symbol(n) for n in ring.names]
+    expr = sympy.Integer(0)
+    for e, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, a in zip(syms, e):
+            if a:
+                term = term * s ** a
+        expr = expr + term
+    _c, factors = sympy.factor_list(expr)
+    out = []
+    for f, _mult in factors:
+        terms = {tuple(int(a) for a in mono): Fraction(int(c.p), int(c.q))
+                 for mono, c in sympy.Poly(f, *syms).terms()}
+        out.append(Poly(ring, terms).primitive())
+    return out
 
 
 def transfer(p, target, rename=None):

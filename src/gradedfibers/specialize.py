@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from .errors import (AlgebraError, BadBigrading, BaseNotDomain, InvalidFiber,
                      NoRank, NotOnVariety, ShiftTooSmall, ZeroModule)
 from .modules import FreeModule, FreeMap, Presentation
-from .rings import Poly, make_ring, transfer
+from .rings import Poly, irreducible_factors, transfer
 from . import groebner, resolution, strands
 
 
@@ -62,6 +62,10 @@ class FiberPoint:
         residue field come out of the usual generic-fiber machinery.
         """
         gens = [ring.poly(g) for g in prime_gens]
+        if len(gens) == 1 and not ring.field.char \
+                and irreducible_factors(gens[0]) != [gens[0].primitive()]:
+            raise InvalidFiber("%s is not one irreducible factor of multiplicity one,"
+                               " so it cuts out no prime" % gens[0])
         residue = ring.with_extra_relations(gens)
         return cls(ring, "generic", prime_gens=tuple(gens), residue_ring=residue)
 
@@ -249,15 +253,8 @@ def sym_data(pres, b=None, ynames=None):
         raise ShiftTooSmall("shift b=%d is below a generator degree %d" % (b, max(mus)))
     if ynames is None:
         ynames = _fresh_names("Y", len(mus), set(ring.names))
-    new_ring = make_ring(
-        list(ring.xnames),
-        [(d[0], 0) for d in ring.degrees[: ring.nx]],
-        yvars=list(ynames),
-        ydegrees=[(mu - b, 1) for mu in mus],
-        params=list(ring.znames),
-        relations=[str(g) for g in _base_relation_polys(ring)],
-        field=ring.field,
-    )
+    new_ring = ring.with_graded(ring.xnames, [(d[0], 0) for d in ring.degrees[: ring.nx]],
+                                yvars=ynames, ydegrees=[(mu - b, 1) for mu in mus])
     yvars = [new_ring.var(n) for n in ynames]
     gens = []
     for col in pres.relations.cols:
@@ -270,10 +267,6 @@ def sym_data(pres, b=None, ynames=None):
         if not acc.is_zero():
             gens.append(acc)
     return SymData(ring, new_ring, gens, b, list(ynames), mus)
-
-
-def _base_relation_polys(ring):
-    return [Poly(ring, dict(t), _reduce=False) for t in ring.base_rel]
 
 
 def rees_data_for_ideal(ring, ideal_gens, b=None, ynames=None):
@@ -291,27 +284,14 @@ def rees_data_for_ideal(ring, ideal_gens, b=None, ynames=None):
     if ynames is None:
         ynames = _fresh_names("Y", len(gens), set(ring.names))
     tname = _fresh_names("T", 1, set(ring.names) | set(ynames))[0]
-    big = make_ring(
-        list(ring.xnames),
-        [(d[0], 0) for d in ring.degrees[: ring.nx]],
-        yvars=list(ynames) + [tname],
-        ydegrees=[(mu - b, 1) for mu in mus] + [(-b, 1)],
-        params=list(ring.znames),
-        relations=[str(g) for g in _base_relation_polys(ring)],
-        field=ring.field,
-    )
+    xdegrees = [(d[0], 0) for d in ring.degrees[: ring.nx]]
+    big = ring.with_graded(ring.xnames, xdegrees, yvars=list(ynames) + [tname],
+                           ydegrees=[(mu - b, 1) for mu in mus] + [(-b, 1)])
     t = big.var(tname)
     rel = [big.var(yn) - transfer(g, big) * t for yn, g in zip(ynames, gens)]
     elim = groebner.eliminate_ideal(rel, [tname], ring=big)
-    target = make_ring(
-        list(ring.xnames),
-        [(d[0], 0) for d in ring.degrees[: ring.nx]],
-        yvars=list(ynames),
-        ydegrees=[(mu - b, 1) for mu in mus],
-        params=list(ring.znames),
-        relations=[str(g) for g in _base_relation_polys(ring)],
-        field=ring.field,
-    )
+    target = ring.with_graded(ring.xnames, xdegrees, yvars=ynames,
+                              ydegrees=[(mu - b, 1) for mu in mus])
     out = [transfer(g, target) for g in elim]
     return SymData(ring, target, out, b, list(ynames), mus)
 
@@ -354,15 +334,10 @@ def rees_data_for_module(pres, b=None, ynames=None, seed=0):
     if ynames is None:
         ynames = _fresh_names("Y", len(mus), set(ring.names))
     tnames = _fresh_names("T", len(ws), set(ring.names) | set(ynames))
-    big = make_ring(
-        list(ring.xnames),
-        [(d[0], 0) for d in ring.degrees[: ring.nx]],
-        yvars=list(ynames) + list(tnames),
-        ydegrees=[(mu - bprime, 1) for mu in mus] + [(w - bprime, 1) for w in ws],
-        params=list(ring.znames),
-        relations=[str(g) for g in _base_relation_polys(ring)],
-        field=ring.field,
-    )
+    xdegrees = [(d[0], 0) for d in ring.degrees[: ring.nx]]
+    big = ring.with_graded(
+        ring.xnames, xdegrees, yvars=list(ynames) + list(tnames),
+        ydegrees=[(mu - bprime, 1) for mu in mus] + [(w - bprime, 1) for w in ws])
     rel = []
     for j in range(tf.ngens):
         acc = big.var(ynames[j])
@@ -374,15 +349,8 @@ def rees_data_for_module(pres, b=None, ynames=None, seed=0):
             acc = acc - transfer(entry, big) * big.var(tnames[i])
         rel.append(acc)
     elim = groebner.eliminate_ideal(rel, list(tnames), ring=big)
-    target = make_ring(
-        list(ring.xnames),
-        [(d[0], 0) for d in ring.degrees[: ring.nx]],
-        yvars=list(ynames),
-        ydegrees=[(mu - b, 1) for mu in mus],
-        params=list(ring.znames),
-        relations=[str(g) for g in _base_relation_polys(ring)],
-        field=ring.field,
-    )
+    target = ring.with_graded(ring.xnames, xdegrees, yvars=ynames,
+                              ydegrees=[(mu - b, 1) for mu in mus])
     out = [transfer(g, target) for g in elim]
     return SymData(ring, target, out, b, list(ynames), mus)
 
@@ -424,16 +392,13 @@ def _sym_gb(sym):
 
 def _certificate_product(polys, ring):
     """Squarefree product of the distinct irreducible factors."""
-    from .rings import _squarefree_factors
-
     seen = set()
     acc = ring.one()
     for p in polys:
         p = p.primitive()
         if p.constant_value() is not None:
             continue
-        factors = _squarefree_factors(p)
-        for f in factors if factors is not None else [p]:
+        for f in irreducible_factors(p):
             if f.constant_value() is not None:
                 continue
             key = tuple(sorted(f.terms.items()))

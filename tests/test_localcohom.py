@@ -155,6 +155,18 @@ def test_table_at_rational_fiber_point():
     assert dims_bad[(1, (0,))] == 0
 
 
+def test_negative_dimension_is_an_error():
+    # a fiber over the non-prime (t^2 - 1), built past FiberPoint.generic's
+    # check, makes the strand ranks overshoot: dim [H^0]_{-1} would read -1
+    Rt = make_ring(["x", "y"], [1, 1], params=["t"])
+    pres = Presentation.cyclic(Rt, [Rt.poly("(t - 1)*x"), Rt.poly("y")])
+    gens = [Rt.poly("t^2 - 1")]
+    point = specialize.FiberPoint(Rt, "generic", prime_gens=tuple(gens),
+                                  residue_ring=Rt.with_extra_relations(gens))
+    with pytest.raises(AlgebraError, match="negative"):
+        localcohom.local_cohomology_table(pres, [(-1,), (0,)], point=point)
+
+
 def test_certificate_reported_over_parameter_base():
     Rt = make_ring(["x", "y"], [1, 1], params=["t"])
     pres = Presentation.cyclic(Rt, [Rt.poly("t*x"), Rt.poly("y")])

@@ -11,6 +11,7 @@ from gradedfibers.errors import (
     PositivityViolation,
     RingMismatch,
 )
+from gradedfibers import ratmap, specialize
 from gradedfibers.rings import (
     MonomialOrder,
     PrimeField,
@@ -145,6 +146,36 @@ def test_quotient_base():
     assert B.base_is_domain  # irreducible relation
     with pytest.raises(AlgebraError):
         make_ring(["x"], [1], params=["z"], relations=["x*z"])
+
+
+def test_with_graded_keeps_the_base():
+    # the twisted cubic curve as a base, its one component given explicitly
+    A = make_ring(["x", "y"], [1, 1], params=["a", "b", "c"],
+                  relations=["b - a^2", "c - a^3"],
+                  minimal_primes=[["b - a^2", "c - a^3"]])
+    assert A.base_is_domain
+    B = A.with_graded(["x", "y"], [(1, 0), (1, 0)], yvars=["Y0", "T"],
+                      ydegrees=[(-1, 1), (0, 1)])
+    assert B.znames == A.znames and B.field == A.field
+    assert B.base_is_domain
+    assert [[str(g) for g in comp] for comp in B.minimal_primes()] \
+        == [[str(g) for g in comp] for comp in A.minimal_primes()]
+    assert B.minimal_primes_raw == tuple(
+        tuple(tuple(((0, 0, 0, 0) + e[2:], c) for e, c in t) for t in comp)
+        for comp in A.minimal_primes_raw)
+    assert B.poly("c*Y0") == B.poly("a^3*Y0")
+    assert B.order == make_ring(["x", "y"], [(1, 0), (1, 0)], yvars=["Y0", "T"],
+                                ydegrees=[(-1, 1), (0, 1)], params=["a", "b", "c"]).order
+    # the Rees ring and the image ring are derived this way
+    assert specialize.rees_data_for_ideal(A, ["x", "a*y"]).ring.base_is_domain
+    image = ratmap._image_data(ratmap.RationalMap(A, ["x^2", "a*x*y", "y^2"]), None)
+    assert image["tring"].base_is_domain
+
+
+def test_one_relation_over_a_prime_field_records_no_components():
+    A = make_ring(["x"], [1], params=["z"], relations=["z^2 - z"], field=PrimeField(7))
+    assert A.minimal_primes_raw == ()
+    assert not A.base_is_domain
 
 
 def test_prime_field():

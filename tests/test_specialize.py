@@ -50,6 +50,14 @@ def test_rational_evaluation():
         pt.evaluate_scalar(Rt.poly("x"))
 
 
+def test_generic_point_needs_one_irreducible_generator():
+    # t^2 - 1 and t^2 cut out no prime: reject them instead of trusting them
+    for gen in ("t^2 - 1", "t^2", "3"):
+        with pytest.raises(InvalidFiber):
+            FiberPoint.generic(Rt, [gen])
+    assert FiberPoint.generic(Rt, ["2*t - 2"]).residue_ring.base_is_domain
+
+
 def test_generic_point_evaluation():
     pt = FiberPoint.generic(Rt, ["t - 1"])
     fib = pt.fiber_ring(Rt)
