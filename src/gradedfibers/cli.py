@@ -330,11 +330,9 @@ def _csv_rows(payload):
     return [("key", "value")] + flat
 
 
-def run(session, seed=0, out_dir=".", threads=1, window_slack=2,
-        power_cutoff=None, csv=False):
+def run(session, seed=0, out_dir=".", window_slack=2, power_cutoff=None, csv=False):
     """Execute every command; returns 0 iff none errored."""
-    opts = argparse.Namespace(threads=threads, window_slack=window_slack,
-                              power_cutoff=power_cutoff)
+    opts = argparse.Namespace(window_slack=window_slack, power_cutoff=power_cutoff)
     env = _Env(session, seed)
     os.makedirs(out_dir, exist_ok=True)
     failed = False
@@ -365,8 +363,6 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0,
                     help="seed recorded in and driving all sampling")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; commands run sequentially")
     ap.add_argument("--window-slack", type=int, default=2,
                     help="extra degrees scanned when loci windows auto-grow")
     ap.add_argument("--power-cutoff", type=int, default=None,
@@ -384,7 +380,7 @@ def main(argv=None):
     except ScriptError as exc:
         print("script error: %s" % exc, file=sys.stderr)
         return 2
-    return run(session, seed=args.seed, out_dir=args.out, threads=args.threads,
+    return run(session, seed=args.seed, out_dir=args.out,
                window_slack=args.window_slack, power_cutoff=args.power_cutoff,
                csv=args.csv)
 

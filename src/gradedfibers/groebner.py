@@ -48,7 +48,6 @@ __all__ = [
     "submodule_strand_dim",
     "standard_monomials",
     "quotient_dimension",
-    "quotient_vecdim",
     "module_rank",
     "matrix_rank_generic",
     "torsion_submodule",
@@ -847,43 +846,6 @@ def quotient_dimension(lead_exps_or_gb, ring=None, generic=False):
     return best
 
 
-def quotient_vecdim(gb, ring=None):
-    """Vector space dimension of ring/<gb> over the field, or None if infinite."""
-    if isinstance(gb, GBasis):
-        ring = gb.module.ring
-        leads = [e for (_c, e) in gb.leads()]
-    else:
-        leads = list(gb)
-    n = ring.nvars
-    bounds = [None] * n
-    for e in leads:
-        nz = [i for i, a in enumerate(e) if a]
-        if len(nz) == 1:
-            i = nz[0]
-            if bounds[i] is None or e[i] < bounds[i]:
-                bounds[i] = e[i]
-    if any(b is None for b in bounds):
-        return None
-    count = 0
-    exps = [0] * n
-
-    def rec(i):
-        nonlocal count
-        if i == n:
-            for e in leads:
-                if all(a >= b for a, b in zip(exps, e)):
-                    return
-            count += 1
-            return
-        for a in range(bounds[i]):
-            exps[i] = a
-            rec(i + 1)
-        exps[i] = 0
-
-    rec(0)
-    return count
-
-
 def presentation_vecdim(pres, generic=False):
     """Total fiber-field dimension of a presented module, None if infinite.
 
@@ -946,12 +908,6 @@ def matrix_rank_generic(entries, ring):
             for row in entries]
     rank, piv_rows, piv_cols, minor = linalg.domain_rank(rows, ring)
     return rank, sorted(piv_rows), piv_cols, minor
-
-
-def _exact_det(rows, ring):
-    """Determinant over the ring; Bareiss on lifts, reduced at the end."""
-    return linalg.domain_det([{j: p for j, p in enumerate(row) if not p.is_zero()}
-                              for row in rows], ring)
 
 
 def module_rank(pres):

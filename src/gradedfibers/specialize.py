@@ -57,15 +57,17 @@ class FiberPoint:
     def generic(cls, ring, prime_gens):
         """Generic point of V(prime_gens); the ideal must be prime.
 
+        Over QQ a single generator is checked to be one irreducible factor
+        of multiplicity one; several generators are taken on trust.
         Evaluation transfers elements into the ring with the prime
         adjoined to the base relations, so ranks and bases over the
         residue field come out of the usual generic-fiber machinery.
         """
         gens = [ring.poly(g) for g in prime_gens]
-        if len(gens) == 1 and not ring.field.char \
-                and irreducible_factors(gens[0]) != [gens[0].primitive()]:
-            raise InvalidFiber("%s is not one irreducible factor of multiplicity one,"
-                               " so it cuts out no prime" % gens[0])
+        if len(gens) == 1 and ring.field.char == 0:
+            if irreducible_factors(gens[0]) != [gens[0].primitive()]:
+                raise InvalidFiber("%s is not one irreducible factor of multiplicity"
+                                   " one, so it cuts out no prime" % gens[0])
         residue = ring.with_extra_relations(gens)
         return cls(ring, "generic", prime_gens=tuple(gens), residue_ring=residue)
 

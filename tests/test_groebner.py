@@ -202,9 +202,8 @@ def test_quotient_dimension():
 
 
 def test_quotient_vecdim():
-    gb = groebner.ideal_gb([R2.poly("x^2"), R2.poly("x*y"), R2.poly("y^2")], ring=R2)
-    leads = [p.leading_monomial() for p in gb]
-    assert groebner.quotient_vecdim(leads, ring=R2) == 3  # 1, x, y
+    pres = Presentation.cyclic(R2, [R2.poly("x^2"), R2.poly("x*y"), R2.poly("y^2")])
+    assert groebner.presentation_vecdim(pres) == 3  # 1, x, y
 
 
 # -- the int kernel against a textbook Buchberger ----------------------------

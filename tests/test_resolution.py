@@ -74,7 +74,6 @@ def test_hilbert_agreement_after_minimalization():
         pres = Presentation.cyclic(R2, gens)
         mp = resolution.minimal_presentation(pres)
         for d in range(5):
-            a = groebner.presentation_vecdim  # noqa: F841  (documentation)
             da = groebner.quotient_strand_dim(
                 groebner.module_gb(list(pres.relations.cols), pres.gens_module),
                 (d,))
