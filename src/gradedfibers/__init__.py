@@ -12,8 +12,7 @@ Entry points by theme:
   consumes them.
 * :mod:`gradedfibers.localcohom` turns presentations into cohomology
   tables and numeric invariants.
-* :mod:`gradedfibers.loci` finds non-free loci, jump loci, and dense
-  open certificates.
+* :mod:`gradedfibers.loci` finds non-free loci and jump loci.
 * :mod:`gradedfibers.specialize` evaluates modules and their powers at
   fiber points.
 * :mod:`gradedfibers.ratmap` handles degrees and multiplicities of
@@ -26,7 +25,7 @@ from .rings import make_ring, MonomialOrder, PrimeField, QQ
 from .modules import FreeModule, FreeMap, Presentation
 from .localcohom import cohomology_invariants, local_cohomology_table
 from .loci import cohomology_jump_loci, constancy_report, nonfree_locus
-from .specialize import FiberPoint, rees_powers, specialize_power
+from .specialize import FiberPoint, rees_powers
 from .ratmap import RationalMap
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "nonfree_locus",
     "FiberPoint",
     "rees_powers",
-    "specialize_power",
     "RationalMap",
 ]
 

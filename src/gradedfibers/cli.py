@@ -2,8 +2,9 @@
 
 Outputs land in the --out directory as NN_<command>.json with the seed
 recorded in every payload, so identical script and seed give
-byte-identical files.  A command that fails writes an error payload and
-flips the exit code; later commands still run.
+byte-identical files.  A command that fails writes an error payload,
+whose kind tells bad input from an engine bug, and flips the exit code;
+later commands still run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import groebner, loci, localcohom, ratmap, script, specialize
-from .errors import AlgebraError, ScriptError
+from .errors import AlgebraError, DualityMismatch, ScriptError
 from .modules import FreeModule, FreeMap, Presentation
 from .rings import MonomialOrder, PrimeField, QQ, make_ring
 
@@ -330,6 +331,13 @@ def _csv_rows(payload):
     return [("key", "value")] + flat
 
 
+def _error_kind(exc):
+    """Error kind of a payload: "input" for bad input, "internal" for an engine bug."""
+    if isinstance(exc, AlgebraError) and not isinstance(exc, DualityMismatch):
+        return "input"
+    return "internal"
+
+
 def run(session, seed=0, out_dir=".", window_slack=2, power_cutoff=None, csv=False):
     """Execute every command; returns 0 iff none errored."""
     opts = argparse.Namespace(window_slack=window_slack, power_cutoff=power_cutoff)
@@ -341,7 +349,8 @@ def run(session, seed=0, out_dir=".", window_slack=2, power_cutoff=None, csv=Fal
         try:
             payload.update(_HANDLERS[cmd["op"]](env, cmd, opts))
         except Exception as exc:
-            payload["error"] = {"type": type(exc).__name__, "message": str(exc)}
+            payload["error"] = {"type": type(exc).__name__, "message": str(exc),
+                                "kind": _error_kind(exc)}
             failed = True
         name = "%02d_%s" % (idx, cmd["op"])
         with open(os.path.join(out_dir, name + ".json"), "w") as fh:

@@ -29,14 +29,6 @@ class NotOnVariety(InvalidFiber):
     """Closed-point coordinates fail the base relations."""
 
 
-class ZeroModule(AlgebraError):
-    """The operation is undefined for the zero module."""
-
-
-class ShiftTooSmall(BadBigrading):
-    """A symmetric-power shift below the top generator degree breaks the bigrading."""
-
-
 class NoRank(AlgebraError):
     """The module has no constant generic rank, so Rees powers are undefined."""
 

@@ -22,7 +22,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, sub
 
-from .errors import AlgebraError, BaseNotDomain, RingMismatch
+from .errors import AlgebraError, BaseNotDomain, NotHomogeneous, RingMismatch
 from . import linalg
 from .modules import FreeMap, FreeModule, Presentation, Vector
 from .rings import Poly, _from_ints, _to_ints
@@ -35,9 +35,7 @@ __all__ = [
     "ideal_contains",
     "ideal_equal",
     "kernel_gens",
-    "syzygies",
     "preimage_gens",
-    "presentation_of_submodule",
     "subquotient_presentation",
     "colon_element",
     "colon_ideal",
@@ -552,33 +550,9 @@ def kernel_gens(fmap):
     return _graph_kernel(fmap)
 
 
-def syzygies(vectors, module=None):
-    """Syzygies among the given vectors, in the free module they index."""
-    vectors = list(vectors)
-    if module is None:
-        module = vectors[0].module
-    fmap = FreeMap.from_columns(module, vectors, check=False)
-    return kernel_gens(fmap)
-
-
 def preimage_gens(fmap, target_subgens):
     """Generators of {v in source : fmap(v) lies in <target_subgens>}."""
     return _graph_kernel(fmap, extra_target_gens=target_subgens)
-
-
-def presentation_of_submodule(vectors, module=None):
-    """Presentation of the submodule generated by the vectors.
-
-    Returns (presentation, inclusion) where inclusion maps the
-    presentation's generator module into the ambient module.
-    """
-    vectors = list(vectors)
-    if module is None:
-        module = vectors[0].module
-    inclusion = FreeMap.from_columns(module, vectors, check=False)
-    syz = syzygies(vectors, module)
-    rel = FreeMap.from_columns(inclusion.source, syz, check=False)
-    return Presentation(rel), inclusion
 
 
 def subquotient_presentation(gens, rel_gens, module):
@@ -1026,8 +1000,8 @@ def embed_in_free(pres, seed=0):
             continue
         try:
             emb = build(picks)
-        except Exception:
-            continue
+        except NotHomogeneous:
+            continue  # a pick mixing degrees gives no graded embedding
         if injective_mod_rels(emb):
             return emb
     raise AlgebraError("no injective projection found; increase the search budget")

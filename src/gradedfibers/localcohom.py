@@ -251,31 +251,3 @@ def cohomology_invariants(pres):
         "depth": depth,
         "regularity": reg,
     }
-
-
-def sheaf_cohomology_dims(pres, twists):
-    """h^i of the associated sheaf at the given twists, over a field.
-
-    h^0(n) counts global sections: module strand minus what H^0 eats
-    plus what H^1 restores; higher h^i read straight off H^{i+1}.
-    """
-    ring = pres.ring
-    _require_duality_ok(ring)
-    r = ring.nx
-    res = free_resolution_for_cohomology(pres)
-    rel_cols = [c for c in pres.relations.cols if c.data]
-    f0 = pres.gens_module
-    gb = groebner.module_gb(rel_cols, f0) if rel_cols else None
-    out = {}
-    for n in twists:
-        mu = ring.deg_tuple(n)
-        dims, _ = route_dims_at_degree(res, mu, ring=ring)
-        if gb is None:
-            m_dim = len(strands.strand_basis(f0, mu))
-        else:
-            m_dim = groebner.quotient_strand_dim(gb, mu)
-        row = {0: m_dim - dims[0] + dims[1] if r >= 1 else m_dim - dims[0]}
-        for i in range(1, r):
-            row[i] = dims[i + 1]
-        out[mu] = row
-    return out

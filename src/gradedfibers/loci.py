@@ -282,56 +282,6 @@ def locus_radical(gens, ring):
     return gb, False
 
 
-def dense_open_certificate(gens, ring):
-    """Per component of the base, an element of the ideal that survives
-    restriction to that component, or None when the ideal dies there.
-
-    A returned polynomial a for component P certifies that V(gens) meets
-    V(P) in a proper closed subset: D(a) is dense open in V(P) and
-    avoids the locus.  A "global" entry holds one element working for
-    every component at once, when a product does the job.
-    """
-    gens = [ring.poly(g) for g in gens]
-    comps = ring.minimal_primes()
-    if not comps:
-        comps = ((),)
-    out = {}
-    per_comp = []
-    for prime in comps:
-        key = "(" + ", ".join(str(q) for q in prime) + ")"
-        found = None
-        pgb = groebner.ideal_gb(list(prime), ring=ring) if prime else []
-        for g in gens:
-            if _not_in_component(g, pgb, ring):
-                found = g
-                break
-        if found is None:
-            for a in range(len(gens)):
-                for b in range(a + 1, len(gens)):
-                    cand = gens[a] + gens[b]
-                    if _not_in_component(cand, pgb, ring):
-                        found = cand
-                        break
-                if found is not None:
-                    break
-        out[key] = found
-        per_comp.append(found)
-    if all(c is not None for c in per_comp) and per_comp:
-        prod = ring.one()
-        for c in per_comp:
-            prod = prod * c
-        ok = True
-        for prime in comps:
-            pgb = groebner.ideal_gb(list(prime), ring=ring) if prime else []
-            if not _not_in_component(prod, pgb, ring):
-                ok = False
-                break
-        out["global"] = prod if ok else None
-    else:
-        out["global"] = None
-    return out
-
-
 def _not_in_component(g, prime_gb, ring):
     if not prime_gb:
         return not g.is_zero()
@@ -348,7 +298,10 @@ def constancy_report(pres, degrees, seed=0, samples=2, avoid=(), cross_check=Tru
     per-component table; rational sample points on the component (off
     the avoided locus and off the other components) must reproduce it.
     Returns per-component dims, the sample evidence, and whether the
-    function is constant within components and across them.
+    function is constant within components and across them.  A component
+    where samples were asked for and no rational point was found has
+    samples_match None, and then locally_constant is None unless some
+    sample disagreed.
     """
     import random
 
@@ -361,6 +314,7 @@ def constancy_report(pres, degrees, seed=0, samples=2, avoid=(), cross_check=Tru
             "components": {"(field base)": {
                 "generic_dims": sorted_dims(table),
                 "samples": [],
+                "samples_found": 0,
                 "samples_match": True,
             }},
             "locally_constant": True,
@@ -372,7 +326,7 @@ def constancy_report(pres, degrees, seed=0, samples=2, avoid=(), cross_check=Tru
         comps = ((),)
     report = {}
     dims_per_comp = []
-    locally_constant = True
+    verdicts = []
     for prime in comps:
         key = "(" + ", ".join(str(q) for q in prime) + ")" if prime else "(0)"
         point = FiberPoint.generic(ring, list(prime)) if prime else None
@@ -402,14 +356,23 @@ def constancy_report(pres, degrees, seed=0, samples=2, avoid=(), cross_check=Tru
             match = sdims == gdims
             ok = ok and match
             sample_rows.append({"point": pt.describe(), "dims": sdims, "match": match})
-        locally_constant = locally_constant and ok
+        if samples and not sample_rows:
+            ok = None
+        verdicts.append(ok)
         report[key] = {
             "generic_dims": gdims,
             "samples": sample_rows,
+            "samples_found": len(sample_rows),
             "samples_match": ok,
         }
         dims_per_comp.append(tuple(sorted(gdims.items())))
     globally_constant = len(set(dims_per_comp)) <= 1
+    if False in verdicts:
+        locally_constant = False
+    elif None in verdicts:
+        locally_constant = None
+    else:
+        locally_constant = True
     return {
         "components": report,
         "locally_constant": locally_constant,

@@ -21,8 +21,7 @@ from .errors import (AlgebraError, BaseNotDomain, InvalidFiber,
                      UnstableLimit)
 from . import groebner
 from .rings import transfer
-from .specialize import (FiberPoint, _fresh_names, _power_products,
-                         sample_rational_point)
+from .specialize import _power_products
 
 
 class RationalMap:
@@ -117,6 +116,17 @@ def _ideal_strand_dim(gens, deg, ring, generic):
 
 
 # -- the special fiber ring --------------------------------------------------
+
+
+def _fresh_names(stem, count, taken):
+    out = []
+    i = 0
+    while len(out) < count:
+        cand = "%s%d" % (stem, i)
+        if cand not in taken:
+            out.append(cand)
+        i += 1
+    return out
 
 
 def _image_data(rmap, point):
@@ -468,59 +478,3 @@ def fiber_invariants(rmap, point=None, cutoff=None):
     except UnstableLimit:
         out["stable"] = False
     return out
-
-
-def map_constancy_report(rmap, seed=0, samples=2, avoid=(), cutoff=None):
-    """Invariants across the components of the parameter space.
-
-    Each component gets the bundle at its generic point plus rational
-    samples; sampled fibers disagreeing with the generic bundle are the
-    empirical jump set.
-    """
-    ring = rmap.ring
-    keys = ("degY", "degG", "e_sat", "j")
-    if ring.nz == 0:
-        bundle = fiber_invariants(rmap, None, cutoff=cutoff)
-        return {
-            "components": {"(field base)": {
-                "generic": bundle, "samples": [], "samples_match": True}},
-            "locally_constant": True,
-            "globally_constant": True,
-        }
-    rng = random.Random(seed)
-    comps = ring.minimal_primes()
-    if not comps:
-        comps = ((),)
-    report = {}
-    signatures = []
-    locally = True
-    for prime in comps:
-        key = "(" + ", ".join(str(q) for q in prime) + ")" if prime else "(0)"
-        gpoint = FiberPoint.generic(ring, list(prime)) if prime else None
-        if not generically_finite(rmap, gpoint):
-            raise NotGenericallyFinite("the map is not finite at the generic point of %s" % key)
-        bundle = fiber_invariants(rmap, gpoint, cutoff=cutoff)
-        rows = []
-        ok = True
-        for _ in range(samples):
-            try:
-                pt = sample_rational_point(ring, rng, avoid=list(avoid), on=list(prime))
-            except InvalidFiber:
-                break
-            try:
-                b2 = fiber_invariants(rmap, pt, cutoff=cutoff)
-            except InvalidFiber:
-                continue  # all forms died at the point: record nothing
-            match = all(b2[k] == bundle[k] for k in keys)
-            ok = ok and match
-            rows.append({"point": pt.describe(),
-                         "values": {k: b2[k] for k in keys},
-                         "match": match})
-        locally = locally and ok
-        report[key] = {"generic": bundle, "samples": rows, "samples_match": ok}
-        signatures.append(tuple(bundle[k] for k in keys))
-    return {
-        "components": report,
-        "locally_constant": locally,
-        "globally_constant": len(set(signatures)) <= 1,
-    }

@@ -604,15 +604,14 @@ class Ring:
         args.update(fields)
         return Ring(**args)
 
-    def with_graded(self, xvars, xdegrees, yvars=(), ydegrees=None):
-        """New graded blocks over the same base.
+    def with_graded(self, xvars, xdegrees):
+        """A new graded block over the same base.
 
         The field, the parameters, the relations and their minimal primes
         carry over, with their exponents moved to the new layout; the
         ring gets make_ring's default order and positivity functional.
         """
-        ring = make_ring(xvars, xdegrees, yvars=yvars, ydegrees=ydegrees,
-                         params=self.znames, field=self.field)
+        ring = make_ring(xvars, xdegrees, params=self.znames, field=self.field)
         if not self.base_rel:
             return ring
         ng = self.ngraded

@@ -1,4 +1,4 @@
-"""Fiber points, specialization, and symmetric and Rees constructions.
+"""Fiber points, specialization, and Rees powers.
 
 A fiber point is either a rational point of the parameter space (values
 for every parameter, satisfying the base relations) or the generic
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .errors import (AlgebraError, BadBigrading, BaseNotDomain, InvalidFiber,
-                     NoRank, NotOnVariety, ShiftTooSmall, ZeroModule)
+from .errors import AlgebraError, BaseNotDomain, InvalidFiber, NoRank, NotOnVariety
 from .modules import FreeModule, FreeMap, Presentation
 from .rings import Poly, irreducible_factors, transfer
 from . import groebner, resolution, strands
@@ -58,16 +57,22 @@ class FiberPoint:
         """Generic point of V(prime_gens); the ideal must be prime.
 
         Over QQ a single generator is checked to be one irreducible factor
-        of multiplicity one; several generators are taken on trust.
-        Evaluation transfers elements into the ring with the prime
-        adjoined to the base relations, so ranks and bases over the
+        of multiplicity one, or to lie in the relations of a domain base
+        (it then cuts out the whole base); several generators are taken
+        on trust.  Evaluation transfers elements into the ring with the
+        prime adjoined to the base relations, so ranks and bases over the
         residue field come out of the usual generic-fiber machinery.
         """
         gens = [ring.poly(g) for g in prime_gens]
         if len(gens) == 1 and ring.field.char == 0:
-            if irreducible_factors(gens[0]) != [gens[0].primitive()]:
+            g = gens[0]
+            if Poly(ring, g.terms).is_zero():
+                prime = ring.base_is_domain
+            else:
+                prime = irreducible_factors(g) == [g.primitive()]
+            if not prime:
                 raise InvalidFiber("%s is not one irreducible factor of multiplicity"
-                                   " one, so it cuts out no prime" % gens[0])
+                                   " one, so it cuts out no prime" % g)
         residue = ring.with_extra_relations(gens)
         return cls(ring, "generic", prime_gens=tuple(gens), residue_ring=residue)
 
@@ -191,111 +196,7 @@ def sample_rational_point(ring, rng, avoid=(), on=(), tries=800):
     raise InvalidFiber("no rational point found within the sampling budget")
 
 
-# -- symmetric and Rees algebras -------------------------------------------
-
-
-class SymData:
-    """A presentation of a symmetric algebra as a bigraded quotient.
-
-    ring is A[x, Y] with bideg Y_j = (mu_j - b, 1); ideal_gens cut out
-    the symmetric algebra of the module presented over A[x].
-    """
-
-    __slots__ = ("base_module_ring", "ring", "ideal_gens", "b", "ynames", "gen_degrees")
-
-    def __init__(self, base_module_ring, ring, ideal_gens, b, ynames, gen_degrees):
-        self.base_module_ring = base_module_ring
-        self.ring = ring
-        self.ideal_gens = ideal_gens
-        self.b = b
-        self.ynames = ynames
-        self.gen_degrees = gen_degrees
-
-
-def beta(pres):
-    """Largest degree of a minimal generator (0 for the zero module)."""
-    ring = pres.ring
-    if ring.gdim != 1:
-        raise AlgebraError("generator bounds are for singly graded modules")
-    degs = resolution.minimal_generator_degrees(pres)
-    if not degs:
-        raise ZeroModule("the zero module has no generator degrees")
-    return max(s[0] for s in degs)
-
-
-def _fresh_names(base, count, taken):
-    out = []
-    i = 0
-    stem = base
-    while len(out) < count:
-        cand = "%s%d" % (stem, i)
-        if cand not in taken:
-            out.append(cand)
-        i += 1
-    return out
-
-
-def sym_data(pres, b=None, ynames=None):
-    """Symmetric algebra of a presented module over a singly graded ring.
-
-    Generators of degree mu_j become variables of bidegree (mu_j - b, 1)
-    with b defaulting to the largest generator degree, which keeps the
-    second block's first degrees nonpositive as the layout requires.
-    """
-    ring = pres.ring
-    if ring.ny:
-        raise BadBigrading("the module ring already has a second block")
-    if ring.gdim != 1:
-        raise AlgebraError("symmetric algebras need a singly graded module ring")
-    pres = resolution.minimal_presentation(pres)
-    mus = [s[0] for s in pres.gens_module.shifts]
-    if b is None:
-        b = max(mus) if mus else 0
-    if mus and b < max(mus):
-        raise ShiftTooSmall("shift b=%d is below a generator degree %d" % (b, max(mus)))
-    if ynames is None:
-        ynames = _fresh_names("Y", len(mus), set(ring.names))
-    new_ring = ring.with_graded(ring.xnames, [(d[0], 0) for d in ring.degrees[: ring.nx]],
-                                yvars=ynames, ydegrees=[(mu - b, 1) for mu in mus])
-    yvars = [new_ring.var(n) for n in ynames]
-    gens = []
-    for col in pres.relations.cols:
-        acc = new_ring.zero()
-        for i in range(pres.ngens):
-            entry = col.component(i)
-            if entry.is_zero():
-                continue
-            acc = acc + transfer(entry, new_ring) * yvars[i]
-        if not acc.is_zero():
-            gens.append(acc)
-    return SymData(ring, new_ring, gens, b, list(ynames), mus)
-
-
-def rees_data_for_ideal(ring, ideal_gens, b=None, ynames=None):
-    """Rees algebra of an ideal, by eliminating the tag variable.
-
-    Returns a SymData whose ideal_gens present the Rees ring: the kernel
-    of A[x, Y] -> A[x][I t], Y_i -> g_i t.
-    """
-    if ring.ny or ring.gdim != 1:
-        raise BadBigrading("Rees construction starts from a singly graded ring")
-    gens = [ring.poly(g) for g in ideal_gens]
-    mus = [ring.degree_of(g)[0] for g in gens]
-    if b is None:
-        b = max(mus) if mus else 0
-    if ynames is None:
-        ynames = _fresh_names("Y", len(gens), set(ring.names))
-    tname = _fresh_names("T", 1, set(ring.names) | set(ynames))[0]
-    xdegrees = [(d[0], 0) for d in ring.degrees[: ring.nx]]
-    big = ring.with_graded(ring.xnames, xdegrees, yvars=list(ynames) + [tname],
-                           ydegrees=[(mu - b, 1) for mu in mus] + [(-b, 1)])
-    t = big.var(tname)
-    rel = [big.var(yn) - transfer(g, big) * t for yn, g in zip(ynames, gens)]
-    elim = groebner.eliminate_ideal(rel, [tname], ring=big)
-    target = ring.with_graded(ring.xnames, xdegrees, yvars=ynames,
-                              ydegrees=[(mu - b, 1) for mu in mus])
-    out = [transfer(g, target) for g in elim]
-    return SymData(ring, target, out, b, list(ynames), mus)
+# -- specialized powers ------------------------------------------------------
 
 
 def _torsion_free_embedding(pres, seed=0):
@@ -314,82 +215,6 @@ def _torsion_free_embedding(pres, seed=0):
     except AlgebraError as exc:
         raise NoRank(str(exc))
     return tf, emb
-
-
-def rees_data_for_module(pres, b=None, ynames=None, seed=0):
-    """Rees algebra of a module with rank: the symmetric algebra of the
-    image inside a free module of the same rank.
-
-    The module is first replaced by its quotient modulo torsion; the
-    embedding found there linearizes to tag variables which are then
-    eliminated.
-    """
-    ring = pres.ring
-    if ring.ny:
-        raise BadBigrading("the module ring already has a second block")
-    tf, emb = _torsion_free_embedding(pres, seed=seed)
-    mus = [s[0] for s in tf.gens_module.shifts]
-    ws = [s[0] for s in emb.target.shifts]
-    if b is None:
-        b = max(mus) if mus else 0
-    bprime = max([b] + ws)
-    if ynames is None:
-        ynames = _fresh_names("Y", len(mus), set(ring.names))
-    tnames = _fresh_names("T", len(ws), set(ring.names) | set(ynames))
-    xdegrees = [(d[0], 0) for d in ring.degrees[: ring.nx]]
-    big = ring.with_graded(
-        ring.xnames, xdegrees, yvars=list(ynames) + list(tnames),
-        ydegrees=[(mu - bprime, 1) for mu in mus] + [(w - bprime, 1) for w in ws])
-    rel = []
-    for j in range(tf.ngens):
-        acc = big.var(ynames[j])
-        col = emb.cols[j]
-        for i in range(emb.target.rank):
-            entry = col.component(i)
-            if entry.is_zero():
-                continue
-            acc = acc - transfer(entry, big) * big.var(tnames[i])
-        rel.append(acc)
-    elim = groebner.eliminate_ideal(rel, list(tnames), ring=big)
-    target = ring.with_graded(ring.xnames, xdegrees, yvars=ynames,
-                              ydegrees=[(mu - b, 1) for mu in mus])
-    out = [transfer(g, target) for g in elim]
-    return SymData(ring, target, out, b, list(ynames), mus)
-
-
-# -- power strands ----------------------------------------------------------
-
-
-def power_strand_dim(sym, k, degree, point=None):
-    """dim over the fiber of the degree-`degree` slice of the k-th power.
-
-    The k-th power of the module sits in the Rees ring as the y-count k
-    part; its genuine degree D corresponds to ring bidegree (D - b k, k).
-    With point=None the count is generic over the base and a certifying
-    parameter polynomial comes back alongside.
-    """
-    ring = sym.ring
-    bideg = (degree - sym.b * k, k)
-    if point is None:
-        gb = _sym_gb(sym)
-        dim = groebner.quotient_strand_dim(gb, bideg, generic=ring.nz > 0)
-        cert = _certificate_product(gb.generic_lead_coefficients(), ring)
-        return dim, cert
-    fib = point.fiber_ring(ring)
-    if point.is_rational:
-        gens = [point.evaluate(g) for g in sym.ideal_gens]
-    else:
-        gens = [transfer(g, fib) for g in sym.ideal_gens]
-    module = FreeModule(fib, [fib.zero_degree()])
-    basis = groebner.module_gb([module.element([g]) for g in gens if not g.is_zero()],
-                               module)
-    return groebner.quotient_strand_dim(basis, bideg, generic=not point.is_rational)
-
-
-def _sym_gb(sym):
-    ring = sym.ring
-    module = FreeModule(ring, [ring.zero_degree()])
-    return groebner.module_gb([module.element([g]) for g in sym.ideal_gens], module)
 
 
 def _certificate_product(polys, ring):
@@ -428,31 +253,24 @@ def _power_products(gens, k, ring):
     return out
 
 
-# -- specialized powers ------------------------------------------------------
-
-
 class PowersBundle:
     """Everything needed to specialize the powers of one module.
 
     Holds the torsion-free quotient, its embedding into a graded free
-    module of the same rank, and the Rees presentation.  The embedding
-    is part of the data on purpose: away from the agreement locus the
-    specialized power can depend on it, and callers comparing embeddings
-    build two bundles.
+    module of the same rank, and b, the largest generator degree.  The
+    embedding is part of the data on purpose: away from the agreement
+    locus the specialized power can depend on it, and callers comparing
+    embeddings build two bundles.
     """
 
-    __slots__ = ("ring", "kind", "embedding", "tf", "sym")
+    __slots__ = ("ring", "kind", "embedding", "tf", "b")
 
-    def __init__(self, ring, kind, embedding, tf, sym):
+    def __init__(self, ring, kind, embedding, tf, b):
         self.ring = ring
         self.kind = kind
         self.embedding = embedding
         self.tf = tf
-        self.sym = sym
-
-    @property
-    def b(self):
-        return self.sym.b
+        self.b = b
 
     def power_vectors(self, k, point=None):
         """Generators of the k-th power inside Sym^k of the embedding target.
@@ -509,7 +327,7 @@ class PowersBundle:
         return module, vectors
 
 
-def rees_powers(source, ring=None, b=None, seed=0):
+def rees_powers(source, ring=None, seed=0):
     """Bundle the Rees-power data of an ideal or of a presented module.
 
     Pass a Presentation for the module construction, or a list of ideal
@@ -517,38 +335,24 @@ def rees_powers(source, ring=None, b=None, seed=0):
     torsion and rank make sense.
     """
     if isinstance(source, Presentation):
-        mring = source.ring
-        if not mring.base_is_domain:
+        ring = source.ring
+        if not ring.base_is_domain:
             raise BaseNotDomain("module powers need an integral base")
+        kind = "module"
         tf, emb = _torsion_free_embedding(source, seed=seed)
-        sym = rees_data_for_module(source, b=b, seed=seed)
-        return PowersBundle(mring, "module", emb, tf, sym)
-    if ring is None:
-        raise AlgebraError("ideal generators need an explicit ring")
-    if not ring.base_is_domain:
-        raise BaseNotDomain("ideal powers need an integral base")
-    gens = [ring.poly(g) for g in source]
-    sym = rees_data_for_ideal(ring, gens, b=b)
-    free = FreeModule(ring, [ring.zero_degree()])
-    src = FreeModule(ring, [ring.deg_tuple(ring.degree_of(g)) for g in gens])
-    emb = FreeMap(src, free, [free.element([g]) for g in gens], check=False)
-    tf = Presentation(FreeMap.from_columns(src, [], check=False))
-    return PowersBundle(ring, "ideal", emb, tf, sym)
-
-
-def specialize_power(bundle, k, point):
-    """Presentation over the fiber of the specialized k-th power.
-
-    This is the image of the power under base change, computed inside
-    the k-th symmetric power of the embedding target; for ideals it is
-    the plain power of the evaluated generator ideal.
-    """
-    module, vectors = bundle.power_vectors(k, point)
-    if not vectors:
-        return Presentation(FreeMap.from_columns(FreeModule(module.ring, []), [],
-                                                 check=False))
-    pres, _incl = groebner.presentation_of_submodule(vectors, module)
-    return pres
+    else:
+        if ring is None:
+            raise AlgebraError("ideal generators need an explicit ring")
+        if not ring.base_is_domain:
+            raise BaseNotDomain("ideal powers need an integral base")
+        kind = "ideal"
+        gens = [ring.poly(g) for g in source]
+        free = FreeModule(ring, [ring.zero_degree()])
+        src = FreeModule(ring, [ring.deg_tuple(ring.degree_of(g)) for g in gens])
+        emb = FreeMap(src, free, [free.element([g]) for g in gens], check=False)
+        tf = Presentation(FreeMap.from_columns(src, [], check=False))
+    mus = [s[0] for s in tf.gens_module.shifts]
+    return PowersBundle(ring, kind, emb, tf, max(mus) if mus else 0)
 
 
 def generic_agreement_certificate(bundle, ks, degrees, rng=None, samples=6):

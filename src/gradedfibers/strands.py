@@ -19,7 +19,7 @@ whose nonvanishing locus is where the generic rank is attained.
 from __future__ import annotations
 
 from .errors import AlgebraError
-from . import groebner, linalg
+from . import linalg
 
 
 def strand_basis(module, mu):
@@ -401,155 +401,3 @@ def presentation_strand_dim(pres, mu, point=None):
         return total - sm.rank_at(point)
     rank, minor = sm.generic_rank()
     return total - rank, minor
-
-
-def free_complex_strand_homology(complex_, mu, point):
-    """Fiber homology dims [h_0, ..., h_length] of a free chain complex."""
-    dims = []
-    ranks = [0]
-    for i in range(1, complex_.length + 1):
-        ranks.append(strand_matrix(complex_.map(i), mu).rank_at(point))
-    ranks.append(0)
-    for i in range(complex_.length + 1):
-        v = len(strand_basis(complex_.module(i), mu))
-        dims.append(v - ranks[i] - ranks[i + 1])
-    return dims
-
-
-class PresentedComplex:
-    """A chain complex whose terms are presented modules.
-
-    terms[i] is a Presentation; maps[i-1] induces d_i on generator
-    modules (it must carry relations into relations, which is not
-    rechecked here).
-    """
-
-    __slots__ = ("terms", "maps")
-
-    def __init__(self, terms, maps):
-        if len(terms) != len(maps) + 1:
-            raise AlgebraError("need one more term than maps")
-        self.terms = list(terms)
-        self.maps = list(maps)
-
-    @property
-    def length(self):
-        return len(self.maps)
-
-    def gen_map(self, i):
-        from .modules import FreeMap
-
-        if 1 <= i <= len(self.maps):
-            return self.maps[i - 1]
-        src = self.terms[i].gens_module if 0 <= i < len(self.terms) else None
-        tgt = self.terms[i - 1].gens_module if 1 <= i <= len(self.terms) else None
-        ring = self.terms[0].ring
-        from .modules import FreeModule
-
-        if src is None:
-            src = FreeModule(ring, [])
-        if tgt is None:
-            tgt = FreeModule(ring, [])
-        return FreeMap(src, tgt, [tgt.zero() for _ in range(src.rank)], check=False)
-
-
-def presented_complex_strand_homology(pc, mu, point):
-    """Fiber homology dims of a presented complex, cross-checked two ways.
-
-    The direct route does linear algebra in the evaluated quotient
-    spaces; the cokernel route uses only right-exact constructions.
-    Both compute the homology of the evaluated complex, so a mismatch
-    is an internal error, not a mathematical phenomenon.
-    """
-    if not point.is_rational:
-        raise AlgebraError("fiber homology needs a rational point")
-    field = pc.terms[0].ring.field
-    n = pc.length
-    # evaluated generator strands V_i, relation matrices B_i, maps Phi_i
-    V, B, Phi = [], [], [None]
-    for i in range(n + 1):
-        pres = pc.terms[i]
-        V.append(strand_basis(pres.gens_module, mu))
-        B.append(strand_matrix(pres.relations, mu).evaluate(point))
-    for i in range(1, n + 1):
-        Phi.append(strand_matrix(pc.gen_map(i), mu).evaluate(point))
-
-    def rank_of(mat):
-        if not mat or not mat[0]:
-            return 0
-        return scalar_rank(mat, field)
-
-    def hcat(a, b):
-        if a is None:
-            a = [[] for _ in b] if b is not None else []
-        if b is None:
-            b = [[] for _ in a]
-        return [list(x) + list(y) for x, y in zip(a, b)]
-
-    rank_B = [rank_of(B[i]) for i in range(n + 1)]
-    dim_C = [len(V[i]) - rank_B[i] for i in range(n + 1)]
-
-    # direct route: ranks of induced maps between quotients
-    r_bar = [0] * (n + 2)
-    for i in range(1, n + 1):
-        r_bar[i] = rank_of(hcat(Phi[i], B[i - 1])) - rank_B[i - 1]
-    direct = [dim_C[i] - r_bar[i] - r_bar[i + 1] for i in range(n + 1)]
-
-    # cokernel route: K_i = coker[Phi_{i+1} | psi_i], all right exact
-    dim_K = []
-    for i in range(n + 1):
-        phi_next = Phi[i + 1] if i + 1 <= n else None
-        dim_K.append(len(V[i]) - rank_of(hcat(phi_next, B[i])))
-    fourterm = []
-    for i in range(n + 1):
-        val = dim_K[i]
-        if i >= 1:
-            val += dim_K[i - 1] - (len(V[i - 1]) - rank_B[i - 1])
-        fourterm.append(val)
-
-    if direct != fourterm:
-        raise AlgebraError(
-            "strand homology routes disagree: %r vs %r" % (direct, fourterm))
-    return direct
-
-
-def fiber_exactness_report(pc, mu, point):
-    """Compare homology-then-evaluate against evaluate-then-homology.
-
-    Returns a list of (dim after evaluation, dim of evaluated symbolic
-    homology, agree?) triples, one per homological position.  Genuine
-    disagreements are the base-change failures this machinery exists to
-    locate; they can only appear at positions >= 1.
-    """
-    fiber_dims = presented_complex_strand_homology(pc, mu, point)
-    out = []
-    for i in range(pc.length + 1):
-        sym = _symbolic_homology_strand_dim(pc, i, mu, point)
-        out.append((fiber_dims[i], sym, fiber_dims[i] == sym))
-    return out
-
-
-def _symbolic_homology_strand_dim(pc, i, mu, point):
-    """dim at the fiber of the strand of H_i computed over the base."""
-    pres, _incl = _presented_complex_homology(pc, i)
-    sm = strand_matrix(pres.relations, mu)
-    return sm.nrows - sm.rank_at(point)
-
-
-def _presented_complex_homology(pc, i):
-    """Presentation over R of H_i of a presented complex."""
-    from .modules import FreeMap
-
-    term = pc.terms[i]
-    f0 = term.gens_module
-    rel_cols = [c for c in term.relations.cols if c.data]
-    d_out = pc.gen_map(i)
-    d_in = pc.gen_map(i + 1)
-    # cycles: preimage of relations of the target under d_i
-    if i == 0 or d_out.target.rank == 0:
-        kgens = [f0.basis_vector(k) for k in range(f0.rank)]
-    else:
-        tgt_rels = [c for c in pc.terms[i - 1].relations.cols if c.data]
-        kgens = groebner.preimage_gens(d_out, tgt_rels)
-    bgens = [c for c in d_in.cols if c.data] + rel_cols
-    return groebner.subquotient_presentation(kgens, bgens, f0)

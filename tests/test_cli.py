@@ -2,15 +2,18 @@
 
 Each ``tests/golden/<name>.gf`` script has its expected payloads in
 ``tests/golden/<name>/``, written by the program when they were recorded
-and not edited afterwards.  A rerun must reproduce them byte for byte,
-also when the same script runs twice in one process.
+and not edited afterwards, save for the error ``kind`` added by hand to
+``bad_window`` when error payloads gained it.  A rerun must reproduce them
+byte for byte, also when the same script runs twice in one process.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from gradedfibers import cli, script
+from gradedfibers.errors import DualityMismatch, InvalidFiber
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -21,6 +24,7 @@ CASES = {
     "module_loci": 0,
     "rees_qq": 0,
     "quotient_qq": 0,
+    "module_powers": 0,
     "bad_window": 1,
 }
 
@@ -41,3 +45,17 @@ def test_main_reports_unreadable_script(tmp_path, capsys):
     assert cli.main(["--script", str(tmp_path / "missing.gf"),
                      "--out", str(tmp_path)]) == 2
     assert "cannot read script" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, kind", [(KeyError("mu"), "internal"),
+                                       (DualityMismatch("routes differ"), "internal"),
+                                       (InvalidFiber("no such point"), "input")])
+def test_error_payloads_tell_input_from_engine_bugs(exc, kind, tmp_path, monkeypatch):
+    def broken(env, cmd, opts):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "localcoh", broken)
+    text = (GOLDEN / "bad_window.gf").read_text(encoding="utf-8")
+    assert cli.run(script.parse(text), out_dir=str(tmp_path)) == 1
+    error = json.loads((tmp_path / "01_localcoh.json").read_text())["error"]
+    assert (error["type"], error["kind"]) == (type(exc).__name__, kind)

@@ -184,13 +184,3 @@ def test_weighted_grading_top_count():
         count = len([(i, j) for i in range(1, d + 1) for j in range(1, d + 1)
                      if i + 2 * j == d])
         assert dims[(2, (-d,))] == count
-
-
-def test_sheaf_cohomology_line():
-    # P^1: H^0(O(n)) = n + 1 for n >= 0, H^1(O(n)) = -n - 1 for n <= -2
-    pres = free_rank_one(R2)
-    hs = localcohom.sheaf_cohomology_dims(pres, [(-3,), (-1,), (0,), (2,)])
-    assert hs[(2,)][0] == 3
-    assert hs[(0,)][0] == 1
-    assert hs[(-3,)][1] == 2
-    assert hs[(-1,)] == {0: 0, 1: 0}

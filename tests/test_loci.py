@@ -95,22 +95,6 @@ def test_locus_radical_cases():
     assert not exact
 
 
-def test_dense_open_certificate_polynomial_base():
-    out = loci.dense_open_certificate([Rt.poly("t")], Rt)
-    assert str(out["global"]) == "t"
-    out = loci.dense_open_certificate([Rt.one()], Rt)
-    assert str(out["global"]) == "1"
-
-
-def test_dense_open_certificate_per_component():
-    A = make_ring(["x"], [1], params=["t"], relations=["t^2 - t"])
-    out = loci.dense_open_certificate([A.poly("t")], A)
-    # V(t) swallows the whole (t)-component: no certificate there
-    assert out["(t)"] is None
-    assert str(out["(t - 1)"]) == "t"
-    assert out["global"] is None
-
-
 def katzman_presentation():
     K = make_ring(["u", "v"], [(1, 0), (1, 0)],
                   yvars=["x", "y"], ydegrees=[(0, 1), (0, 1)],
@@ -154,6 +138,28 @@ def test_constancy_report_locally_but_not_globally_constant():
         assert comp["samples_match"]
         for row in comp["samples"]:
             assert row["match"]
+
+
+def test_constancy_report_on_a_cuspidal_base_samples_its_component():
+    A = make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"])
+    pres = Presentation.cyclic(A, [A.poly(g) for g in ("x^2", "s*x*y", "t*y^2")])
+    rep = loci.constancy_report(pres, [(0,), (1,), (2,)], seed=0, samples=2)
+    (comp,) = rep["components"].values()
+    assert comp["samples_found"] == 2
+    assert comp["samples_match"] is True
+    assert rep["locally_constant"] is True
+
+
+def test_constancy_report_without_rational_points_is_unverified():
+    # QQ[t]/(t^2 + 1) is a domain with no rational point to sample
+    A = make_ring(["x", "y"], [1, 1], params=["t"], relations=["t^2 + 1"])
+    pres = Presentation.cyclic(A, [A.poly(g) for g in ("x^2", "t*x*y", "y^2")])
+    rep = loci.constancy_report(pres, [(0,), (1,), (2,)], seed=0, samples=2)
+    (comp,) = rep["components"].values()
+    assert comp["samples_found"] == 0 and comp["samples"] == []
+    assert comp["samples_match"] is None
+    assert rep["locally_constant"] is None
+    assert loci.constancy_report(pres, [(0,)], samples=0)["locally_constant"] is True
 
 
 def test_constancy_report_field_base():

@@ -11,9 +11,9 @@ from itertools import combinations
 import pytest
 
 from gradedfibers.errors import AlgebraError
-from gradedfibers.modules import FreeModule, FreeMap, Presentation
+from gradedfibers.modules import FreeModule, FreeMap
 from gradedfibers.rings import make_ring
-from gradedfibers import groebner, linalg, resolution, specialize, strands
+from gradedfibers import groebner, linalg, specialize, strands
 
 
 Rt = make_ring(["x", "y"], [1, 1], params=["t"])
@@ -135,27 +135,3 @@ def test_minors_enumeration_guard():
                               [("c", j) for j in range(n)], sparse(ent))
     with pytest.raises(AlgebraError):
         sm.minors_ideal(13)
-
-
-def test_free_complex_fiber_homology():
-    pres = Presentation.cyclic(Rt, [Rt.poly("x"), Rt.poly("y")])
-    res = resolution.free_resolution(pres, 2)
-    point = specialize.FiberPoint.rational(Rt, {"t": 1})
-    assert strands.free_complex_strand_homology(res, (0,), point) == [1, 0, 0]
-    assert strands.free_complex_strand_homology(res, (1,), point) == [0, 0, 0]
-
-
-def test_fiber_exactness_report_flags_bad_fiber():
-    # d_1 = t*x: injective over the base, zero at t = 0
-    F0 = FreeModule(Rt, [(0,)])
-    F1 = FreeModule(Rt, [(1,)])
-    d1 = FreeMap.from_entries(F0, F1, [[Rt.poly("t*x")]], check=False)
-    pc = strands.PresentedComplex(
-        [Presentation.of_free(F0), Presentation.of_free(F1)], [d1])
-    good = specialize.FiberPoint.rational(Rt, {"t": 1})
-    bad = specialize.FiberPoint.rational(Rt, {"t": 0})
-    rep_good = strands.fiber_exactness_report(pc, (2,), good)
-    assert all(agree for (_f, _s, agree) in rep_good)
-    rep_bad = strands.fiber_exactness_report(pc, (2,), bad)
-    assert not rep_bad[1][2]  # H_1 jumps at the bad fiber
-    assert rep_bad[1][0] > rep_bad[1][1]
