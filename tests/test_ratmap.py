@@ -108,7 +108,14 @@ def test_parameterized_conic_jumps_at_origin():
     special = ratmap.fiber_invariants(rm, pt0)
     assert (special["degY"], special["j"]) == (1, 2)
     assert [str(g) for g in ratmap.image_ideal(rm, pt0)] == ["y2"]
-    # off the jump at t = 0 every fiber reads the generic bundle
+
+
+def test_map_constancy_report_off_the_jump():
+    # off the jump at t = 0 every fiber reads the generic bundle (every key
+    # but the fiber itself)
+    rm = ratmap.RationalMap(Rt, ["x^2", "x*y", "t*y^2"])
+    generic = ratmap.fiber_invariants(rm)
+    assert generic["degY"] == 2
     del generic["fiber"]
     for t in (2, -1):
         at = ratmap.fiber_invariants(rm, FiberPoint.rational(Rt, {"t": t}))
