@@ -8,6 +8,14 @@ taking the first row that holds a unit, at its first unit column.  Over
 a field base every nonzero entry is a unit, and the entries are the
 coefficients of constant polynomials: they are taken out once and
 eliminated as plain scalars (Fraction over QQ, ints mod p over GF(p)).
+Over a parameter base the rows are the int term dicts of _int_rows, each
+with an int row scale, and a unit is an entry whose one term is a
+constant.  With the pivot's constant c, a row R with entry a in the
+pivot column becomes c*R - a*P with scale c times its own, and the gcd
+of its content and its scale is divided out (over GF(p) it becomes
+R - (a/c)*P).  Over a base with relations each product a*q is reduced
+modulo them, so entries stay in normal form and a unit shows as one; the
+residual becomes Polys once, at the end.
 
 Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) ranks a
 matrix over a domain, taking pivots column by column from the first
@@ -35,10 +43,10 @@ next step that does change it.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import BaseNotDomain
-from .rings import Poly, _div_terms, _from_ints, _mul_terms
+from .rings import Poly, _div_terms, _from_ints, _mul_terms, _to_ints
 
 
 def unit_pivots(rows, ring):
@@ -50,9 +58,13 @@ def unit_pivots(rows, ring):
     entries in the columns that took none, the Schur complement of the
     pivots.  No entry of the residual is a unit.
     """
-    if ring.nz:
-        return _unit_eliminate(rows, _poly_unit_col, _poly_pivot)
     p = ring.field.char
+    if ring.nz:
+        work, scales = _int_rows(rows, p)
+        pivots, residual = _unit_eliminate(work, _int_unit_col(ring.nvars), _int_pivot(ring, scales))
+        # entries stay in normal form modulo the relations throughout
+        return pivots, {i: {j: Poly(ring, _from_ints(p, e, scales[i]), _reduce=False)
+                            for j, e in row.items()} for i, row in residual.items()}
     if p:
         scalars = [{j: e.constant_value().v for j, e in row.items()} for row in rows]
     else:
@@ -121,9 +133,9 @@ def _unit_eliminate(rows, unit_col, pivot):
     """Shared loop of unit_pivots and field_rank.
 
     unit_col(row) is the first column of a row holding a unit, or None;
-    pivot(prow, j) returns the update that clears column j of a row with
-    the pivot row prow.  Updates build new dicts, so the input rows are
-    never changed.
+    pivot(prow, j) returns update(row, k), which clears column j of row k
+    with the pivot row prow.  Updates build new dicts, so the input rows
+    are never changed.
     """
     rows = list(rows)
     alive = [True] * len(rows)
@@ -149,7 +161,7 @@ def _unit_eliminate(rows, unit_col, pivot):
             row = rows[k]
             if not alive[k] or j not in row:
                 continue
-            new = update(row)
+            new = update(row, k)
             for l in prow:
                 if l in new and l not in row:
                     by_col.setdefault(l, []).append(k)
@@ -170,7 +182,7 @@ def _scalar_pivot(p):
         inv = pow(prow[j], p - 2, p) if p else 1 / prow[j]
         others = [(l, q) for l, q in prow.items() if l != j]
 
-        def update(row):
+        def update(row, _k):
             f = row[j] * inv
             new = dict(row)
             del new[j]
@@ -189,30 +201,82 @@ def _scalar_pivot(p):
     return pivot
 
 
-def _poly_unit_col(row):
-    """First column holding a nonzero constant, the units of the base."""
-    units = [j for j, e in row.items() if e.constant_value() is not None]
-    return min(units, default=None)
+def _int_unit_col(nvars):
+    """First column whose entry is a nonzero constant, a unit of the base."""
+    one = (0,) * nvars
+
+    def unit_col(row):
+        return min((j for j, e in row.items() if len(e) == 1 and one in e), default=None)
+
+    return unit_col
 
 
-def _poly_pivot(prow, j):
-    inv = prow[j].ring.field.one / prow[j].constant_value()
-    others = [(l, q) for l, q in prow.items() if l != j]
+def _int_pivot(ring, scales):
+    """Row update for int term dicts over a parameter base (see above).
 
-    def update(row):
-        scale = row[j].map_coeffs(lambda v: v * inv)
-        new = dict(row)
-        del new[j]
-        for l, q in others:
-            old = new.get(l)
-            v = -(scale * q) if old is None else old - scale * q
-            if v:
-                new[l] = v
+    scales[k] is the row scale of row k, whose entries are its int terms
+    divided by scales[k]; updates change it in place.  A reduction
+    modulo the relations that brings denominators scales the row by their
+    lcm.
+    """
+    p = ring.field.char
+    one = (0,) * ring.nvars
+    if ring.base_rel:
+        coerce = ring.field.coerce
+
+        def reduce(terms):
+            return _to_ints(p, ring._reduce_base({m: coerce(v) for m, v in terms.items()}))
+    else:
+        reduce = None
+
+    def pivot(prow, j):
+        c = prow[j][one]
+        others = [(l, q) for l, q in prow.items() if l != j]
+        if p:
+            inv = pow(c, p - 2, p)
+
+        def update(row, k):
+            a = row[j]
+            if p:
+                if inv != 1:
+                    a = {m: v * inv % p for m, v in a.items()}
+                mult = 1
             else:
-                new.pop(l, None)
-        return new
+                mult = c
+            prods = [(l, _mul(a, q, p)) for l, q in others]
+            if reduce is not None:
+                reduced = [(l, *reduce(aq)) for l, aq in prods]
+                den = lcm(*(d for _l, _aq, d in reduced))
+                prods = [(l, aq if d == den else _scaled(aq, den // d)) for l, aq, d in reduced]
+                mult *= den
+            if mult == 1:
+                new = {l: e for l, e in row.items() if l != j}
+            else:
+                new = {l: _scaled(e, mult) for l, e in row.items() if l != j}
+            for l, aq in prods:
+                old = new.get(l)
+                v = _sub({}, aq, p) if old is None else _sub(old, aq, p)
+                if v:
+                    new[l] = v
+                else:
+                    new.pop(l, None)
+            scale = scales[k] * mult
+            if scale != 1:
+                g = abs(scale)
+                for e in new.values():
+                    g = gcd(g, *e.values())
+                    if g == 1:
+                        break
+                if scale < 0:
+                    g = -g
+                if g != 1:
+                    new = {l: {m: v // g for m, v in e.items()} for l, e in new.items()}
+                scales[k] = scale // g
+            return new
 
-    return update
+        return update
+
+    return pivot
 
 
 # -- fraction-free elimination ------------------------------------------------
@@ -340,6 +404,10 @@ def _sub(a, b, p):
         else:
             out.pop(m, None)
     return out
+
+
+def _scaled(terms, m):
+    return {t: v * m for t, v in terms.items()}
 
 
 def _odd(perm):

@@ -1167,28 +1167,38 @@ def _default_psi(degrees, gdim, nx):
 def irreducible_factors(p):
     """Distinct irreducible factors of a poly, content dropped.
 
-    This is the one place sympy is called.  Over QQ each factor comes back
-    primitive; there is no multivariate factorization over GF(p) here, so
-    there the list holds the primitive part of p alone.
+    This is the one place sympy is called.  Over QQ, p goes to
+    sympy.factor_list as a sympy Poly in the variables that occur in it,
+    in the ring's order, and each factor comes back primitive.  The factors
+    keep factor_list's order: by degree in the first of those variables,
+    then multiplicity, then coefficients.  For one variable that is the
+    order of factoring p as a sympy expression (t^3 - t gives t - 1, t,
+    t + 1); for several it may differ (s*t - t gives t, s - 1, the
+    expression gave s - 1, t).  A variable that does not occur is left
+    out: as the first generator it would give every factor degree 0.
+    There is no multivariate factorization over GF(p) here, so there the
+    list holds the primitive part of p alone.
     """
     ring = p.ring
     if ring.field.char:
         return [p.primitive()]
+    # a constant still needs one generator; factor_list gives it no factors
+    used = [i for i in range(ring.nvars) if any(e[i] for e in p.terms)] or [0]
     import sympy
 
-    syms = [sympy.Symbol(n) for n in ring.names]
-    expr = sympy.Integer(0)
-    for e, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for s, a in zip(syms, e):
-            if a:
-                term = term * s ** a
-        expr = expr + term
-    _c, factors = sympy.factor_list(expr)
+    qq = sympy.QQ
+    poly = sympy.Poly.from_dict(
+        {tuple(e[i] for i in used): qq(c.numerator, c.denominator) for e, c in p.terms.items()},
+        *[sympy.Symbol(ring.names[i]) for i in used], domain=qq)
+    _c, factors = sympy.factor_list(poly)
     out = []
     for f, _mult in factors:
-        terms = {tuple(int(a) for a in mono): Fraction(int(c.p), int(c.q))
-                 for mono, c in sympy.Poly(f, *syms).terms()}
+        terms = {}
+        for e, c in f.terms():
+            exps = [0] * ring.nvars
+            for i, a in zip(used, e):
+                exps[i] = a
+            terms[tuple(exps)] = Fraction(int(c.p), int(c.q))
         out.append(Poly(ring, terms).primitive())
     return out
 

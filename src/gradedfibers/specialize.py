@@ -346,7 +346,8 @@ def rees_powers(source, ring=None, seed=0):
         if not ring.base_is_domain:
             raise BaseNotDomain("ideal powers need an integral base")
         kind = "ideal"
-        gens = [ring.poly(g) for g in source]
+        # zero generators add nothing to the ideal
+        gens = [g for g in map(ring.poly, source) if not g.is_zero()]
         free = FreeModule(ring, [ring.zero_degree()])
         src = FreeModule(ring, [ring.deg_tuple(ring.degree_of(g)) for g in gens])
         emb = FreeMap(src, free, [free.element([g]) for g in gens], check=False)

@@ -59,3 +59,18 @@ def test_error_payloads_tell_input_from_engine_bugs(exc, kind, tmp_path, monkeyp
     assert cli.run(script.parse(text), out_dir=str(tmp_path)) == 1
     error = json.loads((tmp_path / "01_localcoh.json").read_text())["error"]
     assert (error["type"], error["kind"]) == (type(exc).__name__, kind)
+
+
+def test_specialize_drops_zero_generators(tmp_path):
+    # a zero generator is valid input: the payload is that of the ideal
+    # without it, not an internal error
+    text = ("ring R base poly(QQ, t) vars x:1 y:1;\n"
+            "ideal Z = (0, x);\nideal X = (x);\n"
+            "cmd specialize Z power 2;\ncmd specialize X power 2;\n")
+    assert cli.run(script.parse(text), out_dir=str(tmp_path)) == 0
+    zero, plain = (json.loads((tmp_path / ("%02d_specialize.json" % i)).read_text())
+                   for i in (1, 2))
+    assert "error" not in zero
+    for payload in (zero, plain):
+        del payload["index"], payload["target"]
+    assert zero == plain

@@ -1,14 +1,16 @@
 """The sparse elimination kernel against definitional computations.
 
 Random sparse and dense matrices over QQ, GF(32003), QQ[t], QQ[s,t],
-GF(32003)[t] and QQ[s,t]/(s^2 - t^3).  Ranks are compared with
-evaluate-then-eliminate and with minors, pivots with the pivot rule
-stated through minors, and every minor with a cofactor expansion.  The
-kernel clears the denominators of each row and runs on ints, so entries
-with denominators check that the row scales are divided out again.
+GF(32003)[t], QQ[s,t]/(s^2 - t^3) and QQ[t]/(2*t^2 - 1).  Ranks are
+compared with evaluate-then-eliminate and with minors, pivots with the
+pivot rule stated through minors, every minor with a cofactor expansion,
+and unit pivots with the same elimination on Polys.  The kernel clears
+the denominators of each row and runs on ints, so entries with
+denominators check that the row scales are divided out again.
 """
 
 import random
+from math import gcd
 
 import pytest
 
@@ -22,6 +24,8 @@ Rt = make_ring(["x"], [1], params=["t"])
 Rst = make_ring(["x"], [1], params=["s", "t"])
 Rc = make_ring(["x"], [1], params=["s", "t"], relations=["s^2 - t^3"])
 Rpt = make_ring(["x"], [1], params=["t"], field=PrimeField(32003))
+# t^2 reduces to 1/2: reducing modulo the relation brings denominators
+Rh = make_ring(["x"], [1], params=["t"], relations=["2*t^2 - 1"])
 
 POOLS = {
     Rt: ["1", "-2", "t", "t - 1", "t^2", "3*t + 1"],
@@ -35,6 +39,7 @@ FRACTION_POOLS = {
     Rst: ["s/3", "1/2*t", "s - 7/2*t", "s*t/4", "3", "t + 2/7"],
     Rpt: ["1/2", "t/3", "7/2*t - 1", "t^2 + 5", "t", "-2/5"],
     Rc: ["s/2", "t/3", "s + 7/2*t", "t^2/5", "1", "s*t/6"],
+    Rh: ["1/3", "t", "3*t + 1", "t/5", "2", "t - 1/2"],
 }
 
 
@@ -136,14 +141,24 @@ def test_field_rank_and_unit_pivots(ring):
 
 @pytest.mark.parametrize("ring", [Rt, Rst, Rc])
 def test_unit_pivots_keep_minors(ring):
+    check_unit_pivots(ring, POOLS, random.Random(32))
+
+
+@pytest.mark.parametrize("ring", [Rt, Rst, Rpt, Rc, Rh])
+def test_unit_pivots_with_denominators(ring):
+    check_unit_pivots(ring, FRACTION_POOLS, random.Random(37))
+
+
+def check_unit_pivots(ring, pools, rng):
     """Fitting: pivots + rank of the residual is the rank, and the
     residual holds no unit; the pivot rule takes the first row with a
-    unit at its first unit column."""
-    rng = random.Random(32)
+    unit at its first unit column.  Pivots and residual equal those of
+    the elimination on Polys term for term, and the int rows the kernel
+    keeps are in lowest terms with their scales."""
     for density in (0.3, 0.8):
         for _ in range(10):
             nr, nc = rng.randint(1, 8), rng.randint(1, 12)
-            rows = rand_poly_rows(ring, rng, nr, nc, density)
+            rows = rand_poly_rows(ring, rng, nr, nc, density, pools)
             pivots, residual = linalg.unit_pivots(rows, ring)
             units = [(i, j) for i, row in enumerate(rows) for j in sorted(row)
                      if row[j].constant_value() is not None]
@@ -156,6 +171,64 @@ def test_unit_pivots_keep_minors(ring):
             assert all(not used & set(row) for row in residual.values())
             rank = linalg.domain_rank(rows, ring)[0]
             assert rank == len(pivots) + linalg.domain_rank(list(residual.values()), ring)[0]
+            want_pivots, want_residual = poly_unit_pivots(rows)
+            assert pivots == want_pivots
+            assert list(residual) == list(want_residual)
+            for i, row in residual.items():
+                assert list(row) == list(want_residual[i])
+                assert all(p.terms == want_residual[i][j].terms for j, p in row.items())
+            check_int_rows_in_lowest_terms(rows, ring)
+
+
+def poly_unit_pivots(rows):
+    """Reference: unit-pivot elimination on Polys, each update a Poly
+    multiple (a/c)*P of the pivot row subtracted from the row."""
+    def unit_col(row):
+        return min((j for j, e in row.items() if e.constant_value() is not None), default=None)
+
+    def pivot(prow, j):
+        inv = prow[j].ring.field.one / prow[j].constant_value()
+        others = [(l, q) for l, q in prow.items() if l != j]
+
+        def update(row, _k):
+            scale = row[j].map_coeffs(lambda v: v * inv)
+            new = dict(row)
+            del new[j]
+            for l, q in others:
+                old = new.get(l)
+                v = -(scale * q) if old is None else old - scale * q
+                if v:
+                    new[l] = v
+                else:
+                    new.pop(l, None)
+            return new
+
+        return update
+
+    return linalg._unit_eliminate(rows, unit_col, pivot)
+
+
+def check_int_rows_in_lowest_terms(rows, ring):
+    """Every row the int kernel leaves has a positive scale sharing no
+    factor with all of its coefficients (scales are 1 over GF(p))."""
+    work, scales = linalg._int_rows(rows, ring.field.char)
+    _pivots, residual = linalg._unit_eliminate(
+        work, linalg._int_unit_col(ring.nvars), linalg._int_pivot(ring, scales))
+    for i, row in residual.items():
+        assert scales[i] >= 1 and (scales[i] == 1 or not ring.field.char)
+        assert gcd(scales[i], *(c for e in row.values() for c in e.values())) == 1
+
+
+def test_unit_after_reduction_modulo_the_relation():
+    # row 1 becomes s^2 + 1 - t*t^2 in column 1, which is 1 modulo
+    # s^2 - t^3: a unit only once the product is reduced
+    rows = [{0: Rc.poly("1"), 1: Rc.poly("t^2")},
+            {0: Rc.poly("t"), 1: Rc.poly("s^2 + 1"), 2: Rc.poly("s")},
+            {1: Rc.poly("s"), 2: Rc.poly("t")}]
+    pivots, residual = linalg.unit_pivots(rows, Rc)
+    assert pivots == [(0, 0), (1, 1)]
+    assert residual == {2: {2: Rc.poly("t - s^2")}}
+    assert (pivots, residual) == poly_unit_pivots(rows)
 
 
 @pytest.mark.parametrize("ring", [Rt, Rst, Rc])

@@ -1,5 +1,7 @@
 """Jump loci, certificates, radicals, and the constancy harness."""
 
+import json
+
 import pytest
 
 from gradedfibers.errors import AlgebraError
@@ -182,3 +184,17 @@ def test_locus_excludes_exactly_the_jumping_fibers():
     dims_bad = [strands.presentation_strand_dim(pres, (mu,), bad) for mu in window]
     assert dims_bad != generic
     assert dims_bad[3] == generic[3] + 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known defect: minor enumeration hits its cap (ROADMAP item 2)")
+def test_loci_over_a_base_with_a_relation(tmp_path):
+    # without a window it stops at an 11 x 14 strand, later; [0, 1] hits
+    # the cap at once
+    from gradedfibers import cli, script
+
+    text = ("ring R base quotient(poly(QQ, s, t), ideal(s^2 - t^3)) vars x:1 y:1;\n"
+            "ideal I = (x^2, s*x*y, t*y^2);\ncmd loci I window [0, 1];\n")
+    cli.run(script.parse(text), out_dir=str(tmp_path))
+    payload = json.loads((tmp_path / "01_loci.json").read_text())
+    assert "error" not in payload, payload["error"]["message"]

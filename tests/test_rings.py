@@ -1,8 +1,10 @@
 """Ring construction, grading checks, polynomial arithmetic."""
 
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from gradedfibers.errors import (
     AlgebraError,
@@ -11,11 +13,13 @@ from gradedfibers.errors import (
     PositivityViolation,
     RingMismatch,
 )
-from gradedfibers import ratmap
+from gradedfibers import loci, ratmap
 from gradedfibers.rings import (
     MonomialOrder,
+    Poly,
     PrimeField,
     QQ,
+    irreducible_factors,
     make_ring,
     transfer,
 )
@@ -240,3 +244,112 @@ def test_random_ring_grading_consistency():
         d = rng.randint(0, 8)
         for m in R.monomials_of_degree((d,)):
             assert sum(e * w for e, w in zip(m, degs)) == d
+
+
+# -- the sympy factoring bridge ------------------------------------------
+
+
+def to_expr(p, syms):
+    expr = sympy.Integer(0)
+    for e, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, a in zip(syms, e):
+            term = term * s ** a
+        expr = expr + term
+    return expr
+
+
+def expression_factors(p):
+    """The factoring route before the Poly-level bridge: a sympy expression
+    built term by term, factored, and read back through sympy.Poly."""
+    ring = p.ring
+    syms = [sympy.Symbol(n) for n in ring.names]
+    _c, factors = sympy.factor_list(to_expr(p, syms))
+    out = []
+    for f, _mult in factors:
+        terms = {tuple(int(a) for a in mono): Fraction(int(c.p), int(c.q))
+                 for mono, c in sympy.Poly(f, *syms).terms()}
+        out.append(Poly(ring, terms).primitive())
+    return out
+
+
+def seeded_products(ring, rng, count):
+    """Products of powers of small random polys in the parameters, with
+    rational coefficients."""
+    names = ring.znames
+    out = []
+    for _ in range(count):
+        p = ring.constant(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6)))
+        for _f in range(rng.randint(1, 3)):
+            f = ring.zero()
+            for _t in range(rng.randint(1, 3)):
+                mono = "*".join("%s^%d" % (v, rng.randint(0, 2)) for v in names)
+                coeff = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+                f = f + ring.poly(mono) * coeff
+            if f.constant_value() is None:
+                p = p * f ** rng.randint(1, 2)
+        if p.constant_value() is None:
+            out.append(p)
+    return out
+
+
+FACTOR_RINGS = [make_ring(["x"], [1], params=["t"]),
+                make_ring(["x", "y"], [1, 1], params=["s", "t"]),
+                make_ring(["x"], [1], params=["r", "s", "t"])]
+
+
+@pytest.mark.parametrize("ring", FACTOR_RINGS, ids=["t", "s,t", "r,s,t"])
+def test_factors_match_the_expression_route(ring):
+    rng = random.Random(41)
+    syms = [sympy.Symbol(n) for n in ring.names]
+    for p in seeded_products(ring, rng, 25):
+        got = irreducible_factors(p)
+        want = expression_factors(p)
+        assert sorted(map(str, got)) == sorted(map(str, want))
+        assert all(f == f.primitive() for f in got)
+        # the product of the factors is the squarefree part of p
+        sqf = sympy.Poly(sympy.sqf_part(to_expr(p, syms)), *syms)
+        sqf = Poly(ring, {tuple(e): Fraction(int(c.p), int(c.q)) for e, c in sqf.terms()})
+        prod = ring.one()
+        for f in got:
+            prod = prod * f
+        assert prod.primitive() == sqf.primitive() == loci.squarefree_part(p)
+        if len(ring.znames) == 1:  # one variable: the order is kept too
+            assert [str(f) for f in got] == [str(f) for f in want]
+
+
+def test_univariate_factor_order_is_kept():
+    T = make_ring(["x"], [1], params=["t"])
+    for src, want in [("t^2 - t", ["t - 1", "t"]), ("t^3 - t", ["t - 1", "t", "t + 1"]),
+                      ("-4*t^8 - 16/3*t^6", ["t", "3*t^2 + 4"])]:
+        p = T.poly(src)
+        assert [str(f) for f in irreducible_factors(p)] == want
+        assert [str(f) for f in expression_factors(p)] == want
+    # the components of a one-relation base come in that order
+    A = make_ring(["x"], [1], params=["z"], relations=["z^2 - z"])
+    assert [str(g) for comp in A.minimal_primes() for g in comp] == ["z - 1", "z"]
+    assert irreducible_factors(T.poly("3/2")) == [] == irreducible_factors(T.zero())
+
+
+def test_factoring_goes_through_a_sympy_poly(monkeypatch):
+    seen = []
+    real = sympy.factor_list
+
+    def spy(f, *args, **kwargs):
+        seen.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factor_list", spy)
+    T = make_ring(["x", "y"], [1, 1], params=["s", "t"])
+    got = irreducible_factors(T.poly("s*t - s"))
+    assert sorted(map(str, got)) == ["s", "t - 1"]
+    assert len(seen) == 1 and isinstance(seen[0], sympy.Poly)
+    # in the variables that occur, in the ring's order
+    assert [str(g) for g in seen[0].gens] == ["s", "t"]
+
+
+def test_prime_field_factors_are_the_primitive_part():
+    Rp = make_ring(["x"], [1], params=["s", "t"], field=PrimeField(101))
+    p = Rp.poly("3*t^2*s + 6*s")
+    assert irreducible_factors(p) == [p.primitive()]
+    assert irreducible_factors(p)[0].leading_term()[1].v == 1

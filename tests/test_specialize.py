@@ -183,3 +183,19 @@ def test_evaluate_presentation_changes_strand():
     # at t = 0 the quotient is k[x]: one dimension in each degree
     assert groebner.quotient_strand_dim(gb, (1,)) == 1
     assert groebner.quotient_strand_dim(gb, (4,)) == 1
+
+
+def test_zero_generators_leave_the_ideal_unchanged():
+    # (0, x) and (x) are one ideal: the same bundle, powers and certificate
+    zero = specialize.rees_powers(["0", "t*x", "0"], ring=Rt)
+    plain = specialize.rees_powers(["t*x"], ring=Rt)
+    assert (zero.kind, zero.b) == (plain.kind, plain.b) == ("ideal", 1)
+    pt0 = FiberPoint.rational(Rt, {"t": 0})
+    for k in range(4):
+        for point in (None, pt0):
+            (mz, vz), (mp, vp) = zero.power_vectors(k, point), plain.power_vectors(k, point)
+            assert mz.shifts == mp.shifts
+            assert [str(v) for v in vz] == [str(v) for v in vp]
+    degrees = [(1,), (2,)]
+    assert specialize.generic_agreement_certificate(zero, [1, 2], degrees) \
+        == specialize.generic_agreement_certificate(plain, [1, 2], degrees)
