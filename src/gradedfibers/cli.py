@@ -168,18 +168,11 @@ class _Env:
 # -- command handlers ---------------------------------------------------------
 
 
-def _specialized_presentation(pres, point):
-    if point is None:
-        return pres
-    if point.is_rational:
-        return specialize.evaluate_presentation(pres, point)
-    return pres.transfer_to(point.residue_ring)
-
-
 def _cmd_invariants(env, cmd, opts):
     pres = env.presentation(cmd["target"])
     point = env.fiber(cmd["fiber"])
-    pres = _specialized_presentation(pres, point)
+    if point is not None:
+        pres = pres.evaluate(point)
     inv = localcohom.cohomology_invariants(pres)
     r = pres.ring.nx
     a = [inv["top_degrees"].get(i) for i in range(r + 1)]

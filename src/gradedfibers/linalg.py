@@ -4,18 +4,19 @@ A matrix is a list of rows, each a dict {column index: nonzero entry}.
 Two eliminations run on that representation.
 
 Unit-pivot elimination splits off entries that are units of the base,
-taking the first row that holds a unit, at its first unit column.  Over
-a field base every nonzero entry is a unit, and the entries are the
-coefficients of constant polynomials: they are taken out once and
-eliminated as plain scalars (Fraction over QQ, ints mod p over GF(p)).
-Over a parameter base the rows are the int term dicts of _int_rows, each
-with an int row scale, and a unit is an entry whose one term is a
-constant.  With the pivot's constant c, a row R with entry a in the
-pivot column becomes c*R - a*P with scale c times its own, and the gcd
-of its content and its scale is divided out (over GF(p) it becomes
-R - (a/c)*P).  Over a base with relations each product a*q is reduced
-modulo them, so entries stay in normal form and a unit shows as one; the
-residual becomes Polys once, at the end.
+taking the first row that holds a unit, at its first unit column.  It
+serves strand matrices and the differentials of a resolution
+(resolution.minimalize).  A matrix of constants over a field base
+(every strand there) has every nonzero entry a unit: the coefficients
+are taken out once and eliminated as plain scalars (Fraction over QQ,
+ints mod p over GF(p)).  Every other matrix, over any base, runs on the
+int term dicts of _int_rows, each with an int row scale, and a unit is
+an entry whose one term is a constant.  With the pivot's constant c, a
+row R with entry a in the pivot column becomes c*R - a*P with scale c
+times its own, and the gcd of its content and its scale is divided out
+(over GF(p) it becomes R - (a/c)*P).  Over a base with relations each
+product a*q is reduced modulo them, so entries stay in normal form and
+a unit shows as one; the residual becomes Polys once, at the end.
 
 Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) ranks a
 matrix over a domain, taking pivots column by column from the first
@@ -50,28 +51,26 @@ from .rings import Poly, _div_terms, _from_ints, _mul_terms, _to_ints
 
 
 def unit_pivots(rows, ring):
-    """Split off the unit entries of a matrix over the base ring.
+    """Split off the unit entries of a matrix over ring.
 
-    rows are sparse rows of base polynomials.  Returns (pivots,
+    rows are sparse rows of Polys of ring: base polynomials for a strand,
+    any polynomials for a differential.  Returns (pivots,
     residual): pivots lists the (row, column) of each unit pivot in the
     order taken, and residual maps every row that took no pivot to its
     entries in the columns that took none, the Schur complement of the
     pivots.  No entry of the residual is a unit.
     """
     p = ring.field.char
-    if ring.nz:
-        work, scales = _int_rows(rows, p)
-        pivots, residual = _unit_eliminate(work, _int_unit_col(ring.nvars), _int_pivot(ring, scales))
-        # entries stay in normal form modulo the relations throughout
-        return pivots, {i: {j: Poly(ring, _from_ints(p, e, scales[i]), _reduce=False)
-                            for j, e in row.items()} for i, row in residual.items()}
-    if p:
-        scalars = [{j: e.constant_value().v for j, e in row.items()} for row in rows]
-    else:
-        scalars = [{j: e.constant_value() for j, e in row.items()} for row in rows]
-    pivots, residual = _unit_eliminate(scalars, _scalar_unit_col, _scalar_pivot(p))
-    return pivots, {i: {j: ring.constant(v) for j, v in row.items()}
-                    for i, row in residual.items()}
+    scalars = None if ring.nz else _scalar_rows(rows, p)
+    if scalars is not None:
+        pivots, residual = _unit_eliminate(scalars, _scalar_unit_col, _scalar_pivot(p))
+        return pivots, {i: {j: ring.constant(v) for j, v in row.items()}
+                        for i, row in residual.items()}
+    work, scales = _int_rows(rows, p)
+    pivots, residual = _unit_eliminate(work, _int_unit_col(ring.nvars), _int_pivot(ring, scales))
+    # entries stay in normal form modulo the relations throughout
+    return pivots, {i: {j: Poly(ring, _from_ints(p, e, scales[i]), _reduce=False)
+                        for j, e in row.items()} for i, row in residual.items()}
 
 
 def field_rank(rows, field):
@@ -169,6 +168,21 @@ def _unit_eliminate(rows, unit_col, pivot):
             heappush(heap, k)
     residual = {i: row for i, row in enumerate(rows) if alive[i]}
     return pivots, residual
+
+
+def _scalar_rows(rows, p):
+    """Rows of constant Polys as scalars (ints mod p over GF(p)), or None
+    when some entry is not a constant."""
+    out = []
+    for row in rows:
+        scalars = {}
+        for j, e in row.items():
+            v = e.constant_value()
+            if v is None:
+                return None
+            scalars[j] = v.v if p else v
+        out.append(scalars)
+    return out
 
 
 def _scalar_unit_col(row):

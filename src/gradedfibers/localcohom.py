@@ -144,15 +144,10 @@ def local_cohomology_table(pres, degrees, point=None, cross_check=True):
     certificate locus.  cross_check reruns each strand through an
     independent pipeline and raises DualityMismatch on disagreement.
     """
-    from .specialize import evaluate_presentation
-
     ring = pres.ring
     meta = {}
     if point is not None:
-        if point.is_rational:
-            pres = evaluate_presentation(pres, point)
-        else:
-            pres = pres.transfer_to(point.residue_ring)
+        pres = pres.evaluate(point)
         meta["point"] = point.describe()
         ring = pres.ring
     r = ring.nx

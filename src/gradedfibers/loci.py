@@ -12,6 +12,7 @@ from __future__ import annotations
 from .errors import AlgebraError, InvalidFiber
 from . import groebner, localcohom, resolution, strands
 from .rings import irreducible_factors
+from .specialize import FiberPoint, sample_rational_point
 
 
 def _squarefree_gens(gens):
@@ -35,13 +36,19 @@ def _squarefree_gens(gens):
 def defect_locus(sm_in, sm_out, target_sum, ring):
     """Ideal of points where rank(sm_in) + rank(sm_out) < target_sum.
 
-    The condition splits over the ways to cap the two ranks, so the
-    locus is the intersection over a + b = target_sum - 1 of the ideals
-    (minors of size a+1 of sm_in) + (minors of size b+1 of sm_out).
     The unit ideal encodes the empty locus, no generators the full base.
+    Over QQ[t] a rank drops only at the primes of the certifying minor of
+    the generic rank, so the locus is read off the ranks at those finitely
+    many points: the product of the prime factors where the two ranks sum
+    below target_sum.  Over any other base the condition splits over the
+    ways to cap the two ranks, so the locus is the intersection over
+    a + b = target_sum - 1 of the ideals (minors of size a+1 of sm_in) +
+    (minors of size b+1 of sm_out).
     """
     if target_sum <= 0:
         return [ring.one()]  # ranks are never negative: nothing can fail
+    if ring.nz == 1 and not ring.base_rel and ring.field.char == 0:
+        return _univariate_defect_locus(sm_in, sm_out, target_sum, ring)
     # rank caps beyond the matrix size are vacuous; after clamping, drop
     # the (a, b) pairs whose locus sits inside another pair's locus
     cap_in = min(sm_in.nrows, sm_in.ncols)
@@ -63,6 +70,18 @@ def defect_locus(sm_in, sm_out, target_sum, ring):
         if not acc:
             return []
     return _squarefree_gens(acc)
+
+
+def _univariate_defect_locus(sm_in, sm_out, target_sum, ring):
+    (rank_in, minor_in), (rank_out, minor_out) = sm_in.generic_rank(), sm_out.generic_rank()
+    if rank_in + rank_out < target_sum:
+        return []  # the generic point is in the locus, so every point is
+    acc = ring.one()
+    for f in dict.fromkeys(irreducible_factors(minor_in) + irreducible_factors(minor_out)):
+        point = FiberPoint.generic(ring, [f])
+        if sm_in.rank_at(point) + sm_out.rank_at(point) < target_sum:
+            acc = acc * f
+    return [acc.primitive()]
 
 
 def presentation_defect_at(res, mu, ring):
@@ -305,8 +324,6 @@ def constancy_report(pres, degrees, seed=0, samples=2, avoid=(), cross_check=Tru
     """
     import random
 
-    from .specialize import FiberPoint, sample_rational_point
-
     ring = pres.ring
     if ring.nz == 0:
         table = localcohom.local_cohomology_table(pres, degrees, cross_check=cross_check)
@@ -320,7 +337,6 @@ def constancy_report(pres, degrees, seed=0, samples=2, avoid=(), cross_check=Tru
             "locally_constant": True,
             "globally_constant": True,
         }
-    rng = random.Random(seed)
     comps = ring.minimal_primes()
     if not comps:
         comps = ((),)
@@ -344,6 +360,7 @@ def constancy_report(pres, degrees, seed=0, samples=2, avoid=(), cross_check=Tru
                 if _not_in_component(q, pgb, ring):
                     other_avoid.append(q)
                     break
+        rng = random.Random(seed)  # a component's samples do not hang on the others
         for _ in range(samples):
             try:
                 pt = sample_rational_point(

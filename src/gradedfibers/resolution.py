@@ -1,16 +1,19 @@
 """Free resolutions, duals and Ext presentations.
 
-Resolutions are built stepwise from kernel Groebner bases.  Over a field
-this can be minimalized afterwards; over a parameter base the complex is
-kept as computed, since minimal resolutions need not exist globally and
-the stepwise kernels already give exactness wherever we use it.
+Resolutions are built stepwise from kernel Groebner bases.  minimalize
+cancels the unit entries (nonzero constants) through the unit-pivot
+kernel of linalg, over any base.  Over a field the result is the minimal
+resolution; over a parameter base it need not be minimal, since minimal
+resolutions need not exist globally, and the stepwise kernels already
+give exactness wherever we use it.
 """
 
 from __future__ import annotations
 
 from .errors import AlgebraError
-from .modules import FreeMap, FreeModule, Presentation
-from . import groebner
+from .modules import FreeMap, FreeModule, Presentation, Vector
+from .rings import Poly
+from . import groebner, linalg
 
 
 class Complex:
@@ -111,74 +114,62 @@ def free_resolution(pres, length):
     return Complex(modules, maps)
 
 
-def minimalize(complex_, keep_end=False):
-    """Homotopy-reduce away scalar unit entries; minimal over a field.
+def minimalize(complex_):
+    """Homotopy-reduce away unit entries; minimal over a field.
 
-    Cancelling a unit at row r, column c of d_i replaces d_i by its
-    Schur complement, deletes row c of d_{i+1} and column r of d_{i-1}.
-    With keep_end the generators of F_0 are preserved (useful when F_0's
-    basis has external meaning).
+    Stage by stage from d_1 up, linalg.unit_pivots cancels the unit
+    entries of d_i and replaces d_i by the Schur complement of its
+    pivots.  A pivot at row r, column c of d_i drops basis element r of
+    F_{i-1}, a column of d_{i-1}, and basis element c of F_i, a row of
+    d_{i+1}.  Dropping only deletes entries, so no stage gains a unit
+    after its turn.
     """
     ring = complex_.ring
-    mats = [None]
+    alive = [list(range(m.rank)) for m in complex_.modules]  # surviving basis
+    residuals = []  # d_i's rows that took no pivot, by F_{i-1} index
     for i in range(1, complex_.length + 1):
-        mats.append([row[:] for row in complex_.map(i).entries()])
-    shifts = [list(m.shifts) for m in complex_.modules]
+        rows = alive[i - 1]
+        pivots, residual = linalg.unit_pivots(_sparse_rows(complex_.map(i), rows), ring)
+        residuals.append({rows[k]: row for k, row in residual.items()})
+        alive[i - 1] = [r for k, r in enumerate(rows) if k in residual]
+        dropped = {c for _k, c in pivots}
+        alive[i] = [c for c in alive[i] if c not in dropped]
 
-    def find_unit():
-        start = 2 if keep_end else 1
-        for i in range(start, len(mats)):
-            m = mats[i]
-            for r in range(len(m)):
-                for c in range(len(m[r])):
-                    p = m[r][c]
-                    cv = p.constant_value()
-                    if cv is not None and cv:
-                        return i, r, c, cv
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        i, r, c, u = hit
-        m = mats[i]
-        nrows, ncols = len(m), len(m[0])
-        uinv = ring.constant(ring.field.one / u)
-        col_c = [m[rr][c] for rr in range(nrows)]
-        row_r = m[r]
-        new = []
-        for rr in range(nrows):
-            if rr == r:
-                continue
-            new_row = []
-            for cc in range(ncols):
-                if cc == c:
-                    continue
-                new_row.append(m[rr][cc] - col_c[rr] * row_r[cc] * uinv)
-            new.append(new_row)
-        mats[i] = new
-        del shifts[i][c]
-        del shifts[i - 1][r]
-        if i + 1 < len(mats):
-            up = mats[i + 1]
-            mats[i + 1] = [row for k, row in enumerate(up) if k != c]
-        if i - 1 >= 1:
-            down = mats[i - 1]
-            mats[i - 1] = [[row[k] for k in range(len(row)) if k != r] for row in down]
-
-    modules = [FreeModule(ring, tuple(s)) for s in shifts]
     # a zero module past F_0 ends the complex: stages beyond it are what a
     # truncated resolution leaves uncancelled, not part of the resolution
-    for i in range(1, len(modules)):
-        if modules[i].rank == 0:
-            del modules[i:], mats[i:]
-            break
+    end = next((i for i in range(1, len(alive)) if not alive[i]), len(alive))
+    modules = [FreeModule(ring, [complex_.modules[k].shifts[j] for j in alive[k]])
+               for k in range(end)]
     maps = []
-    for i in range(1, len(modules)):
-        maps.append(FreeMap.from_entries(modules[i - 1], modules[i], mats[i],
-                                         check=False))
+    for i in range(1, end):
+        col_index = {c: n for n, c in enumerate(alive[i])}
+        cols = [{} for _ in alive[i]]
+        for n, r in enumerate(alive[i - 1]):
+            for c, p in residuals[i - 1][r].items():
+                k = col_index.get(c)
+                if k is not None:
+                    for e, coef in p.terms.items():
+                        cols[k][(n, e)] = coef
+        target = modules[i - 1]
+        maps.append(FreeMap(modules[i], target, [Vector(target, d) for d in cols],
+                            check=False))
     return Complex(modules, maps)
+
+
+def _sparse_rows(fmap, rows):
+    """The rows of fmap's matrix at the given target indices, as sparse
+    rows {column: Poly}."""
+    index = {r: k for k, r in enumerate(rows)}
+    out = [{} for _ in rows]
+    for c, col in enumerate(fmap.cols):
+        entries = {}
+        for (r, e), coef in col.data.items():
+            k = index.get(r)
+            if k is not None:
+                entries.setdefault(k, {})[e] = coef
+        for k, terms in entries.items():
+            out[k][c] = Poly(fmap.ring, terms, _reduce=False)
+    return out
 
 
 def minimal_presentation(pres):

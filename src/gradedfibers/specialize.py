@@ -165,10 +165,6 @@ def _int_pow(v, a, field):
     return out
 
 
-def evaluate_presentation(pres, point):
-    return Presentation(pres.relations.evaluate(point))
-
-
 def sample_rational_point(ring, rng, avoid=(), on=(), tries=800):
     """Seeded search for a rational base point.
 

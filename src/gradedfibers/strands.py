@@ -13,7 +13,9 @@ of linalg: unit pivots first, then fraction-free elimination on what
 remains.  Ranks come in two flavors: at a fiber point (exact linear
 algebra over the residue field, or over the residue domain for a
 generic point) and generically over the base, with a certifying minor
-whose nonvanishing locus is where the generic rank is attained.
+whose nonvanishing locus is where the generic rank is attained.  Minors
+ideals are enumerated minor by minor; over QQ[t] the loci need none, as
+they are read off the ranks at the primes of the certifying minors.
 """
 
 from __future__ import annotations
@@ -79,12 +81,6 @@ class StrandMatrix:
         zero = self.ring.zero()
         return [[row.get(j, zero) for j in range(self.ncols)] for row in self.data]
 
-    def evaluate(self, point):
-        """Scalar matrix at a rational point of the base."""
-        zero = self.ring.field.zero
-        return [[point.evaluate_scalar(row[j]) if j in row else zero
-                 for j in range(self.ncols)] for row in self.data]
-
     def reduced(self):
         """Clear unit entries: (smaller StrandMatrix, pivot count).
 
@@ -138,7 +134,11 @@ class StrandMatrix:
         return rank, minor
 
     def minors_ideal(self, size):
-        """Generators of the ideal of size x size minors, as base polys."""
+        """Generators of the ideal of size x size minors, as base polys.
+
+        The minors of the unit-free reduction are enumerated one by one,
+        so the count of submatrices is capped.
+        """
         from itertools import combinations
         from math import comb
 
@@ -149,9 +149,6 @@ class StrandMatrix:
         red, piv = self.reduced()
         if piv:
             return red.minors_ideal(size - piv)
-        ring = self.ring
-        if ring.nz == 1 and not ring.base_rel:
-            return self._pid_minors(size)
         if comb(self.nrows, size) * comb(self.ncols, size) > 200000:
             raise AlgebraError(
                 "minor enumeration too large (%d x %d strand, size %d); "
@@ -160,160 +157,10 @@ class StrandMatrix:
         for rset in combinations(self.data, size):
             for cset in combinations(range(self.ncols), size):
                 sub = [{k: row[j] for k, j in enumerate(cset) if j in row} for row in rset]
-                d = linalg.domain_det(sub, ring)
+                d = linalg.domain_det(sub, self.ring)
                 if not d.is_zero():
                     out.append(d)
         return out
-
-    def _pid_minors(self, size):
-        """Minors ideal over a univariate polynomial base.
-
-        That base is a principal ideal domain, so unimodular row and
-        column operations diagonalize the strand and the size-s minors
-        ideal is generated by the gcd of the s-fold products of the
-        diagonal.  No minor is ever enumerated.
-        """
-        ring = self.ring
-        field = ring.field
-        zslot = ring.ngraded
-        rows = [{j: _ucoeffs(p, zslot) for j, p in row.items()} for row in self.data]
-        diag = _smith_diagonal(rows, field)
-        if len(diag) < size:
-            return []
-        # gcd over all size-subsets of products, by one pass of the
-        # subset-product dp; None stands for the zero polynomial
-        best = [None] * (size + 1)
-        best[0] = [field.one]
-        for d in diag:
-            for m in range(size, 0, -1):
-                if best[m - 1] is None:
-                    continue
-                cand = _umul(best[m - 1], d, field)
-                best[m] = cand if best[m] is None else _ugcd(best[m], cand, field)
-        g = best[size]
-        if g is None:
-            return []
-        if len(g) == 1:
-            return [ring.one()]
-        terms = {}
-        for e, c in enumerate(g):
-            if c:
-                exps = [0] * len(ring.names)
-                exps[zslot] = e
-                terms[tuple(exps)] = c
-        from .rings import Poly
-
-        return [Poly(ring, terms).primitive()]
-
-
-# -- univariate base arithmetic (coefficient lists, index = exponent) --------
-
-
-def _ucoeffs(p, zslot):
-    """Base poly to a dense coefficient list; [] is zero."""
-    out = []
-    for e, c in p.terms.items():
-        k = e[zslot]
-        if k >= len(out):
-            out.extend([p.ring.field.zero] * (k + 1 - len(out)))
-        out[k] = c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _umul(a, b, field):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _usubmul(a, q, shift, b, field):
-    """a - q * u^shift * b in place-ish; returns trimmed copy."""
-    out = list(a) + [field.zero] * max(0, shift + len(b) - len(a))
-    for j, y in enumerate(b):
-        if y:
-            out[shift + j] = out[shift + j] - q * y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _udivmod(a, b, field):
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    inv = field.one / b[-1]
-    while len(r) >= len(b):
-        c = r[-1] * inv
-        k = len(r) - len(b)
-        q[k] = c
-        r = _usubmul(r, c, k, b, field)
-        if len(r) >= len(b) and not r[-1]:
-            while r and not r[-1]:
-                r.pop()
-    return q, r
-
-
-def _ugcd(a, b, field):
-    a, b = list(a), list(b)
-    while b:
-        _q, r = _udivmod(a, b, field)
-        a, b = b, r
-    if a:
-        inv = field.one / a[-1]
-        a = [c * inv for c in a]  # monic keeps coefficient growth down
-    return a
-
-
-def _smith_diagonal(rows, field):
-    """Diagonal of a PID-unimodular diagonalization of sparse rows of
-    coefficient lists; entries may repeat or violate divisibility, which
-    minors ideals do not care about."""
-    rows = [row for row in rows if row]
-    diag = []
-    while rows:
-        i, j = min(((i, j) for i, row in enumerate(rows) for j in row),
-                   key=lambda ij: len(rows[ij[0]][ij[1]]))
-        prow = rows[i]
-        p = prow[j]
-        dirty = False
-        for k, row in enumerate(rows):
-            if k == i or j not in row:
-                continue
-            q, _r = _udivmod(row[j], p, field)
-            new = dict(row)
-            for l, v in prow.items():
-                x = _usubmul(new.get(l, []), field.one, 0, _umul(q, v, field), field)
-                if x:
-                    new[l] = x
-                else:
-                    new.pop(l, None)
-            rows[k] = new
-            dirty = dirty or j in new
-        if not dirty:
-            # only the pivot row holds column j now, so clearing its other
-            # entries by column operations leaves their remainders there
-            for l in [l for l in prow if l != j]:
-                _q, r = _udivmod(prow[l], p, field)
-                if r:
-                    prow[l] = r
-                    dirty = True
-                else:
-                    del prow[l]
-        if not dirty:
-            diag.append(p)
-            del rows[i]
-        rows = [row for row in rows if row]
-    return diag
 
 
 def strand_matrix(fmap, mu):

@@ -22,6 +22,7 @@ CASES = {
     "cubic_qq": 0,
     "cubic_gf": 0,
     "module_loci": 0,
+    "loci_points": 0,
     "rees_qq": 0,
     "quotient_qq": 0,
     "module_powers": 0,

@@ -164,6 +164,21 @@ def test_constancy_report_without_rational_points_is_unverified():
     assert loci.constancy_report(pres, [(0,)], samples=0)["locally_constant"] is True
 
 
+def test_constancy_report_samples_do_not_hang_on_component_order(monkeypatch):
+    A = make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s*t - t"])
+    pres = Presentation.cyclic(A, [A.poly(g) for g in ("x^2", "s*x*y", "t*y^2")])
+    primes = A.minimal_primes()
+    assert len(primes) == 2
+    samples = []
+    for order in (primes, primes[::-1]):
+        monkeypatch.setattr(type(A), "minimal_primes", lambda self, order=order: order)
+        rep = loci.constancy_report(pres, [(0,), (1,)], seed=1, samples=2)
+        samples.append({key: [row["point"] for row in comp["samples"]]
+                        for key, comp in rep["components"].items()})
+    assert all(len(points) == 2 for points in samples[0].values())
+    assert samples[0] == samples[1]
+
+
 def test_constancy_report_field_base():
     R = make_ring(["x", "y"], [1, 1])
     pres = Presentation.cyclic(R, [R.poly("x")])

@@ -2,9 +2,11 @@
 
 import random
 
+import pytest
+
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
-from gradedfibers.rings import make_ring
-from gradedfibers import resolution
+from gradedfibers.rings import PrimeField, make_ring
+from gradedfibers import localcohom, resolution
 
 
 R2 = make_ring(["x", "y"], [1, 1])
@@ -138,3 +140,99 @@ def test_minimalize_drops_stages_past_a_zero_module():
     mres = resolution.minimalize(localcohom.free_resolution_for_cohomology(pres))
     assert [m.rank for m in mres.modules] == [1, 4, 4, 1]
     assert all(i <= 3 for (i, _s) in mres.betti_table())
+
+
+def dense_minimalize(complex_):
+    """Reference: cancel one unit at a time on dense matrices of Polys.
+
+    Each cancellation takes the first stage, then the first row, then the
+    first column holding a nonzero constant, replaces d_i by its Schur
+    complement, deletes row c of d_{i+1} and column r of d_{i-1}, and
+    scans again from d_1.
+    """
+    ring = complex_.ring
+    mats = [None]
+    for i in range(1, complex_.length + 1):
+        mats.append([row[:] for row in complex_.map(i).entries()])
+    shifts = [list(m.shifts) for m in complex_.modules]
+
+    def find_unit():
+        for i in range(1, len(mats)):
+            m = mats[i]
+            for r in range(len(m)):
+                for c in range(len(m[r])):
+                    cv = m[r][c].constant_value()
+                    if cv is not None and cv:
+                        return i, r, c, cv
+        return None
+
+    while (hit := find_unit()) is not None:
+        i, r, c, u = hit
+        m = mats[i]
+        uinv = ring.constant(ring.field.one / u)
+        mats[i] = [[m[rr][cc] - m[rr][c] * m[r][cc] * uinv
+                    for cc in range(len(m[0])) if cc != c]
+                   for rr in range(len(m)) if rr != r]
+        del shifts[i][c]
+        del shifts[i - 1][r]
+        if i + 1 < len(mats):
+            mats[i + 1] = [row for k, row in enumerate(mats[i + 1]) if k != c]
+        if i - 1 >= 1:
+            mats[i - 1] = [[row[k] for k in range(len(row)) if k != r] for row in mats[i - 1]]
+
+    modules = [FreeModule(ring, tuple(s)) for s in shifts]
+    for i in range(1, len(modules)):
+        if modules[i].rank == 0:
+            del modules[i:], mats[i:]
+            break
+    maps = [FreeMap.from_entries(modules[i - 1], modules[i], mats[i], check=False)
+            for i in range(1, len(modules))]
+    return resolution.Complex(modules, maps)
+
+
+QUARTIC = ("b*c - a*d", "c^3 - b*d^2", "a*c^2 - b^2*d", "b^3 - a^2*c")
+
+
+def _raw(ring, gens):
+    return localcohom.free_resolution_for_cohomology(
+        Presentation.cyclic(ring, [ring.poly(g) for g in gens]))
+
+
+def _raw_module(ring, cols, shifts):
+    gens = FreeModule(ring, shifts)
+    return localcohom.free_resolution_for_cohomology(Presentation(FreeMap.from_columns(
+        gens, [gens.element([ring.poly(e) for e in col]) for col in cols])))
+
+
+# a cokernel with a unit relation and a redundant one (x times the third
+# plus t times the first), so that units cancel in d_1 and in d_2
+UNIT_COLS = (("x^2", "t*x", "x"), ("x*y", "y", "s*y"), ("x", "1", "0"),
+             ("x^2 + t*x^2", "x + t^2*x", "t*x"))
+
+RAW_COMPLEXES = {
+    "quartic_qq": lambda: _raw(make_ring(["a", "b", "c", "d"], [1, 1, 1, 1]), QUARTIC),
+    "quartic_gf": lambda: _raw(make_ring(["a", "b", "c", "d"], [1, 1, 1, 1],
+                                         field=PrimeField(32003)), QUARTIC),
+    "ladder_qq_st": lambda: _raw(make_ring(["x", "y", "z"], [1, 1, 1], params=["s", "t"]),
+                                 ("s*x^2 + t*y*z", "x*y - t*z^2", "y^3 - s*x*z^2")),
+    "cusp": lambda: _raw(make_ring(["x", "y"], [1, 1], params=["s", "t"],
+                                   relations=["s^2 - t^3"]),
+                         ("x^2", "s*x*y", "t*y^2")),
+    "cusp_module": lambda: _raw_module(make_ring(["x", "y"], [1, 1], params=["s", "t"],
+                                                 relations=["s^2 - t^3"]),
+                                       UNIT_COLS, [0, 1, 1]),
+    "module_qq_st": lambda: _raw_module(make_ring(["x", "y"], [1, 1], params=["s", "t"]),
+                                        UNIT_COLS, [0, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_COMPLEXES))
+def test_minimalize_matches_the_dense_loop(name):
+    raw = RAW_COMPLEXES[name]()
+    got, want = resolution.minimalize(raw), dense_minimalize(raw)
+    assert [m.shifts for m in got.modules] == [m.shifts for m in want.modules]
+    for g, w in zip(got.maps, want.maps):
+        assert g.source == w.source and g.target == w.target
+        # the same terms, in the same order
+        assert [list(c.data.items()) for c in g.cols] == [list(c.data.items()) for c in w.cols]
+    got.check()

@@ -177,7 +177,7 @@ def test_embedding_independence_of_dims():
 def test_evaluate_presentation_changes_strand():
     pres = cyclic(Rt, ["t*x", "y"])
     pt0 = FiberPoint.rational(Rt, {"t": 0})
-    ev = specialize.evaluate_presentation(pres, pt0)
+    ev = pres.evaluate(pt0)
     cols = [c for c in ev.relations.cols if not c.is_zero()]
     gb = groebner.module_gb(cols, ev.gens_module)
     # at t = 0 the quotient is k[x]: one dimension in each degree

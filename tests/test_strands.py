@@ -1,8 +1,9 @@
 """Strand matrices over the base: ranks, minors, fiber evaluation.
 
-The unit-pivot reduction and the univariate Smith route are internal
-shortcuts; the loops here pin them to the definitional computations
-(evaluate-then-eliminate, enumerate-all-minors) on random inputs.
+The unit-pivot reduction and the QQ[t] loci read off ranks at the primes
+of the certifying minors are internal shortcuts; the loops here pin them
+to the definitional computations (evaluate-then-eliminate,
+enumerate-all-minors) on random inputs.
 """
 
 import random
@@ -13,7 +14,7 @@ import pytest
 from gradedfibers.errors import AlgebraError
 from gradedfibers.modules import FreeModule, FreeMap
 from gradedfibers.rings import make_ring
-from gradedfibers import groebner, linalg, specialize, strands
+from gradedfibers import groebner, linalg, loci, specialize, strands
 
 
 Rt = make_ring(["x", "y"], [1, 1], params=["t"])
@@ -87,24 +88,35 @@ def test_generic_rank_certificate():
         assert hits > 0  # a nonzero certificate has nonvanishing points
 
 
-def test_minors_ideal_matches_enumeration():
+def pair_locus(sm_in, sm_out, target):
+    """The defect locus as the squarefree intersection over a + b =
+    target - 1 of (minors of size a+1 of sm_in) + (minors of size b+1 of
+    sm_out), every minor enumerated; [] is the whole base."""
+    acc = None
+    for a in range(target):
+        part = sm_in.minors_ideal(a + 1) + sm_out.minors_ideal(target - a)
+        if not part:
+            return []
+        part = groebner.ideal_gb([loci.squarefree_part(g) for g in part], ring=Rt)
+        acc = part if acc is None else groebner.intersect_ideals(acc, part, Rt)
+    return [loci.squarefree_part(g) for g in acc]
+
+
+def test_univariate_defect_locus_matches_minors_and_points():
+    # the prime factors of t^2 + 1 have no rational point
     rng = random.Random(23)
+    pool = POOL + ["t^2 + 1"]
     for _ in range(30):
-        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-        sm = rand_matrix(Rt, rng, nr, nc, POOL)
-        for size in range(1, min(nr, nc) + 1):
-            got = sm.minors_ideal(size)
-            ref = []
-            for rs in combinations(range(nr), size):
-                for cs in combinations(range(nc), size):
-                    sub = [[sm.entries[i][j] for j in cs] for i in rs]
-                    d = linalg.domain_det(sparse(sub), Rt)
-                    if not d.is_zero():
-                        ref.append(d)
-            if not got or not ref:
-                assert not got and not ref
-                continue
-            assert groebner.ideal_equal(got, ref, ring=Rt)
+        sm_in = rand_matrix(Rt, rng, rng.randint(1, 4), rng.randint(1, 4), pool)
+        sm_out = rand_matrix(Rt, rng, rng.randint(1, 4), rng.randint(1, 4), pool)
+        generic = sm_in.generic_rank()[0] + sm_out.generic_rank()[0]
+        for target in range(1, generic + 2):
+            got = loci.defect_locus(sm_in, sm_out, target, Rt)
+            assert got == pair_locus(sm_in, sm_out, target)
+            for v in range(-6, 7):
+                point = specialize.FiberPoint.rational(Rt, {"t": v})
+                drops = sm_in.rank_at(point) + sm_out.rank_at(point) < target
+                assert drops == (not got or not point.evaluate_scalar(got[0]))
 
 
 def test_minors_ideal_two_parameter_base():
