@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import groebner, loci, localcohom, ratmap, script, specialize
+from . import loci, localcohom, ratmap, script, specialize
 from .errors import AlgebraError, DualityMismatch, ScriptError
 from .modules import FreeModule, FreeMap, Presentation
 from .rings import MonomialOrder, PrimeField, QQ, make_ring
@@ -209,7 +209,8 @@ def _cmd_loci(env, cmd, opts):
     window = None
     if cmd.get("window") is not None:
         window = _window_degrees(ring, cmd["window"])
-    info = loci.nonfree_locus(pres, window=window, slack=opts.window_slack)
+    excl = loci.duality_exclusion_locus(pres, window=window, slack=opts.window_slack)
+    info = excl["module"]
     rad, exact = loci.locus_radical(info["ideal"], ring)
     out = {
         "target": cmd["target"],
@@ -222,11 +223,10 @@ def _cmd_loci(env, cmd, opts):
             "window": [list(m) if isinstance(m, tuple) else m
                        for m in info["window"]],
         },
-    }
-    excl = loci.duality_exclusion_locus(pres, window=window, slack=opts.window_slack)
-    out["duality_exclusion"] = {
-        "generators": excl["ideal_strings"],
-        "detail": excl["detail"],
+        "duality_exclusion": {
+            "generators": excl["ideal_strings"],
+            "detail": excl["detail"],
+        },
     }
     return out
 
@@ -251,22 +251,14 @@ def _cmd_specialize(env, cmd, opts):
         "shift": bundle.b,
         "fiber": point.describe() if point else None,
     }
-    rows = []
     if point is None:
         rep = specialize.generic_agreement_certificate(bundle, ks, degs, samples=0)
-        for (k, deg), dim in sorted(rep["generic_dims"].items()):
-            rows.append({"power": k, "degree": list(deg), "dim": dim})
+        dims = rep["generic_dims"]
         out["certificate"] = str(rep["certificate"])
     else:
-        for k in ks:
-            module, vectors = bundle.power_vectors(k, point)
-            gb = groebner.module_gb(vectors, module) if vectors else None
-            for deg in degs:
-                dim = (0 if gb is None else
-                       groebner.submodule_strand_dim(gb, deg,
-                                                     generic=not point.is_rational))
-                rows.append({"power": k, "degree": list(deg), "dim": dim})
-    out["rows"] = rows
+        dims = specialize.power_dims_at(bundle, ks, degs, point)
+    out["rows"] = [{"power": k, "degree": list(deg), "dim": dim}
+                   for (k, deg), dim in sorted(dims.items())]
     return out
 
 

@@ -738,16 +738,16 @@ def _generic_leads(leads, ring):
     return out
 
 
-def standard_monomials(leads, module, deg, generic=False):
+def standard_monomials(leads, module, deg):
     """Module monomials of the given degree not divisible by any lead.
 
-    leads are (component, exponent tuple) pairs.  With generic=True they
-    are read over the parameter-generic fiber (see _generic_leads).
+    leads are (component, exponent tuple) pairs, read over the generic
+    fiber of the base (see _generic_leads; over a field they stay as
+    they are).
     """
     ring = module.ring
     deg = ring.deg_tuple(deg)
-    if generic:
-        leads = _generic_leads(leads, ring)
+    leads = _generic_leads(leads, ring)
     by_comp = {}
     for c, e in leads:
         by_comp.setdefault(c, []).append(e)
@@ -765,12 +765,12 @@ def standard_monomials(leads, module, deg, generic=False):
     return out
 
 
-def quotient_strand_dim(gb, deg, generic=False):
+def quotient_strand_dim(gb, deg):
     """dim of the degree-deg slice of ambient/<gb> over the fiber field."""
-    return len(standard_monomials(gb.leads(), gb.module, deg, generic=generic))
+    return len(standard_monomials(gb.leads(), gb.module, deg))
 
 
-def submodule_strand_dim(gb, deg, generic=False):
+def submodule_strand_dim(gb, deg):
     """dim of the degree-deg slice of the submodule <gb>."""
     ring = gb.module.ring
     total = 0
@@ -778,25 +778,23 @@ def submodule_strand_dim(gb, deg, generic=False):
     for shift in gb.module.shifts:
         want = tuple(a - b for a, b in zip(deg_t, shift))
         total += len(ring.monomials_of_degree(want))
-    return total - quotient_strand_dim(gb, deg, generic=generic)
+    return total - quotient_strand_dim(gb, deg)
 
 
-def quotient_dimension(lead_exps_or_gb, ring=None, generic=False):
+def quotient_dimension(lead_exps_or_gb, ring=None):
     """Krull dimension of ring/(monomial ideal of leads), by independent sets.
 
-    With generic=True the count is taken over the generic fiber of the
-    base: parameter parts of the leads are dropped and only the graded
-    variables may enter an independent set.
+    The count is taken over the generic fiber of the base: parameter
+    parts of the leads are dropped and only the graded variables may
+    enter an independent set.
     """
     if isinstance(lead_exps_or_gb, GBasis):
         ring = lead_exps_or_gb.module.ring
         leads = lead_exps_or_gb.leads()
     else:
         leads = [(0, e) for e in lead_exps_or_gb]
-    n = ring.ngraded if generic else ring.nvars
-    if generic:
-        leads = _generic_leads(leads, ring)
-    leads = [e[:n] for _c, e in leads]
+    n = ring.ngraded
+    leads = [e[:n] for _c, e in _generic_leads(leads, ring)]
     if not leads:
         return n
     supports = []
@@ -820,7 +818,7 @@ def quotient_dimension(lead_exps_or_gb, ring=None, generic=False):
     return best
 
 
-def presentation_vecdim(pres, generic=False):
+def presentation_vecdim(pres):
     """Total fiber-field dimension of a presented module, None if infinite.
 
     Counts standard monomials of the relation basis per component; the
@@ -830,9 +828,7 @@ def presentation_vecdim(pres, generic=False):
     ring = pres.ring
     ng = ring.ngraded
     gb = module_gb(list(pres.relations.cols), pres.gens_module)
-    leads = gb.leads()
-    if generic:
-        leads = _generic_leads(leads, ring)
+    leads = _generic_leads(gb.leads(), ring)
     by_comp = {c: [] for c in range(pres.ngens)}
     for c, e in leads:
         by_comp[c].append(e[:ng])

@@ -1,15 +1,18 @@
 """Graded local cohomology supported in the positively graded block.
 
-The working route resolves the module, applies top local cohomology to
-each free term (inverse-monomial strands) and reads off homology ranks
-strand by strand.  Over a field that is exact; over a parameter base it
-computes the generic fiber together with certifying minors.
+The working route resolves the module once (free_resolution_for_cohomology),
+applies top local cohomology to each free term (inverse-monomial strands)
+and reads off homology ranks strand by strand.  Over a field that is
+exact; over a parameter base it computes the generic fiber together with
+certifying minors.  cohomology_strands is the one place that pairs
+strands with cohomological indices; the jump loci read it too.
 
-The cross check reroutes through graded duality (Ext against the
-canonically twisted ring) whenever the grading allows it, and through a
-minimalized resolution otherwise.  Disagreement between routes is not a
-mathematical possibility; it raises DualityMismatch and means the
-engine is broken.
+The cross check reroutes the same resolution through graded duality
+(Ext against the canonically twisted ring) whenever the grading allows
+it, and through its minimalization otherwise.  Resolving the module a
+second time would add no independence, since resolving is
+deterministic.  Disagreement between routes is not a mathematical
+possibility; it raises DualityMismatch and means the engine is broken.
 """
 
 from __future__ import annotations
@@ -27,78 +30,66 @@ class CohomologyTable:
         self.dims = dict(dims)
         self.meta = dict(meta or {})
 
-    def dim(self, i, degree):
-        degree = _as_tuple(degree)
-        return self.dims.get((i, degree), 0)
 
-    def rows(self):
-        out = []
-        for (i, degree), d in sorted(self.dims.items()):
-            out.append({"i": i, "degree": list(degree), "dim": d})
-        return out
+def cohomology_strands(res, mu):
+    """The strand pairs that carry [H^i]_mu, for i = 0..r.
 
-
-def _as_tuple(degree):
-    if isinstance(degree, int):
-        return (degree,)
-    return tuple(degree)
-
-
-def _inverse_strand_ranks(res, mu):
-    """Generic ranks (with minors) of the top-cohomology strand maps."""
-    ranks = {}
-    certs = []
-    for j in range(1, res.length + 1):
-        sm = strands.inverse_strand_matrix(res.map(j), mu)
-        rank, minor = sm.generic_rank()
-        ranks[j] = rank
-        if minor.constant_value() is None:
-            certs.append(minor)
-    return ranks, certs
+    res resolves M to length r + 1, r = nx.  Top local cohomology turns
+    it into a complex of inverse strands, and [H^i]_mu is its homology
+    at F_{r-i}: entry i is (lam_in, lam_out), the inverse strands of
+    d_{r-i+1} and d_{r-i}.  Each strand of d_0 .. d_{r+1} (zero maps at
+    both ends) is built once, so the strand of d_j serves H^{r-j} as
+    lam_out and H^{r-j+1} as lam_in, and its memoized generic rank is
+    shared too.
+    """
+    r = res.ring.nx
+    lam = []
+    for j in range(r + 2):
+        if 1 <= j <= res.length:
+            lam.append(strands.inverse_strand_matrix(res.map(j), mu))
+        else:  # d_0, or a map out of F_j = 0 past the end: no entries
+            rows = strands.inverse_strand_basis(res.module(j - 1), mu)
+            cols = strands.inverse_strand_basis(res.module(j), mu)
+            lam.append(strands.StrandMatrix(res.ring, rows, cols, [{} for _ in rows]))
+    return [(lam[r - i + 1], lam[r - i]) for i in range(r + 1)]
 
 
-def route_dims_at_degree(pres_or_res, mu, ring=None):
+def route_dims_at_degree(res, mu):
     """[H^i]_mu dims for i = 0..r over the (generic) fiber, plus minors.
 
-    Accepts a presentation or an already computed resolution of length
-    r + 1.  Exact over a field base; over a parameter base the numbers
-    are those of the generic fiber and the returned certificate minors
-    cut out the locus where the strand ranks can drop.
+    res is a resolution of length r + 1 (free_resolution_for_cohomology).
+    Exact over a field base; over a parameter base the numbers are those
+    of the generic fiber and the returned certificate minors cut out the
+    locus where the strand ranks can drop.
     """
-    if isinstance(pres_or_res, resolution.Complex):
-        res = pres_or_res
-        ring = ring or res.ring
-    else:
-        ring = ring or pres_or_res.ring
-        res = free_resolution_for_cohomology(pres_or_res)
-    r = ring.nx
-    mu = ring.deg_tuple(mu)
-    ranks, certs = _inverse_strand_ranks(res, mu)
+    pairs = cohomology_strands(res, res.ring.deg_tuple(mu))
     dims = {}
-    for i in range(r + 1):
-        j = r - i
-        v = len(strands.inverse_strand_basis(res.module(j), mu))
-        rho_in = ranks.get(j + 1, 0)
-        rho_out = ranks.get(j, 0)
-        dims[i] = v - rho_in - rho_out
+    certs = []
+    rank_out = 0  # lam_out of H^r is d_0, into the zero module
+    for i in reversed(range(len(pairs))):
+        lam_in, lam_out = pairs[i]
+        rank_in, minor = lam_in.generic_rank()
+        dims[i] = lam_out.ncols - rank_in - rank_out
+        if minor.constant_value() is None:
+            certs.append(minor)
+        rank_out = rank_in  # lam_in of H^i is lam_out of H^(i-1)
     return dims, certs
 
 
 def free_resolution_for_cohomology(pres):
-    """Resolution long enough to read off every H^i through i = 0."""
+    """Resolution long enough to read off every H^i through i = 0.
+
+    The one place a module is resolved for cohomology: the strand route,
+    the duality route, the Ext pieces and the jump loci all read it.
+    """
     return resolution.free_resolution(pres, pres.ring.nx + 1)
 
 
-def duality_dims_at_degree(pres_or_exts, mu, ring=None):
+def duality_dims_at_degree(exts, mu):
     """[H^i]_mu via graded duality: the (-mu)-strand of Ext^{r-i} against
-    the canonical twist.  Field base, no second block, single grading."""
-    if isinstance(pres_or_exts, list):
-        exts = pres_or_exts
-        ring = ring or exts[0].ring
-    else:
-        ring = ring or pres_or_exts.ring
-        exts = ext_modules_for_duality(pres_or_exts)
-    _require_duality_ok(ring)
+    the canonical twist.  Field base, no second block, single grading;
+    exts is ext_modules_for_duality's list."""
+    ring = exts[0].ring
     r = ring.nx
     mu = ring.deg_tuple(mu)
     neg = tuple(-a for a in mu)
@@ -109,12 +100,13 @@ def duality_dims_at_degree(pres_or_exts, mu, ring=None):
     return dims
 
 
-def ext_modules_for_duality(pres):
-    ring = pres.ring
+def ext_modules_for_duality(res):
+    """Ext^j(M, R(-delta)) for j = 0..r, from M's resolution res."""
+    ring = res.ring
     _require_duality_ok(ring)
     delta = ring.canonical_twist()
     twist = tuple(-a for a in delta)
-    return resolution.ext_presentations(pres, twist=twist, max_j=ring.nx)
+    return resolution.ext_presentations(res, twist=twist, max_j=ring.nx)
 
 
 def _require_duality_ok(ring):
@@ -128,11 +120,9 @@ def _presented_strand_dim(pres, mu):
     f0 = pres.gens_module
     if f0.rank == 0:
         return 0
-    gb = groebner.module_gb(rel_cols, f0) if rel_cols else None
-    if gb is None:
+    if not rel_cols:
         return len(strands.strand_basis(f0, mu))
-    generic = f0.ring.nz > 0
-    return groebner.quotient_strand_dim(gb, mu, generic=generic)
+    return groebner.quotient_strand_dim(groebner.module_gb(rel_cols, f0), mu)
 
 
 def local_cohomology_table(pres, degrees, point=None, cross_check=True):
@@ -156,7 +146,7 @@ def local_cohomology_table(pres, degrees, point=None, cross_check=True):
     all_certs = []
     degrees = [ring.deg_tuple(d) for d in degrees]
     for mu in degrees:
-        d, certs = route_dims_at_degree(res, mu, ring=ring)
+        d, certs = route_dims_at_degree(res, mu)
         all_certs.extend(certs)
         for i in range(r + 1):
             if d[i] < 0:
@@ -165,7 +155,7 @@ def local_cohomology_table(pres, degrees, point=None, cross_check=True):
                     " behind it assume a prime relation ideal" % (d[i], i, mu))
             dims[(i, mu)] = d[i]
     if cross_check:
-        _cross_validate(pres, res, degrees, dims)
+        _cross_validate(res, degrees, dims)
     if ring.nz > 0:
         from .specialize import _certificate_product
 
@@ -175,27 +165,23 @@ def local_cohomology_table(pres, degrees, point=None, cross_check=True):
     return CohomologyTable(dims, meta)
 
 
-def _cross_validate(pres, res, degrees, dims):
-    ring = pres.ring
-    r = ring.nx
-    if ring.nz == 0 and ring.ny == 0 and ring.gdim == 1:
-        exts = ext_modules_for_duality(pres)
-        for mu in degrees:
-            other = duality_dims_at_degree(exts, mu, ring=ring)
-            for i in range(r + 1):
-                if dims[(i, mu)] != other[i]:
-                    raise DualityMismatch(
-                        "H^%d at %s: strand route %d vs duality route %d"
-                        % (i, mu, dims[(i, mu)], other[i]))
-    elif ring.nz == 0:
+def _cross_validate(res, degrees, dims):
+    ring = res.ring
+    if ring.nz:
+        return
+    if ring.ny == 0 and ring.gdim == 1:
+        exts = ext_modules_for_duality(res)
+        what = "strand route %d vs duality route %d"
+        others = [duality_dims_at_degree(exts, mu) for mu in degrees]
+    else:
         mres = resolution.minimalize(res)
-        for mu in degrees:
-            other, _ = route_dims_at_degree(mres, mu, ring=ring)
-            for i in range(r + 1):
-                if dims[(i, mu)] != other[i]:
-                    raise DualityMismatch(
-                        "H^%d at %s: raw resolution %d vs minimal %d"
-                        % (i, mu, dims[(i, mu)], other[i]))
+        what = "raw resolution %d vs minimal %d"
+        others = [route_dims_at_degree(mres, mu)[0] for mu in degrees]
+    for mu, other in zip(degrees, others):
+        for i in range(ring.nx + 1):
+            if dims[(i, mu)] != other[i]:
+                raise DualityMismatch(
+                    ("H^%d at %s: " + what) % (i, mu, dims[(i, mu)], other[i]))
 
 
 # -- invariants -------------------------------------------------------------
@@ -218,7 +204,7 @@ def cohomology_invariants(pres):
     ring = pres.ring
     _require_duality_ok(ring)
     r = ring.nx
-    exts = ext_modules_for_duality(pres)
+    exts = ext_modules_for_duality(free_resolution_for_cohomology(pres))
     tops = {}
     nonzero = {}
     for i in range(r + 1):

@@ -4,7 +4,10 @@ All loci come out as ideals of the base (parameter-only polynomials).
 The basic building block is the exactness-defect locus of two composable
 strand matrices: the points where the ranks fail to add up to the exact
 value.  Unions over degrees are ideal intersections, so the results stay
-honest over reduced non-irreducible bases.
+honest over reduced non-irreducible bases.  The cohomology jump loci and
+the duality exclusion locus resolve the module once and read that one
+complex: its inverse strands (paired by localcohom.cohomology_strands),
+its Ext modules and its top dual cokernel.
 """
 
 from __future__ import annotations
@@ -115,17 +118,9 @@ def nonfree_locus(pres, window=None, slack=2, max_grow=24, stable_span=3):
         nonlocal acc
         gens = presentation_defect_at(res, ring.deg_tuple(mu), ring)
         per_degree[mu] = [str(g) for g in gens]
-        if acc == []:
-            return False  # already the whole base
-        if not gens:
-            acc = []  # this degree jumps everywhere
-            return True
-        if acc is None:
-            acc = gens
-            return True
-        before = [g.terms for g in acc]
-        acc = groebner.intersect_ideals(acc, gens, ring)
-        return [g.terms for g in acc] != before
+        before = acc
+        acc = _union(acc, gens, ring)
+        return before is None or [g.terms for g in acc] != [g.terms for g in before]
 
     if window is not None:
         for mu in window:
@@ -165,6 +160,18 @@ def nonfree_locus(pres, window=None, slack=2, max_grow=24, stable_span=3):
     }
 
 
+def _union(acc, gens, ring):
+    """Ideal of the union of the locus acc with the locus of gens.
+
+    acc None is the empty start; [] is the whole base, which absorbs.
+    """
+    if acc == [] or not gens:
+        return []
+    if acc is None:
+        return gens
+    return groebner.intersect_ideals(acc, gens, ring)
+
+
 def _is_unit_ideal(gens, ring):
     if not gens:
         return False  # zero ideal: the locus is everything
@@ -173,47 +180,35 @@ def _is_unit_ideal(gens, ring):
                g.constant_value() for g in gb)
 
 
-def cohomology_jump_locus(pres, i, mu):
-    """Locus where dim [H^i]_mu at the fiber exceeds the generic value.
+def cohomology_jump_loci(pres, degrees, indices=None):
+    """Union over degrees (and cohomological indices) of the jump loci.
 
-    Needs an irreducible base: the generic strand ranks are compared
-    against their pointwise values through minor ideals.
+    The jump locus of [H^i]_mu is where its fiber dimension exceeds the
+    generic value, that is where the ranks of the two inverse strands
+    around it (localcohom.cohomology_strands) drop below their generic
+    sum.  Needs an irreducible base, since the generic strand ranks are
+    compared against their pointwise values.  The module is resolved
+    once, and each strand of a degree is built once for all indices.
     """
     ring = pres.ring
     if not ring.base_is_domain:
         raise AlgebraError("per-component analysis is needed over a reducible base")
     r = ring.nx
-    if not 0 <= i <= r:
+    indices = range(r + 1) if indices is None else list(indices)
+    if any(not 0 <= i <= r for i in indices):
         raise AlgebraError("cohomological index out of range")
     res = localcohom.free_resolution_for_cohomology(pres)
-    mu = ring.deg_tuple(mu)
-    j = r - i
-    lam_out = strands.inverse_strand_matrix(res.map(j), mu)
-    lam_in = strands.inverse_strand_matrix(res.map(j + 1), mu)
-    target = lam_out.generic_rank()[0] + lam_in.generic_rank()[0]
-    return defect_locus(lam_in, lam_out, target, ring)
-
-
-def cohomology_jump_loci(pres, degrees, indices=None):
-    """Union over degrees (and cohomological indices) of the jump loci."""
-    ring = pres.ring
-    r = ring.nx
-    if indices is None:
-        indices = range(r + 1)
     acc = None
     detail = {}
     for mu in degrees:
+        mu = ring.deg_tuple(mu)
+        pairs = localcohom.cohomology_strands(res, mu)
         for i in indices:
-            gens = cohomology_jump_locus(pres, i, mu)
-            detail[(i, ring.deg_tuple(mu))] = [str(g) for g in gens]
-            if acc == []:
-                continue
-            if not gens:
-                acc = []
-            elif acc is None:
-                acc = gens
-            else:
-                acc = groebner.intersect_ideals(acc, gens, ring)
+            lam_in, lam_out = pairs[i]
+            target = lam_out.generic_rank()[0] + lam_in.generic_rank()[0]
+            gens = defect_locus(lam_in, lam_out, target, ring)
+            detail[(i, mu)] = [str(g) for g in gens]
+            acc = _union(acc, gens, ring)
     return {"ideal": [ring.one()] if acc is None else acc, "detail": detail}
 
 
@@ -221,36 +216,30 @@ def duality_exclusion_locus(pres, window=None, slack=2):
     """Locus to avoid when reading fiber cohomology off the generic one.
 
     Union of the jump loci of the module itself, of its Ext modules
-    against the ring, and of the top dual cokernel.  Off this closed set
-    evaluation commutes with everything we compute.
+    against the ring, and of the top dual cokernel, the last two read
+    off one resolution of the module.  Off this closed set evaluation
+    commutes with everything we compute.  "module" holds the module's
+    own nonfree_locus, which is computed once with these arguments.
     """
     ring = pres.ring
-    r = ring.nx
+    module = nonfree_locus(pres, window=window, slack=slack)
+    res = localcohom.free_resolution_for_cohomology(pres)
     pieces = [("module", pres)]
-    exts = resolution.ext_presentations(pres, max_j=r)
-    for jj, e in enumerate(exts):
+    for jj, e in enumerate(resolution.ext_presentations(res, max_j=ring.nx)):
         pieces.append(("ext%d" % jj, e))
-    pieces.append(("top_dual", resolution.top_dual_cokernel(pres)))
+    pieces.append(("top_dual", resolution.top_dual_cokernel(res)))
     acc = None
     detail = {}
     for name, piece in pieces:
         if piece.ngens == 0:
             detail[name] = ["1"]  # the zero module is free everywhere
             continue
-        info = nonfree_locus(piece, window=window, slack=slack)
+        info = module if name == "module" else nonfree_locus(piece, window=window, slack=slack)
         detail[name] = info["ideal_strings"]
-        gens = info["ideal"]
-        if acc == []:
-            continue
-        if not gens:
-            acc = []
-        elif acc is None:
-            acc = gens
-        else:
-            acc = groebner.intersect_ideals(acc, gens, ring)
+        acc = _union(acc, info["ideal"], ring)
     gens = [ring.one()] if acc is None else acc
     return {"ideal": gens, "ideal_strings": [str(g) for g in gens],
-            "detail": detail}
+            "detail": detail, "module": module}
 
 
 # -- radicals and components (parameter-only ideals) -------------------------

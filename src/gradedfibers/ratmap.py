@@ -80,25 +80,21 @@ def _stable_tail(values, order):
 
 
 def _forms_at(ring, forms, point):
-    """(fiber ring, evaluated forms, generic flag) for a fiber choice.
+    """(fiber ring, evaluated forms) for a fiber choice.
 
     point=None over a parameter base means the generic point of the
-    whole base, which must then be a domain.
+    whole base, which must then be a domain.  Counts over a fiber ring
+    with parameters read the generic fiber of its base.
     """
     forms = [ring.poly(g) for g in forms]
     if point is None:
-        if ring.nz == 0:
-            return ring, forms, False
-        if not ring.base_is_domain:
+        if ring.nz and not ring.base_is_domain:
             raise BaseNotDomain("pick a component for the generic fiber")
-        return ring, forms, True
-    if point.is_rational:
-        fring = point.fiber_ring(ring)
-        return fring, [point.evaluate(g) for g in forms], False
+        return ring, forms
     fring = point.fiber_ring(ring)
-    if not fring.base_is_domain:
+    if not point.is_rational and not fring.base_is_domain:
         raise BaseNotDomain("generic points need a prime relation ideal")
-    return fring, [transfer(g, fring) for g in forms], True
+    return fring, [point.evaluate(g) for g in forms]
 
 
 def _ideal_gb_object(gens, ring):
@@ -107,12 +103,12 @@ def _ideal_gb_object(gens, ring):
     return groebner.module_gb(vecs, module=module)
 
 
-def _ideal_strand_dim(gens, deg, ring, generic):
+def _ideal_strand_dim(gens, deg, ring):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return 0
     gb = _ideal_gb_object(gens, ring)
-    return groebner.submodule_strand_dim(gb, deg, generic=generic)
+    return groebner.submodule_strand_dim(gb, deg)
 
 
 # -- the special fiber ring --------------------------------------------------
@@ -133,7 +129,7 @@ def _image_data(rmap, point):
     key = _point_key(point)
     if key in rmap._cache:
         return rmap._cache[key]
-    fring, forms, generic = _forms_at(rmap.ring, rmap.forms, point)
+    fring, forms = _forms_at(rmap.ring, rmap.forms, point)
     if all(g.is_zero() for g in forms):
         raise InvalidFiber("every form vanishes at this fiber")
     d = rmap.form_degree
@@ -145,11 +141,10 @@ def _image_data(rmap, point):
     tring = fring.with_graded(ynames, [1] * m)
     gens = [transfer(g, tring) for g in elim]
     gb = _ideal_gb_object(gens, tring)
-    spread = groebner.quotient_dimension(gb, generic=generic)
+    spread = groebner.quotient_dimension(gb)
     data = {
         "fring": fring,
         "forms": forms,
-        "generic": generic,
         "tring": tring,
         "gens": gens,
         "gb": gb,
@@ -179,7 +174,7 @@ def image_degree(rmap, point=None):
     order = data["spread"] - 1
 
     def hilb(n):
-        return groebner.quotient_strand_dim(data["gb"], (n,), generic=data["generic"])
+        return groebner.quotient_strand_dim(data["gb"], (n,))
 
     vals = [hilb(n) for n in range(order + 3)]
     while True:
@@ -198,12 +193,11 @@ class _Powers:
     """The powers I^k of one ideal over one fiber ring, and their
     saturations I^k : m^inf, each computed at most once."""
 
-    __slots__ = ("ring", "gens", "generic", "_powers", "_saturated")
+    __slots__ = ("ring", "gens", "_powers", "_saturated")
 
-    def __init__(self, ring, gens, generic):
+    def __init__(self, ring, gens):
         self.ring = ring
         self.gens = gens
-        self.generic = generic
         self._powers = {}
         self._saturated = {}
 
@@ -225,11 +219,11 @@ def _map_powers(rmap, point):
     map's cache so every invariant of that fiber shares them."""
     key = ("powers", _point_key(point))
     if key not in rmap._cache:
-        fring, forms, generic = _forms_at(rmap.ring, rmap.forms, point)
+        fring, forms = _forms_at(rmap.ring, rmap.forms, point)
         forms = [g for g in forms if not g.is_zero()]
         if not forms:
             raise InvalidFiber("every form vanishes at this fiber")
-        rmap._cache[key] = _Powers(fring, forms, generic)
+        rmap._cache[key] = _Powers(fring, forms)
     return rmap._cache[key]
 
 
@@ -240,15 +234,15 @@ def power_h1_dims(rmap, point=None, cutoff=None):
     the dimension of [(I^k : m^inf) / I^k] in degree k d.
     """
     powers = _map_powers(rmap, point)
-    fring, generic = powers.ring, powers.generic
+    fring = powers.ring
     if cutoff is None:
         cutoff = _default_cutoff(fring)
     d = rmap.form_degree
     out = []
     for k in range(1, cutoff + 1):
         deg = (k * d,)
-        out.append(_ideal_strand_dim(powers.saturated(k), deg, fring, generic)
-                   - _ideal_strand_dim(powers.power(k), deg, fring, generic))
+        out.append(_ideal_strand_dim(powers.saturated(k), deg, fring)
+                   - _ideal_strand_dim(powers.power(k), deg, fring))
     return out
 
 
@@ -287,7 +281,7 @@ def saturated_fiber_multiplicity(rmap, point=None, cutoff=None, check=True):
         cutoff = _default_cutoff(fring) + 2
     d = rmap.form_degree
     r = fring.nx - 1
-    vals = [_ideal_strand_dim(powers.saturated(n), (n * d,), fring, powers.generic)
+    vals = [_ideal_strand_dim(powers.saturated(n), (n * d,), fring)
             for n in range(1, cutoff + 1)]
     e = _stable_tail(vals, r)
     if e is None:
@@ -313,15 +307,15 @@ def j_multiplicity(ring, ideal_gens, point=None, cutoff=None):
     """
     if ring.ny or ring.gdim != 1:
         raise NotStandardGraded("ideal multiplicities live on a singly graded x-block")
-    fring, gens, generic = _forms_at(ring, ideal_gens, point)
+    fring, gens = _forms_at(ring, ideal_gens, point)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return 0
-    return _j_multiplicity(_Powers(fring, gens, generic), cutoff)
+    return _j_multiplicity(_Powers(fring, gens), cutoff)
 
 
 def _j_multiplicity(powers, cutoff):
-    fring, generic = powers.ring, powers.generic
+    fring = powers.ring
     if cutoff is None:
         cutoff = _default_cutoff(fring)
     r = fring.nx - 1
@@ -334,7 +328,7 @@ def _j_multiplicity(powers, cutoff):
         _m, den_vecs = groebner._as_ideal_vectors(jn1, fring)
         pres, _incl = groebner.subquotient_presentation(
             num_vecs, den_vecs, one_module)
-        length = groebner.presentation_vecdim(pres, generic=generic)
+        length = groebner.presentation_vecdim(pres)
         if length is None:
             raise AlgebraError("torsion piece of J^n/J^n+1 came out infinite")
         vals.append(length)
@@ -349,7 +343,7 @@ def hilbert_samuel_multiplicity(ring, ideal_gens, point=None, cutoff=None):
     from lengths of R/J^n; the classical cross-check for j_multiplicity."""
     if ring.ny or ring.gdim != 1:
         raise NotStandardGraded("ideal multiplicities live on a singly graded x-block")
-    fring, gens, generic = _forms_at(ring, ideal_gens, point)
+    fring, gens = _forms_at(ring, ideal_gens, point)
     gens = [g for g in gens if not g.is_zero()]
     if cutoff is None:
         cutoff = _default_cutoff(fring) + 2
@@ -358,7 +352,7 @@ def hilbert_samuel_multiplicity(ring, ideal_gens, point=None, cutoff=None):
     vals = []
     for n in range(1, cutoff + 1):
         pres = Presentation.cyclic(fring, _power_products(gens, n, fring))
-        length = groebner.presentation_vecdim(pres, generic=generic)
+        length = groebner.presentation_vecdim(pres)
         if length is None:
             raise AlgebraError("the ideal is not primary to the irrelevant ideal")
         vals.append(length)
@@ -380,7 +374,7 @@ def preimage_count(rmap, point=None, seed=0, tries=40):
     principal eliminant, so branch targets are detected and resampled;
     higher sources return the stabilized Hilbert count.
     """
-    fring, forms, _generic = _forms_at(rmap.ring, rmap.forms, point)
+    fring, forms = _forms_at(rmap.ring, rmap.forms, point)
     if fring.nz:
         raise InvalidFiber("the preimage oracle needs an explicit field fiber")
     forms = list(forms)

@@ -1,6 +1,8 @@
 """Free resolutions, duals and Ext presentations.
 
-Resolutions are built stepwise from kernel Groebner bases.  minimalize
+Resolutions are built stepwise from kernel Groebner bases.  The Ext
+modules and the top dual cokernel are read off a resolution the caller
+already holds; they never resolve the module themselves.  minimalize
 cancels the unit entries (nonzero constants) through the unit-pivot
 kernel of linalg, over any base.  Over a field the result is the minimal
 resolution; over a parameter base it need not be minimal, since minimal
@@ -185,22 +187,21 @@ def minimal_generator_degrees(pres):
     return list(minimal_presentation(pres).gens_module.shifts)
 
 
-def ext_presentations(pres, twist=None, max_j=None):
-    """Presentations of Ext^j(M, R(twist)) for j = 0..max_j.
+def ext_presentations(res, twist=None, max_j=None):
+    """Presentations of Ext^j(M, R(twist)) for j = 0..max_j, read off a
+    resolution res of M.
 
     max_j defaults to the number of positively graded generators of the
-    x block, the cohomological range relevant downstream.
+    x block, the cohomological range relevant downstream.  res must
+    reach past max_j (length at least max_j + 1) or have ended, as
+    localcohom.free_resolution_for_cohomology's does for the default.
     """
-    ring = pres.ring
+    ring = res.ring
     if twist is None:
         twist = ring.zero_degree()
     if max_j is None:
         max_j = ring.nx
-    res = free_resolution(pres, max_j + 1)
-    out = []
-    for j in range(max_j + 1):
-        out.append(_ext_at(res, j, twist))
-    return out
+    return [_ext_at(res, j, twist) for j in range(max_j + 1)]
 
 
 def _ext_at(res, j, twist):
@@ -227,18 +228,17 @@ def _ext_at(res, j, twist):
     return present
 
 
-def top_dual_cokernel(pres, twist=None):
+def top_dual_cokernel(res, twist=None):
     """Cokernel of the transposed last differential one past the x count.
 
-    For a resolution F_{r+1} -> F_r -> ... this is coker(d_{r+1}^T), the
-    top outlier module whose fiber behavior also has to be controlled
-    when cohomology and base change are compared.
+    For a resolution res = F_{r+1} -> F_r -> ... of M this is
+    coker(d_{r+1}^T), the top outlier module whose fiber behavior also
+    has to be controlled when cohomology and base change are compared.
     """
-    ring = pres.ring
+    ring = res.ring
     r = ring.nx
     if twist is None:
         twist = ring.zero_degree()
-    res = free_resolution(pres, r + 1)
     if res.length < r + 1:
         return Presentation.of_free(FreeModule(ring, []))
     d = res.map(r + 1).transpose(twist)

@@ -1177,13 +1177,15 @@ def irreducible_factors(p):
     expression gave s - 1, t).  A variable that does not occur is left
     out: as the first generator it would give every factor degree 0.
     There is no multivariate factorization over GF(p) here, so there the
-    list holds the primitive part of p alone.
+    list holds the primitive part of p alone.  A constant, zero included,
+    has no factors and never reaches sympy.
     """
     ring = p.ring
+    if p.constant_value() is not None:
+        return []
     if ring.field.char:
         return [p.primitive()]
-    # a constant still needs one generator; factor_list gives it no factors
-    used = [i for i in range(ring.nvars) if any(e[i] for e in p.terms)] or [0]
+    used = [i for i in range(ring.nvars) if any(e[i] for e in p.terms)]
     import sympy
 
     qq = sympy.QQ

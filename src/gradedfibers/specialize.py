@@ -105,12 +105,6 @@ class FiberPoint:
             total = total + v
         return total
 
-    def evaluate_poly(self, p):
-        """Image of a parameter polynomial in the residue ring."""
-        if self.is_rational:
-            raise AlgebraError("rational points evaluate to scalars")
-        return transfer(p, self.residue_ring)
-
     def evaluate(self, p):
         """Full evaluation of a ring element at this point."""
         if not self.is_rational:
@@ -218,12 +212,7 @@ def _certificate_product(polys, ring):
     seen = set()
     acc = ring.one()
     for p in polys:
-        p = p.primitive()
-        if p.constant_value() is not None:
-            continue
         for f in irreducible_factors(p):
-            if f.constant_value() is not None:
-                continue
             key = tuple(sorted(f.terms.items()))
             if key in seen:
                 continue
@@ -283,12 +272,7 @@ class PowersBundle:
             comps = []
             for i in range(m):
                 entry = col.component(i)
-                if point is None:
-                    comps.append(entry)
-                elif point.is_rational:
-                    comps.append(point.evaluate(entry))
-                else:
-                    comps.append(transfer(entry, ring))
+                comps.append(entry if point is None else point.evaluate(entry))
             cols.append(comps)
         basis = list(combinations_with_replacement(range(m), k))
         shifts = []
@@ -395,19 +379,26 @@ def generic_agreement_certificate(bundle, ks, degrees, rng=None, samples=6):
         except InvalidFiber:
             break
         out["points"].append(point.describe())
-        for k in ks:
-            module, vectors = bundle.power_vectors(k, point)
-            gb = groebner.module_gb(vectors, module) if vectors else None
-            for deg in degrees:
-                got = (0 if gb is None else
-                       groebner.submodule_strand_dim(gb, deg, generic=False))
-                if got != generic_dims[(k, deg)]:
-                    out["counterexamples"].append({
-                        "point": point.describe(),
-                        "k": k,
-                        "degree": deg,
-                        "dim": got,
-                        "generic": generic_dims[(k, deg)],
-                    })
+        for (k, deg), got in power_dims_at(bundle, ks, degrees, point).items():
+            if got != generic_dims[(k, deg)]:
+                out["counterexamples"].append({
+                    "point": point.describe(),
+                    "k": k,
+                    "degree": deg,
+                    "dim": got,
+                    "generic": generic_dims[(k, deg)],
+                })
     out["agrees"] = not out["counterexamples"]
     return out
+
+
+def power_dims_at(bundle, ks, degrees, point):
+    """{(k, degree): dim of that strand of the k-th power at a fiber
+    point}, k by k and then degree by degree."""
+    dims = {}
+    for k in ks:
+        module, vectors = bundle.power_vectors(k, point)
+        gb = groebner.module_gb(vectors, module) if vectors else None
+        for deg in degrees:
+            dims[(k, deg)] = 0 if gb is None else groebner.submodule_strand_dim(gb, deg)
+    return dims

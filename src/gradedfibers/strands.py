@@ -58,7 +58,7 @@ class StrandMatrix:
     built on request.
     """
 
-    __slots__ = ("ring", "rows", "cols", "data", "_reduction")
+    __slots__ = ("ring", "rows", "cols", "data", "_reduction", "_generic_rank")
 
     def __init__(self, ring, rows, cols, data):
         self.ring = ring
@@ -66,6 +66,7 @@ class StrandMatrix:
         self.cols = cols
         self.data = data
         self._reduction = None
+        self._generic_rank = None
 
     @property
     def nrows(self):
@@ -117,21 +118,23 @@ class StrandMatrix:
             return linalg.field_rank(rows, self.ring.field)
         if not self.rows or not self.cols:
             return 0
-        ring = point.residue_ring
-        rows = [{j: q for j, p in row.items() if not (q := point.evaluate_poly(p)).is_zero()}
+        rows = [{j: q for j, p in row.items() if not (q := point.evaluate(p)).is_zero()}
                 for row in self.data]
-        return linalg.domain_rank(rows, ring)[0]
+        return linalg.domain_rank(rows, point.residue_ring)[0]
 
     def generic_rank(self):
-        """(rank over Frac(base), certifying minor) for a domain base."""
-        if not self.rows or not self.cols:
-            return 0, self.ring.one()
-        red, piv = self.reduced()
-        if piv:
-            rank, minor = red.generic_rank()
-            return rank + piv, minor
-        rank, _r, _c, minor = linalg.domain_rank(self.data, self.ring)
-        return rank, minor
+        """(rank over Frac(base), certifying minor) for a domain base.
+
+        Computed once per strand, like the reduction: the strand route
+        and the loci that pair the same strands read it again for free.
+        """
+        if self._generic_rank is None:
+            rank, minor = 0, self.ring.one()
+            red, piv = self.reduced() if self.rows and self.cols else (self, 0)
+            if red.rows and red.cols:
+                rank, _r, _c, minor = linalg.domain_rank(red.data, self.ring)
+            self._generic_rank = (rank + piv, minor)
+        return self._generic_rank
 
     def minors_ideal(self, size):
         """Generators of the ideal of size x size minors, as base polys.

@@ -117,10 +117,10 @@ def test_route_a_equals_route_b_randomized():
             gens.append(R2.monomial(a) - R2.monomial(b))
         pres = Presentation.cyclic(R2, gens)
         res = localcohom.free_resolution_for_cohomology(pres)
-        exts = localcohom.ext_modules_for_duality(pres)
+        exts = localcohom.ext_modules_for_duality(res)
         for d in range(-4, 3):
-            a_dims, _ = localcohom.route_dims_at_degree(res, (d,), ring=R2)
-            b_dims = localcohom.duality_dims_at_degree(exts, (d,), ring=R2)
+            a_dims, _ = localcohom.route_dims_at_degree(res, (d,))
+            b_dims = localcohom.duality_dims_at_degree(exts, (d,))
             assert a_dims == b_dims, (gens, d)
 
 
@@ -133,6 +133,24 @@ def test_cross_check_runs_inside_table():
     assert tab.dims[(0, (1,))] == 2
     assert tab.dims[(0, (2,))] == 1
     assert sum(d for (i, _), d in tab.dims.items() if i > 0) == 0
+
+
+def test_duality_routes_share_the_resolution(monkeypatch):
+    # the strand route and the duality cross-check read one complex, and
+    # the invariants resolve once too
+    seen = []
+    real = resolution.free_resolution
+
+    def spy(pres, length):
+        seen.append(pres)
+        return real(pres, length)
+
+    monkeypatch.setattr(resolution, "free_resolution", spy)
+    pres = Presentation.cyclic(R2, [R2.poly("x^2"), R2.poly("x*y")])
+    localcohom.local_cohomology_table(pres, [(0,), (1,)], cross_check=True)
+    assert len(seen) == 1
+    localcohom.cohomology_invariants(pres)
+    assert len(seen) == 2
 
 
 def test_duality_needs_standard_single_grading():

@@ -7,7 +7,7 @@ import pytest
 from gradedfibers.errors import AlgebraError
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
 from gradedfibers.rings import make_ring
-from gradedfibers import loci, strands
+from gradedfibers import cli, loci, resolution, script, strands
 from gradedfibers.specialize import FiberPoint
 
 
@@ -121,11 +121,44 @@ def test_katzman_jump_locus_designated_bidegrees():
 
 def test_cohomology_jump_locus_guards():
     K, pres = katzman_presentation()
-    with pytest.raises(AlgebraError):
-        loci.cohomology_jump_locus(pres, 5, (-2, 2))
+    with pytest.raises(AlgebraError, match="index out of range"):
+        loci.cohomology_jump_loci(pres, [(-2, 2)], indices=[5])
     A = make_ring(["x"], [1], params=["t"], relations=["t^2 - t"])
-    with pytest.raises(AlgebraError):
-        loci.cohomology_jump_locus(Presentation.cyclic(A, [A.poly("x")]), 0, (0,))
+    with pytest.raises(AlgebraError, match="reducible base"):
+        loci.cohomology_jump_loci(Presentation.cyclic(A, [A.poly("x")]), [(0,)])
+
+
+def test_jump_loci_resolve_once(monkeypatch):
+    # one resolution per call, whatever the number of degrees and indices
+    seen = []
+    real = resolution.free_resolution
+
+    def spy(pres, length):
+        seen.append(pres)
+        return real(pres, length)
+
+    monkeypatch.setattr(resolution, "free_resolution", spy)
+    out = loci.cohomology_jump_loci(rank_two_example(), [(0,), (1,), (2,)])
+    assert len(seen) == 1
+    assert sorted(out["detail"]) == [(i, (d,)) for i in range(3) for d in range(3)]
+
+
+def test_cmd_loci_runs_the_module_locus_once(tmp_path, monkeypatch):
+    # the nonfree payload is the module piece of the duality exclusion
+    seen = []
+    real = loci.nonfree_locus
+
+    def spy(pres, *args, **kwargs):
+        seen.append(pres)
+        return real(pres, *args, **kwargs)
+
+    monkeypatch.setattr(loci, "nonfree_locus", spy)
+    text = ("ring R base poly(QQ, t) vars x:1 y:1;\n"
+            "module M = coker [x^2, x*y; t*x, y] shifts (0, 1);\ncmd loci M;\n")
+    assert cli.run(script.parse(text), out_dir=str(tmp_path)) == 0
+    assert sum(1 for p in seen if p is seen[0]) == 1
+    payload = json.loads((tmp_path / "01_loci.json").read_text())
+    assert payload["nonfree"]["generators"] == payload["duality_exclusion"]["detail"]["module"]
 
 
 def test_constancy_report_locally_but_not_globally_constant():

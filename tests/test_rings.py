@@ -348,6 +348,22 @@ def test_factoring_goes_through_a_sympy_poly(monkeypatch):
     assert [str(g) for g in seen[0].gens] == ["s", "t"]
 
 
+def test_constants_have_no_factors_and_skip_sympy(monkeypatch):
+    seen = []
+    real = sympy.factor_list
+
+    def spy(f, *args, **kwargs):
+        seen.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factor_list", spy)
+    for ring in (make_ring(["x"], [1], params=["t"]),
+                 make_ring(["x"], [1], params=["t"], field=PrimeField(101))):
+        for c in ("3/2" if ring.field.char == 0 else "3", "1", "0"):
+            assert irreducible_factors(ring.poly(c)) == []
+    assert seen == []
+
+
 def test_prime_field_factors_are_the_primitive_part():
     Rp = make_ring(["x"], [1], params=["s", "t"], field=PrimeField(101))
     p = Rp.poly("3*t^2*s + 6*s")

@@ -95,7 +95,7 @@ def test_specialize_power_at_fibers():
         if not vectors:
             return 0
         gb = groebner.module_gb(vectors, module)
-        return groebner.submodule_strand_dim(gb, (deg,), generic=False)
+        return groebner.submodule_strand_dim(gb, (deg,))
 
     # t x evaluates to zero at t = 0: the image keeps only (y)
     assert image_dim(1, 1, pt0) == 1
@@ -145,7 +145,7 @@ def test_module_powers_drop_torsion():
     # strand dims of m^2 relative to the embedding shift
     w = module.shifts[0][0] // 2 if module.shifts else 0
     base = 2 + 2 * w
-    dims = [groebner.submodule_strand_dim(gb, (base + i,), generic=False)
+    dims = [groebner.submodule_strand_dim(gb, (base + i,))
             for i in range(3)]
     assert dims == [3, 4, 5]
 
@@ -169,7 +169,7 @@ def test_embedding_independence_of_dims():
         module, vectors = bundle.power_vectors(2)
         gb = groebner.module_gb(vectors, module)
         w = module.shifts[0][0] - 2 if module.shifts else 0
-        dims.append([groebner.submodule_strand_dim(gb, (2 + w + i,), generic=False)
+        dims.append([groebner.submodule_strand_dim(gb, (2 + w + i,))
                      for i in range(4)])
     assert dims[0] == dims[1]
 
