@@ -43,14 +43,7 @@ def cohomology_strands(res, mu):
     shared too.
     """
     r = res.ring.nx
-    lam = []
-    for j in range(r + 2):
-        if 1 <= j <= res.length:
-            lam.append(strands.inverse_strand_matrix(res.map(j), mu))
-        else:  # d_0, or a map out of F_j = 0 past the end: no entries
-            rows = strands.inverse_strand_basis(res.module(j - 1), mu)
-            cols = strands.inverse_strand_basis(res.module(j), mu)
-            lam.append(strands.StrandMatrix(res.ring, rows, cols, [{} for _ in rows]))
+    lam = [strands.inverse_strand_matrix(res.map(j), mu) for j in range(r + 2)]
     return [(lam[r - i + 1], lam[r - i]) for i in range(r + 1)]
 
 

@@ -224,17 +224,21 @@ def duality_exclusion_locus(pres, window=None, slack=2):
     ring = pres.ring
     module = nonfree_locus(pres, window=window, slack=slack)
     res = localcohom.free_resolution_for_cohomology(pres)
-    pieces = [("module", pres)]
-    for jj, e in enumerate(resolution.ext_presentations(res, max_j=ring.nx)):
-        pieces.append(("ext%d" % jj, e))
-    pieces.append(("top_dual", resolution.top_dual_cokernel(res)))
     acc = None
     detail = {}
+    if pres.ngens == 0:
+        detail["module"] = ["1"]  # the zero module is free everywhere
+    else:
+        detail["module"] = module["ideal_strings"]
+        acc = _union(None, module["ideal"], ring)
+    pieces = [("ext%d" % jj, e) for jj, e in
+              enumerate(resolution.ext_presentations(res, max_j=ring.nx))]
+    pieces.append(("top_dual", resolution.top_dual_cokernel(res)))
     for name, piece in pieces:
         if piece.ngens == 0:
-            detail[name] = ["1"]  # the zero module is free everywhere
+            detail[name] = ["1"]
             continue
-        info = module if name == "module" else nonfree_locus(piece, window=window, slack=slack)
+        info = nonfree_locus(piece, window=window, slack=slack)
         detail[name] = info["ideal_strings"]
         acc = _union(acc, info["ideal"], ring)
     gens = [ring.one()] if acc is None else acc
