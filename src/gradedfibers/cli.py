@@ -171,6 +171,10 @@ class _Env:
 def _cmd_invariants(env, cmd, opts):
     pres = env.presentation(cmd["target"])
     point = env.fiber(cmd["fiber"])
+    if pres.ring.nz and (point is None or point.kind != "rational"):
+        # a generic fiber keeps its parameters, and the duality route
+        # behind the invariants runs over a field only
+        raise AlgebraError("invariants need a field base or a rational fiber point")
     if point is not None:
         pres = pres.evaluate(point)
     inv = localcohom.cohomology_invariants(pres)

@@ -1,18 +1,21 @@
 """Graded local cohomology supported in the positively graded block.
 
-The working route resolves the module once (free_resolution_for_cohomology),
-applies top local cohomology to each free term (inverse-monomial strands)
-and reads off homology ranks strand by strand.  Over a field that is
-exact; over a parameter base it computes the generic fiber together with
-certifying minors.  cohomology_strands is the one place that pairs
-strands with cohomological indices; the jump loci read it too.
+The working route resolves the module once and minimalizes the result
+(free_resolution_for_cohomology), applies top local cohomology to each
+free term (inverse-monomial strands) and reads off homology ranks strand
+by strand.  Over a field that is exact; over a parameter base it
+computes the generic fiber together with certifying minors.
+cohomology_strands is the one place that pairs strands with
+cohomological indices; the jump loci read it too.
 
-The cross check reroutes the same resolution through graded duality
-(Ext against the canonically twisted ring) whenever the grading allows
-it, and through its minimalization otherwise.  Resolving the module a
-second time would add no independence, since resolving is
-deterministic.  Disagreement between routes is not a mathematical
-possibility; it raises DualityMismatch and means the engine is broken.
+The cross check reroutes the same minimal resolution through graded
+duality (Ext against the canonically twisted ring) whenever the grading
+allows it.  Otherwise it reruns the strand route on the raw resolution
+that the minimal one was cut down from, which differs from it by split
+exact pieces only.  Resolving the module a second time would add no
+independence, since resolving is deterministic.  Disagreement between
+routes is not a mathematical possibility; it raises DualityMismatch and
+means the engine is broken.
 """
 
 from __future__ import annotations
@@ -73,9 +76,14 @@ def free_resolution_for_cohomology(pres):
     """Resolution long enough to read off every H^i through i = 0.
 
     The one place a module is resolved for cohomology: the strand route,
-    the duality route, the Ext pieces and the jump loci all read it.
+    the duality route, the Ext pieces, the top dual and the jump loci all
+    read the complex returned.  It is the raw resolution after
+    resolution.minimalize: the minimal one over a field base, and over a
+    parameter base the raw one less its constant units, which are units
+    at every fiber.  Its raw attribute is the raw resolution, which the
+    cross check of a multigraded table reads.
     """
-    return resolution.free_resolution(pres, pres.ring.nx + 1)
+    return resolution.minimalize(resolution.free_resolution(pres, pres.ring.nx + 1))
 
 
 def duality_dims_at_degree(exts, mu):
@@ -159,6 +167,13 @@ def local_cohomology_table(pres, degrees, point=None, cross_check=True):
 
 
 def _cross_validate(res, degrees, dims):
+    """Check dims, read off the minimal resolution res, on a field base.
+
+    Singly graded, the duality route recomputes them from the Ext
+    modules of res.  Otherwise the strand route reruns on res.raw, the
+    resolution before minimalization, whose extra terms form split exact
+    pieces.
+    """
     ring = res.ring
     if ring.nz:
         return
@@ -167,9 +182,8 @@ def _cross_validate(res, degrees, dims):
         what = "strand route %d vs duality route %d"
         others = [duality_dims_at_degree(exts, mu) for mu in degrees]
     else:
-        mres = resolution.minimalize(res)
-        what = "raw resolution %d vs minimal %d"
-        others = [route_dims_at_degree(mres, mu)[0] for mu in degrees]
+        what = "minimal resolution %d vs raw %d"
+        others = [route_dims_at_degree(res.raw, mu)[0] for mu in degrees]
     for mu, other in zip(degrees, others):
         for i in range(ring.nx + 1):
             if dims[(i, mu)] != other[i]:

@@ -1,13 +1,16 @@
 """Free resolutions, duals and Ext presentations.
 
-Resolutions are built stepwise from kernel Groebner bases.  The Ext
-modules and the top dual cokernel are read off a resolution the caller
-already holds; they never resolve the module themselves.  minimalize
+Resolutions are built stepwise from kernel Groebner bases, which leaves
+them far from minimal: the rational quartic resolves with ranks
+[1, 4, 9, 15, 20, 22] against a minimal [1, 4, 4, 1].  minimalize
 cancels the unit entries (nonzero constants) through the unit-pivot
 kernel of linalg, over any base.  Over a field the result is the minimal
-resolution; over a parameter base it need not be minimal, since minimal
-resolutions need not exist globally, and the stepwise kernels already
-give exactness wherever we use it.
+resolution; over a parameter base it prunes only the constant units,
+which are units at every fiber, since minimal resolutions need not exist
+globally.  The result keeps the raw complex it came from, which
+localcohom reads as the independent check of the minimal one.  The Ext
+modules and the top dual cokernel are read off a resolution the caller
+already holds; they never resolve the module themselves.
 """
 
 from __future__ import annotations
@@ -19,13 +22,18 @@ from . import groebner, linalg
 
 
 class Complex:
-    """A chain complex of free modules: maps[i-1] is d_i : F_i -> F_{i-1}."""
+    """A chain complex of free modules: maps[i-1] is d_i : F_i -> F_{i-1}.
 
-    __slots__ = ("modules", "maps")
+    raw is the complex that minimalize reduced to this one, None for a
+    complex built directly.
+    """
 
-    def __init__(self, modules, maps, check=False):
+    __slots__ = ("modules", "maps", "raw")
+
+    def __init__(self, modules, maps, check=False, raw=None):
         self.modules = list(modules)
         self.maps = list(maps)
+        self.raw = raw
         if len(self.modules) != len(self.maps) + 1:
             raise AlgebraError("a complex needs one more module than maps")
         if check:
@@ -119,7 +127,9 @@ def free_resolution(pres, length):
 def minimalize(complex_):
     """Homotopy-reduce away unit entries; minimal over a field.
 
-    Stage by stage from d_1 up, linalg.unit_pivots cancels the unit
+    The result is homotopy equivalent to complex_, so both have the same
+    homology, also after top local cohomology or dualizing, and it keeps
+    complex_ as its raw.  Stage by stage from d_1 up, linalg.unit_pivots cancels the unit
     entries of d_i and replaces d_i by the Schur complement of its
     pivots.  A pivot at row r, column c of d_i drops basis element r of
     F_{i-1}, a column of d_{i-1}, and basis element c of F_i, a row of
@@ -155,7 +165,7 @@ def minimalize(complex_):
         target = modules[i - 1]
         maps.append(FreeMap(modules[i], target, [Vector(target, d) for d in cols],
                             check=False))
-    return Complex(modules, maps)
+    return Complex(modules, maps, raw=complex_)
 
 
 def _sparse_rows(fmap, rows):

@@ -14,6 +14,7 @@ import pytest
 
 from gradedfibers import cli, script
 from gradedfibers.errors import DualityMismatch, InvalidFiber
+from gradedfibers.modules import Presentation
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -26,6 +27,7 @@ CASES = {
     "rees_qq": 0,
     "quotient_qq": 0,
     "module_powers": 0,
+    "quartic_qq": 0,
     "bad_window": 1,
 }
 
@@ -75,3 +77,22 @@ def test_specialize_drops_zero_generators(tmp_path):
     for payload in (zero, plain):
         del payload["index"], payload["target"]
     assert zero == plain
+
+
+@pytest.mark.parametrize("fiber", ["", " at H"])
+def test_invariants_over_a_parameter_base_ask_for_a_rational_point(fiber, tmp_path,
+                                                                  monkeypatch):
+    # the duality route needs a field; the generic fiber keeps its
+    # parameters, so the command is refused as input before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("invariants specialized the module")
+
+    monkeypatch.setattr(Presentation, "evaluate", no_work)
+    text = ("ring R base poly(QQ, t) vars x:1 y:1;\n"
+            "ideal I = (x^2, t*x*y, (t - 1)*y^2);\n"
+            "fiber H = generic(t - 1);\n"
+            "cmd invariants I%s;\n" % fiber)
+    assert cli.run(script.parse(text), out_dir=str(tmp_path)) == 1
+    error = json.loads((tmp_path / "01_invariants.json").read_text())["error"]
+    assert (error["type"], error["kind"]) == ("AlgebraError", "input")
+    assert "need a field base or a rational fiber point" in error["message"]
