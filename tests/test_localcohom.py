@@ -9,10 +9,10 @@ import random
 
 import pytest
 
-from gradedfibers.errors import AlgebraError
+from gradedfibers.errors import AlgebraError, DualityMismatch
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
-from gradedfibers.rings import make_ring
-from gradedfibers import localcohom, resolution, specialize
+from gradedfibers.rings import PrimeField, make_ring
+from gradedfibers import localcohom, loci, resolution, specialize
 
 
 R2 = make_ring(["x", "y"], [1, 1])
@@ -151,6 +151,119 @@ def test_duality_routes_share_the_resolution(monkeypatch):
     assert len(seen) == 1
     localcohom.cohomology_invariants(pres)
     assert len(seen) == 2
+
+
+# a bigraded field base: local cohomology is supported in (u, v)
+RB = make_ring(["u", "v"], [(1, 0), (1, 0)], yvars=["x", "y"],
+               ydegrees=[(0, 1), (0, 1)])
+BIGRADED_DEGREES = [(-1, 2), (-1, 6), (-4, 3), (-6, 2), (0, 0), (1, -1)]
+
+
+def bigraded_hypersurface():
+    # R/(f) presented by f, u*f and y*f: the raw resolution carries units
+    f = RB.poly("x^2*v^2 - 3*x*y*u*v + 2*y^2*u^2")
+    return Presentation.cyclic(RB, [f, RB.poly("u") * f, RB.poly("y") * f])
+
+
+def complex_kind(res):
+    return "raw" if res.raw is None else "minimal"
+
+
+def test_bigraded_table_reads_the_minimal_complex_and_checks_the_raw(monkeypatch):
+    built, routes = [], []
+    real_resolve, real_route = resolution.free_resolution, localcohom.route_dims_at_degree
+
+    def resolve(pres, length):
+        built.append(real_resolve(pres, length))
+        return built[-1]
+
+    def route(res, mu):
+        routes.append(complex_kind(res))
+        return real_route(res, mu)
+
+    monkeypatch.setattr(resolution, "free_resolution", resolve)
+    monkeypatch.setattr(localcohom, "route_dims_at_degree", route)
+    tab = localcohom.local_cohomology_table(bigraded_hypersurface(), BIGRADED_DEGREES)
+    n = len(BIGRADED_DEGREES)
+    assert routes == ["minimal"] * n + ["raw"] * n
+    # one resolution, whose raw form the check reads: ranks [1, 3, 3, 1]
+    # against the minimal [1, 1] of the table
+    assert len(built) == 1
+    assert [m.rank for m in built[0].modules] == [1, 3, 3, 1]
+    # the redundant generators change nothing: the table is that of R/(f)
+    plain = Presentation.cyclic(RB, [RB.poly("x^2*v^2 - 3*x*y*u*v + 2*y^2*u^2")])
+    assert tab.dims == table_dict(plain, BIGRADED_DEGREES)
+    assert tab.dims[(1, (-1, 2))] == 2 and tab.dims[(2, (-6, 2))] == 8
+
+
+@pytest.mark.parametrize("broken", ["minimal", "raw"])
+def test_bigraded_cross_check_catches_an_off_by_one(broken, monkeypatch):
+    real = localcohom.route_dims_at_degree
+
+    def route(res, mu):
+        dims, certs = real(res, mu)
+        if complex_kind(res) == broken and mu == (-4, 3):
+            dims = dict(dims)
+            dims[1] += 1
+        return dims, certs
+
+    monkeypatch.setattr(localcohom, "route_dims_at_degree", route)
+    with pytest.raises(DualityMismatch, match=r"H\^1 at \(-4, 3\): minimal resolution"):
+        localcohom.local_cohomology_table(bigraded_hypersurface(), BIGRADED_DEGREES)
+
+
+def test_duality_cross_check_catches_an_off_by_one(monkeypatch):
+    real = localcohom.duality_dims_at_degree
+
+    def off_by_one(exts, mu):
+        dims = real(exts, mu)
+        dims[0] += 1
+        return dims
+
+    monkeypatch.setattr(localcohom, "duality_dims_at_degree", off_by_one)
+    pres = Presentation.cyclic(R2, [R2.poly("x^2"), R2.poly("x*y")])
+    with pytest.raises(DualityMismatch, match="strand route"):
+        localcohom.local_cohomology_table(pres, [(0,), (1,)])
+
+
+QUARTIC = ("b*c - a*d", "c^3 - b*d^2", "a*c^2 - b^2*d", "b^3 - a^2*c")
+
+
+@pytest.mark.parametrize("field", [{}, {"field": PrimeField(32003)}], ids=["qq", "gf"])
+def test_quartic_reads_its_minimal_resolution(field):
+    R4 = make_ring(["a", "b", "c", "d"], [1, 1, 1, 1], **field)
+    res = localcohom.free_resolution_for_cohomology(
+        Presentation.cyclic(R4, [R4.poly(g) for g in QUARTIC]))
+    assert [m.rank for m in res.modules] == [1, 4, 4, 1]
+    assert [m.rank for m in res.raw.modules] == [1, 4, 9, 15, 20, 22]
+    if not field:  # the raw route over QQ, as the quartic_qq golden has it
+        for d in range(-4, 5):
+            assert (localcohom.route_dims_at_degree(res, (d,))
+                    == localcohom.route_dims_at_degree(res.raw, (d,))), d
+
+
+def test_constant_unit_over_a_parameter_base_is_pruned():
+    # coker [1, x; 0, t*y] is R/(t*y): pruning the constant unit leaves
+    # its unit-free presentation's resolution, table, certificate and loci
+    Rt = make_ring(["x", "y"], [1, 1], params=["t"])
+    gens = FreeModule(Rt, [(0,), (0,)])
+    unit = Presentation(FreeMap.from_columns(gens, [
+        gens.element([Rt.one(), Rt.zero()]),
+        gens.element([Rt.poly("x"), Rt.poly("t*y")])]))
+    plain = Presentation.cyclic(Rt, [Rt.poly("t*y")])
+    res = localcohom.free_resolution_for_cohomology(unit)
+    assert [m.rank for m in res.raw.modules][:2] == [2, 2]
+    assert ([m.shifts for m in res.modules]
+            == [m.shifts for m in localcohom.free_resolution_for_cohomology(plain).modules])
+    degrees = [(d,) for d in range(-3, 3)]
+    tab_unit = localcohom.local_cohomology_table(unit, degrees)
+    tab_plain = localcohom.local_cohomology_table(plain, degrees)
+    assert tab_unit.dims == tab_plain.dims
+    assert tab_unit.meta == tab_plain.meta
+    assert tab_unit.meta["certificate"] == "t"
+    jumps_unit = loci.cohomology_jump_loci(unit, degrees)
+    assert jumps_unit == loci.cohomology_jump_loci(plain, degrees)
+    assert [str(g) for g in jumps_unit["ideal"]] == ["t"]
 
 
 def test_duality_needs_standard_single_grading():
