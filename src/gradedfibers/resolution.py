@@ -127,14 +127,12 @@ def free_resolution(pres, length):
 def minimalize(complex_):
     """Homotopy-reduce away unit entries; minimal over a field.
 
-    The result is homotopy equivalent to complex_, so both have the same
-    homology, also after top local cohomology or dualizing, and it keeps
-    complex_ as its raw.  Stage by stage from d_1 up, linalg.unit_pivots cancels the unit
-    entries of d_i and replaces d_i by the Schur complement of its
-    pivots.  A pivot at row r, column c of d_i drops basis element r of
-    F_{i-1}, a column of d_{i-1}, and basis element c of F_i, a row of
-    d_{i+1}.  Dropping only deletes entries, so no stage gains a unit
-    after its turn.
+    The result keeps complex_ as its raw.  Stage by stage from d_1 up,
+    linalg.unit_pivots cancels the unit entries of d_i and replaces d_i
+    by the Schur complement of its pivots.  A pivot at row r, column c
+    of d_i drops basis element r of F_{i-1}, a column of d_{i-1}, and
+    basis element c of F_i, a row of d_{i+1}.  Dropping only deletes
+    entries, so no stage gains a unit after its turn.
     """
     ring = complex_.ring
     alive = [list(range(m.rank)) for m in complex_.modules]  # surviving basis
