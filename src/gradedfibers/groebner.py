@@ -827,8 +827,7 @@ def presentation_vecdim(pres):
     """
     ring = pres.ring
     ng = ring.ngraded
-    gb = module_gb(list(pres.relations.cols), pres.gens_module)
-    leads = _generic_leads(gb.leads(), ring)
+    leads = _generic_leads(pres.gb().leads(), ring)
     by_comp = {c: [] for c in range(pres.ngens)}
     for c, e in leads:
         by_comp[c].append(e[:ng])
@@ -911,10 +910,7 @@ def torsion_submodule(pres):
     # its kernel on F0 is exactly what dies in the double dual
     ev = _evaluation_map(f0, dual_gens, ring)
     all_torsion = kernel_gens(ev)
-    rel_cols = [c for c in phi.cols if c.data]
-    rel_gb = module_gb(rel_cols, f0) if rel_cols else None
-    visible = [v for v in all_torsion
-               if (rel_gb is None and v.data) or (rel_gb is not None and not rel_gb.contains(v))]
+    visible = [v for v in all_torsion if not pres.gb().contains(v)]
     quot_rels = list(phi.cols) + all_torsion
     quot = Presentation(FreeMap.from_columns(f0, quot_rels, check=False))
     return visible, quot
@@ -952,19 +948,12 @@ def embed_in_free(pres, seed=0):
     p = len(dual_gens)
     if p < rho:
         raise AlgebraError("dual has too few generators; module is not torsion free")
-    rel_gb = module_gb(list(phi.cols), f0) if phi.cols else None
 
     def build(selection_rows):
         return _evaluation_map(f0, selection_rows, ring)
 
     def injective_mod_rels(emb):
-        for v in kernel_gens(emb):
-            if rel_gb is None:
-                if v.data:
-                    return False
-            elif not rel_gb.contains(v):
-                return False
-        return True
+        return all(pres.gb().contains(v) for v in kernel_gens(emb))
 
     from itertools import combinations
 

@@ -8,20 +8,23 @@ computes the generic fiber together with certifying minors.
 cohomology_strands is the one place that pairs strands with
 cohomological indices; the jump loci read it too.
 
-The cross check reroutes the same minimal resolution through graded
-duality (Ext against the canonically twisted ring) whenever the grading
-allows it.  Otherwise it reruns the strand route on the raw resolution
-that the minimal one was cut down from, which differs from it by split
-exact pieces only.  Resolving the module a second time would add no
-independence, since resolving is deterministic.  Disagreement between
-routes is not a mathematical possibility; it raises DualityMismatch and
-means the engine is broken.
+Every table over a field base is cross checked; there is no switch to
+turn the check off.  The check reroutes the same minimal resolution
+through graded duality (Ext against the canonically twisted ring)
+whenever the grading allows it, reading each degree off the one
+relation basis of each Ext module.  Otherwise it reruns the strand
+route on the raw resolution that the minimal one was cut down from,
+which differs from it by split exact pieces only.  Resolving the module
+a second time would add no independence, since resolving is
+deterministic.  Disagreement between routes is not a mathematical
+possibility; it raises DualityMismatch and means the engine is broken.
 """
 
 from __future__ import annotations
 
 from .errors import AlgebraError, DualityMismatch
 from . import groebner, resolution, strands
+from .rings import squarefree_part
 
 
 class CohomologyTable:
@@ -94,11 +97,7 @@ def duality_dims_at_degree(exts, mu):
     r = ring.nx
     mu = ring.deg_tuple(mu)
     neg = tuple(-a for a in mu)
-    dims = {}
-    for i in range(r + 1):
-        ext = exts[r - i]
-        dims[i] = _presented_strand_dim(ext, neg)
-    return dims
+    return {i: groebner.quotient_strand_dim(exts[r - i].gb(), neg) for i in range(r + 1)}
 
 
 def ext_modules_for_duality(res):
@@ -107,7 +106,7 @@ def ext_modules_for_duality(res):
     _require_duality_ok(ring)
     delta = ring.canonical_twist()
     twist = tuple(-a for a in delta)
-    return resolution.ext_presentations(res, twist=twist, max_j=ring.nx)
+    return resolution.ext_presentations(res, twist=twist)
 
 
 def _require_duality_ok(ring):
@@ -116,24 +115,15 @@ def _require_duality_ok(ring):
             "the duality route needs a singly graded field-coefficient ring")
 
 
-def _presented_strand_dim(pres, mu):
-    rel_cols = [c for c in pres.relations.cols if c.data]
-    f0 = pres.gens_module
-    if f0.rank == 0:
-        return 0
-    if not rel_cols:
-        return len(strands.strand_basis(f0, mu))
-    return groebner.quotient_strand_dim(groebner.module_gb(rel_cols, f0), mu)
-
-
-def local_cohomology_table(pres, degrees, point=None, cross_check=True):
+def local_cohomology_table(pres, degrees, point=None):
     """Fiber dimensions of [H^i_m(M)]_mu for mu in degrees, i = 0..r.
 
     With a rational point the module is specialized first and everything
     is exact over the residue field.  With point=None over a parameter
     base the table describes the generic fiber and meta carries the
-    certificate locus.  cross_check reruns each strand through an
-    independent pipeline and raises DualityMismatch on disagreement.
+    certificate locus, the squarefree product of the certifying minors.
+    Over a field base every table is cross checked (_cross_validate)
+    and a disagreement raises DualityMismatch.
     """
     ring = pres.ring
     meta = {}
@@ -155,13 +145,9 @@ def local_cohomology_table(pres, degrees, point=None, cross_check=True):
                     "negative dimension %d for H^%d at %s; the strand ranks"
                     " behind it assume a prime relation ideal" % (d[i], i, mu))
             dims[(i, mu)] = d[i]
-    if cross_check:
-        _cross_validate(res, degrees, dims)
+    _cross_validate(res, degrees, dims)
     if ring.nz > 0:
-        from .specialize import _certificate_product
-
-        cert = _certificate_product(all_certs, ring)
-        meta["certificate"] = str(cert)
+        meta["certificate"] = str(squarefree_part(*all_certs, ring=ring))
     meta["max_cohomological_index"] = r
     return CohomologyTable(dims, meta)
 
@@ -170,9 +156,10 @@ def _cross_validate(res, degrees, dims):
     """Check dims, read off the minimal resolution res, on a field base.
 
     Singly graded, the duality route recomputes them from the Ext
-    modules of res.  Otherwise the strand route reruns on res.raw, the
-    resolution before minimalization, whose extra terms form split exact
-    pieces.
+    modules of res, reading every degree off each module's one relation
+    basis (Presentation.gb).  Otherwise the strand route reruns on
+    res.raw, the resolution before minimalization, whose extra terms
+    form split exact pieces.
     """
     ring = res.ring
     if ring.nz:
@@ -194,17 +181,6 @@ def _cross_validate(res, degrees, dims):
 # -- invariants -------------------------------------------------------------
 
 
-def _nonzero_presentation(pres):
-    f0 = pres.gens_module
-    if f0.rank == 0:
-        return False
-    rel_cols = [c for c in pres.relations.cols if c.data]
-    if not rel_cols:
-        return True
-    gb = groebner.module_gb(rel_cols, f0)
-    return any(not gb.contains(f0.basis_vector(i)) for i in range(f0.rank))
-
-
 def cohomology_invariants(pres):
     """Exact invariants over a field: per-index top degrees, Krull
     dimension, depth, and regularity, all through the duality route."""
@@ -216,7 +192,8 @@ def cohomology_invariants(pres):
     nonzero = {}
     for i in range(r + 1):
         ext = exts[r - i]
-        if not _nonzero_presentation(ext):
+        f0 = ext.gens_module
+        if all(ext.gb().contains(f0.basis_vector(k)) for k in range(f0.rank)):
             tops[i] = None
             nonzero[i] = False
             continue

@@ -14,8 +14,13 @@ from __future__ import annotations
 
 from .errors import AlgebraError, InvalidFiber
 from . import groebner, localcohom, resolution, strands
-from .rings import irreducible_factors
+from .rings import irreducible_factors, squarefree_part
 from .specialize import FiberPoint, sample_rational_point
+
+# nonfree_locus grows an open window until the accumulated ideal has not
+# changed for STABLE_SPAN consecutive degrees, by at most MAX_GROW degrees
+MAX_GROW = 24
+STABLE_SPAN = 3
 
 
 def _squarefree_gens(gens):
@@ -96,11 +101,11 @@ def presentation_defect_at(res, mu, ring):
     return defect_locus(sm2, sm1, v, ring)
 
 
-def nonfree_locus(pres, window=None, slack=2, max_grow=24, stable_span=3):
+def nonfree_locus(pres, window=None, slack=2):
     """Ideal of base points where some strand of the module jumps.
 
     Scans the degree window (auto-grown until the accumulated ideal is
-    stable for stable_span consecutive degrees on the high end; the low
+    stable for STABLE_SPAN consecutive degrees on the high end; the low
     end is exact since strands vanish below the smallest shift) and
     intersects the per-degree defect loci.
 
@@ -138,7 +143,7 @@ def nonfree_locus(pres, window=None, slack=2, max_grow=24, stable_span=3):
         steps = 0
         stabilized = False
         mu = hi
-        while steps < max_grow:
+        while steps < MAX_GROW:
             mu += 1
             steps += 1
             used.append(mu)
@@ -146,7 +151,7 @@ def nonfree_locus(pres, window=None, slack=2, max_grow=24, stable_span=3):
                 stable = 0
             else:
                 stable += 1
-                if stable >= stable_span:
+                if stable >= STABLE_SPAN:
                     stabilized = True
                     break
     gens = [ring.one()] if acc is None else acc
@@ -164,24 +169,33 @@ def _union(acc, gens, ring):
     """Ideal of the union of the locus acc with the locus of gens.
 
     acc None is the empty start; [] is the whole base, which absorbs.
+    A side holding a unit is the empty locus, so the union is the other
+    side, as the reduced basis that intersect_ideals would return.
     """
     if acc == [] or not gens:
         return []
     if acc is None:
         return gens
+    if _has_unit(acc):
+        return groebner.ideal_gb(gens, ring=ring)
+    if _has_unit(gens):
+        return groebner.ideal_gb(acc, ring=ring)
     return groebner.intersect_ideals(acc, gens, ring)
+
+
+def _has_unit(gens):
+    # constant_value() is None off the constants and 0 for the zero poly
+    return any(g.constant_value() for g in gens)
 
 
 def _is_unit_ideal(gens, ring):
     if not gens:
         return False  # zero ideal: the locus is everything
-    gb = groebner.ideal_gb(list(gens), ring=ring)
-    return any(g.constant_value() is not None and not g.is_zero() and
-               g.constant_value() for g in gb)
+    return _has_unit(groebner.ideal_gb(list(gens), ring=ring))
 
 
-def cohomology_jump_loci(pres, degrees, indices=None):
-    """Union over degrees (and cohomological indices) of the jump loci.
+def cohomology_jump_loci(pres, degrees):
+    """Union over degrees and cohomological indices of the jump loci.
 
     The jump locus of [H^i]_mu is where its fiber dimension exceeds the
     generic value, that is where the ranks of the two inverse strands
@@ -193,18 +207,12 @@ def cohomology_jump_loci(pres, degrees, indices=None):
     ring = pres.ring
     if not ring.base_is_domain:
         raise AlgebraError("per-component analysis is needed over a reducible base")
-    r = ring.nx
-    indices = range(r + 1) if indices is None else list(indices)
-    if any(not 0 <= i <= r for i in indices):
-        raise AlgebraError("cohomological index out of range")
     res = localcohom.free_resolution_for_cohomology(pres)
     acc = None
     detail = {}
     for mu in degrees:
         mu = ring.deg_tuple(mu)
-        pairs = localcohom.cohomology_strands(res, mu)
-        for i in indices:
-            lam_in, lam_out = pairs[i]
+        for i, (lam_in, lam_out) in enumerate(localcohom.cohomology_strands(res, mu)):
             target = lam_out.generic_rank()[0] + lam_in.generic_rank()[0]
             gens = defect_locus(lam_in, lam_out, target, ring)
             detail[(i, mu)] = [str(g) for g in gens]
@@ -232,7 +240,7 @@ def duality_exclusion_locus(pres, window=None, slack=2):
         detail["module"] = module["ideal_strings"]
         acc = _union(None, module["ideal"], ring)
     pieces = [("ext%d" % jj, e) for jj, e in
-              enumerate(resolution.ext_presentations(res, max_j=ring.nx))]
+              enumerate(resolution.ext_presentations(res))]
     pieces.append(("top_dual", resolution.top_dual_cokernel(res)))
     for name, piece in pieces:
         if piece.ngens == 0:
@@ -247,16 +255,6 @@ def duality_exclusion_locus(pres, window=None, slack=2):
 
 
 # -- radicals and components (parameter-only ideals) -------------------------
-
-
-def squarefree_part(p):
-    """Product of the distinct irreducible factors, content dropped."""
-    if p.is_zero():
-        return p
-    acc = p.ring.one()
-    for f in irreducible_factors(p):
-        acc = acc * f
-    return acc.primitive()
 
 
 def locus_radical(gens, ring):
@@ -303,12 +301,12 @@ def _not_in_component(g, prime_gb, ring):
 # -- constancy harness -------------------------------------------------------
 
 
-def constancy_report(pres, degrees, seed=0, samples=2, avoid=(), cross_check=True):
+def constancy_report(pres, degrees, seed=0, samples=2):
     """Fiber cohomology across the components of the base.
 
     For every minimal prime the generic point of its component gives the
     per-component table; rational sample points on the component (off
-    the avoided locus and off the other components) must reproduce it.
+    the other components) must reproduce it.
     Returns per-component dims, the sample evidence, and whether the
     function is constant within components and across them.  A component
     where samples were asked for and no rational point was found has
@@ -319,7 +317,7 @@ def constancy_report(pres, degrees, seed=0, samples=2, avoid=(), cross_check=Tru
 
     ring = pres.ring
     if ring.nz == 0:
-        table = localcohom.local_cohomology_table(pres, degrees, cross_check=cross_check)
+        table = localcohom.local_cohomology_table(pres, degrees)
         return {
             "components": {"(field base)": {
                 "generic_dims": sorted_dims(table),
@@ -339,8 +337,7 @@ def constancy_report(pres, degrees, seed=0, samples=2, avoid=(), cross_check=Tru
     for prime in comps:
         key = "(" + ", ".join(str(q) for q in prime) + ")" if prime else "(0)"
         point = FiberPoint.generic(ring, list(prime)) if prime else None
-        table = localcohom.local_cohomology_table(
-            pres, degrees, point=point, cross_check=cross_check)
+        table = localcohom.local_cohomology_table(pres, degrees, point=point)
         gdims = sorted_dims(table)
         sample_rows = []
         ok = True
@@ -356,12 +353,10 @@ def constancy_report(pres, degrees, seed=0, samples=2, avoid=(), cross_check=Tru
         rng = random.Random(seed)  # a component's samples do not hang on the others
         for _ in range(samples):
             try:
-                pt = sample_rational_point(
-                    ring, rng, avoid=list(avoid) + other_avoid, on=list(prime))
+                pt = sample_rational_point(ring, rng, avoid=other_avoid, on=list(prime))
             except InvalidFiber:
                 break  # no rational points found on this component
-            t2 = localcohom.local_cohomology_table(
-                pres, degrees, point=pt, cross_check=cross_check)
+            t2 = localcohom.local_cohomology_table(pres, degrees, point=pt)
             sdims = sorted_dims(t2)
             match = sdims == gdims
             ok = ok and match

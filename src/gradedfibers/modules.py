@@ -335,12 +335,16 @@ class Presentation:
 
     Generators are the target basis vectors of the relation map; the
     module is zero exactly when every generator reduces to the image.
+    The reduced Groebner basis of the relations belongs to the
+    presentation: gb() builds it on first use, so every count, membership
+    test and normal form read off one presentation shares one basis.
     """
 
-    __slots__ = ("relations",)
+    __slots__ = ("relations", "_gb")
 
     def __init__(self, relations):
         self.relations = relations
+        self._gb = None
 
     @classmethod
     def of_free(cls, module):
@@ -356,7 +360,9 @@ class Presentation:
         for g in ideal_gens:
             g = ring.poly(g)
             cols.append(target.element([g]))
-        return cls(FreeMap.from_columns(target, cols))
+        # the shifts are the columns' own degrees, which already rejects a
+        # non-homogeneous generator, so the map needs no second check
+        return cls(FreeMap.from_columns(target, cols, check=False))
 
     @property
     def ring(self):
@@ -369,6 +375,15 @@ class Presentation:
     @property
     def ngens(self):
         return self.relations.target.rank
+
+    def gb(self):
+        """Reduced Groebner basis of the relations inside the generator
+        module, memoized; empty when there are no nonzero relations."""
+        if self._gb is None:
+            from .groebner import module_gb
+
+            self._gb = module_gb(self.relations.cols, self.gens_module)
+        return self._gb
 
     def evaluate(self, fiber):
         return Presentation(self.relations.evaluate(fiber))

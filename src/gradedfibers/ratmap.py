@@ -9,6 +9,12 @@ fiber multiplicity and the j-multiplicity.  The limits in the
 definitions become finite differences with an explicit stability rule:
 the last two difference values must agree, otherwise UnstableLimit asks
 for a larger cutoff instead of extrapolating silently.
+
+Every ideal whose strands are counted (the image ideal, each power I^k
+and each saturation I^k : m^inf) is kept as a cyclic Presentation, so
+its reduced Groebner basis is built once (Presentation.gb) and serves
+every degree.  The identity e_sat = degY degG is asserted in one place,
+saturated_fiber_multiplicity.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from .errors import (AlgebraError, BaseNotDomain, InvalidFiber,
                      NotGenericallyFinite, NotHomogeneous, NotStandardGraded,
                      UnstableLimit)
 from . import groebner
-from .rings import transfer
-from .specialize import _power_products
+from .modules import Presentation
+from .rings import squarefree_part, transfer
 
 
 class RationalMap:
@@ -97,20 +103,6 @@ def _forms_at(ring, forms, point):
     return fring, [point.evaluate(g) for g in forms]
 
 
-def _ideal_gb_object(gens, ring):
-    module, vecs = groebner._as_ideal_vectors(
-        [g for g in gens if not g.is_zero()], ring)
-    return groebner.module_gb(vecs, module=module)
-
-
-def _ideal_strand_dim(gens, deg, ring):
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return 0
-    gb = _ideal_gb_object(gens, ring)
-    return groebner.submodule_strand_dim(gb, deg)
-
-
 # -- the special fiber ring --------------------------------------------------
 
 
@@ -140,7 +132,7 @@ def _image_data(rmap, point):
     elim = groebner.eliminate_ideal(rel, list(fring.xnames), ring=big)
     tring = fring.with_graded(ynames, [1] * m)
     gens = [transfer(g, tring) for g in elim]
-    gb = _ideal_gb_object(gens, tring)
+    gb = Presentation.cyclic(tring, gens).gb()
     spread = groebner.quotient_dimension(gb)
     data = {
         "fring": fring,
@@ -189,9 +181,32 @@ def image_degree(rmap, point=None):
 # -- powers and their first local cohomology ---------------------------------
 
 
+def _power_products(gens, k, ring):
+    """Generators of the k-th power: the distinct nonzero products of k
+    of the generators, repetition allowed, in the order of first appearance."""
+    level = {(): ring.one()}
+    for _ in range(k):
+        level = {combo + (j,): p * gens[j] for combo, p in level.items()
+                 for j in range(combo[-1] if combo else 0, len(gens))}
+    out = []
+    seen = set()
+    for p in level.values():
+        key = tuple(sorted(p.terms.items()))
+        if p.terms and key not in seen:
+            seen.add(key)
+            out.append(p)
+    return out
+
+
+def _gens(pres):
+    """The generators of the ideal a cyclic presentation divides out."""
+    return [col.component(0) for col in pres.relations.cols]
+
+
 class _Powers:
     """The powers I^k of one ideal over one fiber ring, and their
-    saturations I^k : m^inf, each computed at most once."""
+    saturations I^k : m^inf, each computed at most once and kept as a
+    cyclic presentation, whose relation basis is then built at most once."""
 
     __slots__ = ("ring", "gens", "_powers", "_saturated")
 
@@ -203,14 +218,15 @@ class _Powers:
 
     def power(self, k):
         if k not in self._powers:
-            self._powers[k] = _power_products(self.gens, k, self.ring)
+            self._powers[k] = Presentation.cyclic(
+                self.ring, _power_products(self.gens, k, self.ring))
         return self._powers[k]
 
     def saturated(self, k):
         if k not in self._saturated:
             xgens = [self.ring.var(n) for n in self.ring.xnames]
-            self._saturated[k] = groebner.saturate_ideal(self.power(k), xgens,
-                                                         ring=self.ring)
+            sat = groebner.saturate_ideal(_gens(self.power(k)), xgens, ring=self.ring)
+            self._saturated[k] = Presentation.cyclic(self.ring, sat)
         return self._saturated[k]
 
 
@@ -241,8 +257,8 @@ def power_h1_dims(rmap, point=None, cutoff=None):
     out = []
     for k in range(1, cutoff + 1):
         deg = (k * d,)
-        out.append(_ideal_strand_dim(powers.saturated(k), deg, fring)
-                   - _ideal_strand_dim(powers.power(k), deg, fring))
+        out.append(groebner.submodule_strand_dim(powers.saturated(k).gb(), deg)
+                   - groebner.submodule_strand_dim(powers.power(k).gb(), deg))
     return out
 
 
@@ -265,33 +281,32 @@ def map_degree(rmap, point=None, cutoff=None):
     return {"degG": 1 + v // degY, "degY": degY, "h1_dims": dims}
 
 
-def saturated_fiber_multiplicity(rmap, point=None, cutoff=None, check=True):
+def saturated_fiber_multiplicity(rmap, point=None, cutoff=None):
     """Multiplicity of the saturated special fiber algebra.
 
     Hilbert values are dim [(I^n : m^inf)]_{n d}; the multiplicity is
-    the stabilized r-th difference.  With check=True the product
-    identity against deg(Y) deg(G) is asserted.
+    the stabilized r-th difference.  The identity e_sat = deg(Y) deg(G)
+    is asserted against map_degree at the same cutoff, which reads the
+    same saturated powers and their bases from the map's cache.
     """
     data = _image_data(rmap, point)
     if data["spread"] != data["fring"].nx:
         raise NotGenericallyFinite("saturated fiber multiplicity needs a finite map")
     powers = _map_powers(rmap, point)
     fring = powers.ring
-    if cutoff is None:
-        cutoff = _default_cutoff(fring) + 2
+    sat_cutoff = _default_cutoff(fring) + 2 if cutoff is None else cutoff
     d = rmap.form_degree
     r = fring.nx - 1
-    vals = [_ideal_strand_dim(powers.saturated(n), (n * d,), fring)
-            for n in range(1, cutoff + 1)]
+    vals = [groebner.submodule_strand_dim(powers.saturated(n).gb(), (n * d,))
+            for n in range(1, sat_cutoff + 1)]
     e = _stable_tail(vals, r)
     if e is None:
         raise UnstableLimit("saturated Hilbert values not stabilized; raise the cutoff")
-    if check:
-        md = map_degree(rmap, point, cutoff=None)
-        if e != md["degY"] * md["degG"]:
-            raise AlgebraError(
-                "multiplicity identity failed: e=%d, degY=%d, degG=%d"
-                % (e, md["degY"], md["degG"]))
+    md = map_degree(rmap, point, cutoff=cutoff)
+    if e != md["degY"] * md["degG"]:
+        raise AlgebraError(
+            "multiplicity identity failed: e=%d, degY=%d, degG=%d"
+            % (e, md["degY"], md["degG"]))
     return e
 
 
@@ -321,13 +336,11 @@ def _j_multiplicity(powers, cutoff):
     r = fring.nx - 1
     vals = []
     for n in range(1, cutoff + 1):
-        jn = powers.power(n)
-        jn1 = powers.power(n + 1)
-        num = groebner.intersect_ideals(powers.saturated(n + 1), jn, fring)
+        num = groebner.intersect_ideals(_gens(powers.saturated(n + 1)),
+                                        _gens(powers.power(n)), fring)
         one_module, num_vecs = groebner._as_ideal_vectors(num, fring)
-        _m, den_vecs = groebner._as_ideal_vectors(jn1, fring)
         pres, _incl = groebner.subquotient_presentation(
-            num_vecs, den_vecs, one_module)
+            num_vecs, powers.power(n + 1).relations.cols, one_module)
         length = groebner.presentation_vecdim(pres)
         if length is None:
             raise AlgebraError("torsion piece of J^n/J^n+1 came out infinite")
@@ -347,12 +360,10 @@ def hilbert_samuel_multiplicity(ring, ideal_gens, point=None, cutoff=None):
     gens = [g for g in gens if not g.is_zero()]
     if cutoff is None:
         cutoff = _default_cutoff(fring) + 2
-    from .modules import Presentation
-
+    powers = _Powers(fring, gens)
     vals = []
     for n in range(1, cutoff + 1):
-        pres = Presentation.cyclic(fring, _power_products(gens, n, fring))
-        length = groebner.presentation_vecdim(pres)
+        length = groebner.presentation_vecdim(powers.power(n))
         if length is None:
             raise AlgebraError("the ideal is not primary to the irrelevant ideal")
         vals.append(length)
@@ -398,7 +409,7 @@ def preimage_count(rmap, point=None, seed=0, tries=40):
         if not minors:
             raise NotGenericallyFinite("the map is constant: no fiber equations")
         sat = groebner.saturate_ideal(minors, [forms[j0]], ring=fring)
-        gb = _ideal_gb_object(sat, fring)
+        gb = Presentation.cyclic(fring, sat).gb()
         if groebner.quotient_dimension(gb) != 1:
             continue  # positive dimensional fiber: pick another target
         vals = [groebner.quotient_strand_dim(gb, (n,)) for n in range(fring.nx + 3)]
@@ -415,8 +426,6 @@ def preimage_count(rmap, point=None, seed=0, tries=40):
         if fring.nx == 2:
             if len(sat) != 1:
                 continue
-            from .loci import squarefree_part
-
             distinct = fring.degree_of(squarefree_part(sat[0]))[0]
             if distinct != v:
                 continue  # branch target: multiplicities present
@@ -459,12 +468,7 @@ def fiber_invariants(rmap, point=None, cutoff=None):
             out["degY"] = md["degY"]
             out["degG"] = md["degG"]
             out["power_table"] = md["h1_dims"]
-            e = saturated_fiber_multiplicity(rmap, point, cutoff=cutoff, check=False)
-            out["e_sat"] = e
-            if e != md["degY"] * md["degG"]:
-                raise AlgebraError(
-                    "multiplicity identity failed: e=%d, degY=%d, degG=%d"
-                    % (e, md["degY"], md["degG"]))
+            out["e_sat"] = saturated_fiber_multiplicity(rmap, point, cutoff=cutoff)
         except UnstableLimit:
             out["stable"] = False
     try:

@@ -195,21 +195,18 @@ def minimal_generator_degrees(pres):
     return list(minimal_presentation(pres).gens_module.shifts)
 
 
-def ext_presentations(res, twist=None, max_j=None):
-    """Presentations of Ext^j(M, R(twist)) for j = 0..max_j, read off a
-    resolution res of M.
+def ext_presentations(res, twist=None):
+    """Presentations of Ext^j(M, R(twist)) for j = 0..r, read off a
+    resolution res of M, where r = nx is the cohomological range that
+    local duality needs.
 
-    max_j defaults to the number of positively graded generators of the
-    x block, the cohomological range relevant downstream.  res must
-    reach past max_j (length at least max_j + 1) or have ended, as
-    localcohom.free_resolution_for_cohomology's does for the default.
+    res must reach past r (length at least r + 1) or have ended, as
+    localcohom.free_resolution_for_cohomology's does.
     """
     ring = res.ring
     if twist is None:
         twist = ring.zero_degree()
-    if max_j is None:
-        max_j = ring.nx
-    return [_ext_at(res, j, twist) for j in range(max_j + 1)]
+    return [_ext_at(res, j, twist) for j in range(ring.nx + 1)]
 
 
 def _ext_at(res, j, twist):
@@ -236,7 +233,7 @@ def _ext_at(res, j, twist):
     return present
 
 
-def top_dual_cokernel(res, twist=None):
+def top_dual_cokernel(res):
     """Cokernel of the transposed last differential one past the x count.
 
     For a resolution res = F_{r+1} -> F_r -> ... of M this is
@@ -245,9 +242,6 @@ def top_dual_cokernel(res, twist=None):
     """
     ring = res.ring
     r = ring.nx
-    if twist is None:
-        twist = ring.zero_degree()
     if res.length < r + 1:
         return Presentation.of_free(FreeModule(ring, []))
-    d = res.map(r + 1).transpose(twist)
-    return Presentation(d)
+    return Presentation(res.map(r + 1).transpose())

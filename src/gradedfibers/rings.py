@@ -39,6 +39,7 @@ __all__ = [
     "make_ring",
     "transfer",
     "irreducible_factors",
+    "squarefree_part",
 ]
 
 
@@ -283,6 +284,7 @@ class Ring:
         "_fiber_ring",
         "_mono_cache",
         "_inv_mono_cache",
+        "_factors",
         "_key",
     )
 
@@ -307,6 +309,7 @@ class Ring:
         self._fiber_ring = None
         self._mono_cache = {}
         self._inv_mono_cache = {}
+        self._factors = {}  # irreducible_factors' memo, keyed by terms
         self._key = order.key
 
     # -- identity ------------------------------------------------------
@@ -361,10 +364,6 @@ class Ring:
             return self._name_index[name]
         except KeyError:
             raise AlgebraError("no variable named %r in %r" % (name, self)) from None
-
-    @property
-    def is_param_free(self):
-        return self.nz == 0
 
     @property
     def base_is_domain(self):
@@ -741,11 +740,6 @@ class Poly:
 
     def degree(self):
         return self.ring.degree_of(self)
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -1179,12 +1173,27 @@ def irreducible_factors(p):
     There is no multivariate factorization over GF(p) here, so there the
     list holds the primitive part of p alone.  A constant, zero included,
     has no factors and never reaches sympy.
+
+    Factorizations are memoized on p's ring, keyed by p's terms, so each
+    distinct poly reaches sympy at most once per ring.  Each factor
+    returned is recorded as its own factorization, so asking whether a
+    factor is prime costs no sympy call.  That record is skipped when
+    reducing a factor modulo the base relations changed it, since the
+    reduced poly need not be irreducible.
     """
     ring = p.ring
     if p.constant_value() is not None:
         return []
     if ring.field.char:
         return [p.primitive()]
+    key = frozenset(p.terms.items())
+    if key not in ring._factors:
+        ring._factors[key] = _sympy_factors(p)
+    return list(ring._factors[key])
+
+
+def _sympy_factors(p):
+    ring = p.ring
     used = [i for i in range(ring.nvars) if any(e[i] for e in p.terms)]
     import sympy
 
@@ -1201,8 +1210,30 @@ def irreducible_factors(p):
             for i, a in zip(used, e):
                 exps[i] = a
             terms[tuple(exps)] = Fraction(int(c.p), int(c.q))
-        out.append(Poly(ring, terms).primitive())
+        f = Poly(ring, terms)
+        exact = f.terms == terms
+        f = f.primitive()
+        if exact:
+            ring._factors.setdefault(frozenset(f.terms.items()), [f])
+        out.append(f)
     return out
+
+
+def squarefree_part(*polys, ring=None):
+    """Squarefree part of the product of polys: the product of their
+    distinct irreducible factors, content dropped.
+
+    Zero when one of the polys is zero, and one of ring when there are
+    none.  Certificates are such products over the certifying minors of
+    a computation.
+    """
+    ring = polys[0].ring if polys else ring
+    if any(p.is_zero() for p in polys):
+        return ring.zero()
+    acc = ring.one()
+    for f in dict.fromkeys(f for p in polys for f in irreducible_factors(p)):
+        acc = acc * f
+    return acc.primitive()
 
 
 def transfer(p, target, rename=None):

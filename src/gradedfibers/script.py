@@ -492,9 +492,6 @@ class SessionScript:
                 and self.declarations == other.declarations
                 and self.commands == other.commands)
 
-    def to_dict(self):
-        return {"declarations": self.declarations, "commands": self.commands}
-
     @property
     def ring_decl(self):
         for d in self.declarations:

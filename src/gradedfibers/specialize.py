@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 
 from .errors import AlgebraError, BaseNotDomain, InvalidFiber, NoRank, NotOnVariety
 from .modules import FreeModule, FreeMap, Presentation
-from .rings import Poly, irreducible_factors, transfer
+from .rings import Poly, irreducible_factors, squarefree_part, transfer
 from . import groebner, resolution, strands
 
 
@@ -59,8 +59,10 @@ class FiberPoint:
         Over QQ a single generator is checked to be one irreducible factor
         of multiplicity one, or to lie in the relations of a domain base
         (it then cuts out the whole base); several generators are taken
-        on trust.  Evaluation transfers elements into the ring with the
-        prime adjoined to the base relations, so ranks and bases over the
+        on trust.  A factor that irreducible_factors returned is its own
+        memoized factorization, so checking it costs no sympy call.
+        Evaluation transfers elements into the ring with the prime
+        adjoined to the base relations, so ranks and bases over the
         residue field come out of the usual generic-fiber machinery.
         """
         gens = [ring.poly(g) for g in prime_gens]
@@ -159,19 +161,20 @@ def _int_pow(v, a, field):
     return out
 
 
-def sample_rational_point(ring, rng, avoid=(), on=(), tries=800):
+def sample_rational_point(ring, rng, avoid=(), on=()):
     """Seeded search for a rational base point.
 
     Coordinates come from a slowly growing integer box.  The point must
     satisfy the base relations and every polynomial in `on`, and must
     miss every polynomial in `avoid`.  Raises InvalidFiber when the
-    budget runs out, which callers treat as "no accessible point".
+    budget of 800 draws runs out, which callers treat as "no accessible
+    point".
     """
     if ring.nz == 0:
         raise InvalidFiber("the base is a field; there is nothing to sample")
     avoid = [ring.poly(a) for a in avoid]
     on = [ring.poly(a) for a in on]
-    for attempt in range(tries):
+    for attempt in range(800):
         box = 2 + attempt // 40
         vals = [rng.randint(-box, box) for _ in range(ring.nz)]
         try:
@@ -205,37 +208,6 @@ def _torsion_free_embedding(pres, seed=0):
     except AlgebraError as exc:
         raise NoRank(str(exc))
     return tf, emb
-
-
-def _certificate_product(polys, ring):
-    """Squarefree product of the distinct irreducible factors."""
-    seen = set()
-    acc = ring.one()
-    for p in polys:
-        for f in irreducible_factors(p):
-            key = tuple(sorted(f.terms.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            acc = acc * f
-    return acc.primitive()
-
-
-def _power_products(gens, k, ring):
-    """Generators of the k-th power: the distinct nonzero products of k
-    of the generators, repetition allowed, in the order of first appearance."""
-    level = {(): ring.one()}
-    for _ in range(k):
-        level = {combo + (j,): p * gens[j] for combo, p in level.items()
-                 for j in range(combo[-1] if combo else 0, len(gens))}
-    out = []
-    seen = set()
-    for p in level.values():
-        key = tuple(sorted(p.terms.items()))
-        if p.terms and key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
 
 
 class PowersBundle:
@@ -336,15 +308,15 @@ def rees_powers(source, ring=None, seed=0):
     return PowersBundle(ring, kind, emb, tf, max(mus) if mus else 0)
 
 
-def generic_agreement_certificate(bundle, ks, degrees, rng=None, samples=6):
+def generic_agreement_certificate(bundle, ks, degrees, samples=6):
     """Parameter element over whose complement power strands stay generic.
 
     Every tested (k, degree) strand of the power is a matrix over the
     base; the certifying minors of their generic ranks multiply into one
     element a.  Fibers with a != 0 keep all tested strand dimensions, and
-    the verdict checks that claim on sampled rational points.  Sampling
-    failures are reported, not raised; counterexamples mean the tested
-    window was too small to see the whole structure.
+    the verdict checks that claim on rational points drawn with seed 0.
+    Sampling failures are reported, not raised; counterexamples mean the
+    tested window was too small to see the whole structure.
     """
     ring = bundle.ring
     if not ring.base_is_domain:
@@ -359,7 +331,7 @@ def generic_agreement_certificate(bundle, ks, degrees, rng=None, samples=6):
             rank, minor = sm.generic_rank()
             generic_dims[(k, deg)] = rank
             minors.append(minor)
-    cert = _certificate_product(minors, ring)
+    cert = squarefree_part(*minors, ring=ring)
     out = {
         "certificate": cert,
         "generic_dims": generic_dims,
@@ -371,7 +343,7 @@ def generic_agreement_certificate(bundle, ks, degrees, rng=None, samples=6):
         return out
     import random
 
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     avoid = [] if cert.constant_value() is not None else [cert]
     for _ in range(samples):
         try:
@@ -398,7 +370,7 @@ def power_dims_at(bundle, ks, degrees, point):
     dims = {}
     for k in ks:
         module, vectors = bundle.power_vectors(k, point)
-        gb = groebner.module_gb(vectors, module) if vectors else None
+        gb = groebner.module_gb(vectors, module)
         for deg in degrees:
-            dims[(k, deg)] = 0 if gb is None else groebner.submodule_strand_dim(gb, deg)
+            dims[(k, deg)] = groebner.submodule_strand_dim(gb, deg)
     return dims

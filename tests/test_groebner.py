@@ -197,6 +197,27 @@ def test_quotient_vecdim():
     assert groebner.presentation_vecdim(pres) == 3  # 1, x, y
 
 
+@pytest.mark.parametrize("base", [{}, {"params": ["t"], "relations": ["t^2 - t"]}],
+                         ids=["field", "relation"])
+def test_presentation_gb_is_the_relation_basis(base):
+    R = make_ring(["x", "y"], [1, 1], **base)
+    F = FreeModule(R, [(0,), (1,)])
+    cases = {
+        "empty": Presentation.of_free(F),
+        "zero columns": Presentation(FreeMap.from_columns(F, [F.zero(), F.zero()])),
+        "rank 0": Presentation.of_free(FreeModule(R, [])),
+        "relations": Presentation(FreeMap.from_columns(
+            F, [F.element([R.poly("x^2"), R.poly("y")]), F.zero(),
+                F.element([R.poly("x*y"), R.zero()])])),
+    }
+    for name, pres in cases.items():
+        want = groebner.module_gb(list(pres.relations.cols), pres.gens_module)
+        got = pres.gb()
+        assert [v.data for v in got] == [v.data for v in want], name
+        assert got.module == want.module, name
+        assert pres.gb() is got, name  # built once
+
+
 # -- the int kernel against a textbook Buchberger ----------------------------
 
 GF = PrimeField(32003)

@@ -12,7 +12,7 @@ import pytest
 from gradedfibers.errors import AlgebraError, DualityMismatch
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
 from gradedfibers.rings import PrimeField, make_ring
-from gradedfibers import localcohom, loci, resolution, specialize
+from gradedfibers import groebner, localcohom, loci, resolution, specialize
 
 
 R2 = make_ring(["x", "y"], [1, 1])
@@ -126,8 +126,7 @@ def test_route_a_equals_route_b_randomized():
 
 def test_cross_check_runs_inside_table():
     pres = Presentation.cyclic(R2, [R2.poly("x^2 - y^2"), R2.poly("x*y")])
-    tab = localcohom.local_cohomology_table(pres, [(d,) for d in range(0, 3)],
-                                            cross_check=True)
+    tab = localcohom.local_cohomology_table(pres, [(d,) for d in range(0, 3)])
     # Artinian complete intersection: H^0 is everything, Hilbert series 1, 2, 1
     assert tab.dims[(0, (0,))] == 1
     assert tab.dims[(0, (1,))] == 2
@@ -147,7 +146,7 @@ def test_duality_routes_share_the_resolution(monkeypatch):
 
     monkeypatch.setattr(resolution, "free_resolution", spy)
     pres = Presentation.cyclic(R2, [R2.poly("x^2"), R2.poly("x*y")])
-    localcohom.local_cohomology_table(pres, [(0,), (1,)], cross_check=True)
+    localcohom.local_cohomology_table(pres, [(0,), (1,)])
     assert len(seen) == 1
     localcohom.cohomology_invariants(pres)
     assert len(seen) == 2
@@ -315,3 +314,26 @@ def test_weighted_grading_top_count():
         count = len([(i, j) for i in range(1, d + 1) for j in range(1, d + 1)
                      if i + 2 * j == d])
         assert dims[(2, (-d,))] == count
+
+
+def test_duality_check_builds_one_basis_per_ext_module(monkeypatch):
+    # the twisted cubic's window [-3, 3]: every degree of the duality
+    # route reads the one relation basis of each Ext module
+    R4 = make_ring(["a", "b", "c", "d"], [1, 1, 1, 1])
+    cubic = Presentation.cyclic(
+        R4, [R4.poly(g) for g in ("a*c - b^2", "a*d - b*c", "b*d - c^2")])
+    exts = []
+    real_exts = localcohom.ext_modules_for_duality
+    monkeypatch.setattr(localcohom, "ext_modules_for_duality",
+                        lambda res: exts.extend(real_exts(res)) or exts)
+    built = []
+    real_gb = groebner.module_gb
+
+    def spy(vectors, module=None, *args, **kwargs):
+        built.append(module)
+        return real_gb(vectors, module, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "module_gb", spy)
+    localcohom.local_cohomology_table(cubic, [(d,) for d in range(-3, 4)])
+    assert len(exts) == R4.nx + 1
+    assert [sum(m is ext.gens_module for m in built) for ext in exts] == [1] * len(exts)

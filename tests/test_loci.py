@@ -1,13 +1,14 @@
 """Jump loci, certificates, radicals, and the constancy harness."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from gradedfibers.errors import AlgebraError
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
-from gradedfibers.rings import make_ring
-from gradedfibers import cli, loci, resolution, script, strands
+from gradedfibers.rings import Poly, Ring, irreducible_factors, make_ring
+from gradedfibers import cli, groebner, loci, resolution, script, strands
 from gradedfibers.specialize import FiberPoint
 
 
@@ -120,9 +121,6 @@ def test_katzman_jump_locus_designated_bidegrees():
 
 
 def test_cohomology_jump_locus_guards():
-    K, pres = katzman_presentation()
-    with pytest.raises(AlgebraError, match="index out of range"):
-        loci.cohomology_jump_loci(pres, [(-2, 2)], indices=[5])
     A = make_ring(["x"], [1], params=["t"], relations=["t^2 - t"])
     with pytest.raises(AlgebraError, match="reducible base"):
         loci.cohomology_jump_loci(Presentation.cyclic(A, [A.poly("x")]), [(0,)])
@@ -246,3 +244,51 @@ def test_loci_over_a_base_with_a_relation(tmp_path):
     cli.run(script.parse(text), out_dir=str(tmp_path))
     payload = json.loads((tmp_path / "01_loci.json").read_text())
     assert "error" not in payload, payload["error"]["message"]
+
+
+def test_union_with_the_unit_ideal_skips_the_intersection(monkeypatch):
+    # the unit ideal is the empty locus: the union is the other side's
+    # reduced basis, which is what intersect_ideals returns for it
+    K = make_ring(["x"], [1], params=["s", "t"])
+    one, zero = K.one(), K.zero()
+    other = [K.poly("s^2*t - s*t"), K.poly("2*s*t^2")]
+    cases = [([one], other), (other, [one]), ([K.poly("3/2"), K.poly("s")], other),
+             ([one], [zero]), ([zero, one], other), ([one], [one])]
+    want = [groebner.intersect_ideals(a, b, K) for a, b in cases]
+    # a zero generator is no unit, so this pair still intersects
+    with_zero = ([zero, K.poly("s")], other)
+    want_zero = groebner.intersect_ideals(*with_zero, K)
+    met = []
+    real = groebner.intersect_ideals
+    monkeypatch.setattr(groebner, "intersect_ideals",
+                        lambda *a, **k: met.append(a) or real(*a, **k))
+    for (a, b), w in zip(cases, want):
+        assert [g.terms for g in loci._union(a, b, K)] == [g.terms for g in w], (a, b)
+    assert met == []
+    assert [g.terms for g in loci._union(*with_zero, K)] == [g.terms for g in want_zero]
+    assert len(met) == 1
+
+
+def test_factor_memo_agrees_with_a_fresh_ring(monkeypatch, tmp_path):
+    # every poly the loci benchmark scripts factor, and every factor the
+    # memo records as its own factorization, factors the same on a fresh
+    # ring with an empty memo
+    rings = []
+    init = Ring.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        rings.append(self)
+
+    monkeypatch.setattr(Ring, "__init__", keep)
+    scripts = Path(__file__).resolve().parent.parent / "perfbench" / "scripts"
+    for path in sorted(scripts.glob("loci_*.gf")):
+        assert cli.run(script.parse(path.read_text(encoding="utf-8")),
+                       out_dir=str(tmp_path / path.stem)) == 0
+    monkeypatch.undo()
+    memos = [(ring, key, got) for ring in rings for key, got in ring._factors.items()]
+    assert len(memos) > 20
+    for ring, key, got in memos:
+        fresh = ring._replace()
+        want = irreducible_factors(Poly(fresh, dict(key)))
+        assert [f.terms for f in got] == [f.terms for f in want], dict(key)

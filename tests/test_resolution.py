@@ -88,7 +88,7 @@ def test_hilbert_agreement_after_minimalization():
 def test_ext_presentations_koszul():
     # Ext^i(k, R): zero for i < 2, k(2) in homological degree 2
     exts = resolution.ext_presentations(
-        localcohom.free_resolution_for_cohomology(koszul_mm()), max_j=2)
+        localcohom.free_resolution_for_cohomology(koszul_mm()))
     mins = [resolution.minimal_presentation(e) if e.ngens else e for e in exts]
     assert mins[0].ngens == 0
     assert mins[1].ngens == 0
@@ -97,8 +97,7 @@ def test_ext_presentations_koszul():
 
 def test_ext_of_free_module_vanishes():
     pres = Presentation(FreeMap.from_columns(FreeModule(R2, [(0,)]), []))
-    exts = resolution.ext_presentations(localcohom.free_resolution_for_cohomology(pres),
-                                        max_j=2)
+    exts = resolution.ext_presentations(localcohom.free_resolution_for_cohomology(pres))
     assert exts[0].ngens == 1  # Hom(R, R) = R
     assert exts[1].ngens == 0
     assert exts[2].ngens == 0

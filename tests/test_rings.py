@@ -364,6 +364,44 @@ def test_constants_have_no_factors_and_skip_sympy(monkeypatch):
     assert seen == []
 
 
+def test_a_returned_factor_is_checked_prime_without_sympy(monkeypatch):
+    from gradedfibers.specialize import FiberPoint
+
+    T = make_ring(["x"], [1], params=["t"])
+    factors = irreducible_factors(T.poly("2*t^3 - 2*t"))
+    seen = []
+    real = sympy.factor_list
+
+    def spy(f, *args, **kwargs):
+        seen.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factor_list", spy)
+    for f in factors:
+        FiberPoint.generic(T, [f])
+    assert seen == []
+    # the memo is keyed by terms: a poly not factored before reaches sympy once
+    for _ in range(2):
+        assert irreducible_factors(T.poly("t^2 + t")) == [T.poly("t"), T.poly("t + 1")]
+    assert len(seen) == 1
+
+
+def test_a_factor_the_base_relations_changed_is_left_to_sympy(monkeypatch):
+    # over QQ[s,t]/(s*t) the factor s^2 - s*t + t^2 of s^3 + t^3 comes back
+    # reduced, as s^2 + t^2, which sympy never factored
+    Q = make_ring(["x"], [1], params=["s", "t"], relations=["s*t"])
+    got = irreducible_factors(Q.poly("s^3 + t^3"))
+    assert [str(f) for f in got] == ["s + t", "s^2 + t^2"]
+    seen = []
+    real = sympy.factor_list
+    monkeypatch.setattr(sympy, "factor_list",
+                        lambda f, *a, **k: seen.append(f) or real(f, *a, **k))
+    assert irreducible_factors(got[0]) == [got[0]]
+    assert seen == []
+    assert irreducible_factors(got[1]) == [got[1]]
+    assert len(seen) == 1
+
+
 def test_prime_field_factors_are_the_primitive_part():
     Rp = make_ring(["x"], [1], params=["s", "t"], field=PrimeField(101))
     p = Rp.poly("3*t^2*s + 6*s")

@@ -13,7 +13,7 @@ import pytest
 
 from gradedfibers import groebner, ratmap
 from gradedfibers.rings import MonomialOrder, Poly, PrimeField, make_ring
-from gradedfibers.specialize import _power_products
+from gradedfibers.ratmap import _power_products
 
 
 def _xgens(ring):
