@@ -213,7 +213,7 @@ def _cmd_loci(env, cmd, opts):
     window = None
     if cmd.get("window") is not None:
         window = _window_degrees(ring, cmd["window"])
-    excl = loci.duality_exclusion_locus(pres, window=window, slack=opts.window_slack)
+    excl = loci.duality_exclusion_locus(pres, window=window)
     info = excl["module"]
     rad, exact = loci.locus_radical(info["ideal"], ring)
     out = {
@@ -327,9 +327,9 @@ def _error_kind(exc):
     return "internal"
 
 
-def run(session, seed=0, out_dir=".", window_slack=2, power_cutoff=None, csv=False):
+def run(session, seed=0, out_dir=".", power_cutoff=None, csv=False):
     """Execute every command; returns 0 iff none errored."""
-    opts = argparse.Namespace(window_slack=window_slack, power_cutoff=power_cutoff)
+    opts = argparse.Namespace(power_cutoff=power_cutoff)
     env = _Env(session, seed)
     os.makedirs(out_dir, exist_ok=True)
     failed = False
@@ -361,8 +361,6 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0,
                     help="seed recorded in and driving all sampling")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--window-slack", type=int, default=2,
-                    help="extra degrees scanned when loci windows auto-grow")
     ap.add_argument("--power-cutoff", type=int, default=None,
                     help="cap on symbolic powers and limit cutoffs")
     ap.add_argument("--csv", action="store_true", help="also write CSV mirrors")
@@ -379,8 +377,7 @@ def main(argv=None):
         print("script error: %s" % exc, file=sys.stderr)
         return 2
     return run(session, seed=args.seed, out_dir=args.out,
-               window_slack=args.window_slack, power_cutoff=args.power_cutoff,
-               csv=args.csv)
+               power_cutoff=args.power_cutoff, csv=args.csv)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
 """Graded local cohomology supported in the positively graded block.
 
-The working route resolves the module once and minimalizes the result
-(free_resolution_for_cohomology), applies top local cohomology to each
-free term (inverse-monomial strands) and reads off homology ranks strand
-by strand.  Over a field that is exact; over a parameter base it
+The working route reads the module's one resolution, owned by its
+presentation (Presentation.resolution), applies top local cohomology to
+each free term (inverse-monomial strands) and reads off homology ranks
+strand by strand.  Over a field that is exact; over a parameter base it
 computes the generic fiber together with certifying minors.
 cohomology_strands is the one place that pairs strands with
-cohomological indices; the jump loci read it too.
+cohomological indices, and the complex keeps them for the jump loci.
 
 Every table over a field base is cross checked; there is no switch to
 turn the check off.  The check reroutes the same minimal resolution
@@ -46,17 +46,22 @@ def cohomology_strands(res, mu):
     d_{r-i+1} and d_{r-i}.  Each strand of d_0 .. d_{r+1} (zero maps at
     both ends) is built once, so the strand of d_j serves H^{r-j} as
     lam_out and H^{r-j+1} as lam_in, and its memoized generic rank is
-    shared too.
+    shared too.  res keeps the pairs of each degree unless it is raw.
     """
-    r = res.ring.nx
-    lam = [strands.inverse_strand_matrix(res.map(j), mu) for j in range(r + 2)]
-    return [(lam[r - i + 1], lam[r - i]) for i in range(r + 1)]
+    pairs = res.kept.get(("strands", mu))
+    if pairs is None:
+        r = res.ring.nx
+        lam = [strands.inverse_strand_matrix(res.map(j), mu) for j in range(r + 2)]
+        pairs = [(lam[r - i + 1], lam[r - i]) for i in range(r + 1)]
+        if res.raw is not None:  # a raw complex is read once, by the cross check
+            res.kept[("strands", mu)] = pairs
+    return pairs
 
 
 def route_dims_at_degree(res, mu):
     """[H^i]_mu dims for i = 0..r over the (generic) fiber, plus minors.
 
-    res is a resolution of length r + 1 (free_resolution_for_cohomology).
+    res is a resolution of length r + 1 (Presentation.resolution).
     Exact over a field base; over a parameter base the numbers are those
     of the generic fiber and the returned certificate minors cut out the
     locus where the strand ranks can drop.
@@ -73,20 +78,6 @@ def route_dims_at_degree(res, mu):
             certs.append(minor)
         rank_out = rank_in  # lam_in of H^i is lam_out of H^(i-1)
     return dims, certs
-
-
-def free_resolution_for_cohomology(pres):
-    """Resolution long enough to read off every H^i through i = 0.
-
-    The one place a module is resolved for cohomology: the strand route,
-    the duality route, the Ext pieces, the top dual and the jump loci all
-    read the complex returned.  It is the raw resolution after
-    resolution.minimalize: the minimal one over a field base, and over a
-    parameter base the raw one less its constant units, which are units
-    at every fiber.  Its raw attribute is the raw resolution, which the
-    cross check of a multigraded table reads.
-    """
-    return resolution.minimalize(resolution.free_resolution(pres, pres.ring.nx + 1))
 
 
 def duality_dims_at_degree(exts, mu):
@@ -132,7 +123,7 @@ def local_cohomology_table(pres, degrees, point=None):
         meta["point"] = point.describe()
         ring = pres.ring
     r = ring.nx
-    res = free_resolution_for_cohomology(pres)
+    res = pres.resolution()
     dims = {}
     all_certs = []
     degrees = [ring.deg_tuple(d) for d in degrees]
@@ -187,7 +178,7 @@ def cohomology_invariants(pres):
     ring = pres.ring
     _require_duality_ok(ring)
     r = ring.nx
-    exts = ext_modules_for_duality(free_resolution_for_cohomology(pres))
+    exts = ext_modules_for_duality(pres.resolution())
     tops = {}
     nonzero = {}
     for i in range(r + 1):
@@ -198,7 +189,7 @@ def cohomology_invariants(pres):
             nonzero[i] = False
             continue
         nonzero[i] = True
-        degs = resolution.minimal_generator_degrees(ext)
+        degs = resolution.minimal_presentation(ext).gens_module.shifts
         indeg = min(s[0] for s in degs)
         tops[i] = -indeg
     alive = [i for i in range(r + 1) if nonzero[i]]

@@ -4,10 +4,11 @@ All loci come out as ideals of the base (parameter-only polynomials).
 The basic building block is the exactness-defect locus of two composable
 strand matrices: the points where the ranks fail to add up to the exact
 value.  Unions over degrees are ideal intersections, so the results stay
-honest over reduced non-irreducible bases.  The cohomology jump loci and
-the duality exclusion locus resolve the module once and read that one
-complex: its inverse strands (paired by localcohom.cohomology_strands),
-its Ext modules and its top dual cokernel.
+honest over reduced non-irreducible bases.  No locus resolves a module;
+each reads the resolution its presentation owns: the non-free locus its
+raw d_1 and d_2, the jump loci and the duality exclusion locus its
+inverse strands (localcohom.cohomology_strands), Ext modules and top
+dual cokernel, all kept on the complex for the next reader.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from . import groebner, localcohom, resolution, strands
 from .rings import irreducible_factors, squarefree_part
 from .specialize import FiberPoint, sample_rational_point
 
-# nonfree_locus grows an open window until the accumulated ideal has not
-# changed for STABLE_SPAN consecutive degrees, by at most MAX_GROW degrees
+# nonfree_locus scans WINDOW_SLACK degrees past the largest shift, then grows the
+# window until the ideal is unchanged for STABLE_SPAN degrees, by at most MAX_GROW
+WINDOW_SLACK = 2
 MAX_GROW = 24
 STABLE_SPAN = 3
 
@@ -101,7 +103,7 @@ def presentation_defect_at(res, mu, ring):
     return defect_locus(sm2, sm1, v, ring)
 
 
-def nonfree_locus(pres, window=None, slack=2):
+def nonfree_locus(pres, window=None):
     """Ideal of base points where some strand of the module jumps.
 
     Scans the degree window (auto-grown until the accumulated ideal is
@@ -115,7 +117,7 @@ def nonfree_locus(pres, window=None, slack=2):
     ring = pres.ring
     if ring.gdim != 1 and window is None:
         raise AlgebraError("multigraded loci need an explicit degree window")
-    res = resolution.free_resolution(pres, 2)
+    res = pres.resolution().raw
     per_degree = {}
     acc = None
 
@@ -133,9 +135,9 @@ def nonfree_locus(pres, window=None, slack=2):
         stabilized = True
         used = list(window)
     else:
-        shifts = [s[0] for m in res.modules for s in m.shifts]
+        shifts = [s[0] for m in res.modules[:3] for s in m.shifts]  # F_0, F_1, F_2
         lo = min(shifts) if shifts else 0
-        hi = (max(shifts) if shifts else 0) + slack
+        hi = (max(shifts) if shifts else 0) + WINDOW_SLACK
         used = list(range(lo, hi + 1))
         for mu in used:
             push(mu)
@@ -201,13 +203,13 @@ def cohomology_jump_loci(pres, degrees):
     generic value, that is where the ranks of the two inverse strands
     around it (localcohom.cohomology_strands) drop below their generic
     sum.  Needs an irreducible base, since the generic strand ranks are
-    compared against their pointwise values.  The module is resolved
-    once, and each strand of a degree is built once for all indices.
+    compared against their pointwise values.  The strands and their
+    generic ranks are those kept on the presentation's resolution.
     """
     ring = pres.ring
     if not ring.base_is_domain:
         raise AlgebraError("per-component analysis is needed over a reducible base")
-    res = localcohom.free_resolution_for_cohomology(pres)
+    res = pres.resolution()
     acc = None
     detail = {}
     for mu in degrees:
@@ -220,18 +222,18 @@ def cohomology_jump_loci(pres, degrees):
     return {"ideal": [ring.one()] if acc is None else acc, "detail": detail}
 
 
-def duality_exclusion_locus(pres, window=None, slack=2):
+def duality_exclusion_locus(pres, window=None):
     """Locus to avoid when reading fiber cohomology off the generic one.
 
     Union of the jump loci of the module itself, of its Ext modules
     against the ring, and of the top dual cokernel, the last two read
-    off one resolution of the module.  Off this closed set evaluation
+    off the module's one resolution.  Off this closed set evaluation
     commutes with everything we compute.  "module" holds the module's
     own nonfree_locus, which is computed once with these arguments.
     """
     ring = pres.ring
-    module = nonfree_locus(pres, window=window, slack=slack)
-    res = localcohom.free_resolution_for_cohomology(pres)
+    module = nonfree_locus(pres, window=window)
+    res = pres.resolution()
     acc = None
     detail = {}
     if pres.ngens == 0:
@@ -246,7 +248,7 @@ def duality_exclusion_locus(pres, window=None, slack=2):
         if piece.ngens == 0:
             detail[name] = ["1"]
             continue
-        info = nonfree_locus(piece, window=window, slack=slack)
+        info = nonfree_locus(piece, window=window)
         detail[name] = info["ideal_strings"]
         acc = _union(acc, info["ideal"], ring)
     gens = [ring.one()] if acc is None else acc

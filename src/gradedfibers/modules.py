@@ -335,16 +335,18 @@ class Presentation:
 
     Generators are the target basis vectors of the relation map; the
     module is zero exactly when every generator reduces to the image.
-    The reduced Groebner basis of the relations belongs to the
-    presentation: gb() builds it on first use, so every count, membership
-    test and normal form read off one presentation shares one basis.
+    The reduced Groebner basis of the relations and the resolution of
+    the module belong to the presentation: gb() and resolution() build
+    each on first use, so every count, membership test and normal form
+    shares one basis, and every table, invariant and locus one complex.
     """
 
-    __slots__ = ("relations", "_gb")
+    __slots__ = ("relations", "_gb", "_resolution")
 
     def __init__(self, relations):
         self.relations = relations
         self._gb = None
+        self._resolution = None
 
     @classmethod
     def of_free(cls, module):
@@ -384,6 +386,17 @@ class Presentation:
 
             self._gb = module_gb(self.relations.cols, self.gens_module)
         return self._gb
+
+    def resolution(self):
+        """The module's resolution, memoized: length nx + 1, enough for
+        every H^i, after resolution.minimalize (minimal over a field; over
+        a parameter base less its constant units).  Its raw attribute is
+        the raw resolution, whose d_1 and d_2 the non-free locus reads."""
+        if self._resolution is None:
+            from .resolution import free_resolution, minimalize
+
+            self._resolution = minimalize(free_resolution(self, self.ring.nx + 1))
+        return self._resolution
 
     def evaluate(self, fiber):
         return Presentation(self.relations.evaluate(fiber))

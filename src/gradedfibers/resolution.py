@@ -8,9 +8,10 @@ kernel of linalg, over any base.  Over a field the result is the minimal
 resolution; over a parameter base it prunes only the constant units,
 which are units at every fiber, since minimal resolutions need not exist
 globally.  The result keeps the raw complex it came from, which
-localcohom reads as the independent check of the minimal one.  The Ext
-modules and the top dual cokernel are read off a resolution the caller
-already holds; they never resolve the module themselves.
+localcohom reads as the independent check of the minimal one.  Only
+Presentation.resolution calls free_resolution, and the presentation owns
+the complex.  The Ext modules (kept on the complex per twist) and the
+top dual cokernel are read off it; they never resolve the module.
 """
 
 from __future__ import annotations
@@ -25,15 +26,18 @@ class Complex:
     """A chain complex of free modules: maps[i-1] is d_i : F_i -> F_{i-1}.
 
     raw is the complex that minimalize reduced to this one, None for a
-    complex built directly.
+    complex built directly.  kept holds what readers built from it, by
+    key: Ext modules per twist (ext_presentations) and inverse strands
+    per degree (localcohom.cohomology_strands).
     """
 
-    __slots__ = ("modules", "maps", "raw")
+    __slots__ = ("modules", "maps", "raw", "kept")
 
     def __init__(self, modules, maps, check=False, raw=None):
         self.modules = list(modules)
         self.maps = list(maps)
         self.raw = raw
+        self.kept = {}
         if len(self.modules) != len(self.maps) + 1:
             raise AlgebraError("a complex needs one more module than maps")
         if check:
@@ -191,22 +195,19 @@ def minimal_presentation(pres):
     return Presentation(c.map(1))
 
 
-def minimal_generator_degrees(pres):
-    return list(minimal_presentation(pres).gens_module.shifts)
-
-
 def ext_presentations(res, twist=None):
     """Presentations of Ext^j(M, R(twist)) for j = 0..r, read off a
     resolution res of M, where r = nx is the cohomological range that
     local duality needs.
 
     res must reach past r (length at least r + 1) or have ended, as
-    localcohom.free_resolution_for_cohomology's does.
+    Presentation.resolution's does; res keeps the list per twist.
     """
     ring = res.ring
-    if twist is None:
-        twist = ring.zero_degree()
-    return [_ext_at(res, j, twist) for j in range(ring.nx + 1)]
+    twist = ring.zero_degree() if twist is None else ring.deg_tuple(twist)
+    if ("ext", twist) not in res.kept:
+        res.kept["ext", twist] = [_ext_at(res, j, twist) for j in range(ring.nx + 1)]
+    return res.kept["ext", twist]
 
 
 def _ext_at(res, j, twist):

@@ -648,10 +648,9 @@ class Ring:
         """
         return self._replace(order=MonomialOrder(stages))
 
-    def with_extra_relations(self, polys, minimal_primes=None):
-        """Adjoin parameter relations; the caller vouches for primality
-        when passing a single component (the default), which makes the
-        enlarged base count as a domain."""
+    def with_extra_relations(self, polys):
+        """Adjoin parameter relations as one component: the caller vouches
+        for its primality, which makes the enlarged base count as a domain."""
         extra = []
         for p in polys:
             p = self.poly(p)
@@ -659,11 +658,7 @@ class Ring:
                 raise AlgebraError("relations must only involve parameters")
             extra.append(dict(p.terms))
         rel = [dict(t) for t in self.base_rel] + extra
-        if minimal_primes is None:
-            prim = [rel]
-        else:
-            prim = [[dict(self.poly(q).terms) for q in comp] for comp in minimal_primes]
-        return self._replace(base_rel_raw=rel, minimal_primes_raw=prim)
+        return self._replace(base_rel_raw=rel, minimal_primes_raw=[rel])
 
 
 def _compositions(total, parts):

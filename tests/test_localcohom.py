@@ -116,7 +116,7 @@ def test_route_a_equals_route_b_randomized():
             a, b = rng.sample(monos2, 2)
             gens.append(R2.monomial(a) - R2.monomial(b))
         pres = Presentation.cyclic(R2, gens)
-        res = localcohom.free_resolution_for_cohomology(pres)
+        res = pres.resolution()
         exts = localcohom.ext_modules_for_duality(res)
         for d in range(-4, 3):
             a_dims, _ = localcohom.route_dims_at_degree(res, (d,))
@@ -149,7 +149,21 @@ def test_duality_routes_share_the_resolution(monkeypatch):
     localcohom.local_cohomology_table(pres, [(0,), (1,)])
     assert len(seen) == 1
     localcohom.cohomology_invariants(pres)
-    assert len(seen) == 2
+    assert len(seen) == 1
+
+
+def test_invariants_reuse_the_ext_modules_of_a_table(monkeypatch):
+    # the complex keeps its Ext modules, and each keeps its relation basis
+    pres = Presentation.cyclic(R2, [R2.poly("x^2"), R2.poly("x*y")])
+    localcohom.local_cohomology_table(pres, [(0,), (1,)])
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("invariants rebuilt an Ext module or its basis")
+
+    monkeypatch.setattr(resolution, "_ext_at", rebuilt)
+    monkeypatch.setattr(groebner, "module_gb", rebuilt)
+    inv = localcohom.cohomology_invariants(pres)
+    assert (inv["dimension"], inv["depth"]) == (1, 0)
 
 
 # a bigraded field base: local cohomology is supported in (u, v)
@@ -195,6 +209,15 @@ def test_bigraded_table_reads_the_minimal_complex_and_checks_the_raw(monkeypatch
     assert tab.dims[(1, (-1, 2))] == 2 and tab.dims[(2, (-6, 2))] == 8
 
 
+def test_bigraded_table_keeps_no_strands_on_the_raw_complex():
+    # the cross check reads the raw strands once; the table's own stay
+    pres = bigraded_hypersurface()
+    localcohom.local_cohomology_table(pres, BIGRADED_DEGREES)
+    res = pres.resolution()
+    assert sorted(res.kept) == sorted(("strands", mu) for mu in BIGRADED_DEGREES)
+    assert res.raw.kept == {}
+
+
 @pytest.mark.parametrize("broken", ["minimal", "raw"])
 def test_bigraded_cross_check_catches_an_off_by_one(broken, monkeypatch):
     real = localcohom.route_dims_at_degree
@@ -231,8 +254,7 @@ QUARTIC = ("b*c - a*d", "c^3 - b*d^2", "a*c^2 - b^2*d", "b^3 - a^2*c")
 @pytest.mark.parametrize("field", [{}, {"field": PrimeField(32003)}], ids=["qq", "gf"])
 def test_quartic_reads_its_minimal_resolution(field):
     R4 = make_ring(["a", "b", "c", "d"], [1, 1, 1, 1], **field)
-    res = localcohom.free_resolution_for_cohomology(
-        Presentation.cyclic(R4, [R4.poly(g) for g in QUARTIC]))
+    res = Presentation.cyclic(R4, [R4.poly(g) for g in QUARTIC]).resolution()
     assert [m.rank for m in res.modules] == [1, 4, 4, 1]
     assert [m.rank for m in res.raw.modules] == [1, 4, 9, 15, 20, 22]
     if not field:  # the raw route over QQ, as the quartic_qq golden has it
@@ -250,10 +272,10 @@ def test_constant_unit_over_a_parameter_base_is_pruned():
         gens.element([Rt.one(), Rt.zero()]),
         gens.element([Rt.poly("x"), Rt.poly("t*y")])]))
     plain = Presentation.cyclic(Rt, [Rt.poly("t*y")])
-    res = localcohom.free_resolution_for_cohomology(unit)
+    res = unit.resolution()
     assert [m.rank for m in res.raw.modules][:2] == [2, 2]
     assert ([m.shifts for m in res.modules]
-            == [m.shifts for m in localcohom.free_resolution_for_cohomology(plain).modules])
+            == [m.shifts for m in plain.resolution().modules])
     degrees = [(d,) for d in range(-3, 3)]
     tab_unit = localcohom.local_cohomology_table(unit, degrees)
     tab_plain = localcohom.local_cohomology_table(plain, degrees)

@@ -8,7 +8,7 @@ import pytest
 from gradedfibers.errors import AlgebraError
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
 from gradedfibers.rings import Poly, Ring, irreducible_factors, make_ring
-from gradedfibers import cli, groebner, loci, resolution, script, strands
+from gradedfibers import cli, groebner, localcohom, loci, resolution, script, strands
 from gradedfibers.specialize import FiberPoint
 
 
@@ -44,11 +44,12 @@ def test_nonfree_locus_rank_two_example():
     assert info["stabilized"]
 
 
-def test_window_growth_leaves_locus_unchanged():
-    pres = rank_two_example()
-    a = loci.nonfree_locus(pres, slack=2)
-    b = loci.nonfree_locus(pres, slack=4)
+def test_window_growth_leaves_locus_unchanged(monkeypatch):
+    a = loci.nonfree_locus(rank_two_example())
+    monkeypatch.setattr(loci, "WINDOW_SLACK", 4)
+    b = loci.nonfree_locus(rank_two_example())
     assert a["ideal_strings"] == b["ideal_strings"]
+    assert b["window"][:len(a["window"])] == a["window"] != b["window"]
 
 
 def test_smith_module_is_locally_free():
@@ -157,6 +158,45 @@ def test_cmd_loci_runs_the_module_locus_once(tmp_path, monkeypatch):
     assert sum(1 for p in seen if p is seen[0]) == 1
     payload = json.loads((tmp_path / "01_loci.json").read_text())
     assert payload["nonfree"]["generators"] == payload["duality_exclusion"]["detail"]["module"]
+
+
+def test_a_session_resolves_its_module_once(tmp_path, monkeypatch):
+    # the table, the locus and the harness read the complex the module's
+    # presentation owns; the Ext pieces and the evaluated fibers are other
+    # modules, resolved on their own
+    seen = []
+    real = resolution.free_resolution
+
+    def spy(pres, length):
+        seen.append(pres)
+        return real(pres, length)
+
+    monkeypatch.setattr(resolution, "free_resolution", spy)
+    text = ("ring R base poly(QQ, t) vars x:1 y:1;\n"
+            "ideal X = (x^2, t*x*y, (t - 1)*y^2);\nfiber P = point(t = 2);\n"
+            "cmd localcoh X window [-2, 2];\ncmd invariants X at P;\n"
+            "cmd loci X;\ncmd harness X window [-2, 2];\n")
+    assert cli.run(script.parse(text), out_dir=str(tmp_path)) == 0
+    assert [p for p in seen if p is seen[0]] == seen[:1]
+    assert len(seen) > 1
+
+
+def test_jump_loci_reuse_the_strands_of_a_table(monkeypatch):
+    # the generic table keeps its inverse strands on the module's complex,
+    # so the jump loci build only those of a degree it did not read
+    pres = rank_two_example()
+    localcohom.local_cohomology_table(pres, [(0,), (1,)])
+    built = []
+    real = strands.inverse_strand_matrix
+
+    def spy(fmap, mu):
+        built.append(mu)
+        return real(fmap, mu)
+
+    monkeypatch.setattr(strands, "inverse_strand_matrix", spy)
+    out = loci.cohomology_jump_loci(pres, [(0,), (1,), (2,)])
+    assert set(built) == {(2,)}
+    assert out == loci.cohomology_jump_loci(rank_two_example(), [(0,), (1,), (2,)])
 
 
 def test_constancy_report_locally_but_not_globally_constant():

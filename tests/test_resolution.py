@@ -6,7 +6,7 @@ import pytest
 
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
 from gradedfibers.rings import PrimeField, make_ring
-from gradedfibers import localcohom, resolution
+from gradedfibers import resolution
 
 
 R2 = make_ring(["x", "y"], [1, 1])
@@ -62,8 +62,7 @@ def test_minimalize_strips_split_part():
     pres = Presentation(FreeMap.from_columns(tgt, cols))
     mp = resolution.minimal_presentation(pres)
     assert mp.ngens == 1
-    degs = resolution.minimal_generator_degrees(pres)
-    assert degs == [(0,)]
+    assert mp.gens_module.shifts == ((0,),)
 
 
 def test_hilbert_agreement_after_minimalization():
@@ -87,8 +86,7 @@ def test_hilbert_agreement_after_minimalization():
 
 def test_ext_presentations_koszul():
     # Ext^i(k, R): zero for i < 2, k(2) in homological degree 2
-    exts = resolution.ext_presentations(
-        localcohom.free_resolution_for_cohomology(koszul_mm()))
+    exts = resolution.ext_presentations(koszul_mm().resolution())
     mins = [resolution.minimal_presentation(e) if e.ngens else e for e in exts]
     assert mins[0].ngens == 0
     assert mins[1].ngens == 0
@@ -97,7 +95,7 @@ def test_ext_presentations_koszul():
 
 def test_ext_of_free_module_vanishes():
     pres = Presentation(FreeMap.from_columns(FreeModule(R2, [(0,)]), []))
-    exts = resolution.ext_presentations(localcohom.free_resolution_for_cohomology(pres))
+    exts = resolution.ext_presentations(pres.resolution())
     assert exts[0].ngens == 1  # Hom(R, R) = R
     assert exts[1].ngens == 0
     assert exts[2].ngens == 0
@@ -105,7 +103,7 @@ def test_ext_of_free_module_vanishes():
 
 def test_top_dual_cokernel_zero_for_cm_of_max_depth():
     pres = Presentation(FreeMap.from_columns(FreeModule(R2, [(0,)]), []))
-    td = resolution.top_dual_cokernel(localcohom.free_resolution_for_cohomology(pres))
+    td = resolution.top_dual_cokernel(pres.resolution())
     assert td.ngens <= 1  # R itself: dual complex exact at the top
 
 
@@ -136,7 +134,7 @@ def test_minimalize_drops_stages_past_a_zero_module():
     R4 = make_ring(["a", "b", "c", "d"], [1, 1, 1, 1])
     pres = Presentation.cyclic(R4, [R4.poly(g) for g in (
         "b*c - a*d", "c^3 - b*d^2", "a*c^2 - b^2*d", "b^3 - a^2*c")])
-    mres = resolution.minimalize(localcohom.free_resolution_for_cohomology(pres).raw)
+    mres = resolution.minimalize(pres.resolution().raw)
     assert [m.rank for m in mres.modules] == [1, 4, 4, 1]
     assert all(i <= 3 for (i, _s) in mres.betti_table())
 
@@ -193,14 +191,13 @@ QUARTIC = ("b*c - a*d", "c^3 - b*d^2", "a*c^2 - b^2*d", "b^3 - a^2*c")
 
 
 def _raw(ring, gens):
-    return localcohom.free_resolution_for_cohomology(
-        Presentation.cyclic(ring, [ring.poly(g) for g in gens])).raw
+    return Presentation.cyclic(ring, [ring.poly(g) for g in gens]).resolution().raw
 
 
 def _raw_module(ring, cols, shifts):
     gens = FreeModule(ring, shifts)
-    return localcohom.free_resolution_for_cohomology(Presentation(FreeMap.from_columns(
-        gens, [gens.element([ring.poly(e) for e in col]) for col in cols]))).raw
+    return Presentation(FreeMap.from_columns(
+        gens, [gens.element([ring.poly(e) for e in col]) for col in cols])).resolution().raw
 
 
 # a cokernel with a unit relation and a redundant one (x times the third

@@ -70,3 +70,30 @@ def test_no_symbol_is_reached_only_from_tests():
                     if key not in reached and key[1] not in exported
                     and "%s.%s" % key not in KEPT)
     assert unused == []
+
+
+def _places_naming(tree, name):
+    """Dotted scopes (def and class names) whose own code names `name`."""
+    places = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if name in (getattr(child, "id", None), getattr(child, "attr", None)) \
+                    or isinstance(child, ast.alias) and child.name == name:
+                places.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return places
+
+
+def test_one_place_resolves_a_module():
+    # a presentation owns its resolution: every reader asks it for the
+    # complex, and nothing else calls the resolution routine
+    places = {"%s.%s" % (p.stem, scope) for p in sorted(SRC.glob("*.py"))
+              for scope in _places_naming(ast.parse(p.read_text(encoding="utf-8")),
+                                          "free_resolution")}
+    assert places == {"modules.Presentation.resolution"}
