@@ -599,8 +599,10 @@ def saturate_ideal(gens, others, ring=None):
     """(gens) : (others)^infinity, as a reduced Groebner basis.
 
     Homogeneous ideals saturated by the whole x-block of a standard
-    graded grevlex ring take Bayer's route; every other input iterates
-    colons.  Both return the same reduced basis.
+    graded grevlex ring take Bayer's route, which returns the unit ideal
+    at once when the ideal's own basis shows it primary to that block;
+    every other input iterates colons.  Both return the same reduced
+    basis.
     """
     others = list(others)
     ring = ring or others[0].ring
@@ -641,17 +643,28 @@ def _saturate_bayer(gens, ring):
     as often as it divides the element's lead, so dividing every element
     of a Groebner basis of I by its largest power of x_i leaves a basis
     of I : x_i^infinity (Bayer & Stillman, Invent. Math. 87, 1987).
+
+    The basis in the ring's own order is the stage for the last x and is
+    built first.  When its leads hold a pure power of every x-variable,
+    [R/I]_d vanishes for large d, so m^N lies in I and the saturation is
+    the unit ideal, returned with no further stage.  A lead with a
+    parameter factor, such as t*x^2, does not count: it puts t*x^2, not
+    a power of x, into the lead ideal, and I : m^infinity may then stop
+    at (t, ...).
     """
     nx = ring.nx
+    native = ideal_gb(gens, ring=ring)
+    if _pure_x_powers([g.leading_monomial() for g in native], nx):
+        return [ring.one()]
     result = None
     for i in range(nx):
         if i == nx - 1:
-            iring = ring
+            basis = native
         else:
             idxs = tuple(j for j in range(nx) if j != i) + (i,)
             iring = ring.with_order((("grevlex", idxs),) + ring.order.stages[1:])
-        basis = ideal_gb([Poly(iring, dict(g.terms), _reduce=False) for g in gens],
-                         ring=iring)
+            basis = ideal_gb([Poly(iring, dict(g.terms), _reduce=False) for g in gens],
+                             ring=iring)
         part = []
         for g in basis:
             a = min(e[i] for e in g.terms)
@@ -659,6 +672,19 @@ def _saturate_bayer(gens, ring):
                                     for e, c in g.terms.items()}, _reduce=False))
         result = part if result is None else intersect_ideals(result, part, ring)
     return result if nx > 1 else ideal_gb(result, ring=ring)
+
+
+def _pure_x_powers(leads, nx):
+    """True when, for each of the first nx variables x_i, some lead
+    exponent is exactly x_i^a with a > 0 and every other exponent zero,
+    parameters included: the leads then bound every x-variable, so a
+    homogeneous ideal with these leads holds a power of the x-block."""
+    seen = set()
+    for e in leads:
+        for i in range(nx):
+            if e[i] and e[i] == sum(e):
+                seen.add(i)
+    return len(seen) == nx
 
 
 def _saturate_by_colons(gens, others, ring):
@@ -673,19 +699,33 @@ def _saturate_by_colons(gens, others, ring):
 
 
 def intersect_ideals(gens_a, gens_b, ring=None):
-    """Generators of (gens_a) meet (gens_b)."""
+    """(gens_a) meet (gens_b), as a reduced Groebner basis.
+
+    A side holding a nonzero constant is the unit ideal, so the meet is
+    the other side's reduced basis, returned with no graph kernel: the
+    reduced basis is unique, so it is the one the kernel would give.
+    The zero poly is no unit.  Otherwise the meet is the first
+    coordinate of the kernel of (c, u, v) -> (c + u.a, c + v.b), read
+    off one graph basis.
+    """
     gens_a = list(gens_a)
     gens_b = list(gens_b)
     if ring is None:
         ring = (gens_a or gens_b)[0].ring
     if not gens_a or not gens_b:
         return []
+    gens_a = [ring.poly(g) for g in gens_a]
+    gens_b = [ring.poly(g) for g in gens_b]
+    if _has_unit(gens_a):
+        return ideal_gb(gens_b, ring=ring)
+    if _has_unit(gens_b):
+        return ideal_gb(gens_a, ring=ring)
     target = FreeModule(ring, [ring.zero_degree(), ring.zero_degree()])
     cols = [target.element([ring.one(), ring.one()])]
     for g in gens_a:
-        cols.append(target.element([ring.poly(g), ring.zero()]))
+        cols.append(target.element([g, ring.zero()]))
     for g in gens_b:
-        cols.append(target.element([ring.zero(), ring.poly(g)]))
+        cols.append(target.element([ring.zero(), g]))
     fmap = FreeMap.from_columns(target, cols, check=False)
     out = []
     for v in kernel_gens(fmap):
@@ -693,6 +733,11 @@ def intersect_ideals(gens_a, gens_b, ring=None):
         if not p.is_zero():
             out.append(p)
     return ideal_gb(out, ring=ring) if out else []
+
+
+def _has_unit(gens):
+    # constant_value() is None off the constants and 0 for the zero poly
+    return any(g.constant_value() for g in gens)
 
 
 def eliminate_ideal(gens, varnames, ring=None):

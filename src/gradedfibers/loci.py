@@ -171,29 +171,20 @@ def _union(acc, gens, ring):
     """Ideal of the union of the locus acc with the locus of gens.
 
     acc None is the empty start; [] is the whole base, which absorbs.
-    A side holding a unit is the empty locus, so the union is the other
-    side, as the reduced basis that intersect_ideals would return.
+    A side holding a unit is the empty locus, which intersect_ideals
+    meets without a graph kernel.
     """
     if acc == [] or not gens:
         return []
     if acc is None:
         return gens
-    if _has_unit(acc):
-        return groebner.ideal_gb(gens, ring=ring)
-    if _has_unit(gens):
-        return groebner.ideal_gb(acc, ring=ring)
     return groebner.intersect_ideals(acc, gens, ring)
-
-
-def _has_unit(gens):
-    # constant_value() is None off the constants and 0 for the zero poly
-    return any(g.constant_value() for g in gens)
 
 
 def _is_unit_ideal(gens, ring):
     if not gens:
         return False  # zero ideal: the locus is everything
-    return _has_unit(groebner.ideal_gb(list(gens), ring=ring))
+    return groebner._has_unit(groebner.ideal_gb(list(gens), ring=ring))
 
 
 def cohomology_jump_loci(pres, degrees):

@@ -471,8 +471,26 @@ def fiber_invariants(rmap, point=None, cutoff=None):
             out["e_sat"] = saturated_fiber_multiplicity(rmap, point, cutoff=cutoff)
         except UnstableLimit:
             out["stable"] = False
+    powers = _map_powers(rmap, point)
     try:
-        out["j"] = _j_multiplicity(_map_powers(rmap, point), cutoff)
+        out["j"] = _j_multiplicity(powers, cutoff)
     except UnstableLimit:
         out["stable"] = False
+    if out["j"] is not None:
+        _check_primary_j(out["j"], powers, rmap.form_degree)
     return out
+
+
+def _check_primary_j(j, powers, d):
+    """Assert j = d^r, r the number of x-variables, when the leads of the
+    forms' reduced basis show their ideal primary to m.
+
+    r general combinations of the forms then generate a reduction of the
+    ideal, a complete intersection of degree d^r, so the j-multiplicity,
+    here the Hilbert-Samuel multiplicity, is d^r.  The lead test is
+    saturate_ideal's early exit.
+    """
+    nx = powers.ring.nx
+    leads = [e for _c, e in powers.power(1).gb().leads()]
+    if groebner._pure_x_powers(leads, nx) and j != d ** nx:
+        raise AlgebraError("multiplicity identity failed: j=%d, d^r=%d" % (j, d ** nx))

@@ -28,6 +28,7 @@ CASES = {
     "quotient_qq": 0,
     "module_powers": 0,
     "quartic_qq": 0,
+    "ratmap_p2": 0,
     "bad_window": 1,
 }
 

@@ -145,6 +145,43 @@ def test_intersect_ideals():
     assert groebner.ideal_equal(meet, [R2.poly("x*y")], ring=R2)
 
 
+def _meet_by_kernel(gens_a, gens_b, ring):
+    # the graph kernel of intersect_ideals, taken with no unit shortcut
+    target = FreeModule(ring, [ring.zero_degree(), ring.zero_degree()])
+    cols = ([target.element([ring.one(), ring.one()])]
+            + [target.element([g, ring.zero()]) for g in gens_a]
+            + [target.element([ring.zero(), g]) for g in gens_b])
+    meet = [v.component(0) for v in
+            groebner.kernel_gens(FreeMap.from_columns(target, cols, check=False))]
+    meet = [p for p in meet if not p.is_zero()]
+    return groebner.ideal_gb(meet, ring=ring) if meet else []
+
+
+def test_intersect_with_the_unit_ideal_skips_the_kernel(monkeypatch):
+    # the unit ideal meets any ideal in that ideal: the meet is the other
+    # side's reduced basis, which is what the graph kernel returns for it
+    K = make_ring(["x"], [1], params=["s", "t"])
+    one, zero = K.one(), K.zero()
+    other = [K.poly("s^2*t - s*t"), K.poly("2*s*t^2")]
+    cases = [([one], other), (other, [one]), ([K.poly("3/2"), K.poly("s")], other),
+             ([one], [zero]), ([zero, one], other), ([one], [one])]
+    want = [_meet_by_kernel(a, b, K) for a, b in cases]
+    # a zero generator is no unit, so this pair still meets by the kernel
+    with_zero = ([zero, K.poly("s")], other)
+    want_zero = _meet_by_kernel(*with_zero, K)
+    ran = []
+    real = groebner.kernel_gens
+    monkeypatch.setattr(groebner, "kernel_gens",
+                        lambda *a, **k: ran.append(a) or real(*a, **k))
+    for (a, b), w in zip(cases, want):
+        got = groebner.intersect_ideals(a, b, K)
+        assert [g.terms for g in got] == [g.terms for g in w], (a, b)
+    assert ran == []
+    got = groebner.intersect_ideals(*with_zero, K)
+    assert [g.terms for g in got] == [g.terms for g in want_zero]
+    assert len(ran) == 1
+
+
 def test_eliminate_ideal():
     # image of the 2-uple embedding: eliminate x, y from (a - x^2, b - xy, c - y^2)
     R = make_ring(["x", "y", "a", "b", "c"], [1, 1, 2, 2, 2])

@@ -286,29 +286,6 @@ def test_loci_over_a_base_with_a_relation(tmp_path):
     assert "error" not in payload, payload["error"]["message"]
 
 
-def test_union_with_the_unit_ideal_skips_the_intersection(monkeypatch):
-    # the unit ideal is the empty locus: the union is the other side's
-    # reduced basis, which is what intersect_ideals returns for it
-    K = make_ring(["x"], [1], params=["s", "t"])
-    one, zero = K.one(), K.zero()
-    other = [K.poly("s^2*t - s*t"), K.poly("2*s*t^2")]
-    cases = [([one], other), (other, [one]), ([K.poly("3/2"), K.poly("s")], other),
-             ([one], [zero]), ([zero, one], other), ([one], [one])]
-    want = [groebner.intersect_ideals(a, b, K) for a, b in cases]
-    # a zero generator is no unit, so this pair still intersects
-    with_zero = ([zero, K.poly("s")], other)
-    want_zero = groebner.intersect_ideals(*with_zero, K)
-    met = []
-    real = groebner.intersect_ideals
-    monkeypatch.setattr(groebner, "intersect_ideals",
-                        lambda *a, **k: met.append(a) or real(*a, **k))
-    for (a, b), w in zip(cases, want):
-        assert [g.terms for g in loci._union(a, b, K)] == [g.terms for g in w], (a, b)
-    assert met == []
-    assert [g.terms for g in loci._union(*with_zero, K)] == [g.terms for g in want_zero]
-    assert len(met) == 1
-
-
 def test_factor_memo_agrees_with_a_fresh_ring(monkeypatch, tmp_path):
     # every poly the loci benchmark scripts factor, and every factor the
     # memo records as its own factorization, factors the same on a fresh

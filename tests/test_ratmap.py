@@ -125,18 +125,42 @@ def test_map_constancy_report_off_the_jump():
 
 def test_fiber_invariants_saturate_each_power_once(monkeypatch):
     # degG reads k = 1..6, e_sat n = 1..8 and j the powers 2..7: eight
-    # distinct saturated powers, each computed once
-    calls = []
+    # distinct saturated powers, each computed once.  Every power of the
+    # Veronese ideal is m-primary, so each saturation leaves Bayer's
+    # route at its first basis and runs no graph kernel.
+    kernels = []  # one entry per graph kernel run
+    per_saturation = []  # graph kernel runs inside each saturation
     saturate = groebner.saturate_ideal
+    graph_kernel = groebner._graph_kernel
 
     def counted(gens, others, ring=None):
-        calls.append(len(gens))
-        return saturate(gens, others, ring=ring)
+        before = len(kernels)
+        out = saturate(gens, others, ring=ring)
+        per_saturation.append(len(kernels) - before)
+        return out
+
+    def spied(*args, **kwargs):
+        kernels.append(args)
+        return graph_kernel(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "saturate_ideal", counted)
+    monkeypatch.setattr(groebner, "_graph_kernel", spied)
     inv = ratmap.fiber_invariants(ratmap.RationalMap(R, ["x^2", "x*y", "y^2"]))
     assert (inv["degY"], inv["degG"], inv["e_sat"], inv["j"]) == (2, 1, 2, 4)
-    assert len(calls) == 8
+    assert per_saturation == [0] * 8
+
+
+def test_primary_j_identity_is_asserted(monkeypatch):
+    # the forms' leads x^2 and y^2 show the Veronese ideal m-primary, so
+    # its j-multiplicity must be 2^2; a j of 3 is caught
+    monkeypatch.setattr(ratmap, "_j_multiplicity", lambda powers, cutoff: 3)
+    with pytest.raises(AlgebraError, match=r"multiplicity identity failed: j=3, d\^r=4"):
+        ratmap.fiber_invariants(ratmap.RationalMap(R, ["x^2", "x*y", "y^2"]))
+    # the Cremona map has base points, so its ideal is not m-primary
+    # and the same patched j goes through unasserted
+    Q = make_ring(["x", "y", "z"], [1, 1, 1])
+    inv = ratmap.fiber_invariants(ratmap.RationalMap(Q, ["y*z", "x*z", "x*y"]))
+    assert inv["j"] == 3
 
 
 def test_multiplicity_identity_is_still_asserted(monkeypatch):

@@ -2,8 +2,10 @@
 
 ``saturate_ideal`` reads I : x_i^inf off one grevlex basis with x_i last
 when the input meets Bayer and Stillman's conditions, and iterates colons
-otherwise.  The colon loop is the reference: on every input both routes
-must return the same reduced basis, term for term.
+otherwise.  Bayer's route returns the unit ideal at its first basis when
+that basis has a pure power of every x-variable among its leads.  The
+colon loop is the reference: on every input both routes must return the
+same reduced basis, term for term.
 """
 
 import random
@@ -137,3 +139,37 @@ def test_lex_ordered_ring_takes_the_colon_loop():
                      order=MonomialOrder([("lex", [0, 1, 2])]))
     sat = _agree(ring, ["x^3", "x^2*y", "x^2*z", "x*z - y^2"], bayer=False)
     assert [str(g) for g in sat] == ["x^2", "x*y^2", "x*z - y^2", "y^4"]
+
+
+def _native_leads_bound_every_x(ring, gens):
+    basis = groebner.ideal_gb([ring.poly(g) for g in gens], ring=ring)
+    return groebner._pure_x_powers([g.leading_monomial() for g in basis], ring.nx)
+
+
+def test_parameter_factor_in_a_lead_takes_the_stages():
+    # t*x^2 leads t*x^2 + x*y, so the leads bound y but not x: the ideal
+    # is m-primary over the generic fiber, not over QQ[t], and its
+    # saturation stays proper
+    ring = make_ring(["x", "y"], [1, 1], params=["t"])
+    gens = ["t*x^2 + x*y", "y^2"]
+    assert not _native_leads_bound_every_x(ring, gens)
+    sat = _agree(ring, gens)
+    assert [str(g) for g in sat] == ["y^2", "x*t + y", "y*t", "t^2"]
+
+
+def test_m_primary_ideal_over_a_prime_field_exits_early():
+    ring = make_ring(["x", "y", "z"], [1, 1, 1], field=PrimeField(32003))
+    gens = ["x^2 + y*z", "y^2 - 3*x*z", "z^2 + 5*x*y"]
+    assert _native_leads_bound_every_x(ring, gens)
+    assert [str(g) for g in _agree(ring, gens)] == ["1"]
+
+
+@pytest.mark.parametrize("gens, want, early", [
+    (["x^3"], ["1"], True),
+    (["t*x^2"], ["t"], False),
+    (["t*x^3 + x^3"], ["t + 1"], False),
+])
+def test_one_variable_x_block(gens, want, early):
+    ring = make_ring(["x"], [1], params=["t"])
+    assert _native_leads_bound_every_x(ring, gens) is early
+    assert [str(g) for g in _agree(ring, gens)] == want
