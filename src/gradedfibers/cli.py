@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import loci, localcohom, ratmap, script, specialize
-from .errors import AlgebraError, DualityMismatch, ScriptError
+from .errors import AlgebraError, DualityMismatch, MultiplicityMismatch, ScriptError
 from .modules import FreeModule, FreeMap, Presentation
 from .rings import MonomialOrder, PrimeField, QQ, make_ring
 
@@ -322,9 +322,9 @@ def _csv_rows(payload):
 
 def _error_kind(exc):
     """Error kind of a payload: "input" for bad input, "internal" for an engine bug."""
-    if isinstance(exc, AlgebraError) and not isinstance(exc, DualityMismatch):
-        return "input"
-    return "internal"
+    if isinstance(exc, (DualityMismatch, MultiplicityMismatch)):
+        return "internal"
+    return "input" if isinstance(exc, AlgebraError) else "internal"
 
 
 def run(session, seed=0, out_dir=".", power_cutoff=None, csv=False):

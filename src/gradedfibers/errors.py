@@ -45,6 +45,12 @@ class DualityMismatch(AlgebraError):
     """The two local cohomology routes disagree; this always indicates an engine bug."""
 
 
+class MultiplicityMismatch(AlgebraError):
+    """Multiplicities of a rational map break an identity they satisfy
+    (e_sat = degY degG, or j = d^r on forms primary to the irrelevant
+    ideal); this always indicates an engine bug."""
+
+
 class NotGenericallyFinite(AlgebraError):
     """The rational map has positive dimensional general fibers."""
 

@@ -471,10 +471,19 @@ def ideal_gb(polys, ring=None, _base_aug=True):
     module = FreeModule(ring, [ring.zero_degree()])
     vecs = [module.element([p]) for p in polys]
     gb = module_gb(vecs, module, base_aug=_base_aug)
+    if not _base_aug:
+        return [v.component(0) for v in gb]
+    return ideal_basis_polys(gb)
+
+
+def ideal_basis_polys(gb):
+    """The polys of a reduced basis of an ideal, a rank-one GBasis built
+    with the base relations adjoined, as ideal_gb returns them."""
+    ring = gb.module.ring
     out = []
     for v in gb:
         p = v.component(0)
-        if _base_aug and ring.base_rel:
+        if ring.base_rel:
             p = Poly(ring, dict(p.terms))  # reduce away pure relation multiples
             if p.is_zero():
                 continue

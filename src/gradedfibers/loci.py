@@ -53,16 +53,23 @@ def defect_locus(sm_in, sm_out, target_sum, ring):
     below target_sum.  Over any other base the condition splits over the
     ways to cap the two ranks, so the locus is the intersection over
     a + b = target_sum - 1 of the ideals (minors of size a+1 of sm_in) +
-    (minors of size b+1 of sm_out).
+    (minors of size b+1 of sm_out).  A cap at or above a strand's size,
+    or on a domain base at or above its generic rank, holds everywhere,
+    so the caps are clamped there and no pair asks for a minor that
+    vanishes identically.  Each pair's minors are cut down to their
+    reduced basis before their squarefree parts are taken.
     """
     if target_sum <= 0:
         return [ring.one()]  # ranks are never negative: nothing can fail
     if ring.nz == 1 and not ring.base_rel and ring.field.char == 0:
         return _univariate_defect_locus(sm_in, sm_out, target_sum, ring)
-    # rank caps beyond the matrix size are vacuous; after clamping, drop
-    # the (a, b) pairs whose locus sits inside another pair's locus
     cap_in = min(sm_in.nrows, sm_in.ncols)
     cap_out = min(sm_out.nrows, sm_out.ncols)
+    if ring.base_is_domain:
+        cap_in = min(cap_in, sm_in.generic_rank()[0])
+        cap_out = min(cap_out, sm_out.generic_rank()[0])
+    # after clamping, drop the (a, b) pairs whose locus sits inside another
+    # pair's locus
     pairs = {(min(a, cap_in), min(target_sum - 1 - a, cap_out))
              for a in range(target_sum)}
     pairs = [p for p in pairs
@@ -73,6 +80,7 @@ def defect_locus(sm_in, sm_out, target_sum, ring):
         if not part:
             # both rank caps hold identically: every point is in the locus
             return []
+        part = groebner.ideal_gb(part, ring=ring)
         part = groebner.ideal_gb(_squarefree_gens(part), ring=ring)
         if not part:
             return []  # all minors vanish on the base

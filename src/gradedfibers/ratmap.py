@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .errors import (AlgebraError, BaseNotDomain, InvalidFiber,
+from .errors import (AlgebraError, BaseNotDomain, InvalidFiber, MultiplicityMismatch,
                      NotGenericallyFinite, NotHomogeneous, NotStandardGraded,
                      UnstableLimit)
 from . import groebner
@@ -304,7 +304,7 @@ def saturated_fiber_multiplicity(rmap, point=None, cutoff=None):
         raise UnstableLimit("saturated Hilbert values not stabilized; raise the cutoff")
     md = map_degree(rmap, point, cutoff=cutoff)
     if e != md["degY"] * md["degG"]:
-        raise AlgebraError(
+        raise MultiplicityMismatch(
             "multiplicity identity failed: e=%d, degY=%d, degG=%d"
             % (e, md["degY"], md["degG"]))
     return e
@@ -336,8 +336,12 @@ def _j_multiplicity(powers, cutoff):
     r = fring.nx - 1
     vals = []
     for n in range(1, cutoff + 1):
-        num = groebner.intersect_ideals(_gens(powers.saturated(n + 1)),
-                                        _gens(powers.power(n)), fring)
+        sat = _gens(powers.saturated(n + 1))
+        if groebner._has_unit(sat):
+            # the meet with the unit ideal is I^n, whose basis is built
+            num = groebner.ideal_basis_polys(powers.power(n).gb())
+        else:
+            num = groebner.intersect_ideals(sat, _gens(powers.power(n)), fring)
         one_module, num_vecs = groebner._as_ideal_vectors(num, fring)
         pres, _incl = groebner.subquotient_presentation(
             num_vecs, powers.power(n + 1).relations.cols, one_module)
@@ -493,4 +497,5 @@ def _check_primary_j(j, powers, d):
     nx = powers.ring.nx
     leads = [e for _c, e in powers.power(1).gb().leads()]
     if groebner._pure_x_powers(leads, nx) and j != d ** nx:
-        raise AlgebraError("multiplicity identity failed: j=%d, d^r=%d" % (j, d ** nx))
+        raise MultiplicityMismatch("multiplicity identity failed: j=%d, d^r=%d"
+                                   % (j, d ** nx))

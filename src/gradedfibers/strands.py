@@ -13,9 +13,13 @@ of linalg: unit pivots first, then fraction-free elimination on what
 remains.  Ranks come in two flavors: at a fiber point (exact linear
 algebra over the residue field, or over the residue domain for a
 generic point) and generically over the base, with a certifying minor
-whose nonvanishing locus is where the generic rank is attained.  Minors
-ideals are enumerated minor by minor; over QQ[t] the loci need none, as
-they are read off the ranks at the primes of the certifying minors.
+whose nonvanishing locus is where the generic rank is attained.  Each
+strand owns its minors ideals, one per size, built once: over a domain
+base a size above the generic rank has no nonzero minor, and a square
+strand of full generic rank has its certifying minor as its one minor,
+so only the sizes in between are enumerated minor by minor.  Over QQ[t]
+the loci need none, as they are read off the ranks at the primes of the
+certifying minors.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class StrandMatrix:
     built on request.
     """
 
-    __slots__ = ("ring", "rows", "cols", "data", "_reduction", "_generic_rank")
+    __slots__ = ("ring", "rows", "cols", "data", "_reduction", "_generic_rank", "_minors")
 
     def __init__(self, ring, rows, cols, data):
         self.ring = ring
@@ -67,6 +71,7 @@ class StrandMatrix:
         self.data = data
         self._reduction = None
         self._generic_rank = None
+        self._minors = {}
 
     @property
     def nrows(self):
@@ -139,26 +144,45 @@ class StrandMatrix:
     def minors_ideal(self, size):
         """Generators of the ideal of size x size minors, as base polys.
 
-        The minors of the unit-free reduction are enumerated one by one,
-        so the count of submatrices is capped.
+        Memoized per size.  The minors of the unit-free reduction stand
+        for those of the strand (see reduced).  Over a domain base none
+        is nonzero above the generic rank, and a square reduction of full
+        generic rank has one minor, the certifying minor of generic_rank,
+        up to sign; any other size is enumerated one minor at a time, so
+        the count of submatrices is capped.
         """
-        from itertools import combinations
-        from math import comb
-
         if size <= 0:
             return [self.ring.one()]
         if size > min(self.nrows, self.ncols):
             return []
+        out = self._minors.get(size)
+        if out is None:
+            out = self._minors[size] = self._minors_of_size(size)
+        return out
+
+    def _minors_of_size(self, size):
+        from itertools import combinations
+        from math import comb
+
         red, piv = self.reduced()
-        if piv:
-            return red.minors_ideal(size - piv)
-        if comb(self.nrows, size) * comb(self.ncols, size) > 200000:
+        size -= piv
+        if size <= 0:
+            return [self.ring.one()]
+        if size > min(red.nrows, red.ncols):
+            return []
+        if self.ring.base_is_domain:
+            rank, minor = self.generic_rank()
+            if size > rank - piv:
+                return []
+            if size == red.nrows == red.ncols:
+                return [minor]
+        if comb(red.nrows, size) * comb(red.ncols, size) > 200000:
             raise AlgebraError(
                 "minor enumeration too large (%d x %d strand, size %d); "
-                "use a smaller degree window" % (self.nrows, self.ncols, size))
+                "use a smaller degree window" % (red.nrows, red.ncols, size))
         out = []
-        for rset in combinations(self.data, size):
-            for cset in combinations(range(self.ncols), size):
+        for rset in combinations(red.data, size):
+            for cset in combinations(range(red.ncols), size):
                 sub = [{k: row[j] for k, j in enumerate(cset) if j in row} for row in rset]
                 d = linalg.domain_det(sub, self.ring)
                 if not d.is_zero():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from gradedfibers import cli, script
-from gradedfibers.errors import DualityMismatch, InvalidFiber
+from gradedfibers.errors import DualityMismatch, InvalidFiber, MultiplicityMismatch
 from gradedfibers.modules import Presentation
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -29,6 +29,7 @@ CASES = {
     "module_powers": 0,
     "quartic_qq": 0,
     "ratmap_p2": 0,
+    "loci_cusp": 0,
     "bad_window": 1,
 }
 
@@ -53,7 +54,8 @@ def test_main_reports_unreadable_script(tmp_path, capsys):
 
 @pytest.mark.parametrize("exc, kind", [(KeyError("mu"), "internal"),
                                        (DualityMismatch("routes differ"), "internal"),
-                                       (InvalidFiber("no such point"), "input")])
+                                       (InvalidFiber("no such point"), "input"),
+                                       (MultiplicityMismatch("j=2, d^r=4"), "internal")])
 def test_error_payloads_tell_input_from_engine_bugs(exc, kind, tmp_path, monkeypatch):
     def broken(env, cmd, opts):
         raise exc

@@ -272,18 +272,21 @@ def test_locus_excludes_exactly_the_jumping_fibers():
     assert dims_bad[3] == generic[3] + 1
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="known defect: minor enumeration hits its cap (ROADMAP item 2)")
 def test_loci_over_a_base_with_a_relation(tmp_path):
-    # without a window it stops at an 11 x 14 strand, later; [0, 1] hits
-    # the cap at once
-    from gradedfibers import cli, script
-
+    # over the cusp s^2 = t^3 the module is free off the cusp point; no
+    # pair asks for a minor above a strand's generic rank, so no strand
+    # reaches the enumeration cap
     text = ("ring R base quotient(poly(QQ, s, t), ideal(s^2 - t^3)) vars x:1 y:1;\n"
-            "ideal I = (x^2, s*x*y, t*y^2);\ncmd loci I window [0, 1];\n")
+            "ideal I = (x^2, s*x*y, t*y^2);\ncmd loci I;\n")
     cli.run(script.parse(text), out_dir=str(tmp_path))
     payload = json.loads((tmp_path / "01_loci.json").read_text())
     assert "error" not in payload, payload["error"]["message"]
+    assert payload["nonfree"]["stabilized"]
+    A = make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"])
+    gens = [A.poly(g) for g in payload["nonfree"]["generators"]]
+    for values, inside in (((0, 0), True), ((1, 1), False), ((8, 4), False)):
+        point = FiberPoint.rational(A, dict(zip("st", values)))
+        assert all(not point.evaluate_scalar(g) for g in gens) == inside, values
 
 
 def test_factor_memo_agrees_with_a_fresh_ring(monkeypatch, tmp_path):

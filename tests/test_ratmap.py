@@ -1,11 +1,13 @@
 """Rational map invariants: image degree, map degree, multiplicities."""
 
+import json
+
 import pytest
 
 from gradedfibers.errors import (AlgebraError, NotGenericallyFinite,
                                  NotHomogeneous, NotStandardGraded, UnstableLimit)
 from gradedfibers.rings import make_ring
-from gradedfibers import groebner, ratmap
+from gradedfibers import cli, groebner, ratmap, script
 from gradedfibers.specialize import FiberPoint
 
 
@@ -150,6 +152,39 @@ def test_fiber_invariants_saturate_each_power_once(monkeypatch):
     assert per_saturation == [0] * 8
 
 
+def test_j_reads_the_power_basis_where_the_saturation_is_the_unit_ideal(monkeypatch):
+    # every saturation of the Veronese ideal is the unit ideal, so j meets
+    # nothing: the numerator is I^n itself, read off the basis its power
+    # already holds, and the lengths stay those of the intersection
+    meets = []
+    intersect = groebner.intersect_ideals
+
+    def spied(a, b, ring=None):
+        meets.append((a, b))
+        return intersect(a, b, ring)
+
+    monkeypatch.setattr(groebner, "intersect_ideals", spied)
+    inv = ratmap.fiber_invariants(ratmap.RationalMap(R, ["x^2", "x*y", "y^2"]))
+    assert inv["j"] == 4 and meets == []
+    # the Cremona map keeps its saturations proper, so j still meets them
+    Q = make_ring(["x", "y", "z"], [1, 1, 1])
+    assert ratmap.fiber_invariants(ratmap.RationalMap(Q, ["y*z", "x*z", "x*y"]))["j"] == 2
+    assert meets
+
+
+@pytest.mark.parametrize("ring, gens", [
+    (R, ["x^2", "x*y", "y^2"]),
+    (make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"]),
+     ["x^2", "s*x*y", "t*y^2"]),
+])
+def test_power_basis_polys_are_the_ideal_basis(ring, gens):
+    powers = ratmap._Powers(ring, [ring.poly(g) for g in gens])
+    for n in (1, 2, 3):
+        got = groebner.ideal_basis_polys(powers.power(n).gb())
+        want = groebner.ideal_gb(ratmap._gens(powers.power(n)), ring=ring)
+        assert [g.terms for g in got] == [g.terms for g in want]
+
+
 def test_primary_j_identity_is_asserted(monkeypatch):
     # the forms' leads x^2 and y^2 show the Veronese ideal m-primary, so
     # its j-multiplicity must be 2^2; a j of 3 is caught
@@ -161,6 +196,17 @@ def test_primary_j_identity_is_asserted(monkeypatch):
     Q = make_ring(["x", "y", "z"], [1, 1, 1])
     inv = ratmap.fiber_invariants(ratmap.RationalMap(Q, ["y*z", "x*z", "x*y"]))
     assert inv["j"] == 3
+
+
+def test_failed_multiplicity_identity_is_an_engine_bug(monkeypatch, tmp_path):
+    # a broken identity means the engine is wrong, not the input, so its
+    # payload is filed internal
+    monkeypatch.setattr(ratmap, "_j_multiplicity", lambda powers, cutoff: 3)
+    text = "ring R base QQ vars x:1 y:1;\ncmd ratmap (x^2, x*y, y^2);\n"
+    assert cli.run(script.parse(text), out_dir=str(tmp_path)) == 1
+    error = json.loads((tmp_path / "01_ratmap.json").read_text())["error"]
+    assert (error["type"], error["kind"]) == ("MultiplicityMismatch", "internal")
+    assert error["message"] == "multiplicity identity failed: j=3, d^r=4"
 
 
 def test_multiplicity_identity_is_still_asserted(monkeypatch):

@@ -1,9 +1,10 @@
 """Strand matrices over the base: ranks, minors, fiber evaluation.
 
-The unit-pivot reduction and the QQ[t] loci read off ranks at the primes
-of the certifying minors are internal shortcuts; the loops here pin them
-to the definitional computations (evaluate-then-eliminate,
-enumerate-all-minors) on random inputs.
+The unit-pivot reduction, the QQ[t] loci read off ranks at the primes
+of the certifying minors, and the minors and loci that stop at the
+generic rank are internal shortcuts; the loops here pin them to the
+definitional computations (evaluate-then-eliminate, enumerate-all-minors)
+on random inputs.
 """
 
 import random
@@ -13,12 +14,13 @@ import pytest
 
 from gradedfibers.errors import AlgebraError
 from gradedfibers.modules import FreeModule, FreeMap
-from gradedfibers.rings import make_ring
+from gradedfibers.rings import make_ring, squarefree_part, transfer
 from gradedfibers import groebner, linalg, loci, specialize, strands
 
 
 Rt = make_ring(["x", "y"], [1, 1], params=["t"])
 Rst = make_ring(["x", "y"], [1, 1], params=["s", "t"])
+Rcusp = make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"])
 
 
 def sparse(ent):
@@ -88,18 +90,35 @@ def test_generic_rank_certificate():
         assert hits > 0  # a nonzero certificate has nonvanishing points
 
 
+def enumerated_minors(sm, size):
+    """Every nonzero size x size minor of the strand's own entries, one
+    determinant per pair of row and column sets."""
+    if size <= 0:
+        return [sm.ring.one()]
+    ent = sm.entries
+    out = []
+    for rs in combinations(range(sm.nrows), size):
+        for cs in combinations(range(sm.ncols), size):
+            d = linalg.domain_det(sparse([[ent[i][j] for j in cs] for i in rs]), sm.ring)
+            if not d.is_zero():
+                out.append(d)
+    return out
+
+
 def pair_locus(sm_in, sm_out, target):
     """The defect locus as the squarefree intersection over a + b =
     target - 1 of (minors of size a+1 of sm_in) + (minors of size b+1 of
-    sm_out), every minor enumerated; [] is the whole base."""
+    sm_out), every pair taken and every minor enumerated; [] is the whole
+    base."""
+    ring = sm_in.ring
     acc = None
     for a in range(target):
-        part = sm_in.minors_ideal(a + 1) + sm_out.minors_ideal(target - a)
+        part = enumerated_minors(sm_in, a + 1) + enumerated_minors(sm_out, target - a)
         if not part:
             return []
-        part = groebner.ideal_gb([loci.squarefree_part(g) for g in part], ring=Rt)
-        acc = part if acc is None else groebner.intersect_ideals(acc, part, Rt)
-    return [loci.squarefree_part(g) for g in acc]
+        part = groebner.ideal_gb([squarefree_part(g) for g in part], ring=ring)
+        acc = part if acc is None else groebner.intersect_ideals(acc, part, ring)
+    return [squarefree_part(g) for g in acc]
 
 
 def test_univariate_defect_locus_matches_minors_and_points():
@@ -141,9 +160,110 @@ def test_minors_ideal_two_parameter_base():
 
 
 def test_minors_enumeration_guard():
+    # s on the diagonal and t elsewhere has full generic rank, so its
+    # 13-minors are enumerated, and there are too many of them
     n = 26
-    ent = [[Rst.poly("s") for _ in range(n)] for _ in range(n)]
+    ent = [[Rst.poly("s" if i == j else "t") for j in range(n)] for i in range(n)]
     sm = strands.StrandMatrix(Rst, [("r", i) for i in range(n)],
                               [("c", j) for j in range(n)], sparse(ent))
-    with pytest.raises(AlgebraError):
+    with pytest.raises(AlgebraError, match="minor enumeration too large"):
         sm.minors_ideal(13)
+
+
+def rand_deficient(ring, rng, nr, nc, pool):
+    """A random strand whose last row is, half the time, a multiple of its
+    first, so that its generic rank falls below its size."""
+    sm = rand_matrix(ring, rng, nr, nc, pool)
+    if nr > 1 and rng.random() < 0.5:
+        c = ring.poly(rng.choice(pool[2:]))
+        sm.data[-1] = {j: c * p for j, p in sm.data[0].items()}
+    return sm
+
+
+def same_locus(gens_a, gens_b, ring):
+    """V(gens_a) = V(gens_b): each generator of one side lies in the
+    radical of the other, that is J + (1 - w*g) is the unit ideal over the
+    base with one more parameter w (Rabinowitsch)."""
+    big = make_ring(list(ring.xnames), [1] * ring.nx, params=list(ring.znames) + ["w"],
+                    relations=[str(r) for r in ring.base_gb()])
+    w = big.var("w")
+
+    def inside(gens, ideal):
+        ideal = [transfer(h, big) for h in ideal]
+        return all(groebner.ideal_equal(ideal + [big.one() - w * transfer(g, big)],
+                                        [big.one()], ring=big) for g in gens)
+
+    return inside(gens_a, gens_b) and inside(gens_b, gens_a)
+
+
+PARAM_POOLS = [
+    (Rst, ["0", "0", "1", "s", "t", "s - t", "s*t", "t + 1", "s^2"]),
+    (Rcusp, ["0", "0", "1", "s", "t", "s - t", "t^2", "s*t", "t + 1"]),
+]
+
+
+@pytest.mark.parametrize("ring, pool", PARAM_POOLS, ids=["QQ[s,t]", "cusp"])
+def test_defect_locus_matches_every_pair(ring, pool):
+    # the clamped pairs and the basis of each pair's minors give the locus
+    # of every pair with every minor enumerated; the two ideals may differ,
+    # as squarefree parts of different generators do, but not their zeros
+    rng = random.Random(25)
+    for _ in range(16):
+        sm_in = rand_deficient(ring, rng, rng.randint(1, 3), rng.randint(1, 4), pool)
+        sm_out = rand_deficient(ring, rng, rng.randint(1, 4), rng.randint(1, 3), pool)
+        generic = sm_in.generic_rank()[0] + sm_out.generic_rank()[0]
+        for target in range(1, generic + 2):
+            got = loci.defect_locus(sm_in, sm_out, target, ring)
+            ref = pair_locus(sm_in, sm_out, target)
+            if not got or not ref:
+                assert not got and not ref
+                continue
+            assert same_locus(got, ref, ring)
+
+
+@pytest.mark.parametrize("ring, pool", PARAM_POOLS, ids=["QQ[s,t]", "cusp"])
+def test_minors_ideal_enumerates_each_size_once(ring, pool, monkeypatch):
+    # a repeated size, a size above the generic rank and a square strand of
+    # full generic rank make no determinant call
+    calls = []
+    det = linalg.domain_det
+
+    def counted(rows, base):
+        calls.append(len(rows))
+        return det(rows, base)
+
+    monkeypatch.setattr(linalg, "domain_det", counted)
+    rng = random.Random(26)
+    for _ in range(20):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        sm = rand_deficient(ring, rng, nr, nc, pool)
+        rank, minor = sm.generic_rank()
+        for size in range(1, min(nr, nc) + 1):
+            want = enumerated_minors(sm, size)
+            del calls[:]
+            got = sm.minors_ideal(size)
+            if size > rank:
+                assert got == [] and want == [] and calls == []
+            elif not got or not want:
+                assert not got and not want
+            else:
+                assert groebner.ideal_equal(got, want, ring=ring)
+            del calls[:]
+            assert sm.minors_ideal(size) is got and calls == []
+        if nr == nc == rank:
+            fresh = strands.StrandMatrix(ring, sm.rows, sm.cols, sm.data)
+            del calls[:]
+            assert fresh.minors_ideal(nr) == [minor] and calls == []
+
+
+def test_full_rank_square_strand_gives_its_certifying_minor(monkeypatch):
+    # an upper triangular 3 x 3 strand with no unit: its one 3-minor is the
+    # product of the diagonal, read off generic_rank with no determinant
+    monkeypatch.setattr(linalg, "domain_det", None)
+    ent = [["s", "t", "s*t"], ["0", "t", "s - t"], ["0", "0", "s + t"]]
+    sm = strands.StrandMatrix(Rst, [("r", i) for i in range(3)], [("c", j) for j in range(3)],
+                              sparse([[Rst.poly(e) for e in row] for row in ent]))
+    assert sm.generic_rank()[0] == 3
+    (got,) = sm.minors_ideal(3)
+    assert groebner.ideal_equal([got], [Rst.poly("s*t*(s + t)")], ring=Rst)
+    assert sm.minors_ideal(4) == []
