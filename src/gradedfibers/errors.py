@@ -21,6 +21,12 @@ class BadBigrading(AlgebraError):
     """Variable bidegrees do not have the required shape."""
 
 
+class BadBase(AlgebraError):
+    """The parameter relations are not a base the engine handles: a single
+    relation with a repeated factor, or declared components that do not
+    cut out the relations."""
+
+
 class InvalidFiber(AlgebraError):
     """A fiber point does not lie on the parameter variety, or is otherwise unusable."""
 

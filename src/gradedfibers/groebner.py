@@ -1,9 +1,13 @@
 """Buchberger engine for submodules of graded free modules.
 
-Everything here runs over the flat polynomial ring k[x, y, z]; parameter
-relations are handled by augmenting generator sets with relation
-multiples of the ambient basis, so normal forms and kernels are computed
-over the quotient without special cases downstream.
+Everything here runs over the flat polynomial ring k[x, y, z].  Over a
+base A = k[z]/(relations) a submodule M is computed as M plus the
+relation multiples of each ambient basis vector, and one rule reads the
+basis over A (_over_base): an element whose lead a relation lead divides
+is redundant over A, and every other element is in normal form modulo
+the relations.  GBasis and the kernels apply it, so their elements need
+no further reduction and their leads are read over the generic fiber
+as they stand.
 
 Buchberger's loop and every normal form run on int vectors, fraction
 free over QQ and on residues mod p over GF(p); reduction takes the
@@ -250,10 +254,29 @@ def _normalize(ctx, data):
 def _base_aug_data(ring, nc):
     """Relation multiples of each ambient basis vector, as raw dicts."""
     out = []
-    for g in ring.base_gb():
+    for g in ring.base_basis():
         for c in range(nc):
-            out.append({(c, e): co for e, co in g.terms.items()})
+            out.append({(c, e): co for (_0, e), co in g.data.items()})
     return out
+
+
+def _over_base(ring, data_list, lead):
+    """The vectors of a Groebner basis of M + (relations) F that are not
+    redundant over the base A = k[z]/(relations).
+
+    A vector whose lead a relation lead divides is redundant over A: take
+    a vector of the module; while a relation lead divides its lead, take
+    off a relation multiple, and otherwise the basis lead that divides it
+    is a kept one.  So the kept vectors generate M over A.  Each is in
+    normal form modulo the relations when the basis is reduced: its lead
+    is kept, and no tail term is divisible by a lead of the basis, while
+    every relation multiple's lead lies in the lead module.
+    """
+    if not ring.base_rel:
+        return data_list
+    rel = [e for _c, e in ring.base_basis().leads()]
+    return [d for d in data_list
+            if not any(all(a >= b for a, b in zip(lead(d)[1], r)) for r in rel)]
 
 
 def _buchberger(ctx, gens_data):
@@ -371,8 +394,12 @@ def _buchberger(ctx, gens_data):
 class GBasis:
     """Reduced Groebner basis of a submodule, with normal form services.
 
-    Built from int vectors (see _to_ints); the elements are their field
-    images, and the table keeps the int vectors for the reducer.
+    Built from int vectors (see _to_ints) of a Groebner basis of the
+    submodule plus the relation multiples of each ambient basis vector.
+    The elements are the field images of those that are not redundant
+    over the base (_over_base).  The reducer's table keeps them as int
+    vectors, followed by the relation multiples, which together with them
+    form a Groebner basis of the same module.
     """
 
     __slots__ = ("module", "split", "elements", "_ctx", "_table")
@@ -381,11 +408,14 @@ class GBasis:
         self.module = module
         self.split = split
         self._ctx = ctx = _Ctx(module.ring, module.shifts, split)
-        self.elements = tuple(Vector(module, _from_ints(ctx.p, d)) for d in data_list)
-        self._table = _DivisorTable(ctx.p)
-        for d in data_list:
-            if d:
-                self._table.add(d, ctx.lead(d))
+        p = ctx.p
+        kept = _over_base(module.ring, [d for d in data_list if d], ctx.lead)
+        self.elements = tuple(Vector(module, _from_ints(p, d)) for d in kept)
+        if module.ring.base_rel:
+            kept = kept + [_to_ints(p, d)[0] for d in _base_aug_data(module.ring, module.rank)]
+        self._table = _DivisorTable(p)
+        for d in kept:
+            self._table.add(d, ctx.lead(d))
 
     def __len__(self):
         return len(self.elements)
@@ -409,44 +439,27 @@ class GBasis:
         nf, den = self._reduce(v)
         return Vector(self.module, _from_ints(self._ctx.p, nf, den))
 
+    def reduce_terms(self, terms):
+        """(nf, mult) for an int term dict {exponents: coefficient} of a
+        rank-one basis: mult * terms reduces to nf (see _reduce_full)."""
+        nf, mult = _reduce_full(self._ctx, {(0, e): c for e, c in terms.items()}, self._table)
+        return {e: c for (_0, e), c in nf.items()}, mult
+
     def nf_with_quotients(self, v):
-        """Normal form plus quotients: v = sum q_i * g_i + nf."""
+        """Normal form plus quotients: v = sum q_i * g_i + nf, one q_i per
+        element, modulo the relations of the base."""
         quotients = [dict() for _ in self._table.entries]
         nf, den = self._reduce(v, quotients)
         p = self._ctx.p
         ring = self.module.ring
-        qs = [Poly(ring, _from_ints(p, q, den), _reduce=False) for q in quotients]
+        qs = [Poly(ring, _from_ints(p, q, den)) for q in quotients[:len(self.elements)]]
         return Vector(self.module, _from_ints(p, nf, den)), qs
 
     def contains(self, v):
         return not self._reduce(v)[0]
 
-    def generic_lead_coefficients(self):
-        """Leading base coefficients of the basis elements.
 
-        With the block order the leading term over the generic fiber of
-        the base is the graded part of the full leading term; its
-        coefficient is a parameter-only polynomial.  At points where
-        none of them vanish the evaluated basis keeps the same leading
-        terms, so standard monomial counts carry over.
-        """
-        ring = self.module.ring
-        ng = ring.ngraded
-        out = []
-        for v in self.elements:
-            if not v.data:
-                continue
-            c0, e0 = self._ctx.lead(v.data)
-            exy = e0[:ng]
-            terms = {}
-            for (c, e), co in v.data.items():
-                if c == c0 and e[:ng] == exy:
-                    terms[(0,) * ng + e[ng:]] = co
-            out.append(Poly(ring, terms, _reduce=False))
-        return out
-
-
-def module_gb(vectors, module=None, split=0, base_aug=True):
+def module_gb(vectors, module=None, split=0):
     """Reduced Groebner basis of the submodule the vectors generate."""
     vectors = list(vectors)
     if module is None:
@@ -455,13 +468,13 @@ def module_gb(vectors, module=None, split=0, base_aug=True):
         module = vectors[0].module
     ring = module.ring
     gens = [v.data for v in vectors if v.data]
-    if base_aug and ring.base_rel:
+    if ring.base_rel:
         gens.extend(_base_aug_data(ring, module.rank))
     ctx = _Ctx(ring, module.shifts, split)
     return GBasis(module, split, _buchberger(ctx, gens))
 
 
-def ideal_gb(polys, ring=None, _base_aug=True):
+def ideal_gb(polys, ring=None):
     """Reduced Groebner basis of an ideal, as a list of Polys."""
     polys = list(polys)
     if ring is None:
@@ -469,26 +482,13 @@ def ideal_gb(polys, ring=None, _base_aug=True):
             raise AlgebraError("cannot infer the ring from no generators")
         ring = polys[0].ring
     module = FreeModule(ring, [ring.zero_degree()])
-    vecs = [module.element([p]) for p in polys]
-    gb = module_gb(vecs, module, base_aug=_base_aug)
-    if not _base_aug:
-        return [v.component(0) for v in gb]
-    return ideal_basis_polys(gb)
+    return ideal_basis_polys(module_gb([module.element([p]) for p in polys], module))
 
 
 def ideal_basis_polys(gb):
-    """The polys of a reduced basis of an ideal, a rank-one GBasis built
-    with the base relations adjoined, as ideal_gb returns them."""
-    ring = gb.module.ring
-    out = []
-    for v in gb:
-        p = v.component(0)
-        if ring.base_rel:
-            p = Poly(ring, dict(p.terms))  # reduce away pure relation multiples
-            if p.is_zero():
-                continue
-        out.append(p)
-    return out
+    """The polys of a rank-one GBasis, as ideal_gb returns them: over a
+    base with relations its elements are already in normal form."""
+    return [v.component(0) for v in gb]
 
 
 def nf_poly(p, gb_polys):
@@ -500,8 +500,6 @@ def nf_poly(p, gb_polys):
     ring = gb_polys[0].ring
     module = FreeModule(ring, [ring.zero_degree()])
     data = [module.element([g]).data for g in gb_polys]
-    if ring.base_rel:
-        data.extend(_base_aug_data(ring, 1))
     basis = GBasis(module, 0, [_to_ints(ring.field.char, d)[0] for d in data])
     return basis.nf(module.element([p])).component(0)
 
@@ -523,7 +521,9 @@ def _graph_kernel(fmap, extra_target_gens=()):
     """Source-block basis of the graph GB; generates {v : phi(v) in U}.
 
     U is the submodule spanned by extra_target_gens (empty for the plain
-    kernel).  Works over parameter quotients via relation augmentation.
+    kernel).  Over a base with relations the graph GB holds the relation
+    multiples of every basis vector, and the vectors redundant over the
+    base are left out (_over_base).
     """
     src, tgt = fmap.source, fmap.target
     ring = fmap.ring
@@ -540,17 +540,10 @@ def _graph_kernel(fmap, extra_target_gens=()):
         gens.extend(_base_aug_data(ring, ambient.rank))
     ctx = _Ctx(ring, ambient.shifts, nt)
     out = []
-    for data in _buchberger(ctx, gens):
-        if not data:
-            continue
+    for data in _over_base(ring, _buchberger(ctx, gens), ctx.lead):
         if all(c >= nt for (c, _e) in data):
-            shifted = _from_ints(ctx.p, {(c - nt, e): co for (c, e), co in data.items()})
-            if ring.base_rel:
-                from .modules import _reduce_vec_base
-
-                shifted = _reduce_vec_base(ring, shifted)
-            if shifted:
-                out.append(Vector(src, shifted))
+            out.append(Vector(src, _from_ints(ctx.p, {(c - nt, e): co
+                                                      for (c, e), co in data.items()})))
     return out
 
 
@@ -625,10 +618,11 @@ def saturate_ideal(gens, others, ring=None):
 def _bayer_applies(gens, others, ring):
     """True when the saturator is exactly the x-variables, the x-block is
     standard graded and ordered by grevlex ahead of the parameters, there
-    is no y-block and no base relation, and the generators are
-    homogeneous."""
+    is no y-block, and the generators are homogeneous.  Base relations
+    are homogeneous of x-degree zero, so the argument holds over any
+    base."""
     nx = ring.nx
-    if ring.ny or ring.base_rel or ring.gdim != 1:
+    if ring.ny or ring.gdim != 1:
         return False
     if any(d != (1,) for d in ring.degrees[:nx]):
         return False
@@ -777,19 +771,12 @@ def _generic_leads(leads, ring):
 
     With the block order the graded part of a lead is its leading term
     over the generic fiber, so the parameter part is set to zero.  The
-    multiples of the base relations that module_gb adds have leads with
-    no graded part that a base-GB lead divides; they are zero over the
-    base, so they are dropped rather than read as unit leads.
+    leads are a GBasis' own (GBasis.leads), so none is redundant over the
+    base, and each has a coefficient that is nonzero in the base.
     """
-    ng = ring.ngraded
     zpad = (0,) * ring.nz
-    base = [g.leading_monomial()[ng:] for g in ring.base_gb()]
-    out = []
-    for c, e in leads:
-        if not any(e[:ng]) and any(all(a >= b for a, b in zip(e[ng:], z)) for z in base):
-            continue
-        out.append((c, e[:ng] + zpad))
-    return out
+    ng = ring.ngraded
+    return [(c, e[:ng] + zpad) for c, e in leads]
 
 
 def standard_monomials(leads, module, deg):

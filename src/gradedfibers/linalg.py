@@ -15,8 +15,10 @@ an entry whose one term is a constant.  With the pivot's constant c, a
 row R with entry a in the pivot column becomes c*R - a*P with scale c
 times its own, and the gcd of its content and its scale is divided out
 (over GF(p) it becomes R - (a/c)*P).  Over a base with relations each
-product a*q is reduced modulo them, so entries stay in normal form and
-a unit shows as one; the residual becomes Polys once, at the end.
+product a*q is reduced modulo them by the int reducer of the ring's
+relation basis (Ring.base_basis), which works on the int terms as they
+are, so entries stay in normal form and a unit shows as one; the
+residual becomes Polys once, at the end.
 
 Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) ranks a
 matrix over a domain, taking pivots column by column from the first
@@ -30,10 +32,10 @@ term dict {exponents: int}: over QQ every row is first multiplied by the
 lcm of its denominators, over GF(p) the coefficients are residues mod
 p.  Over a base with relations the raw terms are lifts to the
 relation-free ring, where exact division holds, and pivots are tested
-modulo the relations.  Products go through rings._mul_terms and the
-exact divisions through rings._div_terms; a certifying minor or a
-determinant becomes a Poly again only at the end, divided by the scales
-of the rows it was taken from.
+modulo the relations by the same int reducer.  Products go through
+rings._mul_terms and the exact divisions through rings._div_terms; a
+certifying minor or a determinant becomes a Poly again only at the end,
+divided by the scales of the rows it was taken from.
 
 A Bareiss step only rescales a row whose entry in the pivot column is
 zero, by p_k / p_{k-1}.  Such rows are left alone: each row records the
@@ -47,7 +49,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 
 from .errors import BaseNotDomain
-from .rings import Poly, _div_terms, _from_ints, _mul_terms, _to_ints
+from .rings import Poly, _div_terms, _from_ints, _mul_terms
 
 
 def unit_pivots(rows, ring):
@@ -94,8 +96,10 @@ def domain_rank(rows, ring):
     p = ring.field.char
     work, scales = _int_rows(rows, p)
     if ring.base_rel:
+        reduce = ring.base_basis().reduce_terms
+
         def nonzero(e):
-            return bool(ring._reduce_base({m: ring.field.coerce(c) for m, c in e.items()}))
+            return bool(reduce(e)[0])
     else:
         nonzero = None
     steps = list(_bareiss(work, ring.order.heap_key, p, nonzero))
@@ -230,18 +234,12 @@ def _int_pivot(ring, scales):
 
     scales[k] is the row scale of row k, whose entries are its int terms
     divided by scales[k]; updates change it in place.  A reduction
-    modulo the relations that brings denominators scales the row by their
-    lcm.
+    modulo the relations that multiplies a product by some m scales the
+    row by the lcm of those multipliers.
     """
     p = ring.field.char
     one = (0,) * ring.nvars
-    if ring.base_rel:
-        coerce = ring.field.coerce
-
-        def reduce(terms):
-            return _to_ints(p, ring._reduce_base({m: coerce(v) for m, v in terms.items()}))
-    else:
-        reduce = None
+    reduce = ring.base_basis().reduce_terms if ring.base_rel else None
 
     def pivot(prow, j):
         c = prow[j][one]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import AlgebraError, InvalidFiber
 from . import groebner, localcohom, resolution, strands
-from .rings import irreducible_factors, squarefree_part
+from .rings import irreducible_factors, squarefree_part, transfer
 from .specialize import FiberPoint, sample_rational_point
 
 # nonfree_locus scans WINDOW_SLACK degrees past the largest shift, then grows the
@@ -263,11 +263,20 @@ def locus_radical(gens, ring):
 
     Principal ideals get squarefree parts; zero-dimensional ideals get
     the classical univariate-eliminant treatment; anything else is
-    returned as-is with the flag down.
+    returned as-is with the flag down.  Over a base with relations the
+    radical is that of the ideal plus the relations in the relation-free
+    ring: a squarefree generator need not give a radical ideal there, as
+    s over the cusp s^2 = t^3, where t^3 lies in (s) and t does not.
     """
     gens = [g for g in (ring.poly(g) for g in gens) if not g.is_zero()]
     if not gens:
         return [], True
+    if ring.base_rel:
+        basis = ring.base_basis()
+        flat = basis.module.ring
+        rad, exact = locus_radical([transfer(g, flat) for g in gens]
+                                   + [v.component(0) for v in basis], flat)
+        return groebner.ideal_gb([transfer(g, ring) for g in rad], ring=ring), exact
     gb = groebner.ideal_gb(gens, ring=ring)
     if len(gb) == 1:
         return [squarefree_part(gb[0])], True

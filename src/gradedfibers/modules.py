@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlgebraError, NotHomogeneous, RingMismatch
-from .rings import Poly, transfer
+from .rings import Poly
 
 __all__ = ["FreeModule", "Vector", "FreeMap", "Presentation"]
 
@@ -67,10 +67,6 @@ class FreeModule:
                 data[(i, e)] = c
         return Vector(self, data)
 
-    def twist(self, d):
-        d = self.ring.deg_tuple(d)
-        return FreeModule(self.ring, [tuple(s - t for s, t in zip(sh, d)) for sh in self.shifts])
-
     def dual(self, twist=None):
         """Hom(F, R(twist)); basis vector i gets degree -shift_i - twist."""
         t = self.ring.deg_tuple(twist) if twist is not None else self.ring.zero_degree()
@@ -80,9 +76,6 @@ class FreeModule:
         if self.ring != other.ring:
             raise RingMismatch("direct sum over different rings")
         return FreeModule(self.ring, self.shifts + other.shifts)
-
-    def transfer_to(self, ring):
-        return FreeModule(ring, self.shifts)
 
 
 class Vector:
@@ -159,8 +152,13 @@ class Vector:
                         data[key] = s
                     else:
                         del data[key]
-        if self.ring.base_rel:
-            data = _reduce_vec_base(self.ring, data)
+        ring = self.ring
+        if ring.base_rel:
+            comps = {}
+            for (i, e), c in data.items():
+                comps.setdefault(i, {})[e] = c
+            data = {(i, e): c for i, terms in comps.items()
+                    for e, c in ring._reduce_base(terms).items()}
         return Vector(self.module, data)
 
     def component(self, i):
@@ -191,33 +189,11 @@ class Vector:
         except NotHomogeneous:
             return False
 
-    def transfer_to(self, module):
-        """Reinterpret in a module over another ring, matching variables by name."""
-        polys = [transfer(p, module.ring) for p in self.components()]
-        return module.element(polys)
-
     def __str__(self):
         return "(" + ", ".join(str(p) for p in self.components()) + ")"
 
     def __repr__(self):
         return "Vector%s" % self
-
-
-def _reduce_vec_base(ring, data):
-    from .rings import _nf_terms
-
-    gb = ring.base_gb()
-    if not gb:
-        return data
-    divisors = [(g.leading_term()[0], g.terms) for g in gb]
-    out = {}
-    comps = {}
-    for (i, e), c in data.items():
-        comps.setdefault(i, {})[e] = c
-    for i, terms in comps.items():
-        for e, c in _nf_terms(ring, terms, divisors).items():
-            out[(i, e)] = c
-    return out
 
 
 class FreeMap:
@@ -321,11 +297,6 @@ class FreeMap:
             cols.append(tgt.element([fiber.evaluate(p) for p in col.components()]))
         return FreeMap(src, tgt, cols, check=False)
 
-    def transfer_to(self, ring):
-        src = self.source.transfer_to(ring)
-        tgt = self.target.transfer_to(ring)
-        return FreeMap(src, tgt, [c.transfer_to(tgt) for c in self.cols], check=False)
-
     def __repr__(self):
         return "FreeMap(%d x %d)" % (self.target.rank, self.source.rank)
 
@@ -354,10 +325,9 @@ class Presentation:
         return cls(empty)
 
     @classmethod
-    def cyclic(cls, ring, ideal_gens, shift=None):
-        """R(-shift)/(ideal_gens)."""
-        shift = ring.deg_tuple(shift) if shift is not None else ring.zero_degree()
-        target = FreeModule(ring, [shift])
+    def cyclic(cls, ring, ideal_gens):
+        """R/(ideal_gens)."""
+        target = FreeModule(ring, [ring.zero_degree()])
         cols = []
         for g in ideal_gens:
             g = ring.poly(g)
@@ -400,9 +370,6 @@ class Presentation:
 
     def evaluate(self, fiber):
         return Presentation(self.relations.evaluate(fiber))
-
-    def transfer_to(self, ring):
-        return Presentation(self.relations.transfer_to(ring))
 
     def __repr__(self):
         return "Presentation(%d gens, %d rels)" % (

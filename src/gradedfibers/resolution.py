@@ -33,15 +33,13 @@ class Complex:
 
     __slots__ = ("modules", "maps", "raw", "kept")
 
-    def __init__(self, modules, maps, check=False, raw=None):
+    def __init__(self, modules, maps, raw=None):
         self.modules = list(modules)
         self.maps = list(maps)
         self.raw = raw
         self.kept = {}
         if len(self.modules) != len(self.maps) + 1:
             raise AlgebraError("a complex needs one more module than maps")
-        if check:
-            self.check()
 
     @property
     def ring(self):

@@ -3,7 +3,12 @@
 A ring here is k[x-block, y-block, z-block] where the x and y variables
 carry degrees in Z or Z^2 and the z variables are degree-zero parameters.
 An optional radical ideal in the parameters turns the parameter ring into
-a reduced quotient.  All coefficient arithmetic is exact.  Poly
+a reduced quotient A = k[z]/(relations); make_ring refuses a single
+relation with a repeated factor and declared components that do not cut
+out the relations.  The ring owns the reduced Groebner basis of its
+relations (Ring.base_basis), and every normal form modulo them goes
+through that basis' int reducer: Poly construction, Vector.scale and the
+eliminations of linalg.  All coefficient arithmetic is exact.  Poly
 coefficients are fractions.Fraction over QQ and ModInt over GF(p); the
 Groebner and elimination kernels take them apart into Python ints on
 entry (denominators cleared over QQ, residues over GF(p)) and build field
@@ -23,6 +28,7 @@ from operator import add, itemgetter, neg
 
 from .errors import (
     AlgebraError,
+    BadBase,
     BadBigrading,
     NotHomogeneous,
     PositivityViolation,
@@ -264,7 +270,9 @@ class Ring:
     with_order and with_extra_relations derive one from another.
     Variable layout is fixed as x-block, then y-block, then z-block, and
     every exponent tuple in this ring runs over all variables in that
-    sequence.
+    sequence.  Elements are kept in normal form modulo the relations by
+    the int reducer of base_basis, the one Groebner basis of the
+    relations that the ring builds.
     """
 
     __slots__ = (
@@ -280,7 +288,7 @@ class Ring:
         "base_rel",
         "minimal_primes_raw",
         "_name_index",
-        "_base_gb",
+        "_base_basis",
         "_fiber_ring",
         "_mono_cache",
         "_inv_mono_cache",
@@ -305,7 +313,7 @@ class Ring:
             tuple(tuple(sorted(dict(t).items())) for t in comp) for comp in minimal_primes_raw
         )
         self._name_index = {n: i for i, n in enumerate(self.names)}
-        self._base_gb = None
+        self._base_basis = None
         self._fiber_ring = None
         self._mono_cache = {}
         self._inv_mono_cache = {}
@@ -410,17 +418,23 @@ class Ring:
 
     # -- parameter relations -------------------------------------------
 
-    def base_gb(self):
-        """Reduced Groebner basis of the parameter relations, as Polys."""
-        if self._base_gb is None:
-            if not self.base_rel:
-                self._base_gb = ()
-            else:
-                from .groebner import ideal_gb
+    def base_basis(self):
+        """Reduced Groebner basis of the parameter relations, memoized;
+        None when there are none.
 
-                gens = [Poly(self, dict(t), _reduce=False) for t in self.base_rel]
-                self._base_gb = tuple(ideal_gb(gens, _base_aug=False))
-        return self._base_gb
+        A GBasis of the rank-one module over the relation-free ring
+        k[x, y, z], where the relations form a Groebner basis, built by
+        the Buchberger kernel from the relations themselves.
+        """
+        if self._base_basis is None and self.base_rel:
+            from .groebner import module_gb
+            from .modules import FreeModule
+
+            flat = self._replace(base_rel_raw=(), minimal_primes_raw=())
+            module = FreeModule(flat, [flat.zero_degree()])
+            self._base_basis = module_gb(
+                [module.element([Poly(flat, dict(t))]) for t in self.base_rel], module)
+        return self._base_basis
 
     def minimal_primes(self):
         """Minimal primes of the parameter relations, as tuples of Polys."""
@@ -430,11 +444,12 @@ class Ring:
         )
 
     def _reduce_base(self, terms):
-        gb = self.base_gb()
-        if not gb:
-            return terms
-        divisors = [(g.leading_term()[0], g.terms) for g in gb]
-        return _nf_terms(self, terms, divisors)
+        """Normal form modulo the relations of a term dict of field
+        coefficients, by the int reducer of base_basis."""
+        p = self.field.char
+        ints, den = _to_ints(p, terms)
+        nf, mult = self.base_basis().reduce_terms(ints)
+        return _from_ints(p, nf, den * mult)
 
     # -- element construction ------------------------------------------
 
@@ -983,51 +998,6 @@ def _div_terms(terms, dterms, hkey, p=None):
     return q
 
 
-def _nf_terms(ring, terms, divisors):
-    """Normal form of a term dict against (lead_exps, term dict) divisors.
-
-    Terms are taken largest first off a heap; reduction only adds
-    smaller terms, so a popped term never comes back.
-    """
-    hkey = ring.order.heap_key
-    rest = dict(terms)
-    heap = [(hkey(e), e) for e in rest]
-    heapify(heap)
-    out = {}
-    while heap:
-        e = heappop(heap)[1]
-        c = rest.pop(e, None)
-        if c is None:
-            continue  # cancelled after it was queued
-        hit = None
-        for lead, dterms in divisors:
-            if all(a >= b for a, b in zip(e, lead)):
-                hit = (lead, dterms)
-                break
-        if hit is None:
-            out[e] = c
-            continue
-        lead, dterms = hit
-        shift = tuple(a - b for a, b in zip(e, lead))
-        factor = c / dterms[lead]
-        for de, dc in dterms.items():
-            if de == lead:
-                continue
-            ne = tuple(a + b for a, b in zip(shift, de))
-            w = factor * dc
-            v = rest.get(ne)
-            if v is None:
-                rest[ne] = -w
-                heappush(heap, (hkey(ne), ne))
-            else:
-                v = v - w
-                if v:
-                    rest[ne] = v
-                else:
-                    del rest[ne]
-    return out
-
-
 # -- construction -------------------------------------------------------
 
 
@@ -1051,7 +1021,9 @@ def make_ring(
     (d, 0) with d > 0, y-degrees (-g, 1) with g >= 0), params the
     degree-zero z-variables.  relations is an iterable of strings or Polys
     in the parameters only, assumed radical; minimal_primes optionally
-    lists its components, each an iterable of generators.
+    lists its components, each an iterable of generators.  BadBase
+    refuses a single relation with a repeated factor and components
+    whose intersection is not the relation ideal.
     """
     xvars = tuple(xvars)
     yvars = tuple(yvars)
@@ -1124,14 +1096,24 @@ def make_ring(
 
     rel_polys = [parse_zpoly(rel, "relation") for rel in relations]
     rel_polys = [p for p in rel_polys if not p.is_zero()]
-    prime_raw = []
-    if minimal_primes is not None:
-        for comp in minimal_primes:
-            prime_raw.append([parse_zpoly(g, "minimal prime generator").terms for g in comp])
-    elif len(rel_polys) == 1 and field.char == 0:
-        prime_raw = [[f.terms] for f in irreducible_factors(rel_polys[0])]
     if not rel_polys:
         return ring
+    if len(rel_polys) == 1 and squarefree_part(rel_polys[0]) != rel_polys[0].primitive():
+        raise BadBase("relation %s has a repeated factor" % rel_polys[0])
+    prime_raw = []
+    if minimal_primes is not None:
+        from .groebner import ideal_equal, intersect_ideals
+
+        comps = [[parse_zpoly(g, "minimal prime generator") for g in comp]
+                 for comp in minimal_primes]
+        meet = comps[0] if comps else []
+        for comp in comps[1:]:
+            meet = intersect_ideals(meet, comp, ring)
+        if not ideal_equal(meet, rel_polys, ring):
+            raise BadBase("the declared components do not cut out the relations")
+        prime_raw = [[g.terms for g in comp] for comp in comps]
+    elif len(rel_polys) == 1 and field.char == 0:
+        prime_raw = [[f.terms] for f in irreducible_factors(rel_polys[0])]
     return ring._replace(base_rel_raw=[p.terms for p in rel_polys],
                          minimal_primes_raw=prime_raw)
 
@@ -1231,22 +1213,17 @@ def squarefree_part(*polys, ring=None):
     return acc.primitive()
 
 
-def transfer(p, target, rename=None):
+def transfer(p, target):
     """Reinterpret a poly in another ring, matching variables by name.
 
-    Variables missing from the target must not occur in p.  rename maps
-    source names to target names.
+    Variables missing from the target must not occur in p.
     """
     src = p.ring
     if src == target:
         return p
     if src.field != target.field:
         raise RingMismatch("cannot transfer between different coefficient fields")
-    rename = rename or {}
-    pos = []
-    for i, n in enumerate(src.names):
-        n = rename.get(n, n)
-        pos.append(target._name_index.get(n))
+    pos = [target._name_index.get(n) for n in src.names]
     terms = {}
     zero_exps = [0] * target.nvars
     for e, c in p.terms.items():

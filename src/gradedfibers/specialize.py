@@ -47,9 +47,9 @@ class FiberPoint:
                     "expected %d parameter values, got %d" % (ring.nz, len(assignment)))
             values = [field.coerce(v) for v in assignment]
         point = cls(ring, "rational", values=tuple(values))
-        for g in ring.base_gb():
-            if point.evaluate_scalar(g):
-                raise NotOnVariety("point does not satisfy the base relations")
+        if ring.base_rel and any(point.evaluate_scalar(g.component(0))
+                                 for g in ring.base_basis()):
+            raise NotOnVariety("point does not satisfy the base relations")
         return point
 
     @classmethod

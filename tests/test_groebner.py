@@ -15,8 +15,8 @@ import pytest
 
 from gradedfibers.errors import AlgebraError, BaseNotDomain
 from gradedfibers.modules import FreeModule, FreeMap, Presentation, Vector
-from gradedfibers.rings import MonomialOrder, PrimeField, make_ring
-from gradedfibers import groebner
+from gradedfibers.rings import MonomialOrder, Poly, PrimeField, make_ring
+from gradedfibers import groebner, loci
 
 
 R2 = make_ring(["x", "y"], [1, 1])
@@ -454,6 +454,105 @@ def test_nf_multiplier_and_scaled_divisors():
                                                               (0, (0, 1, 0)): Fraction(-6)})])
     # the basis is primitive: the content 2 of 4x - 6y is removed
     assert [v.data for v in gb] == [{(0, (1, 0, 0)): 2, (0, (0, 1, 0)): -3}]
+
+
+# -- bases with relations ---------------------------------------------------
+#
+# Over A = k[z]/(relations) the engine builds a basis of M + (relations) F
+# in the flat ring and keeps the elements whose leads no relation lead
+# divides.  The reference is the textbook basis of the generators and the
+# relation multiples of each basis vector.
+
+RELATION_BASES = [
+    make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"]),
+    make_ring(["x", "y"], [1, 1], params=["a", "b", "c"], relations=["b - a^2", "c - a^3"],
+              minimal_primes=[["b - a^2", "c - a^3"]]),
+    make_ring(["x", "y"], [1, 1], params=["t"], relations=["t^2 - t"]),
+    make_ring(["x", "y"], [1, 1], params=["z"], relations=["z^2 - z"], field=PrimeField(7)),
+]
+RELATION_IDS = ["cusp", "two-relations", "t^2-t", "GF(7)"]
+
+
+def relation_gb(ring):
+    """Textbook reduced basis of the relations, as rank-one term dicts."""
+    return ref_gb([{(0, e): c for e, c in rel} for rel in ring.base_rel], ring, 0)
+
+
+def relation_multiples(rels, rank):
+    return [{(c, e): v for (_0, e), v in r.items()} for r in rels for c in range(rank)]
+
+
+def reduced_vector(module, data):
+    """The vector with these terms, each component reduced modulo the relations."""
+    return module.element([Poly(module.ring, {e: c for (i, e), c in data.items() if i == k})
+                           for k in range(module.rank)])
+
+
+def test_a_relation_multiple_is_no_basis_element():
+    # (s) holds t^3 = s^2 over the cusp; the relation-free basis {s, t^3}
+    # once came back rewritten as [s^2, s], and the radical read inexact
+    ring = RELATION_BASES[0]
+    assert [str(g) for g in groebner.ideal_gb([ring.var("s")])] == ["s"]
+    rad, exact = loci.locus_radical([ring.var("s")], ring)
+    assert ([str(g) for g in rad], exact) == (["s", "t"], True)
+
+
+@pytest.mark.parametrize("ring", RELATION_BASES, ids=RELATION_IDS)
+def test_bases_over_relations_are_read_over_the_base(ring):
+    """ideal_gb and Presentation.gb() generate the reference module over
+    the base; each element is in normal form modulo the relations, and
+    no lead is divisible by a relation lead.  Normal forms are textbook
+    ones against the reference, and nf_with_quotients' identity holds
+    in the quotient ring."""
+    rng = random.Random(46)
+    key = term_key(ring, 0)
+    zero = ring.field.zero
+    rels = relation_gb(ring)
+    rel_leads = [max(r, key=key)[1] for r in rels]
+
+    def reducible(e):
+        return any(all(a >= b for a, b in zip(e, l)) for l in rel_leads)
+
+    for rank in (1, 1, 1, 2, 2, 2):
+        module = FreeModule(ring, [ring.zero_degree()] * rank)
+        vecs = [reduced_vector(module, g)
+                for g in rand_vectors(ring, rng, rank, rng.randint(1, 3), 3, 2)]
+        vecs = [v for v in vecs if v.data]
+        if not vecs:
+            continue
+        want = ref_gb([v.data for v in vecs] + relation_multiples(rels, rank), ring, 0)
+        source = FreeModule(ring, [ring.zero_degree()] * len(vecs))
+        gb = Presentation(FreeMap(source, module, vecs, check=False)).gb()
+        bases = [list(gb)]
+        if rank == 1:
+            bases.append([module.element([g])
+                          for g in groebner.ideal_gb([v.component(0) for v in vecs], ring=ring)])
+        for basis in bases:
+            assert ref_gb([v.data for v in basis] + relation_multiples(rels, rank),
+                          ring, 0) == want
+            for v in basis:
+                assert not reducible(max(v.data, key=key)[1])
+                assert not any(reducible(e) for (_c, e) in v.data)
+        for _ in range(3):
+            v = reduced_vector(module, rand_vectors(ring, rng, rank, 1, 4, 3)[0])
+            nf, qs = gb.nf_with_quotients(v)
+            assert nf.data == ref_reduce(v.data, want, key, zero)
+            acc = nf
+            for q, g in zip(qs, gb):
+                acc = acc + g.scale(q)
+            assert acc == v
+            assert gb.contains(v) == (not nf.data)
+
+
+@pytest.mark.parametrize("ring", RELATION_BASES, ids=RELATION_IDS)
+def test_reduce_base_is_the_textbook_normal_form(ring):
+    rng = random.Random(47)
+    key = term_key(ring, 0)
+    rels = relation_gb(ring)
+    for _ in range(30):
+        terms = rand_poly(ring, rng, 5, 4)
+        want = ref_reduce({(0, e): c for e, c in terms.items()}, rels, key, ring.field.zero)
+        assert ring._reduce_base(terms) == {e: c for (_0, e), c in want.items()}
 
 
 ORDERS = [

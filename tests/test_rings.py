@@ -1,5 +1,6 @@
 """Ring construction, grading checks, polynomial arithmetic."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -8,12 +9,13 @@ import sympy
 
 from gradedfibers.errors import (
     AlgebraError,
+    BadBase,
     BadBigrading,
     NotHomogeneous,
     PositivityViolation,
     RingMismatch,
 )
-from gradedfibers import loci, ratmap
+from gradedfibers import cli, loci, ratmap, script
 from gradedfibers.rings import (
     MonomialOrder,
     Poly,
@@ -150,6 +152,39 @@ def test_quotient_base():
     assert B.base_is_domain  # irreducible relation
     with pytest.raises(AlgebraError):
         make_ring(["x"], [1], params=["z"], relations=["x*z"])
+
+
+@pytest.mark.parametrize("params, relations, components", [
+    # t is nilpotent: the factor t of t^2 made the base count as a domain,
+    # and a generic table with certificate t held at no point
+    (["t"], ["t^2"], None),
+    # (s) misses the component (t) of s*t = 0
+    (["s", "t"], ["s*t"], [["s"]]),
+], ids=["repeated-factor", "missing-component"])
+def test_bases_the_engine_cannot_handle_are_refused(params, relations, components):
+    with pytest.raises(BadBase):
+        make_ring(["x", "y"], [1, 1], params=params, relations=relations,
+                  minimal_primes=components)
+
+
+def test_refused_bases_give_input_error_payloads(tmp_path):
+    bases = ["quotient(poly(QQ, t), ideal(t^2))",
+             "quotient(poly(QQ, s, t), ideal(s*t), components((s)))"]
+    for k, base in enumerate(bases):
+        text = ("ring R base %s vars x:1 y:1;\nideal I = (x^2, t*x*y, y^2);\n"
+                "cmd localcoh I window [0, 3];\n" % base)
+        out = tmp_path / str(k)
+        assert cli.run(script.parse(text), out_dir=str(out)) == 1
+        error = json.loads((out / "01_localcoh.json").read_text())["error"]
+        assert (error["type"], error["kind"]) == ("BadBase", "input")
+
+
+def test_complete_components_and_squarefree_relations_are_kept():
+    A = make_ring(["x"], [1], params=["s", "t"], relations=["s*t"],
+                  minimal_primes=[["s"], ["t"]])
+    assert len(A.minimal_primes()) == 2
+    B = make_ring(["x"], [1], params=["t"], relations=["2*t^2 - 2*t"])
+    assert sorted(str(g) for (g,) in B.minimal_primes()) == ["t", "t - 1"]
 
 
 def test_with_graded_keeps_the_base():

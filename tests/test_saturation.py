@@ -1,11 +1,11 @@
 """Saturation by the irrelevant ideal: Bayer's route against the colon loop.
 
 ``saturate_ideal`` reads I : x_i^inf off one grevlex basis with x_i last
-when the input meets Bayer and Stillman's conditions, and iterates colons
-otherwise.  Bayer's route returns the unit ideal at its first basis when
-that basis has a pure power of every x-variable among its leads.  The
-colon loop is the reference: on every input both routes must return the
-same reduced basis, term for term.
+when the input meets Bayer and Stillman's conditions, over any base, and
+iterates colons otherwise.  Bayer's route returns the unit ideal at its
+first basis when that basis has a pure power of every x-variable among
+its leads.  The colon loop is the reference: on every input both routes
+must return the same reduced basis, term for term.
 """
 
 import random
@@ -173,3 +173,25 @@ def test_one_variable_x_block(gens, want, early):
     ring = make_ring(["x"], [1], params=["t"])
     assert _native_leads_bound_every_x(ring, gens) is early
     assert [str(g) for g in _agree(ring, gens)] == want
+
+
+CUSP = {"params": ["s", "t"], "relations": ["s^2 - t^3"]}
+TWISTED_CUBIC = {"params": ["a", "b", "c"], "relations": ["b - a^2", "c - a^3"],
+                 "minimal_primes": [["b - a^2", "c - a^3"]]}
+
+
+@pytest.mark.parametrize("xvars, base, forms", [
+    (["x", "y"], CUSP, ["x^2", "s*x*y", "t*y^2"]),
+    (["x", "y", "z"], CUSP, ["x*y", "s*y*z", "t*x*z"]),
+    (["x", "y"], TWISTED_CUBIC, ["x^2", "a*x*y", "c*y^2"]),
+], ids=["cusp", "cusp-3", "two-relations"])
+def test_powers_over_a_base_with_relations_take_bayers_route(xvars, base, forms):
+    # the relations have x-degree zero, so Bayer's argument holds over the
+    # quotient base; the colon loop stays the reference
+    ring = make_ring(xvars, [1] * len(xvars), **base)
+    for k in (1, 2, 3):
+        power = _power_products([ring.poly(f) for f in forms], k, ring)
+        sat = _agree(ring, power)
+        # proper: where the parameters vanish, the forms are not primary
+        # to the irrelevant ideal
+        assert [str(g) for g in sat] != ["1"]
