@@ -223,9 +223,8 @@ def _cmd_loci(env, cmd, opts):
             "radical": [str(g) for g in rad],
             "radical_exact": exact,
             "is_empty": info["is_empty"],
-            "stabilized": info["stabilized"],
-            "window": [list(m) if isinstance(m, tuple) else m
-                       for m in info["window"]],
+            "coverage": "all degrees" if window is None else cmd["window"],
+            "certificate": [str(a) for a in info["certificate"]],
         },
         "duality_exclusion": {
             "generators": excl["ideal_strings"],

@@ -47,6 +47,7 @@ __all__ = [
     "intersect_ideals",
     "eliminate_ideal",
     "quotient_strand_dim",
+    "hilbert_numerator",
     "submodule_strand_dim",
     "standard_monomials",
     "quotient_dimension",
@@ -59,7 +60,16 @@ __all__ = [
 
 class _Ctx:
     """Shared state for one Groebner run: the characteristic and the heap
-    key of a module term, memoized per term."""
+    key of a module term, memoized per term.
+
+    Ascending keys run from the largest term down: the target block
+    (components below split) first, then the graded part of the term in
+    the ring order, then the lower component, then the parameter part.
+    So a lead is the lead over the generic fiber with its coefficient in
+    the base, the block order that specialization reads.  An order that
+    puts a parameter stage first (an elimination of parameters) keeps
+    the ring order ahead of the component.
+    """
 
     __slots__ = ("ring", "shifts", "split", "p", "key")
 
@@ -68,24 +78,22 @@ class _Ctx:
         self.shifts = shifts
         self.split = split
         self.p = ring.field.char
-        hkey = ring.order.heap_key
+        xkey, zkey = ring.order.split_heap_key(ring.ngraded) or (ring.order.heap_key,
+                                                                 _no_key)
         memo = {}
-        # ascending keys run from the largest term down: the target block
-        # (components below split) first, then the ring order, then the
-        # lower component
         if split:
-            def key(term, _hkey=hkey, _split=split, _memo=memo):
+            def key(term, _split=split, _memo=memo):
                 k = _memo.get(term)
                 if k is None:
                     c, e = term
-                    k = _memo[term] = (0 if c < _split else 1,) + _hkey(e) + (c,)
+                    k = _memo[term] = (0 if c < _split else 1,) + xkey(e) + (c,) + zkey(e)
                 return k
         else:
-            def key(term, _hkey=hkey, _memo=memo):
+            def key(term, _memo=memo):
                 k = _memo.get(term)
                 if k is None:
                     c, e = term
-                    k = _memo[term] = _hkey(e) + (c,)
+                    k = _memo[term] = xkey(e) + (c,) + zkey(e)
                 return k
         self.key = key
 
@@ -97,6 +105,10 @@ class _Ctx:
         d = self.ring.term_degree(e)
         s = self.shifts[c]
         return self.ring.psi_value(tuple(a + b for a, b in zip(d, s)))
+
+
+def _no_key(e):
+    return ()
 
 
 # The kernel runs on int vectors: over QQ a vector is scaled to integer
@@ -425,6 +437,21 @@ class GBasis:
 
     def leads(self):
         return [self._ctx.lead(v.data) for v in self.elements if v.data]
+
+    def generic_lead_coefficients(self):
+        """The coefficient in the base of each element's lead over the
+        generic fiber, one Poly per lead of leads(): the sum of the
+        element's terms whose (component, graded part) is the lead's,
+        with the graded part dropped.  Each is in normal form modulo the
+        base relations and nonzero there, since its lead term is."""
+        ring = self.module.ring
+        ng = ring.ngraded
+        zpad = (0,) * ng
+        out = []
+        for v, (c, e) in zip((v for v in self.elements if v.data), self.leads()):
+            out.append(Poly(ring, {zpad + f[ng:]: co for (d, f), co in v.data.items()
+                                   if d == c and f[:ng] == e[:ng]}, _reduce=False))
+        return out
 
     def _reduce(self, v, quotients=None):
         """(nf, den) of v in int form: v * den reduces to nf."""
@@ -857,6 +884,80 @@ def quotient_dimension(lead_exps_or_gb, ring=None):
         if best == size:
             break
     return best
+
+
+def hilbert_numerator(leads, module):
+    """Numerator of the Hilbert series of module/<leads> over the generic
+    fiber, as {degree: coefficient} with no zero coefficient.
+
+    The series is N(T) / prod_i (1 - T^deg(x_i)) over the graded
+    variables, so two quotients of one free module have the same Hilbert
+    function in every degree exactly when their numerators agree.  leads
+    are read as standard_monomials reads them; component c adds
+    T^shift_c times the numerator of k[x]/(its monomial ideal), from
+    Bigatti's pivot recursion (JPAA 119, 1997).
+    """
+    ring = module.ring
+    ng = ring.ngraded
+    degs = ring.degrees[:ng]
+    by_comp = [[] for _ in module.shifts]
+    for c, e in _generic_leads(leads, ring):
+        by_comp[c].append(e[:ng])
+    memo = {}
+    total = {}
+    for gens, shift in zip(by_comp, module.shifts):
+        for d, v in _monomial_numerator(gens, degs, memo).items():
+            d = tuple(map(add, d, shift))
+            total[d] = total.get(d, 0) + v
+    return {d: v for d, v in total.items() if v}
+
+
+def _monomial_numerator(gens, degs, memo):
+    """Numerator of k[x]/(gens) for exponent tuples gens, memoized.
+
+    Pivot on x_j^a, x_j a variable in the most generators and a the
+    lower median of its positive exponents there: N(I) = N(I + x_j^a)
+    + T^(a deg x_j) N(I : x_j^a).  With x_j in two or more minimal
+    generators x_j^a is none of them, and both sides have a smaller
+    exponent sum, so the recursion ends at generators with pairwise
+    disjoint supports, whose numerator is prod (1 - T^deg m).
+    """
+    gens = sorted(set(gens))
+    gens = [e for e in gens
+            if not any(f != e and all(a <= b for a, b in zip(f, e)) for f in gens)]
+    key = tuple(gens)
+    if key in memo:
+        return memo[key]
+    zero = (0,) * len(degs[0]) if degs else ()
+    counts = [sum(1 for e in gens if e[j]) for j in range(len(degs))]
+    if any(not any(e) for e in gens):
+        out = {}
+    elif all(n < 2 for n in counts):
+        out = {zero: 1}
+        for e in gens:
+            d = zero
+            for j, a in enumerate(e):
+                if a:
+                    d = tuple(x + a * y for x, y in zip(d, degs[j]))
+            nxt = dict(out)
+            for k, v in out.items():
+                k = tuple(map(add, k, d))
+                nxt[k] = nxt.get(k, 0) - v
+            out = nxt
+    else:
+        j = counts.index(max(counts))
+        exps = sorted(e[j] for e in gens if e[j])
+        a = exps[(len(exps) - 1) // 2]
+        pivot = tuple(a if i == j else 0 for i in range(len(degs)))
+        out = dict(_monomial_numerator(gens + [pivot], degs, memo))
+        shift = tuple(a * y for y in degs[j])
+        colon = [e[:j] + (max(e[j] - a, 0),) + e[j + 1:] for e in gens]
+        for k, v in _monomial_numerator(colon, degs, memo).items():
+            k = tuple(map(add, k, shift))
+            out[k] = out.get(k, 0) + v
+    out = {k: v for k, v in out.items() if v}
+    memo[key] = out
+    return out
 
 
 def presentation_vecdim(pres):

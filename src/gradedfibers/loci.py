@@ -1,36 +1,37 @@
 """Closed loci in the parameter space where fiber behavior jumps.
 
 All loci come out as ideals of the base (parameter-only polynomials).
-The basic building block is the exactness-defect locus of two composable
-strand matrices: the points where the ranks fail to add up to the exact
-value.  Unions over degrees are ideal intersections, so the results stay
-honest over reduced non-irreducible bases.  No locus resolves a module;
-each reads the resolution its presentation owns: the non-free locus its
-raw d_1 and d_2, the jump loci and the duality exclusion locus its
-inverse strands (localcohom.cohomology_strands), Ext modules and top
-dual cokernel, all kept on the complex for the next reader.
+Unions are ideal intersections, so the results stay honest over reduced
+non-irreducible bases.  No locus resolves a module; each reads the
+resolution its presentation owns.
+
+The non-free locus of a module is read off one Groebner stratification
+of its relation basis (Presentation.gb), as in the paper's generic
+freeness: off the zeros of the generic lead coefficients the fiber has
+the basis' leads, hence one Hilbert function in every degree, and below
+them the basis is redone over the base with one lead coefficient
+adjoined (Suzuki & Sato, ISSAC 2006, after Kalkbrener, JSC 1997).  The
+locus is where a cell's Hilbert function differs from the generic one.
+It builds no strand matrix.  The jump loci of H^i read the inverse
+strands of the resolution (localcohom.cohomology_strands) through
+defect_locus; the duality exclusion locus reads the Ext modules and the
+top dual cokernel kept on the complex.
 """
 
 from __future__ import annotations
 
 from .errors import AlgebraError, InvalidFiber
-from . import groebner, localcohom, resolution, strands
+from . import groebner, localcohom, resolution
 from .rings import irreducible_factors, squarefree_part, transfer
 from .specialize import FiberPoint, sample_rational_point
-
-# nonfree_locus scans WINDOW_SLACK degrees past the largest shift, then grows the
-# window until the ideal is unchanged for STABLE_SPAN degrees, by at most MAX_GROW
-WINDOW_SLACK = 2
-MAX_GROW = 24
-STABLE_SPAN = 3
 
 
 def _squarefree_gens(gens):
     """Squarefree part of each generator, deduplicated.
 
     Multiplicities of individual generators never change the common
-    vanishing set, and dropping them lets unions over growing degree
-    windows reach a stable ideal instead of piling up powers.
+    vanishing set, and dropping them keeps unions of loci from piling up
+    powers.
     """
     out = []
     seen = set()
@@ -102,77 +103,168 @@ def _univariate_defect_locus(sm_in, sm_out, target_sum, ring):
     return [acc.primitive()]
 
 
-def presentation_defect_at(res, mu, ring):
-    """Locus where the evaluated resolution stops being exact at F_1 in
-    degree mu, i.e. where the mu-strand of the module jumps."""
-    sm1 = strands.strand_matrix(res.map(1), mu)
-    sm2 = strands.strand_matrix(res.map(2), mu)
-    v = sm1.ncols  # dim of the F_1 strand
-    return defect_locus(sm2, sm1, v, ring)
-
-
 def nonfree_locus(pres, window=None):
-    """Ideal of base points where some strand of the module jumps.
+    """Ideal of base points where some graded piece of the module is not
+    free, in every degree, or over the given degrees only.
 
-    Scans the degree window (auto-grown until the accumulated ideal is
-    stable for STABLE_SPAN consecutive degrees on the high end; the low
-    end is exact since strands vanish below the smallest shift) and
-    intersects the per-degree defect loci.
+    Over a base that is a domain the relation basis is stratified (see
+    the module docstring).  Each cell is a piece V(E) - V(h) of the
+    base, where E is the base relations plus the lead coefficients
+    adjoined on the way down and h the product of the generic lead
+    coefficients of the basis over A/E, one per minimal lead over the
+    generic fiber; every fiber in the cell has the leads of that basis.
+    A cell lies in the locus when its Hilbert function differs from
+    that of the generic cell: its hilbert_numerator, or with a window
+    its strand dimensions there.  Over a reduced base with several
+    components the locus is the union of the loci over A/P for the
+    minimal primes P.
 
-    Returns a dict with the ideal generators, the window that was used,
-    whether it stabilized, and the per-degree contributions.
+    Returns a dict with the ideal generators and their strings, is_empty,
+    the coverage ("all degrees" or the window's degrees), the
+    certificate (the product of the generic lead coefficients, one per
+    component) and the cells, each with the ideal adjoined to the base
+    (adjoined), the product h, whether it is in the locus (bad) and
+    whether it is empty.
     """
     ring = pres.ring
-    if ring.gdim != 1 and window is None:
-        raise AlgebraError("multigraded loci need an explicit degree window")
-    res = pres.resolution().raw
-    per_degree = {}
-    acc = None
+    degrees = None if window is None else [ring.deg_tuple(mu) for mu in window]
 
-    def push(mu):
-        nonlocal acc
-        gens = presentation_defect_at(res, ring.deg_tuple(mu), ring)
-        per_degree[mu] = [str(g) for g in gens]
-        before = acc
-        acc = _union(acc, gens, ring)
-        return before is None or [g.terms for g in acc] != [g.terms for g in before]
+    def hilbert(gb):
+        if degrees is None:
+            return groebner.hilbert_numerator(gb.leads(), gb.module)
+        return [groebner.quotient_strand_dim(gb, mu) for mu in degrees]
 
-    if window is not None:
-        for mu in window:
-            push(mu)
-        stabilized = True
-        used = list(window)
+    if ring.base_is_domain:
+        roots = [([], pres)]
+    elif ring.minimal_primes():
+        roots = [(list(prime), pres.evaluate(FiberPoint.generic(ring, list(prime))))
+                 for prime in ring.minimal_primes()]
     else:
-        shifts = [s[0] for m in res.modules[:3] for s in m.shifts]  # F_0, F_1, F_2
-        lo = min(shifts) if shifts else 0
-        hi = (max(shifts) if shifts else 0) + WINDOW_SLACK
-        used = list(range(lo, hi + 1))
-        for mu in used:
-            push(mu)
-        stable = 0
-        steps = 0
-        stabilized = False
-        mu = hi
-        while steps < MAX_GROW:
-            mu += 1
-            steps += 1
-            used.append(mu)
-            if push(mu):
-                stable = 0
-            else:
-                stable += 1
-                if stable >= STABLE_SPAN:
-                    stabilized = True
-                    break
-    gens = [ring.one()] if acc is None else acc
+        raise AlgebraError("non-free loci over a reducible base need its components")
+    cells = []
+    certificate = []
+    bad = []
+    for adjoined, piece in roots:
+        gb = piece.gb()
+        certificate.append(_product(_minimal_lead_coefficients(gb), ring))
+        whole, part = _stratum(piece, adjoined, True, hilbert(gb), hilbert, ring, cells)
+        bad.extend([adjoined] if whole else part)
+    gens = _union_of_closures(bad, ring)
     return {
         "ideal": gens,
         "ideal_strings": [str(g) for g in gens],
-        "window": used,
-        "stabilized": stabilized,
-        "per_degree": per_degree,
         "is_empty": _is_unit_ideal(gens, ring),
+        "coverage": "all degrees" if degrees is None else degrees,
+        "certificate": certificate,
+        "cells": cells,
     }
+
+
+def _minimal_lead_coefficients(gb):
+    """One generic lead coefficient per minimal lead over the generic
+    fiber, in basis order.  Of several elements with one such lead the
+    last, whose coefficient has the smallest lead, stands for them."""
+    ng = gb.module.ring.ngraded
+    leads = [(c, e[:ng]) for c, e in gb.leads()]
+    chosen = {}
+    for lead, coeff in zip(leads, gb.generic_lead_coefficients()):
+        if not any(other != lead and other[0] == lead[0]
+                   and all(a <= b for a, b in zip(other[1], lead[1])) for other in leads):
+            chosen[lead] = coeff
+    return list(chosen.values())
+
+
+def _product(polys, ring):
+    acc = ring.one()
+    for f in {tuple(sorted(f.terms.items())): f for f in polys}.values():
+        acc = acc * transfer(f, ring)
+    return acc.primitive()
+
+
+def _stratum(pres, adjoined, prime, reference, hilbert, ring, cells):
+    """(whole, bad) for the stratum V(E) of a base A/E over which pres is
+    presented: whole is True when every nonempty cell in it lies in the
+    locus, and otherwise bad lists ideals of the original base whose
+    zero sets cover the cells that do.
+
+    adjoined holds the generators of E beyond the relations of ring, the
+    original base; prime says E is known to be prime.  Then the generic
+    cell is dense in V(E), so it is not empty, and when it lies in the
+    closed locus the whole stratum does.  Otherwise the cell is empty
+    when E : h^infinity is the unit ideal.  Below the cell, each factor
+    f of a minimal lead coefficient gives the stratum V(E + f), read off
+    the basis redone over A/(E + f).
+    """
+    gb = pres.gb()
+    base = pres.ring
+    coeffs = _minimal_lead_coefficients(gb)
+    h = _product(coeffs, base)
+    closure = None if prime else _cell_closure(base, h)
+    empty = closure is not None and groebner._has_unit(closure)
+    cell_bad = not empty and hilbert(gb) != reference
+    cells.append({"adjoined": adjoined, "h": transfer(h, ring), "bad": cell_bad,
+                  "empty": empty})
+    if cell_bad and prime:
+        return True, []
+    factors = []
+    for f in coeffs:
+        factors.extend(irreducible_factors(f) if not base.field.char else [f.primitive()])
+    whole = empty or cell_bad
+    bad = [closure] if cell_bad else []
+    point = ring.nz == 1 and not ring.base_rel and ring.field.char == 0
+    for f in dict.fromkeys(g for g in factors if g.constant_value() is None):
+        fiber = FiberPoint(base, "generic", prime_gens=(f,),
+                           residue_ring=base.with_extra_relations([f]))
+        if groebner._has_unit([v.component(0) for v in fiber.residue_ring.base_basis()]):
+            continue  # f is a unit on this stratum
+        child = adjoined + [transfer(f, ring)]
+        child_whole, child_bad = _stratum(pres.evaluate(fiber), child, point, reference,
+                                          hilbert, ring, cells)
+        whole = whole and child_whole
+        bad.extend([child] if child_whole else child_bad)
+    return whole, bad
+
+
+def _cell_closure(base, h):
+    """Generators of E : h^infinity in the relation-free ring, where E
+    are the relations of base: the ideal of the closure of V(E) - V(h),
+    the unit ideal when that cell is empty."""
+    basis = base.base_basis()
+    flat = basis.module.ring
+    rels = [v.component(0) for v in basis]
+    return groebner.saturate_ideal(rels, [transfer(h, flat)], flat)
+
+
+def _union_of_closures(ideals, ring):
+    """Reduced generators of the union of the zero sets of the ideals, in
+    the original base: an ideal whose zeros lie in an earlier one's is
+    left out, and the rest are intersected."""
+    kept = []
+    for gens in ideals:
+        gens = [transfer(g, ring) for g in gens]
+        if any(_zeros_inside(gens, other, ring) for other in kept):
+            continue
+        kept = [other for other in kept if not _zeros_inside(other, gens, ring)]
+        kept.append(gens)
+    if not kept:
+        return [ring.one()]
+    acc = None
+    for gens in kept:
+        part = groebner.ideal_gb(gens, ring=ring)
+        acc = part if acc is None else groebner.intersect_ideals(acc, part, ring)
+    return _squarefree_gens(acc)
+
+
+def _zeros_inside(gens, other, ring):
+    """V(gens) inside V(other): each generator of other lies in the
+    radical of (gens) plus the relations of the base."""
+    basis = ring.base_basis()
+    flat = basis.module.ring if basis is not None else ring
+    ideal = [transfer(g, flat) for g in gens]
+    if basis is not None:
+        ideal += [v.component(0) for v in basis]
+    return all(groebner._has_unit(groebner.saturate_ideal(ideal, [transfer(g, flat)], flat))
+               for g in other)
 
 
 def _union(acc, gens, ring):

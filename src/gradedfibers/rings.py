@@ -200,11 +200,32 @@ class MonomialOrder:
     -sum and then the exponents in reverse, lex the negated exponents.
     """
 
-    __slots__ = ("stages", "heap_key")
+    __slots__ = ("stages", "heap_key", "_split")
 
     def __init__(self, stages):
         self.stages = tuple((kind, tuple(idxs)) for kind, idxs in stages)
         self.heap_key = _flat_key(self.stages)
+        self._split = {}
+
+    def split_heap_key(self, ngraded):
+        """(graded key, parameter key), or None.
+
+        The heap keys of the stages over the first ngraded variables and
+        of those over the rest, so that graded key + parameter key sorts
+        as heap_key does.  None when a stage mixes the two blocks or a
+        parameter stage comes before a graded one, as in an order that
+        eliminates parameters.
+        """
+        if ngraded not in self._split:
+            stages = [st for st in self.stages if st[1]]
+            graded = [all(i < ngraded for i in idxs) for _kind, idxs in stages]
+            split = None
+            if (graded == sorted(graded, reverse=True)
+                    and all(g or min(idxs) >= ngraded for g, (_k, idxs) in zip(graded, stages))):
+                k = graded.count(True)
+                split = (_flat_key(stages[:k]), _flat_key(stages[k:]))
+            self._split[ngraded] = split
+        return self._split[ngraded]
 
     def key(self, exps):
         parts = []

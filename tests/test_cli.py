@@ -30,6 +30,7 @@ CASES = {
     "quartic_qq": 0,
     "ratmap_p2": 0,
     "loci_cusp": 0,
+    "loci_quartic_family": 0,
     "ratmap_cusp": 0,
     "bad_window": 1,
 }

@@ -266,9 +266,18 @@ COEFFS = [Fraction(1, 3), Fraction(7, 2), Fraction(-2), Fraction(1), Fraction(-5
 
 def term_key(ring, split):
     """The module order as documented: the components below split first,
-    then the ring order, then the lower component."""
+    then the graded part in the ring order, then the lower component,
+    then the parameter part in the ring order."""
     key = ring.order.key
-    return lambda t: (1 if t[0] < split else 0, key(t[1]), -t[0])
+    ng, nz = ring.ngraded, ring.nz
+
+    def graded(e):
+        return key(e[:ng] + (0,) * nz)
+
+    def params(e):
+        return key((0,) * ng + e[ng:])
+
+    return lambda t: (1 if t[0] < split else 0, graded(t[1]), -t[0], params(t[1]))
 
 
 def divides(a, b):

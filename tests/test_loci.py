@@ -27,7 +27,7 @@ def rank_two_example():
 def test_nonfree_locus_of_multiplication_by_t():
     info = loci.nonfree_locus(Presentation.cyclic(Rt, [Rt.poly("t")]))
     assert info["ideal_strings"] == ["t"]
-    assert info["stabilized"]
+    assert info["coverage"] == "all degrees"
     assert not info["is_empty"]
 
 
@@ -41,15 +41,7 @@ def test_nonfree_locus_of_free_module():
 def test_nonfree_locus_rank_two_example():
     info = loci.nonfree_locus(rank_two_example())
     assert info["ideal_strings"] == ["t - 1"]
-    assert info["stabilized"]
-
-
-def test_window_growth_leaves_locus_unchanged(monkeypatch):
-    a = loci.nonfree_locus(rank_two_example())
-    monkeypatch.setattr(loci, "WINDOW_SLACK", 4)
-    b = loci.nonfree_locus(rank_two_example())
-    assert a["ideal_strings"] == b["ideal_strings"]
-    assert b["window"][:len(a["window"])] == a["window"] != b["window"]
+    assert info["coverage"] == "all degrees"
 
 
 def test_smith_module_is_locally_free():
@@ -281,7 +273,7 @@ def test_loci_over_a_base_with_a_relation(tmp_path):
     cli.run(script.parse(text), out_dir=str(tmp_path))
     payload = json.loads((tmp_path / "01_loci.json").read_text())
     assert "error" not in payload, payload["error"]["message"]
-    assert payload["nonfree"]["stabilized"]
+    assert payload["nonfree"]["coverage"] == "all degrees"
     A = make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"])
     gens = [A.poly(g) for g in payload["nonfree"]["generators"]]
     for values, inside in (((0, 0), True), ((1, 1), False), ((8, 4), False)):
@@ -290,9 +282,9 @@ def test_loci_over_a_base_with_a_relation(tmp_path):
 
 
 def test_factor_memo_agrees_with_a_fresh_ring(monkeypatch, tmp_path):
-    # every poly the loci benchmark scripts factor, and every factor the
-    # memo records as its own factorization, factors the same on a fresh
-    # ring with an empty memo
+    # every poly the loci benchmark scripts and the loci goldens factor,
+    # and every factor the memo records as its own factorization, factors
+    # the same on a fresh ring with an empty memo
     rings = []
     init = Ring.__init__
 
@@ -301,8 +293,10 @@ def test_factor_memo_agrees_with_a_fresh_ring(monkeypatch, tmp_path):
         rings.append(self)
 
     monkeypatch.setattr(Ring, "__init__", keep)
-    scripts = Path(__file__).resolve().parent.parent / "perfbench" / "scripts"
-    for path in sorted(scripts.glob("loci_*.gf")):
+    here = Path(__file__).resolve().parent
+    paths = sorted((here.parent / "perfbench" / "scripts").glob("loci_*.gf"))
+    paths += [here / "golden" / (name + ".gf") for name in ("module_loci", "loci_points")]
+    for path in paths:
         assert cli.run(script.parse(path.read_text(encoding="utf-8")),
                        out_dir=str(tmp_path / path.stem)) == 0
     monkeypatch.undo()

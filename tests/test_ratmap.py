@@ -243,12 +243,12 @@ def test_generic_fiber_on_a_base_with_relations_matches_a_point():
     assert _invariant_tuple(ratmap.fiber_invariants(rq)) == (True, 2, 1, 2, 4)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="known defect: the generic fiber reads j = 2 (ROADMAP item 1)")
 def test_generic_j_over_a_two_relation_base_matches_a_point():
     # the base is QQ[a] presented as the twisted cubic in a, b, c; the
-    # generic `ratmap (x^2, a*x*y, y^2)` reads j = 2 there.  Powers up to
-    # the third show it at a tenth of the default cutoff's cost.
+    # generic `ratmap (x^2, a*x*y, y^2)` read j = 2 there while module
+    # terms were keyed by the whole ring order before the component.
+    # Powers up to the third show it at a tenth of the default cutoff's
+    # cost.
     A = make_ring(["x", "y"], [1, 1], params=["a", "b", "c"],
                   relations=["b - a^2", "c - a^3"],
                   minimal_primes=[["b - a^2", "c - a^3"]])
