@@ -280,10 +280,10 @@ def _cmd_harness(env, cmd, opts):
     pres = env.presentation(cmd["target"])
     degrees = _window_degrees(ring, cmd["window"])
     samples = cmd["samples"] if cmd["samples"] is not None else 2
-    rep = loci.constancy_report(pres, degrees, seed=env.seed, samples=samples)
     out = {"target": cmd["target"], "window": cmd["window"]}
-    out.update(rep)
+    rad = ()
     if ring.nz and ring.base_is_domain:
+        # the jump locus comes first: the samples are drawn off it
         jl = loci.cohomology_jump_loci(pres, degrees)
         rad, _exact = loci.locus_radical(jl["ideal"], ring)
         factors = sorted({str(f) for g in rad for f in loci.irreducible_factors(g)})
@@ -292,6 +292,8 @@ def _cmd_harness(env, cmd, opts):
             "radical": [str(g) for g in rad],
             "factors": factors,
         }
+    out.update(loci.constancy_report(pres, degrees, seed=env.seed, samples=samples,
+                                     locus=rad))
     return out
 
 

@@ -123,8 +123,8 @@ def nonfree_locus(pres, window=None):
     the coverage ("all degrees" or the window's degrees), the
     certificate (the product of the generic lead coefficients, one per
     component) and the cells, each with the ideal adjoined to the base
-    (adjoined), the product h, whether it is in the locus (bad) and
-    whether it is empty.
+    (adjoined), the product h, the Hilbert function its fibers share
+    (hilbert), whether it is in the locus (bad) and whether it is empty.
     """
     ring = pres.ring
     degrees = None if window is None else [ring.deg_tuple(mu) for mu in window]
@@ -145,9 +145,8 @@ def nonfree_locus(pres, window=None):
     certificate = []
     bad = []
     for adjoined, piece in roots:
-        gb = piece.gb()
-        certificate.append(_product(_minimal_lead_coefficients(gb), ring))
-        whole, part = _stratum(piece, adjoined, True, hilbert(gb), hilbert, ring, cells)
+        certificate.append(_product(_minimal_lead_coefficients(piece.gb()), ring))
+        whole, part = _stratum(piece, adjoined, True, None, hilbert, ring, cells)
         bad.extend([adjoined] if whole else part)
     gens = _union_of_closures(bad, ring)
     return {
@@ -188,7 +187,9 @@ def _stratum(pres, adjoined, prime, reference, hilbert, ring, cells):
     zero sets cover the cells that do.
 
     adjoined holds the generators of E beyond the relations of ring, the
-    original base; prime says E is known to be prime.  Then the generic
+    original base; reference is the Hilbert function of the generic
+    cell, None for the stratum of a whole component, whose generic cell
+    it is; prime says E is known to be prime.  Then the generic
     cell is dense in V(E), so it is not empty, and when it lies in the
     closed locus the whole stratum does.  Otherwise the cell is empty
     when E : h^infinity is the unit ideal.  Below the cell, each factor
@@ -201,9 +202,12 @@ def _stratum(pres, adjoined, prime, reference, hilbert, ring, cells):
     h = _product(coeffs, base)
     closure = None if prime else _cell_closure(base, h)
     empty = closure is not None and groebner._has_unit(closure)
-    cell_bad = not empty and hilbert(gb) != reference
-    cells.append({"adjoined": adjoined, "h": transfer(h, ring), "bad": cell_bad,
-                  "empty": empty})
+    fiber_hilbert = hilbert(gb)
+    if reference is None:
+        reference = fiber_hilbert  # the generic cell of a component
+    cell_bad = not empty and fiber_hilbert != reference
+    cells.append({"adjoined": adjoined, "h": transfer(h, ring), "hilbert": fiber_hilbert,
+                  "bad": cell_bad, "empty": empty})
     if cell_bad and prime:
         return True, []
     factors = []
@@ -211,15 +215,16 @@ def _stratum(pres, adjoined, prime, reference, hilbert, ring, cells):
         factors.extend(irreducible_factors(f) if not base.field.char else [f.primitive()])
     whole = empty or cell_bad
     bad = [closure] if cell_bad else []
-    point = ring.nz == 1 and not ring.base_rel and ring.field.char == 0
+    # over a polynomial base one irreducible factor cuts out a prime
+    prime_below = not adjoined and not ring.base_rel and ring.field.char == 0
     for f in dict.fromkeys(g for g in factors if g.constant_value() is None):
         fiber = FiberPoint(base, "generic", prime_gens=(f,),
                            residue_ring=base.with_extra_relations([f]))
         if groebner._has_unit([v.component(0) for v in fiber.residue_ring.base_basis()]):
             continue  # f is a unit on this stratum
         child = adjoined + [transfer(f, ring)]
-        child_whole, child_bad = _stratum(pres.evaluate(fiber), child, point, reference,
-                                          hilbert, ring, cells)
+        child_whole, child_bad = _stratum(pres.evaluate(fiber), child, prime_below,
+                                          reference, hilbert, ring, cells)
         whole = whole and child_whole
         bad.extend([child] if child_whole else child_bad)
     return whole, bad
@@ -403,12 +408,15 @@ def _not_in_component(g, prime_gb, ring):
 # -- constancy harness -------------------------------------------------------
 
 
-def constancy_report(pres, degrees, seed=0, samples=2):
+def constancy_report(pres, degrees, seed=0, samples=2, locus=()):
     """Fiber cohomology across the components of the base.
 
     For every minimal prime the generic point of its component gives the
     per-component table; rational sample points on the component (off
-    the other components) must reproduce it.
+    the other components) must reproduce it.  The samples of a component
+    are distinct, and none lies on the closed locus given by the
+    generators in locus (a jump locus, where the table is known to
+    differ), so a point at which all of them vanish is drawn again.
     Returns per-component dims, the sample evidence, and whether the
     function is constant within components and across them.  A component
     where samples were asked for and no rational point was found has
@@ -430,6 +438,12 @@ def constancy_report(pres, degrees, seed=0, samples=2):
             "locally_constant": True,
             "globally_constant": True,
         }
+    locus = [ring.poly(g) for g in locus]
+
+    def reject(pt, drawn):
+        return pt.values in drawn or bool(locus) and not any(
+            pt.evaluate_scalar(g) for g in locus)
+
     comps = ring.minimal_primes()
     if not comps:
         comps = ((),)
@@ -453,11 +467,14 @@ def constancy_report(pres, degrees, seed=0, samples=2):
                     other_avoid.append(q)
                     break
         rng = random.Random(seed)  # a component's samples do not hang on the others
+        drawn = set()
         for _ in range(samples):
             try:
-                pt = sample_rational_point(ring, rng, avoid=other_avoid, on=list(prime))
+                pt = sample_rational_point(ring, rng, avoid=other_avoid, on=list(prime),
+                                           reject=lambda pt: reject(pt, drawn))
             except InvalidFiber:
                 break  # no rational points found on this component
+            drawn.add(pt.values)
             t2 = localcohom.local_cohomology_table(pres, degrees, point=pt)
             sdims = sorted_dims(t2)
             match = sdims == gdims

@@ -161,14 +161,14 @@ def _int_pow(v, a, field):
     return out
 
 
-def sample_rational_point(ring, rng, avoid=(), on=()):
+def sample_rational_point(ring, rng, avoid=(), on=(), reject=None):
     """Seeded search for a rational base point.
 
     Coordinates come from a slowly growing integer box.  The point must
-    satisfy the base relations and every polynomial in `on`, and must
-    miss every polynomial in `avoid`.  Raises InvalidFiber when the
-    budget of 800 draws runs out, which callers treat as "no accessible
-    point".
+    satisfy the base relations and every polynomial in `on`, must miss
+    every polynomial in `avoid`, and must not satisfy `reject` when it
+    is given.  Raises InvalidFiber when the budget of 800 draws runs
+    out, which callers treat as "no accessible point".
     """
     if ring.nz == 0:
         raise InvalidFiber("the base is a field; there is nothing to sample")
@@ -184,6 +184,8 @@ def sample_rational_point(ring, rng, avoid=(), on=()):
         if any(point.evaluate_scalar(g) for g in on):
             continue
         if any(not point.evaluate_scalar(g) for g in avoid):
+            continue
+        if reject is not None and reject(point):
             continue
         return point
     raise InvalidFiber("no rational point found within the sampling budget")

@@ -1,15 +1,19 @@
 """Jump loci, certificates, radicals, and the constancy harness."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from gradedfibers.errors import AlgebraError
+from gradedfibers.errors import AlgebraError, InvalidFiber
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
 from gradedfibers.rings import Poly, Ring, irreducible_factors, make_ring
 from gradedfibers import cli, groebner, localcohom, loci, resolution, script, strands
-from gradedfibers.specialize import FiberPoint
+from gradedfibers.specialize import FiberPoint, sample_rational_point
+from test_strands import same_locus
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "perfbench" / "scripts"
 
 
 Rt = make_ring(["x", "y"], [1, 1], params=["t"])
@@ -306,3 +310,180 @@ def test_factor_memo_agrees_with_a_fresh_ring(monkeypatch, tmp_path):
         fresh = ring._replace()
         want = irreducible_factors(Poly(fresh, dict(key)))
         assert [f.terms for f in got] == [f.terms for f in want], dict(key)
+
+
+# -- the stratified non-free locus against its references --------------------
+
+
+def cyclic(ring, gens):
+    return Presentation.cyclic(ring, [ring.poly(g) for g in gens])
+
+
+def module(ring, rows, shifts):
+    target = FreeModule(ring, [(d,) for d in shifts])
+    cols = [target.element([ring.poly(row[j]) for row in rows]) for j in range(len(rows[0]))]
+    return Presentation(FreeMap.from_columns(target, cols))
+
+
+Rst = make_ring(["x", "y"], [1, 1], params=["s", "t"])
+Rst3 = make_ring(["x", "y", "z"], [1, 1, 1], params=["s", "t"])
+Rcusp = make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"])
+Ridem = make_ring(["x", "y"], [1, 1], params=["t"], relations=["t^2 - t"])
+Rx = make_ring(["x"], [1], params=["t"], relations=["t^2 - t"])
+
+LOCUS_CASES = {
+    "rank two": rank_two_example,
+    "multiplication by t": lambda: cyclic(Rt, ["t"]),
+    "smith": lambda: cyclic(Rx, ["x", "t"]),
+    "cusp": lambda: cyclic(Rcusp, ["x^2", "s*x*y", "t*y^2"]),
+    "points M": lambda: module(Rt, [["x^2", "x*y"], ["(t^2 + 1)*x", "y"]], [0, 1]),
+    "points N": lambda: module(Rt, [["x^2", "(t^2 - 1)*x*y"], ["t*x", "y"]], [0, 1]),
+    "points I": lambda: cyclic(Rt, ["(t^2 + 2)*x^2", "x*y", "(t - 3)*y^2"]),
+}
+
+# inputs whose strands once ran into the minor enumeration cap
+CAPACITY_CASES = {
+    "ladder": lambda: cyclic(Rst3, ["s*x^2 + t*y*z", "x*y - t*z^2", "y^3 - s*x*z^2"]),
+    "coker over QQ[s,t]": lambda: module(Rst, [["x^2", "x*y"], ["s*x", "t*y"]], [0, 1]),
+    "idempotent base": lambda: cyclic(Ridem, ["x^2", "t*x*y", "y^2"]),
+}
+
+
+def window_scan_locus(pres, degrees):
+    """The non-free locus as the window scan read it: the union over the
+    degrees of the points where the raw resolution's d_2 and d_1 strands
+    stop being exact at F_1."""
+    ring = pres.ring
+    res = pres.resolution().raw
+    acc = None
+    for mu in degrees:
+        sm1 = strands.strand_matrix(res.map(1), mu)
+        sm2 = strands.strand_matrix(res.map(2), mu)
+        acc = loci._union(acc, loci.defect_locus(sm2, sm1, sm1.ncols, ring), ring)
+    return [ring.one()] if acc is None else acc
+
+
+@pytest.mark.parametrize("name", sorted(LOCUS_CASES))
+def test_locus_has_the_zeros_of_the_window_scan(name):
+    # the scan ran from the smallest shift of F_0..F_2 to a few degrees
+    # past the largest; the two ideals may differ, but not their zeros
+    pres = LOCUS_CASES[name]()
+    res = pres.resolution().raw
+    shifts = [s[0] for m in res.modules[:3] for s in m.shifts]
+    degrees = [(d,) for d in range(min(shifts), max(shifts) + 7)]
+    info = loci.nonfree_locus(pres)
+    assert info["coverage"] == "all degrees"
+    assert same_locus(info["ideal"], window_scan_locus(pres, degrees), pres.ring)
+
+
+def fiber_numerator(pres, point):
+    gb = pres.evaluate(point).gb()
+    return groebner.hilbert_numerator(gb.leads(), gb.module)
+
+
+@pytest.mark.parametrize("name", sorted(LOCUS_CASES) + sorted(CAPACITY_CASES))
+def test_each_cell_has_its_hilbert_function_at_a_seeded_point(name):
+    pres = {**LOCUS_CASES, **CAPACITY_CASES}[name]()
+    rng = random.Random(50)
+    cells = loci.nonfree_locus(pres)["cells"]
+    sampled = 0
+    for cell in cells:
+        if cell["empty"]:
+            continue
+        try:
+            point = sample_rational_point(pres.ring, rng, avoid=[cell["h"]],
+                                          on=cell["adjoined"])
+        except InvalidFiber:
+            continue  # no rational point in the cell, as on t^2 + 1 = 0
+        assert fiber_numerator(pres, point) == cell["hilbert"], (cell["adjoined"], point)
+        sampled += 1
+    assert sampled >= min(2, len(cells))
+
+
+@pytest.mark.parametrize("name", sorted(CAPACITY_CASES))
+def test_inputs_past_the_minor_cap_return_a_locus(name):
+    # a seeded point lies on the locus exactly when its fiber's Hilbert
+    # function differs from that of the generic point of its component;
+    # a strand jump inside a window, read by the strand route, puts it
+    # on the locus
+    pres = CAPACITY_CASES[name]()
+    ring = pres.ring
+    gens = loci.duality_exclusion_locus(pres)["module"]["ideal"]
+    comps = ring.minimal_primes() if not ring.base_is_domain else [()]
+    rng = random.Random(51)
+    factors = [f for g in gens for f in irreducible_factors(g)]
+    window = [(d,) for d in range(0, 8)]
+    for prime in comps:
+        generic = pres if not prime else pres.evaluate(FiberPoint.generic(ring, list(prime)))
+        want = groebner.hilbert_numerator(generic.gb().leads(), generic.gb().module)
+        generic_dims = None
+        if ring.base_is_domain:
+            generic_dims = [strands.presentation_strand_dim(pres, mu)[0] for mu in window]
+        on_locus = 0
+        for on in [[]] * 4 + [[f] for f in factors]:
+            try:
+                point = sample_rational_point(ring, rng, on=list(prime) + on)
+            except InvalidFiber:
+                continue
+            inside = all(not point.evaluate_scalar(g) for g in gens)
+            on_locus += inside
+            assert inside == (fiber_numerator(pres, point) != want), point
+            if generic_dims is not None and not inside:
+                assert [strands.presentation_strand_dim(pres, mu, point)
+                        for mu in window] == generic_dims, point
+        assert on_locus >= min(1, len(factors))
+
+
+def test_duality_exclusion_builds_no_strand_matrix(monkeypatch):
+    def banned(*args, **kwargs):
+        raise AssertionError("a strand matrix or a minor was built")
+
+    monkeypatch.setattr(strands, "strand_matrix", banned)
+    monkeypatch.setattr(strands.StrandMatrix, "minors_ideal", banned)
+    for make in (rank_two_example, LOCUS_CASES["cusp"], CAPACITY_CASES["ladder"],
+                 CAPACITY_CASES["idempotent base"]):
+        loci.duality_exclusion_locus(make())
+
+
+def test_a_window_compares_its_degrees_only():
+    # rank_two_example jumps at t = 1 in degree 3 and above only
+    info = loci.nonfree_locus(rank_two_example(), window=[(0,), (1,), (2,)])
+    assert info["is_empty"] and info["coverage"] == [(0,), (1,), (2,)]
+    info = loci.nonfree_locus(rank_two_example(), window=[(3,)])
+    assert info["ideal_strings"] == ["t - 1"]
+
+
+# -- harness samples off the jump locus ----------------------------------------
+
+
+def harness_payload(text, seed, tmp_path):
+    assert cli.run(script.parse(text), seed=seed, out_dir=str(tmp_path)) == 0
+    (path,) = tmp_path.glob("*_harness.json")
+    return json.loads(path.read_text())
+
+
+def assert_distinct_samples_off_the_locus(payload):
+    ring_points = [tuple(sorted(row["point"]["values"].items()))
+                   for comp in payload["components"].values() for row in comp["samples"]]
+    assert len(ring_points) == len(set(ring_points)) == 2
+    assert payload["locally_constant"] is True
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["loci_katzman", "loci_ladder"])
+def test_harness_samples_off_its_jump_locus(name, seed, tmp_path):
+    # samples with s = 0 or t = 0 lie on the reported jump locus, and
+    # once read these families as not locally constant
+    text = (SCRIPTS / (name + ".gf")).read_text(encoding="utf-8")
+    assert_distinct_samples_off_the_locus(harness_payload(text, seed, tmp_path))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_harness_never_repeats_a_point(seed, tmp_path):
+    # the cubic family jumps at t = 1, which the CLI default seed drew twice
+    text = ("ring R base poly(QQ, t) vars a:1 b:1 c:1 d:1;\n"
+            "ideal C = (a*c - b^2, a*d - t*b*c, b*d - c^2);\n"
+            "cmd harness C window [-2, 2];\n")
+    payload = harness_payload(text, seed, tmp_path)
+    assert payload["jump_locus"]["radical"] == ["t - 1"]
+    assert_distinct_samples_off_the_locus(payload)
