@@ -9,6 +9,14 @@ the relations.  GBasis and the kernels apply it, so their elements need
 no further reduction and their leads are read over the generic fiber
 as they stand.
 
+A module term c*x^a*z^b*e_i is ordered by the block (see below), then
+x^a in the ring order, then the component i (a lower i is larger), then
+z^b: a block order on A[x]^n in which the lead of a vector over the
+generic fiber is its (component, x-part) lead, with a coefficient in A.
+Bases specialize under that order (Kalkbrener, JSC 1997): the leads of
+a basis are those of every fiber off the zeros of the coefficients of
+its minimal leads.
+
 Buchberger's loop and every normal form run on int vectors, fraction
 free over QQ and on residues mod p over GF(p); reduction takes the
 largest pending term off a heap.  Field coefficients are converted only
@@ -796,10 +804,12 @@ def eliminate_ideal(gens, varnames, ring=None):
 def _generic_leads(leads, ring):
     """(component, exponents) leads over the generic fiber of the base.
 
-    With the block order the graded part of a lead is its leading term
-    over the generic fiber, so the parameter part is set to zero.  The
-    leads are a GBasis' own (GBasis.leads), so none is redundant over the
-    base, and each has a coefficient that is nonzero in the base.
+    Module terms are keyed by their graded part and component before
+    their parameter part (_Ctx), so the (component, graded part) of a
+    lead is the lead over the generic fiber, and the parameter part is
+    set to zero.  The leads are a GBasis' own (GBasis.leads), so none is
+    redundant over the base, and each has a coefficient that is nonzero
+    in the base (GBasis.generic_lead_coefficients).
     """
     zpad = (0,) * ring.nz
     ng = ring.ngraded

@@ -218,6 +218,8 @@ def _stratum(pres, adjoined, prime, reference, hilbert, ring, cells):
     # over a polynomial base one irreducible factor cuts out a prime
     prime_below = not adjoined and not ring.base_rel and ring.field.char == 0
     for f in dict.fromkeys(g for g in factors if g.constant_value() is None):
+        # the generic point of V(E + f), where E + f need not be prime:
+        # the basis over A/(E + f) stratifies it all the same
         fiber = FiberPoint(base, "generic", prime_gens=(f,),
                            residue_ring=base.with_extra_relations([f]))
         if groebner._has_unit([v.component(0) for v in fiber.residue_ring.base_basis()]):
@@ -321,11 +323,13 @@ def cohomology_jump_loci(pres, degrees):
 def duality_exclusion_locus(pres, window=None):
     """Locus to avoid when reading fiber cohomology off the generic one.
 
-    Union of the jump loci of the module itself, of its Ext modules
-    against the ring, and of the top dual cokernel, the last two read
-    off the module's one resolution.  Off this closed set evaluation
-    commutes with everything we compute.  "module" holds the module's
-    own nonfree_locus, which is computed once with these arguments.
+    Union of the non-free loci (nonfree_locus) of the module itself, of
+    its Ext modules against the ring, and of the top dual cokernel, the
+    last two read off the module's one resolution.  Off this closed set
+    evaluation commutes with everything we compute.  Each piece's locus
+    is read off its relation basis, so no strand matrix is built and no
+    minor enumerated.  "module" holds the module's own nonfree_locus,
+    which is computed once with these arguments.
     """
     ring = pres.ring
     module = nonfree_locus(pres, window=window)

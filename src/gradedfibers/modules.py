@@ -361,7 +361,8 @@ class Presentation:
         """The module's resolution, memoized: length nx + 1, enough for
         every H^i, after resolution.minimalize (minimal over a field; over
         a parameter base less its constant units).  Its raw attribute is
-        the raw resolution, whose d_1 and d_2 the non-free locus reads."""
+        the raw resolution, which the cross check of the cohomology
+        routes reads."""
         if self._resolution is None:
             from .resolution import free_resolution, minimalize
 
