@@ -456,7 +456,7 @@ class GBasis:
         ng = ring.ngraded
         zpad = (0,) * ng
         out = []
-        for v, (c, e) in zip((v for v in self.elements if v.data), self.leads()):
+        for v, (c, e) in zip(self.elements, self.leads()):
             out.append(Poly(ring, {zpad + f[ng:]: co for (d, f), co in v.data.items()
                                    if d == c and f[:ng] == e[:ng]}, _reduce=False))
         return out

@@ -145,8 +145,9 @@ def nonfree_locus(pres, window=None):
     certificate = []
     bad = []
     for adjoined, piece in roots:
-        certificate.append(_product(_minimal_lead_coefficients(piece.gb()), ring))
+        first = len(cells)
         whole, part = _stratum(piece, adjoined, True, None, hilbert, ring, cells)
+        certificate.append(cells[first]["h"])
         bad.extend([adjoined] if whole else part)
     gens = _union_of_closures(bad, ring)
     return {
@@ -174,9 +175,10 @@ def _minimal_lead_coefficients(gb):
 
 
 def _product(polys, ring):
+    """The product of the distinct polys, content dropped."""
     acc = ring.one()
     for f in {tuple(sorted(f.terms.items())): f for f in polys}.values():
-        acc = acc * transfer(f, ring)
+        acc = acc * f
     return acc.primitive()
 
 
@@ -444,9 +446,8 @@ def constancy_report(pres, degrees, seed=0, samples=2, locus=()):
         }
     locus = [ring.poly(g) for g in locus]
 
-    def reject(pt, drawn):
-        return pt.values in drawn or bool(locus) and not any(
-            pt.evaluate_scalar(g) for g in locus)
+    def on_locus(pt):
+        return bool(locus) and not any(pt.evaluate_scalar(g) for g in locus)
 
     comps = ring.minimal_primes()
     if not comps:
@@ -474,8 +475,9 @@ def constancy_report(pres, degrees, seed=0, samples=2, locus=()):
         drawn = set()
         for _ in range(samples):
             try:
-                pt = sample_rational_point(ring, rng, avoid=other_avoid, on=list(prime),
-                                           reject=lambda pt: reject(pt, drawn))
+                pt = sample_rational_point(
+                    ring, rng, avoid=other_avoid, on=list(prime),
+                    reject=lambda pt: pt.values in drawn or on_locus(pt))
             except InvalidFiber:
                 break  # no rational points found on this component
             drawn.add(pt.values)
