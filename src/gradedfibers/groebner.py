@@ -938,7 +938,7 @@ def _monomial_numerator(gens, degs, memo):
     key = tuple(gens)
     if key in memo:
         return memo[key]
-    zero = (0,) * len(degs[0]) if degs else ()
+    zero = (0,) * len(degs[0])
     counts = [sum(1 for e in gens if e[j]) for j in range(len(degs))]
     if any(not any(e) for e in gens):
         out = {}

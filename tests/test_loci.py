@@ -462,10 +462,10 @@ def harness_payload(text, seed, tmp_path):
     return json.loads(path.read_text())
 
 
-def assert_distinct_samples_off_the_locus(payload):
-    ring_points = [tuple(sorted(row["point"]["values"].items()))
-                   for comp in payload["components"].values() for row in comp["samples"]]
-    assert len(ring_points) == len(set(ring_points)) == 2
+def assert_two_distinct_samples_agree(payload):
+    points = [tuple(sorted(row["point"]["values"].items()))
+              for comp in payload["components"].values() for row in comp["samples"]]
+    assert len(points) == len(set(points)) == 2
     assert payload["locally_constant"] is True
 
 
@@ -475,7 +475,7 @@ def test_harness_samples_off_its_jump_locus(name, seed, tmp_path):
     # samples with s = 0 or t = 0 lie on the reported jump locus, and
     # once read these families as not locally constant
     text = (SCRIPTS / (name + ".gf")).read_text(encoding="utf-8")
-    assert_distinct_samples_off_the_locus(harness_payload(text, seed, tmp_path))
+    assert_two_distinct_samples_agree(harness_payload(text, seed, tmp_path))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -486,4 +486,4 @@ def test_harness_never_repeats_a_point(seed, tmp_path):
             "cmd harness C window [-2, 2];\n")
     payload = harness_payload(text, seed, tmp_path)
     assert payload["jump_locus"]["radical"] == ["t - 1"]
-    assert_distinct_samples_off_the_locus(payload)
+    assert_two_distinct_samples_agree(payload)
