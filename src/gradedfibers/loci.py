@@ -11,11 +11,13 @@ freeness: off the zeros of the generic lead coefficients the fiber has
 the basis' leads, hence one Hilbert function in every degree, and below
 them the basis is redone over the base with one lead coefficient
 adjoined (Suzuki & Sato, ISSAC 2006, after Kalkbrener, JSC 1997).  The
-locus is where a cell's Hilbert function differs from the generic one.
-It builds no strand matrix.  The jump loci of H^i read the inverse
-strands of the resolution (localcohom.cohomology_strands) through
-defect_locus; the duality exclusion locus reads the Ext modules and the
-top dual cokernel kept on the complex.
+locus is where a cell's Hilbert function differs from the generic one,
+or, over a base whose components are not known, where the closures of
+two cells with different ones meet.  It builds no strand matrix.  The
+jump loci of H^i read the inverse strands of the resolution
+(localcohom.cohomology_strands) through defect_locus; the duality
+exclusion locus reads the Ext modules and the top dual cokernel kept on
+the complex.
 """
 
 from __future__ import annotations
@@ -117,14 +119,19 @@ def nonfree_locus(pres, window=None):
     that of the generic cell: its hilbert_numerator, or with a window
     its strand dimensions there.  Over a reduced base with several
     components the locus is the union of the loci over A/P for the
-    minimal primes P.
+    minimal primes P.  Over a reduced base whose components are not
+    known the whole base is stratified, and a point is in the locus
+    when the closures of two cells with different Hilbert functions
+    meet there: the fiber dimension is not locally constant at it.
 
     Returns a dict with the ideal generators and their strings, is_empty,
     the coverage ("all degrees" or the window's degrees), the
     certificate (the product of the generic lead coefficients, one per
-    component) and the cells, each with the ideal adjoined to the base
+    component, or one for the whole base when its components are not
+    known) and the cells, each with the ideal adjoined to the base
     (adjoined), the product h, the Hilbert function its fibers share
-    (hilbert), whether it is in the locus (bad) and whether it is empty.
+    (hilbert), whether it is empty and, over a stratum not known to be
+    prime, its closure E : h^infinity (None otherwise).
     """
     ring = pres.ring
     degrees = None if window is None else [ring.deg_tuple(mu) for mu in window]
@@ -134,21 +141,24 @@ def nonfree_locus(pres, window=None):
             return groebner.hilbert_numerator(gb.leads(), gb.module)
         return [groebner.quotient_strand_dim(gb, mu) for mu in degrees]
 
-    if ring.base_is_domain:
-        roots = [([], pres)]
-    elif ring.minimal_primes():
-        roots = [(list(prime), pres.evaluate(FiberPoint.generic(ring, list(prime))))
-                 for prime in ring.minimal_primes()]
-    else:
-        raise AlgebraError("non-free loci over a reducible base need its components")
     cells = []
-    certificate = []
-    bad = []
-    for adjoined, piece in roots:
-        first = len(cells)
-        whole, part = _stratum(piece, adjoined, True, None, hilbert, ring, cells)
-        certificate.append(cells[first]["h"])
-        bad.extend([adjoined] if whole else part)
+    if ring.base_is_domain or ring.minimal_primes():
+        roots = [([], pres)] if ring.base_is_domain else [
+            (list(prime), pres.evaluate(FiberPoint.generic(ring, list(prime))))
+            for prime in ring.minimal_primes()]
+        certificate = []
+        bad = []
+        for adjoined, piece in roots:
+            first = len(cells)
+            whole, part = _stratum(piece, adjoined, True, None, hilbert, ring, cells)
+            certificate.append(cells[first]["h"])
+            bad.extend([adjoined] if whole else part)
+    else:
+        _stratum(pres, [], False, None, hilbert, ring, cells)
+        certificate = [cells[0]["h"]]
+        live = [cell for cell in cells if not cell["empty"]]
+        bad = [a["closure"] + b["closure"] for i, a in enumerate(live)
+               for b in live[i + 1:] if a["hilbert"] != b["hilbert"]]
     gens = _union_of_closures(bad, ring)
     return {
         "ideal": gens,
@@ -209,7 +219,9 @@ def _stratum(pres, adjoined, prime, reference, hilbert, ring, cells):
         reference = fiber_hilbert  # the generic cell of a component
     cell_bad = not empty and fiber_hilbert != reference
     cells.append({"adjoined": adjoined, "h": transfer(h, ring), "hilbert": fiber_hilbert,
-                  "bad": cell_bad, "empty": empty})
+                  "empty": empty,
+                  "closure": None if closure is None else
+                  [g for g in (transfer(f, ring) for f in closure) if not g.is_zero()]})
     if cell_bad and prime:
         return True, []
     factors = []
@@ -255,13 +267,10 @@ def _union_of_closures(ideals, ring):
             continue
         kept = [other for other in kept if not _zeros_inside(other, gens, ring)]
         kept.append(gens)
-    if not kept:
-        return [ring.one()]
     acc = None
     for gens in kept:
-        part = groebner.ideal_gb(gens, ring=ring)
-        acc = part if acc is None else groebner.intersect_ideals(acc, part, ring)
-    return _squarefree_gens(acc)
+        acc = _union(acc, groebner.ideal_gb(gens, ring=ring), ring)
+    return [ring.one()] if acc is None else _squarefree_gens(acc)
 
 
 def _zeros_inside(gens, other, ring):

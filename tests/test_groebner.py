@@ -50,7 +50,7 @@ def test_random_combinations_stay_in_ideal():
     mono2 = R2.monomials_of_degree((2,))
     for _ in range(25):
         gens = []
-        for _ in range(rng.randint(1, 2)):
+        for _ in range(rng.randint(1, 3)):
             p = R2.zero()
             for m in rng.sample(mono2, rng.randint(1, 3)):
                 p = p + rng.randint(-2, 2) * R2.monomial(m)

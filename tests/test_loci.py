@@ -8,7 +8,7 @@ import pytest
 
 from gradedfibers.errors import AlgebraError, InvalidFiber
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
-from gradedfibers.rings import Poly, Ring, irreducible_factors, make_ring
+from gradedfibers.rings import Poly, PrimeField, Ring, irreducible_factors, make_ring
 from gradedfibers import cli, groebner, localcohom, loci, resolution, script, strands
 from gradedfibers.specialize import FiberPoint, sample_rational_point
 from test_strands import same_locus
@@ -349,6 +349,30 @@ CAPACITY_CASES = {
 }
 
 
+# bases whose components are not known: one relation over GF(p), where
+# nothing is factored, or several relations with none declared
+Ridem7 = make_ring(["x", "y"], [1, 1], params=["t"], relations=["t^2 - t"], field=PrimeField(7))
+Rcusp7 = make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"],
+                   field=PrimeField(7))
+Rmeet = make_ring(["x", "y"], [1, 1], params=["s", "t", "u"], relations=["s*t", "s*u"])
+
+# name: (ring, generators, the locus, components that, declared, give a
+# locus with the same zeros)
+UNSPLIT = {
+    # two points apart: the module is free at each, though not of one rank
+    "idempotent over GF(7)": (Ridem7, ["x^2", "t*x*y", "y^2"], ["1"], [["t"], ["t - 1"]]),
+    "cusp over GF(7)": (Rcusp7, ["x^2", "s*x*y", "t*y^2"], ["s", "t"], [["s^2 - t^3"]]),
+    # the plane s = 0 jumps along t = 0, the line t = u = 0 at the origin
+    "plane and line": (Rmeet, ["s*x", "t*y"], ["s", "t"], [["s"], ["t", "u"]]),
+    "plane and line, ladder": (Rmeet, ["x^2", "(s + t)*x*y", "u*y^2"], ["t*u", "s"],
+                               [["s"], ["t", "u"]]),
+    # the lead x at t != 0 drops to y at t = 0, and the fibers agree
+    "plane and line, linear": (Rmeet, ["t*x + y"], ["1"], [["s"], ["t", "u"]]),
+}
+UNSPLIT_CASES = {name: (lambda ring=ring, gens=gens: cyclic(ring, gens))
+                 for name, (ring, gens, _, _) in UNSPLIT.items()}
+
+
 def window_scan_locus(pres, degrees):
     """The non-free locus as the window scan read it: the union over the
     degrees of the points where the raw resolution's d_2 and d_1 strands
@@ -381,9 +405,10 @@ def fiber_numerator(pres, point):
     return groebner.hilbert_numerator(gb.leads(), gb.module)
 
 
-@pytest.mark.parametrize("name", sorted(LOCUS_CASES) + sorted(CAPACITY_CASES))
+@pytest.mark.parametrize("name", sorted(LOCUS_CASES) + sorted(CAPACITY_CASES)
+                         + sorted(UNSPLIT_CASES))
 def test_each_cell_has_its_hilbert_function_at_a_seeded_point(name):
-    pres = {**LOCUS_CASES, **CAPACITY_CASES}[name]()
+    pres = {**LOCUS_CASES, **CAPACITY_CASES, **UNSPLIT_CASES}[name]()
     rng = random.Random(50)
     cells = loci.nonfree_locus(pres)["cells"]
     sampled = 0
@@ -441,8 +466,36 @@ def test_duality_exclusion_builds_no_strand_matrix(monkeypatch):
     monkeypatch.setattr(strands, "strand_matrix", banned)
     monkeypatch.setattr(strands.StrandMatrix, "minors_ideal", banned)
     for make in (rank_two_example, LOCUS_CASES["cusp"], CAPACITY_CASES["ladder"],
-                 CAPACITY_CASES["idempotent base"]):
+                 CAPACITY_CASES["idempotent base"], UNSPLIT_CASES["plane and line, ladder"]):
         loci.duality_exclusion_locus(make())
+
+
+@pytest.mark.parametrize("name", sorted(UNSPLIT_CASES))
+def test_a_base_without_its_components_is_stratified_whole(name):
+    # a point is on the locus where the closures of two cells with
+    # different Hilbert functions meet; declaring the components, the
+    # locus is the union of theirs and has the same zeros
+    ring, gens, want, comps = UNSPLIT[name]
+    assert not ring.base_is_domain and not ring.minimal_primes()
+    info = loci.nonfree_locus(cyclic(ring, gens))
+    assert info["ideal_strings"] == want
+    declared = make_ring(list(ring.xnames), [1] * ring.nx, params=list(ring.znames),
+                         relations=[str(v.component(0)) for v in ring.base_basis()],
+                         minimal_primes=comps, field=ring.field)
+    ref = loci.nonfree_locus(cyclic(declared, gens))["ideal"]
+    assert same_locus(info["ideal"], ref, ring)
+
+
+def test_cmd_loci_over_relations_without_components(tmp_path):
+    # the window scan answered here; the stratification of the whole base
+    # does too
+    text = ("ring R base quotient(poly(QQ, s, t, u), ideal(s*t, s*u)) vars x:1 y:1;\n"
+            "ideal I = (s*x, t*y);\ncmd loci I;\n")
+    assert cli.run(script.parse(text), out_dir=str(tmp_path)) == 0
+    payload = json.loads((tmp_path / "01_loci.json").read_text())
+    assert "error" not in payload, payload["error"]["message"]
+    assert payload["nonfree"]["generators"] == ["s", "t"]
+    assert payload["nonfree"]["coverage"] == "all degrees"
 
 
 def test_a_window_compares_its_degrees_only():

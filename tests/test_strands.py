@@ -185,7 +185,8 @@ def same_locus(gens_a, gens_b, ring):
     radical of the other, that is J + (1 - w*g) is the unit ideal over the
     base with one more parameter w (Rabinowitsch)."""
     big = make_ring(list(ring.xnames), [1] * ring.nx, params=list(ring.znames) + ["w"],
-                    relations=[str(r.component(0)) for r in ring.base_basis() or ()])
+                    relations=[str(r.component(0)) for r in ring.base_basis() or ()],
+                    field=ring.field)
     w = big.var("w")
 
     def inside(gens, ideal):
