@@ -255,7 +255,7 @@ def _cmd_specialize(env, cmd, opts):
         "fiber": point.describe() if point else None,
     }
     if point is None:
-        rep = specialize.generic_agreement_certificate(bundle, ks, degs, samples=0)
+        rep = specialize.generic_agreement_certificate(bundle, ks, degs)
         dims = rep["generic_dims"]
         out["certificate"] = str(rep["certificate"])
     else:

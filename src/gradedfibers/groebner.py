@@ -31,10 +31,12 @@ are exactly a basis of the kernel.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd
 from operator import add, sub
 
-from .errors import AlgebraError, BaseNotDomain, NotHomogeneous, RingMismatch
+from .errors import (AlgebraError, BaseNotDomain, NotHomogeneous, NotStandardGraded,
+                     RingMismatch)
 from . import linalg
 from .modules import FreeMap, FreeModule, Presentation, Vector
 from .rings import Poly, _from_ints, _to_ints
@@ -57,8 +59,8 @@ __all__ = [
     "quotient_strand_dim",
     "hilbert_numerator",
     "submodule_strand_dim",
-    "standard_monomials",
     "quotient_dimension",
+    "quotient_degree",
     "module_rank",
     "matrix_rank_generic",
     "torsion_submodule",
@@ -183,13 +185,12 @@ class _DivisorTable:
         return -1
 
 
-def _reduce_full(ctx, data, table, quotients=None):
+def _reduce_full(ctx, data, table):
     """Fully reduce an int vector against the divisor table.
 
-    Returns (nf, mult) with mult * data = sum of q_i * g_i + nf, the q_i
-    added into quotients when given.  A step against g with lead
-    coefficient a clears a term with coefficient c: over GF(p) by
-    subtracting c/a times g, over QQ by h <- m*h - f*g with
+    Returns (nf, mult) with mult * data = sum of q_i * g_i + nf.  A step
+    against g with lead coefficient a clears a term with coefficient c:
+    over GF(p) by subtracting c/a times g, over QQ by h <- m*h - f*g with
     (m, f) = (a, c) / gcd(a, c), so mult is the product of the m.  Terms
     come off a heap largest first; a step only adds smaller terms, so a
     popped term never comes back.
@@ -227,13 +228,7 @@ def _reduce_full(ctx, data, table, quotients=None):
                 mult *= m
                 rest = {t: v * m for t, v in rest.items()}
                 out = {t: v * m for t, v in out.items()}
-                if quotients is not None:
-                    for q in quotients:
-                        for t in q:
-                            q[t] *= m
         shift = tuple(map(sub, term[1], lead[1]))
-        if quotients is not None:
-            quotients[idx][shift] = f
         for (dc, de), dcoeff in tail:
             t = (dc, tuple(map(add, de, shift)))
             w = f * dcoeff
@@ -422,11 +417,12 @@ class GBasis:
     form a Groebner basis of the same module.
     """
 
-    __slots__ = ("module", "split", "elements", "_ctx", "_table")
+    __slots__ = ("module", "split", "elements", "_ctx", "_table", "_numerator")
 
     def __init__(self, module, split, data_list):
         self.module = module
         self.split = split
+        self._numerator = None
         self._ctx = ctx = _Ctx(module.ring, module.shifts, split)
         p = ctx.p
         kept = _over_base(module.ring, [d for d in data_list if d], ctx.lead)
@@ -461,13 +457,34 @@ class GBasis:
                                    if d == c and f[:ng] == e[:ng]}, _reduce=False))
         return out
 
-    def _reduce(self, v, quotients=None):
+    def minimal_lead_coefficients(self):
+        """One generic lead coefficient per minimal lead over the generic
+        fiber, in basis order.  Of several elements with one such lead the
+        last, whose coefficient has the smallest lead, stands for them.
+        Off the zeros of their product every fiber has these leads, hence
+        the Hilbert function of the generic fiber in every degree."""
+        ng = self.module.ring.ngraded
+        leads = [(c, e[:ng]) for c, e in self.leads()]
+        chosen = {}
+        for lead, coeff in zip(leads, self.generic_lead_coefficients()):
+            if not any(other != lead and other[0] == lead[0]
+                       and all(a <= b for a, b in zip(other[1], lead[1])) for other in leads):
+                chosen[lead] = coeff
+        return list(chosen.values())
+
+    def hilbert_numerator(self):
+        """hilbert_numerator of the leads of the basis, memoized."""
+        if self._numerator is None:
+            self._numerator = hilbert_numerator(self.leads(), self.module)
+        return self._numerator
+
+    def _reduce(self, v):
         """(nf, den) of v in int form: v * den reduces to nf."""
         if v.module.ring != self.module.ring or v.module.shifts != self.module.shifts:
             raise RingMismatch("normal form against a basis from another module")
         p = self._ctx.p
         data, den = _to_ints(p, v.data)
-        nf, mult = _reduce_full(self._ctx, data, self._table, quotients)
+        nf, mult = _reduce_full(self._ctx, data, self._table)
         return nf, den * mult
 
     def nf(self, v):
@@ -479,16 +496,6 @@ class GBasis:
         rank-one basis: mult * terms reduces to nf (see _reduce_full)."""
         nf, mult = _reduce_full(self._ctx, {(0, e): c for e, c in terms.items()}, self._table)
         return {e: c for (_0, e), c in nf.items()}, mult
-
-    def nf_with_quotients(self, v):
-        """Normal form plus quotients: v = sum q_i * g_i + nf, one q_i per
-        element, modulo the relations of the base."""
-        quotients = [dict() for _ in self._table.entries]
-        nf, den = self._reduce(v, quotients)
-        p = self._ctx.p
-        ring = self.module.ring
-        qs = [Poly(ring, _from_ints(p, q, den)) for q in quotients[:len(self.elements)]]
-        return Vector(self.module, _from_ints(p, nf, den)), qs
 
     def contains(self, v):
         return not self._reduce(v)[0]
@@ -799,6 +806,12 @@ def eliminate_ideal(gens, varnames, ring=None):
 
 
 # -- counting --------------------------------------------------------------
+#
+# Every count of a quotient ambient/<gb> is read off one series: the
+# Hilbert numerator of the basis' leads over the generic fiber
+# (GBasis.hilbert_numerator).  A strand dimension is a coefficient of
+# the series; its dimension, degree and length are read at t = 1 once
+# each T^mu is sent to t^psi(mu).
 
 
 def _generic_leads(leads, ring):
@@ -816,86 +829,6 @@ def _generic_leads(leads, ring):
     return [(c, e[:ng] + zpad) for c, e in leads]
 
 
-def standard_monomials(leads, module, deg):
-    """Module monomials of the given degree not divisible by any lead.
-
-    leads are (component, exponent tuple) pairs, read over the generic
-    fiber of the base (see _generic_leads; over a field they stay as
-    they are).
-    """
-    ring = module.ring
-    deg = ring.deg_tuple(deg)
-    leads = _generic_leads(leads, ring)
-    by_comp = {}
-    for c, e in leads:
-        by_comp.setdefault(c, []).append(e)
-    out = []
-    for i, shift in enumerate(module.shifts):
-        want = tuple(a - b for a, b in zip(deg, shift))
-        for m in ring.monomials_of_degree(want):
-            divisible = False
-            for le in by_comp.get(i, ()):
-                if all(a >= b for a, b in zip(m, le)):
-                    divisible = True
-                    break
-            if not divisible:
-                out.append((i, m))
-    return out
-
-
-def quotient_strand_dim(gb, deg):
-    """dim of the degree-deg slice of ambient/<gb> over the fiber field."""
-    return len(standard_monomials(gb.leads(), gb.module, deg))
-
-
-def submodule_strand_dim(gb, deg):
-    """dim of the degree-deg slice of the submodule <gb>."""
-    ring = gb.module.ring
-    total = 0
-    deg_t = ring.deg_tuple(deg)
-    for shift in gb.module.shifts:
-        want = tuple(a - b for a, b in zip(deg_t, shift))
-        total += len(ring.monomials_of_degree(want))
-    return total - quotient_strand_dim(gb, deg)
-
-
-def quotient_dimension(lead_exps_or_gb, ring=None):
-    """Krull dimension of ring/(monomial ideal of leads), by independent sets.
-
-    The count is taken over the generic fiber of the base: parameter
-    parts of the leads are dropped and only the graded variables may
-    enter an independent set.
-    """
-    if isinstance(lead_exps_or_gb, GBasis):
-        ring = lead_exps_or_gb.module.ring
-        leads = lead_exps_or_gb.leads()
-    else:
-        leads = [(0, e) for e in lead_exps_or_gb]
-    n = ring.ngraded
-    leads = [e[:n] for _c, e in _generic_leads(leads, ring)]
-    if not leads:
-        return n
-    supports = []
-    for e in leads:
-        supports.append(frozenset(i for i, a in enumerate(e) if a))
-    if frozenset() in supports:
-        return -1  # unit ideal
-    best = 0
-    from itertools import combinations
-
-    for size in range(n, 0, -1):
-        if size <= best:
-            break
-        for combo in combinations(range(n), size):
-            s = set(combo)
-            if all(not sup <= s for sup in supports):
-                best = size
-                break
-        if best == size:
-            break
-    return best
-
-
 def hilbert_numerator(leads, module):
     """Numerator of the Hilbert series of module/<leads> over the generic
     fiber, as {degree: coefficient} with no zero coefficient.
@@ -903,7 +836,8 @@ def hilbert_numerator(leads, module):
     The series is N(T) / prod_i (1 - T^deg(x_i)) over the graded
     variables, so two quotients of one free module have the same Hilbert
     function in every degree exactly when their numerators agree.  leads
-    are read as standard_monomials reads them; component c adds
+    are (component, exponents) pairs of a GBasis (GBasis.leads), read
+    over the generic fiber (_generic_leads); component c adds
     T^shift_c times the numerator of k[x]/(its monomial ideal), from
     Bigatti's pivot recursion (JPAA 119, 1997).
     """
@@ -970,48 +904,78 @@ def _monomial_numerator(gens, degs, memo):
     return out
 
 
+def _series_coefficient(ring, numerator, deg):
+    """Coefficient of T^deg in numerator / prod_i (1 - T^deg(x_i)) over
+    the graded variables: the sum of N_d times the number of graded
+    monomials of degree deg - d."""
+    deg = ring.deg_tuple(deg)
+    return sum(v * len(ring.monomials_of_degree(tuple(map(sub, deg, d))))
+               for d, v in numerator.items())
+
+
+def quotient_strand_dim(gb, deg):
+    """dim of the degree-deg slice of ambient/<gb> over the generic fiber."""
+    return _series_coefficient(gb.module.ring, gb.hilbert_numerator(), deg)
+
+
+def submodule_strand_dim(gb, deg):
+    """dim of the degree-deg slice of the submodule <gb> over the generic
+    fiber: the ambient free module's, whose numerator is the sum of
+    T^shift, less the quotient's."""
+    free = {}
+    for shift in gb.module.shifts:
+        free[shift] = free.get(shift, 0) + 1
+    return _series_coefficient(gb.module.ring, free, deg) - quotient_strand_dim(gb, deg)
+
+
+def _series_at_one(gb):
+    """(dim, g1) for the Hilbert series of ambient/<gb> with each T^mu
+    read as t^psi(mu): dim is the order of its pole at t = 1, which is
+    the Krull dimension (-1 for the zero quotient), and g1 is g(1) for
+    the numerator N(t) = (1 - t)^(n - dim) g(t), n the number of graded
+    variables."""
+    ring = gb.module.ring
+    coeffs = {}
+    for d, v in gb.hilbert_numerator().items():
+        k = ring.psi_value(d)
+        coeffs[k] = coeffs.get(k, 0) + v
+    if not any(coeffs.values()):
+        return -1, 0
+    poly = [coeffs.get(k, 0) for k in range(min(coeffs), max(coeffs) + 1)]
+    dim = ring.ngraded
+    while not sum(poly):
+        poly = list(accumulate(poly))[:-1]  # exact division by 1 - t
+        dim -= 1
+    return dim, sum(poly)
+
+
+def quotient_dimension(gb):
+    """Krull dimension of ambient/<gb> over the generic fiber, -1 when
+    the quotient is zero."""
+    return _series_at_one(gb)[0]
+
+
+def quotient_degree(gb):
+    """Degree of ambient/<gb> over the generic fiber of a standard graded
+    ring: h(1), where the Hilbert series is h(t) / (1 - t)^dim."""
+    ring = gb.module.ring
+    if any(ring.psi_value(d) != 1 for d in ring.degrees[:ring.ngraded]):
+        raise NotStandardGraded("a degree is read over a standard graded ring")
+    return _series_at_one(gb)[1]
+
+
 def presentation_vecdim(pres):
-    """Total fiber-field dimension of a presented module, None if infinite.
-
-    Counts standard monomials of the relation basis per component; the
-    count is finite exactly when every live component's lead set bounds
-    every graded variable by a pure power.
-    """
+    """Total fiber-field dimension of a presented module over the generic
+    fiber, None if infinite: the Hilbert series at t = 1 when it is a
+    polynomial, that is when its pole at t = 1 has order at most 0.  It
+    is then g(1) / prod_i psi(deg x_i) (see _series_at_one)."""
     ring = pres.ring
-    ng = ring.ngraded
-    leads = _generic_leads(pres.gb().leads(), ring)
-    by_comp = {c: [] for c in range(pres.ngens)}
-    for c, e in leads:
-        by_comp[c].append(e[:ng])
-    total = 0
-    for c in range(pres.ngens):
-        leads = by_comp[c]
-        if any(not any(e) for e in leads):
-            continue  # a unit relation kills this component
-        bounds = [None] * ng
-        for e in leads:
-            pos = [i for i, a in enumerate(e) if a]
-            if len(pos) == 1 and (bounds[pos[0]] is None or e[pos[0]] < bounds[pos[0]]):
-                bounds[pos[0]] = e[pos[0]]
-        if any(b is None for b in bounds):
-            return None
-        exps = [0] * ng
-
-        def rec(i):
-            got = 0
-            if i == ng:
-                for e in leads:
-                    if all(a >= b for a, b in zip(exps, e)):
-                        return 0
-                return 1
-            for a in range(bounds[i]):
-                exps[i] = a
-                got += rec(i + 1)
-            exps[i] = 0
-            return got
-
-        total += rec(0)
-    return total
+    dim, g1 = _series_at_one(pres.gb())
+    if dim > 0:
+        return None
+    for d in ring.degrees[:ring.ngraded]:
+        g1 //= ring.psi_value(d)
+    return g1
 
 
 # -- rank and torsion ------------------------------------------------------

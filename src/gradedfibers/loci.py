@@ -138,7 +138,7 @@ def nonfree_locus(pres, window=None):
 
     def hilbert(gb):
         if degrees is None:
-            return groebner.hilbert_numerator(gb.leads(), gb.module)
+            return gb.hilbert_numerator()
         return [groebner.quotient_strand_dim(gb, mu) for mu in degrees]
 
     cells = []
@@ -150,11 +150,11 @@ def nonfree_locus(pres, window=None):
         bad = []
         for adjoined, piece in roots:
             first = len(cells)
-            whole, part = _stratum(piece, adjoined, True, None, hilbert, ring, cells)
+            whole, part = _stratum(piece, adjoined, True, None, hilbert, ring, cells, {})
             certificate.append(cells[first]["h"])
             bad.extend([adjoined] if whole else part)
     else:
-        _stratum(pres, [], False, None, hilbert, ring, cells)
+        _stratum(pres, [], False, None, hilbert, ring, cells, {})
         certificate = [cells[0]["h"]]
         live = [cell for cell in cells if not cell["empty"]]
         bad = [a["closure"] + b["closure"] for i, a in enumerate(live)
@@ -170,20 +170,6 @@ def nonfree_locus(pres, window=None):
     }
 
 
-def _minimal_lead_coefficients(gb):
-    """One generic lead coefficient per minimal lead over the generic
-    fiber, in basis order.  Of several elements with one such lead the
-    last, whose coefficient has the smallest lead, stands for them."""
-    ng = gb.module.ring.ngraded
-    leads = [(c, e[:ng]) for c, e in gb.leads()]
-    chosen = {}
-    for lead, coeff in zip(leads, gb.generic_lead_coefficients()):
-        if not any(other != lead and other[0] == lead[0]
-                   and all(a <= b for a, b in zip(other[1], lead[1])) for other in leads):
-            chosen[lead] = coeff
-    return list(chosen.values())
-
-
 def _product(polys, ring):
     """The product of the distinct polys, content dropped."""
     acc = ring.one()
@@ -192,7 +178,7 @@ def _product(polys, ring):
     return acc.primitive()
 
 
-def _stratum(pres, adjoined, prime, reference, hilbert, ring, cells):
+def _stratum(pres, adjoined, prime, reference, hilbert, ring, cells, seen):
     """(whole, bad) for the stratum V(E) of a base A/E over which pres is
     presented: whole is True when every nonempty cell in it lies in the
     locus, and otherwise bad lists ideals of the original base whose
@@ -206,11 +192,14 @@ def _stratum(pres, adjoined, prime, reference, hilbert, ring, cells):
     closed locus the whole stratum does.  Otherwise the cell is empty
     when E : h^infinity is the unit ideal.  Below the cell, each factor
     f of a minimal lead coefficient gives the stratum V(E + f), read off
-    the basis redone over A/(E + f).
+    the basis redone over A/(E + f).  A stratum that two orders of
+    factors reach, as (s, t) from s and from t, is computed once: seen
+    maps the reduced relation basis of each stratum below this
+    component to its (whole, bad).
     """
     gb = pres.gb()
     base = pres.ring
-    coeffs = _minimal_lead_coefficients(gb)
+    coeffs = gb.minimal_lead_coefficients()
     h = _product(coeffs, base)
     closure = None if prime else _cell_closure(base, h)
     empty = closure is not None and groebner._has_unit(closure)
@@ -236,11 +225,15 @@ def _stratum(pres, adjoined, prime, reference, hilbert, ring, cells):
         # the basis over A/(E + f) stratifies it all the same
         fiber = FiberPoint(base, "generic", prime_gens=(f,),
                            residue_ring=base.with_extra_relations([f]))
-        if groebner._has_unit([v.component(0) for v in fiber.residue_ring.base_basis()]):
+        rels = [v.component(0) for v in fiber.residue_ring.base_basis()]
+        if groebner._has_unit(rels):
             continue  # f is a unit on this stratum
         child = adjoined + [transfer(f, ring)]
-        child_whole, child_bad = _stratum(pres.evaluate(fiber), child, prime_below,
-                                          reference, hilbert, ring, cells)
+        key = tuple(tuple(sorted(g.terms.items())) for g in rels)
+        if key not in seen:
+            seen[key] = _stratum(pres.evaluate(fiber), child, prime_below,
+                                 reference, hilbert, ring, cells, seen)
+        child_whole, child_bad = seen[key]
         whole = whole and child_whole
         bad.extend([child] if child_whole else child_bad)
     return whole, bad

@@ -231,20 +231,6 @@ class FreeMap:
             shifts.append(d if d is not None else ring.zero_degree())
         return cls(FreeModule(ring, shifts), target, cols, check=check)
 
-    @classmethod
-    def from_entries(cls, target, source, entries, check=True):
-        """entries[i][j] is the (i, j) matrix entry, coercible to Poly."""
-        ring = target.ring
-        cols = []
-        for j in range(source.rank):
-            data = {}
-            for i in range(target.rank):
-                p = ring.poly(entries[i][j])
-                for e, c in p.terms.items():
-                    data[(i, e)] = c
-            cols.append(Vector(target, data))
-        return cls(source, target, cols, check=check)
-
     @property
     def ring(self):
         return self.target.ring

@@ -2,13 +2,14 @@
 
 A map is a tuple of forms of one common degree in the standard graded
 x-block.  Per fiber we compute the image ideal by elimination, read the
-analytic spread and the image degree off the Hilbert function of the
-special fiber ring, extract the map degree from the growth of the first
-local cohomology of powers, and cross all of it against the saturated
-fiber multiplicity and the j-multiplicity.  The limits in the
-definitions become finite differences with an explicit stability rule:
-the last two difference values must agree, otherwise UnstableLimit asks
-for a larger cutoff instead of extrapolating silently.
+analytic spread and the image degree off the Hilbert series of the
+special fiber ring, which makes both exact, extract the map degree from
+the growth of the first local cohomology of powers, and cross all of it
+against the saturated fiber multiplicity and the j-multiplicity.  The
+limits over powers become finite differences with an explicit stability
+rule: the last two difference values must agree, otherwise
+UnstableLimit asks for a larger cutoff instead of extrapolating
+silently.
 
 Every ideal whose strands are counted (the image ideal, each power I^k
 and each saturation I^k : m^inf) is kept as a cyclic Presentation, so
@@ -163,19 +164,7 @@ def image_degree(rmap, point=None):
     if data["spread"] != data["fring"].nx:
         raise NotGenericallyFinite(
             "analytic spread %d < %d" % (data["spread"], data["fring"].nx))
-    order = data["spread"] - 1
-
-    def hilb(n):
-        return groebner.quotient_strand_dim(data["gb"], (n,))
-
-    vals = [hilb(n) for n in range(order + 3)]
-    while True:
-        v = _stable_tail(vals, order)
-        if v is not None:
-            return v
-        if len(vals) > 40:
-            raise UnstableLimit("image Hilbert function refuses to stabilize")
-        vals.append(hilb(len(vals)))
+    return groebner.quotient_degree(data["gb"])
 
 
 # -- powers and their first local cohomology ---------------------------------
@@ -387,7 +376,8 @@ def preimage_count(rmap, point=None, seed=0, tries=40):
     coordinate that is nonzero at the target, which discards the base
     locus.  On a plane source the count is the squarefree degree of the
     principal eliminant, so branch targets are detected and resampled;
-    higher sources return the stabilized Hilbert count.
+    higher sources return the degree of the fiber, read off its Hilbert
+    series.
     """
     fring, forms = _forms_at(rmap.ring, rmap.forms, point)
     if fring.nz:
@@ -416,17 +406,7 @@ def preimage_count(rmap, point=None, seed=0, tries=40):
         gb = Presentation.cyclic(fring, sat).gb()
         if groebner.quotient_dimension(gb) != 1:
             continue  # positive dimensional fiber: pick another target
-        vals = [groebner.quotient_strand_dim(gb, (n,)) for n in range(fring.nx + 3)]
-        while True:
-            v = _stable_tail(vals, 0)
-            if v is not None:
-                break
-            if len(vals) > 40:
-                v = None
-                break
-            vals.append(groebner.quotient_strand_dim(gb, (len(vals),)))
-        if v is None:
-            continue
+        v = groebner.quotient_degree(gb)
         if fring.nx == 2:
             if len(sat) != 1:
                 continue

@@ -83,19 +83,6 @@ class Complex:
             maps.append(self.map(r - i + 1).transpose(twist))
         return Complex(mods, maps)
 
-    def betti_table(self):
-        """Counts of generator degrees per homological position.
-
-        Only meaningful as graded Betti numbers when the complex is a
-        minimal resolution.
-        """
-        table = {}
-        for i, mod in enumerate(self.modules):
-            for s in mod.shifts:
-                key = (i, s)
-                table[key] = table.get(key, 0) + 1
-        return table
-
     def __str__(self):
         parts = []
         for i, mod in enumerate(self.modules):

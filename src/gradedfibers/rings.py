@@ -841,18 +841,6 @@ class Poly:
                 terms[e] = v
         return Poly(self.ring, terms, _reduce=False)
 
-    # -- division ------------------------------------------------------
-
-    def exact_div(self, other):
-        """Quotient self/other, raising if the division is not exact."""
-        self._check(other)
-        if other.is_zero():
-            raise AlgebraError("division by zero")
-        if self.is_zero():
-            return self
-        return Poly(self.ring, _div_terms(self.terms, other.terms, self.ring.order.heap_key),
-                    _reduce=False)
-
     def support_vars(self):
         """Names of variables that actually occur."""
         seen = set()
@@ -967,13 +955,12 @@ def _from_ints(p, terms, den=1):
     return {t: Fraction(c, den) for t, c in terms.items()}
 
 
-def _div_terms(terms, dterms, hkey, p=None):
-    """Exact quotient of two term dicts, or AlgebraError.
+def _div_terms(terms, dterms, hkey, p):
+    """Exact quotient of two int term dicts, or AlgebraError.
 
     The largest remaining term comes off a heap under hkey, the heap key
-    of the monomial order.  Coefficients are field elements when p is
-    None, ints whose quotients must be integers when p is 0, and ints
-    mod p otherwise.
+    of the monomial order.  Coefficients are ints whose quotients must
+    be integers when p is 0, and ints mod p otherwise.
     """
     lead = min(dterms, key=hkey)
     a = dterms[lead]
@@ -992,9 +979,7 @@ def _div_terms(terms, dterms, hkey, p=None):
         qe = tuple(x - y for x, y in zip(e, lead))
         if min(qe) < 0:
             raise AlgebraError("inexact division")
-        if p is None:
-            qc = c / a
-        elif p:
+        if p:
             qc = c * inv % p
         else:
             qc, r = divmod(c, a)

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from .errors import AlgebraError, BaseNotDomain, InvalidFiber, NoRank, NotOnVariety
 from .modules import FreeModule, FreeMap, Presentation
 from .rings import Poly, irreducible_factors, squarefree_part, transfer
-from . import groebner, resolution, strands
+from . import groebner, resolution
 
 
 class FiberPoint:
@@ -310,69 +310,40 @@ def rees_powers(source, ring=None, seed=0):
     return PowersBundle(ring, kind, emb, tf, max(mus) if mus else 0)
 
 
-def generic_agreement_certificate(bundle, ks, degrees, samples=6):
-    """Parameter element over whose complement power strands stay generic.
+def generic_agreement_certificate(bundle, ks, degrees):
+    """Parameter element off whose zeros every listed power keeps its
+    generic dimension in every degree, with those dimensions.
 
-    Every tested (k, degree) strand of the power is a matrix over the
-    base; the certifying minors of their generic ranks multiply into one
-    element a.  Fibers with a != 0 keep all tested strand dimensions, and
-    the verdict checks that claim on rational points drawn with seed 0.
-    Sampling failures are reported, not raised; counterexamples mean the
-    tested window was too small to see the whole structure.
+    Each power's basis over the base (the one power_dims_at builds, at
+    the generic point) has minimal generic lead coefficients; off the
+    zeros of their product every fiber has the basis' leads, so it has
+    the Hilbert function of the generic fiber in every degree
+    (Kalkbrener, JSC 1997).  The certificate is the squarefree part of that product
+    over all listed powers; generic_dims holds the generic dimension at
+    each (k, degree) asked for.
     """
     ring = bundle.ring
     if not ring.base_is_domain:
         raise BaseNotDomain("agreement certificates need an integral base")
-    minors = []
+    coeffs = []
     generic_dims = {}
-    for k in ks:
-        module, vectors = bundle.power_vectors(k)
-        incl = FreeMap.from_columns(module, vectors, check=False)
+    for k, gb in _power_bases(bundle, ks, None):
+        coeffs.extend(gb.minimal_lead_coefficients())
         for deg in degrees:
-            sm = strands.strand_matrix(incl, ring.deg_tuple(deg))
-            rank, minor = sm.generic_rank()
-            generic_dims[(k, deg)] = rank
-            minors.append(minor)
-    cert = squarefree_part(*minors, ring=ring)
-    out = {
-        "certificate": cert,
-        "generic_dims": generic_dims,
-        "points": [],
-        "counterexamples": [],
-    }
-    if ring.nz == 0 or samples <= 0:
-        out["agrees"] = True
-        return out
-    import random
-
-    rng = random.Random(0)
-    avoid = [] if cert.constant_value() is not None else [cert]
-    for _ in range(samples):
-        try:
-            point = sample_rational_point(ring, rng, avoid=avoid)
-        except InvalidFiber:
-            break
-        out["points"].append(point.describe())
-        for (k, deg), got in power_dims_at(bundle, ks, degrees, point).items():
-            if got != generic_dims[(k, deg)]:
-                out["counterexamples"].append({
-                    "point": point.describe(),
-                    "k": k,
-                    "degree": deg,
-                    "dim": got,
-                    "generic": generic_dims[(k, deg)],
-                })
-    out["agrees"] = not out["counterexamples"]
-    return out
+            generic_dims[(k, deg)] = groebner.submodule_strand_dim(gb, deg)
+    return {"certificate": squarefree_part(*coeffs, ring=ring), "generic_dims": generic_dims}
 
 
 def power_dims_at(bundle, ks, degrees, point):
     """{(k, degree): dim of that strand of the k-th power at a fiber
     point}, k by k and then degree by degree."""
-    dims = {}
+    return {(k, deg): groebner.submodule_strand_dim(gb, deg)
+            for k, gb in _power_bases(bundle, ks, point) for deg in degrees}
+
+
+def _power_bases(bundle, ks, point):
+    """(k, basis of the k-th power at the point) for each k; point None
+    is the generic point of the base."""
     for k in ks:
         module, vectors = bundle.power_vectors(k, point)
-        gb = groebner.module_gb(vectors, module)
-        for deg in degrees:
-            dims[(k, deg)] = groebner.submodule_strand_dim(gb, deg)
-    return dims
+        yield k, groebner.module_gb(vectors, module)

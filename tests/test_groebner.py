@@ -9,6 +9,7 @@ reference for its reduced bases and normal forms.
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import gcd, lcm
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from gradedfibers.errors import AlgebraError, BaseNotDomain
 from gradedfibers.modules import FreeModule, FreeMap, Presentation, Vector
 from gradedfibers.rings import MonomialOrder, Poly, PrimeField, make_ring
-from gradedfibers import groebner, loci
+from gradedfibers import groebner, loci, ratmap
 
 
 R2 = make_ring(["x", "y"], [1, 1])
@@ -221,12 +222,10 @@ def test_module_rank_and_torsion():
 
 
 def test_quotient_dimension():
-    gb = groebner.ideal_gb([R2.poly("x^2"), R2.poly("x*y"), R2.poly("y^3")], ring=R2)
-    leads = [p.leading_monomial() for p in gb]
-    assert groebner.quotient_dimension(leads, ring=R2) == 0
-    gb2 = groebner.ideal_gb([R2.poly("x")], ring=R2)
-    assert groebner.quotient_dimension([p.leading_monomial() for p in gb2],
-                                       ring=R2) == 1
+    for gens, dim in ((["x^2", "x*y", "y^3"], 0), (["x"], 1), (["x*y"], 1), (["1"], -1)):
+        gb = Presentation.cyclic(R2, [R2.poly(g) for g in gens]).gb()
+        assert groebner.quotient_dimension(gb) == dim, gens
+    assert groebner.quotient_dimension(Presentation.cyclic(R2, []).gb()) == 2
 
 
 def test_quotient_vecdim():
@@ -420,9 +419,9 @@ def test_reduced_basis_matches_textbook_buchberger(ring, rank, split):
 
 
 @pytest.mark.parametrize("ring", [Rq3, Rp3, Rt2])
-def test_nf_with_quotients_identity(ring):
-    """v = sum q_i * g_i + nf exactly, on inputs that are not primitive;
-    nf is reduced and equals the textbook normal form."""
+def test_nf_is_the_textbook_normal_form(ring):
+    """On inputs that are not primitive, nf is reduced and equals the
+    textbook normal form."""
     rng = random.Random(43)
     module = FreeModule(ring, [ring.zero_degree()])
     key = term_key(ring, 0)
@@ -440,12 +439,7 @@ def test_nf_with_quotients_identity(ring):
         basis = [g.data for g in gb]
         for _ in range(4):
             v = Vector(module, rand_poly_data(ring, rng))
-            nf, qs = gb.nf_with_quotients(v)
-            acc = nf
-            for q, g in zip(qs, gb):
-                acc = acc + g.scale(q)
-            assert acc == v
-            assert gb.nf(v) == nf
+            nf = gb.nf(v)
             assert nf.data == ref_reduce(v.data, basis, key, ring.field.zero)
             assert not any(divides(max(g, key=key), t) for g in basis for t in nf.data)
             assert gb.contains(v) == (not nf.data)
@@ -511,8 +505,7 @@ def test_bases_over_relations_are_read_over_the_base(ring):
     """ideal_gb and Presentation.gb() generate the reference module over
     the base; each element is in normal form modulo the relations, and
     no lead is divisible by a relation lead.  Normal forms are textbook
-    ones against the reference, and nf_with_quotients' identity holds
-    in the quotient ring."""
+    ones against the reference."""
     rng = random.Random(46)
     key = term_key(ring, 0)
     zero = ring.field.zero
@@ -544,12 +537,8 @@ def test_bases_over_relations_are_read_over_the_base(ring):
                 assert not any(reducible(e) for (_c, e) in v.data)
         for _ in range(3):
             v = reduced_vector(module, rand_vectors(ring, rng, rank, 1, 4, 3)[0])
-            nf, qs = gb.nf_with_quotients(v)
+            nf = gb.nf(v)
             assert nf.data == ref_reduce(v.data, want, key, zero)
-            acc = nf
-            for q, g in zip(qs, gb):
-                acc = acc + g.scale(q)
-            assert acc == v
             assert gb.contains(v) == (not nf.data)
 
 
@@ -593,13 +582,79 @@ def test_heap_key_of_derived_rings():
 
 
 # -- Hilbert numerators and the generic fiber --------------------------------
+#
+# Every count of a quotient is read off the Hilbert numerator of its leads.
+# The references below count the same quotients without it: standard
+# monomials one degree at a time, independent sets for the dimension and
+# a box of exponents for the length.  Each reads the leads over the
+# generic fiber, with their parameter parts dropped.
 
 
-def hilbert_from_numerator(numerator, ring, deg):
-    """[ambient/<leads>]_deg from the numerator: sum of N_k times the
-    number of graded monomials of degree deg - k."""
-    return sum(v * len(ring.monomials_of_degree(tuple(a - b for a, b in zip(deg, k))))
-               for k, v in numerator.items())
+def ref_standard_monomials(leads, module, deg):
+    """Module monomials of degree deg divisible by no lead."""
+    ring = module.ring
+    ng = ring.ngraded
+    out = []
+    for i, shift in enumerate(module.shifts):
+        want = tuple(a - b for a, b in zip(ring.deg_tuple(deg), shift))
+        for m in ring.monomials_of_degree(want):
+            if not any(c == i and all(a >= b for a, b in zip(m[:ng], e[:ng]))
+                       for c, e in leads):
+                out.append((i, m))
+    return out
+
+
+def _component_leads(leads, module):
+    ng = module.ring.ngraded
+    by_comp = [[] for _ in module.shifts]
+    for c, e in leads:
+        by_comp[c].append(e[:ng])
+    return by_comp
+
+
+def ref_krull_dimension(leads, module):
+    """Largest set of graded variables that holds no lead's support, over
+    the components no unit lead kills; -1 when every one is killed."""
+    n = module.ring.ngraded
+    best = -1
+    for comp in _component_leads(leads, module):
+        supports = [frozenset(i for i, a in enumerate(e) if a) for e in comp]
+        if frozenset() in supports:
+            continue
+        best = max([best] + [size for size in range(n + 1)
+                             for combo in combinations(range(n), size)
+                             if not any(sup <= set(combo) for sup in supports)])
+    return best
+
+
+def ref_vecdim(leads, module):
+    """Standard monomials counted in the box that the pure-power leads
+    bound, None when some live component has a variable they leave
+    unbounded."""
+    n = module.ring.ngraded
+    total = 0
+    for comp in _component_leads(leads, module):
+        if any(not any(e) for e in comp):
+            continue
+        bounds = [min((e[i] for e in comp if e[i] and sum(e) == e[i]), default=None)
+                  for i in range(n)]
+        if None in bounds:
+            return None
+        total += sum(1 for m in product(*(range(b) for b in bounds))
+                     if not any(all(a >= b for a, b in zip(m, e)) for e in comp))
+    return total
+
+
+def ref_degree(gb, order):
+    """The degree as the finite differences of the Hilbert function read
+    it: the order-th difference once its last two values agree, within
+    40 degrees."""
+    vals = []
+    for n in range(41):
+        vals.append(len(ref_standard_monomials(gb.leads(), gb.module, (n,))))
+        if n >= order + 2 and (v := ratmap._stable_tail(vals, order)) is not None:
+            return v
+    raise AssertionError("the Hilbert function did not stabilize")
 
 
 def ideal_quotient_gb(names, gens, degrees=None, params=()):
@@ -621,29 +676,78 @@ NUMERATOR_IDEALS = {
 def test_hilbert_numerator_matches_strand_dims(name):
     names, gens = NUMERATOR_IDEALS[name]
     gb = ideal_quotient_gb(names, gens, params=["t"] if name == "quartic family" else ())
-    numerator = groebner.hilbert_numerator(gb.leads(), gb.module)
+    assert gb.hilbert_numerator() == groebner.hilbert_numerator(gb.leads(), gb.module)
     for d in range(-2, 9):
-        assert hilbert_from_numerator(numerator, gb.module.ring, (d,)) \
-            == groebner.quotient_strand_dim(gb, (d,)), d
+        assert groebner.quotient_strand_dim(gb, (d,)) \
+            == len(ref_standard_monomials(gb.leads(), gb.module, (d,))), d
+    dim = groebner.quotient_dimension(gb)
+    assert dim == ref_krull_dimension(gb.leads(), gb.module)
+    degree = groebner.quotient_degree(gb)
+    assert degree == ref_degree(gb, dim - 1)
+    # the rational normal curves have their own degree, two skew lines two
+    assert degree == {"quartic": 4, "twisted cubic": 3, "skew lines": 2}.get(name, degree)
+
+
+def seeded_monomial_modules(seed, count):
+    """(module, leads, vectors): monomial submodules with repeated,
+    redundant and pure-power generators, and sometimes a pure power of
+    every graded variable in every component.  The rings cycle through
+    weighted x-degrees, a y-block and a base with a relation, where a
+    generator may carry a parameter monomial."""
+    rng = random.Random(seed)
+    out = []
+    for trial in range(count):
+        kind = trial % 3
+        if kind == 0:
+            nx = rng.randint(1, 4)
+            ring = make_ring(["x%d" % i for i in range(nx)],
+                             [rng.randint(1, 3) for _ in range(nx)])
+            shift = lambda: (rng.randint(-2, 3),)
+        elif kind == 1:
+            ring = make_ring(["x0", "x1"], [(1, 0), (2, 0)], yvars=["y0", "y1"],
+                             ydegrees=[(0, 1), (-1, 1)])
+            shift = lambda: (rng.randint(-1, 2), rng.randint(0, 1))
+        else:
+            ring = make_ring(["x0", "x1", "x2"], [1, 1, 1], params=["s", "t"],
+                             relations=["s^2 - t^3"])
+            shift = lambda: (rng.randint(-1, 2),)
+        ng = ring.ngraded
+        module = FreeModule(ring, [shift() for _ in range(rng.randint(1, 3))])
+        leads = [(rng.randrange(module.rank), tuple(rng.randint(0, 3) for _ in range(ng)))
+                 for _ in range(rng.randint(0, 7))]
+        if rng.random() < 0.4:
+            leads += [(c, tuple(rng.randint(1, 3) if j == i else 0 for j in range(ng)))
+                      for c in range(module.rank) for i in range(ng)]
+        vectors = []
+        for c, e in leads:
+            z = tuple(rng.randint(0, 1) for _ in range(ring.nz))
+            vectors.append(module.basis_vector(c).scale(ring.monomial(e + z)))
+        out.append((module, leads, vectors))
+    return out
 
 
 def test_hilbert_numerator_of_seeded_monomial_modules():
-    # weighted x-degrees, shifts and monomial submodules with repeated,
-    # redundant and pure-power generators
-    rng = random.Random(48)
-    for _ in range(25):
-        nvars = rng.randint(1, 4)
-        ring = make_ring(["x%d" % i for i in range(nvars)],
-                         [rng.randint(1, 3) for _ in range(nvars)])
-        module = FreeModule(ring, [(rng.randint(-2, 3),) for _ in range(rng.randint(1, 3))])
-        leads = [(rng.randrange(module.rank), tuple(rng.randint(0, 3) for _ in range(nvars)))
-                 for _ in range(rng.randint(0, 7))]
-        gb = groebner.module_gb([module.basis_vector(c).scale(ring.monomial(e))
-                                 for c, e in leads], module)
-        numerator = groebner.hilbert_numerator(leads, module)
-        for d in range(-3, 12):
-            assert hilbert_from_numerator(numerator, ring, (d,)) \
-                == groebner.quotient_strand_dim(gb, (d,)), (leads, d)
+    finite = infinite = 0
+    for module, leads, vectors in seeded_monomial_modules(48, 36):
+        ring = module.ring
+        pres = Presentation(FreeMap.from_columns(module, vectors, check=False))
+        gb = pres.gb()
+        if ring.gdim == 1:
+            degrees = [(d,) for d in range(-3, 12)]
+        else:
+            degrees = [(a, b) for a in range(-3, 8) for b in range(4)]
+        for d in degrees:
+            want = len(ref_standard_monomials(gb.leads(), module, d))
+            assert groebner.quotient_strand_dim(gb, d) == want, (leads, d)
+            free = sum(len(ring.monomials_of_degree(tuple(a - b for a, b in zip(d, s))))
+                       for s in module.shifts)
+            assert groebner.submodule_strand_dim(gb, d) == free - want, (leads, d)
+        assert groebner.quotient_dimension(gb) == ref_krull_dimension(gb.leads(), module)
+        vecdim = groebner.presentation_vecdim(pres)
+        assert vecdim == ref_vecdim(gb.leads(), module), leads
+        finite += vecdim is not None
+        infinite += vecdim is None
+    assert finite >= 5 and infinite >= 5
 
 
 @pytest.mark.parametrize("ring", RELATION_BASES, ids=RELATION_IDS)

@@ -425,6 +425,20 @@ def test_each_cell_has_its_hilbert_function_at_a_seeded_point(name):
     assert sampled >= min(2, len(cells))
 
 
+@pytest.mark.parametrize("name", sorted(LOCUS_CASES) + sorted(CAPACITY_CASES)
+                         + sorted(UNSPLIT_CASES))
+def test_each_stratum_is_one_cell(name):
+    # a stratum that two orders of lead coefficients reach is computed
+    # once: over the cusp the point (s, t) lies below s and below t
+    pres = {**LOCUS_CASES, **CAPACITY_CASES, **UNSPLIT_CASES}[name]()
+    ring = pres.ring
+    ideals = [tuple(str(g) for g in groebner.ideal_gb(cell["adjoined"], ring=ring))
+              for cell in loci.nonfree_locus(pres)["cells"]]
+    assert len(set(ideals)) == len(ideals), ideals
+    if name == "cusp":
+        assert ideals == [(), ("s",), ("s", "t"), ("s^2", "t")]
+
+
 @pytest.mark.parametrize("name", sorted(CAPACITY_CASES))
 def test_inputs_past_the_minor_cap_return_a_locus(name):
     # a seeded point lies on the locus exactly when its fiber's Hilbert

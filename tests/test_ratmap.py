@@ -9,6 +9,7 @@ from gradedfibers.errors import (AlgebraError, NotGenericallyFinite,
 from gradedfibers.rings import make_ring
 from gradedfibers import cli, groebner, ratmap, script
 from gradedfibers.specialize import FiberPoint
+from test_groebner import ref_degree
 
 
 R = make_ring(["x", "y"], [1, 1])
@@ -78,6 +79,36 @@ def test_multiplicity_identity_on_desk_examples():
         inv = ratmap.fiber_invariants(ratmap.RationalMap(R, forms))
         assert inv["e_sat"] == inv["degY"] * inv["degG"]
         assert inv["degG"] == ratmap.preimage_count(ratmap.RationalMap(R, forms))
+
+
+MAPS = {
+    "rees_qq veronese": (R, ["x^2", "x*y", "y^2"], None),
+    "rees_qq double cover": (R, ["x^2", "y^2"], None),
+    "ratmap_p2 squares": (make_ring(["x", "y", "z"], [1, 1, 1]), ["x^2", "y^2", "z^2"], None),
+    "ratmap_p2 cremona": (make_ring(["x", "y", "z"], [1, 1, 1]), ["y*z", "x*z", "x*y"], None),
+    "ratmap_cusp": (make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"]),
+                    ["x^2", "s*x*y", "t*y^2"], {"s": 1, "t": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_degrees_match_the_finite_differences(name, monkeypatch):
+    # image_degree and preimage_count read a degree off the Hilbert series;
+    # each degree read equals the stabilized finite difference of the
+    # Hilbert function, counted by standard monomials
+    ring, forms, values = MAPS[name]
+    read = []
+    real = groebner.quotient_degree
+    monkeypatch.setattr(groebner, "quotient_degree",
+                        lambda gb: read.append((gb, real(gb))) or read[-1][1])
+    rm = ratmap.RationalMap(ring, forms)
+    degY = ratmap.image_degree(rm)
+    point = FiberPoint.rational(ring, values) if values else None
+    degG = ratmap.preimage_count(rm, point)
+    assert (degY, degG) == (ratmap.image_degree(rm, point), ratmap.map_degree(rm)["degG"])
+    assert len(read) >= 3
+    for gb, degree in read:
+        assert degree == ref_degree(gb, groebner.quotient_dimension(gb) - 1)
 
 
 def test_degenerate_map_not_finite():

@@ -48,10 +48,8 @@ def test_betti_numbers_of_square_of_maximal_ideal():
     res = resolution.minimalize(resolution.free_resolution(pres, 3))
     ranks = [m.rank for m in res.modules]
     assert ranks == [1, 3, 2]
-    table = res.betti_table()
     # all three generators in degree 2, both syzygies linear
-    assert table[(1, (2,))] == 3
-    assert table[(2, (3,))] == 2
+    assert [m.shifts for m in res.modules] == [((0,),), ((2,),) * 3, ((3,),) * 2]
 
 
 def test_minimalize_strips_split_part():
@@ -136,7 +134,7 @@ def test_minimalize_drops_stages_past_a_zero_module():
         "b*c - a*d", "c^3 - b*d^2", "a*c^2 - b^2*d", "b^3 - a^2*c")])
     mres = resolution.minimalize(pres.resolution().raw)
     assert [m.rank for m in mres.modules] == [1, 4, 4, 1]
-    assert all(i <= 3 for (i, _s) in mres.betti_table())
+    assert max(i for i, m in enumerate(mres.modules) if m.shifts) == 3
 
 
 def dense_minimalize(complex_):
@@ -182,7 +180,9 @@ def dense_minimalize(complex_):
         if modules[i].rank == 0:
             del modules[i:], mats[i:]
             break
-    maps = [FreeMap.from_entries(modules[i - 1], modules[i], mats[i], check=False)
+    maps = [FreeMap(modules[i], modules[i - 1],
+                    [modules[i - 1].element([row[c] for row in mats[i]])
+                     for c in range(modules[i].rank)], check=False)
             for i in range(1, len(modules))]
     return resolution.Complex(modules, maps)
 

@@ -104,29 +104,76 @@ def test_specialize_power_at_fibers():
     assert image_dim(2, 2, pt1) == 3
 
 
+def powers_module():
+    # module_powers: coker [x^2, x*y; t*x, y] with shifts (0, 1) over QQ[t]
+    gens = FreeModule(Rt, [(0,), (1,)])
+    cols = [gens.element([Rt.poly("x^2"), Rt.poly("t*x")]),
+            gens.element([Rt.poly("x*y"), Rt.poly("y")])]
+    return Presentation(FreeMap.from_columns(gens, cols))
+
+
+CUSP = make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"])
+
+
+def check_certificate(bundle, kmax):
+    """The certificate of powers 0..kmax on the five degrees from b * kmax
+    on, as `specialize` asks them.  It covers every degree of each listed
+    power: seeded points off it read the generic dimensions on the asked
+    degrees and on five degrees past them."""
+    ks = list(range(kmax + 1))
+    asked = [(d,) for d in range(bundle.b * kmax, bundle.b * kmax + 5)]
+    wide = asked + [(d,) for d in range(bundle.b * kmax + 5, bundle.b * kmax + 10)]
+    out = specialize.generic_agreement_certificate(bundle, ks, asked)
+    cert = out["certificate"]
+    wide_out = specialize.generic_agreement_certificate(bundle, ks, wide)
+    assert wide_out["certificate"] == cert
+    assert {key: wide_out["generic_dims"][key] for key in out["generic_dims"]} \
+        == out["generic_dims"]
+    rng = random.Random(3)
+    drawn = set()
+    for _ in range(3):
+        try:
+            point = specialize.sample_rational_point(
+                bundle.ring, rng, avoid=[cert], reject=lambda pt: pt.values in drawn)
+        except InvalidFiber:
+            break
+        drawn.add(point.values)
+        assert specialize.power_dims_at(bundle, ks, wide, point) == wide_out["generic_dims"]
+    assert len(drawn) >= 2
+    return cert
+
+
+# (bundle, highest power, certificate)
+POWER_CASES = {
+    "t*x, y": (lambda: specialize.rees_powers(["t*x", "y"], ring=Rt), 3, "t"),
+    "(t - 1)*x^2, x*y": (lambda: specialize.rees_powers(["(t - 1)*x^2", "x*y"], ring=Rt),
+                         2, "t - 1"),
+    "module_powers": (lambda: specialize.rees_powers(powers_module()), 2, "1"),
+    "quotient_qq cusp": (lambda: specialize.rees_powers(["x^2", "s*x*y", "t*y^2"], ring=CUSP),
+                         2, "s*t"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_CASES))
+def test_certificate_holds_past_the_asked_degrees(name):
+    make, kmax, want = POWER_CASES[name]
+    assert str(check_certificate(make(), kmax)) == want
+
+
 def test_agreement_certificate_locates_bad_fiber():
+    # t*x evaluates to zero at t = 0, where the certificate vanishes and
+    # the first power drops to (y)
     bundle = specialize.rees_powers(["t*x", "y"], ring=Rt)
     out = specialize.generic_agreement_certificate(bundle, [1, 2], [(1,), (2,), (3,)])
-    cert = out["certificate"]
     pt0 = FiberPoint.rational(Rt, {"t": 0})
-    assert not pt0.evaluate_scalar(cert)
-    assert FiberPoint.rational(Rt, {"t": 3}).evaluate_scalar(cert)
-    assert out["agrees"] is True
-    assert out["counterexamples"] == []
+    assert not pt0.evaluate_scalar(out["certificate"])
     assert out["generic_dims"][(1, (1,))] == 2
-
-    shifted = specialize.rees_powers(["(t - 1)*x^2", "x*y"], ring=Rt)
-    out2 = specialize.generic_agreement_certificate(shifted, [1, 2], [(2,), (3,), (4,)])
-    pt1 = FiberPoint.rational(Rt, {"t": 1})
-    assert not pt1.evaluate_scalar(out2["certificate"])
-    assert out2["agrees"] is True
+    assert specialize.power_dims_at(bundle, [1], [(1,)], pt0) == {(1, (1,)): 1}
 
 
 def test_constant_coefficients_have_unit_certificate():
     bundle = specialize.rees_powers(["x", "y"], ring=Rt)
-    out = specialize.generic_agreement_certificate(bundle, [1, 2], [(1,), (2,)])
-    assert out["certificate"].constant_value() is not None
-    assert out["agrees"] is True
+    assert check_certificate(bundle, 2).constant_value() is not None
 
 
 def test_module_powers_drop_torsion():

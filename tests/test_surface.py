@@ -1,9 +1,12 @@
-"""Every top-level function and class of the package has a use in the package.
+"""Every top-level function, class and method of the package has a use in
+the package.
 
 A symbol that only tests reach is surface without a user: it has to be
 named from some module of ``src/gradedfibers`` (other than from inside its
-own definition) or be exported through ``gradedfibers.__all__``.  The
-symbols in ``KEPT`` are exempt on purpose.
+own definition) or be exported through ``gradedfibers.__all__``.  A method
+that is not a dunder has to be named as an attribute somewhere in the
+package outside its own body.  The symbols in ``KEPT`` are exempt on
+purpose.
 """
 
 import ast
@@ -24,6 +27,13 @@ KEPT = {
     "strands.scalar_rank",
     # the j-multiplicity of one ideal; perfbench/layertrace.py traces it by name
     "ratmap.j_multiplicity",
+    # d_(i-1) d_i = 0 on a complex: tests check every resolution with it
+    "resolution.Complex.check",
+    # a monomial from its exponent tuple: tests build lead modules with it
+    "rings.Ring.monomial",
+    # the canonical text of a parsed script; perfbench/workloads.py seeds
+    # the benchmark's scripts through it
+    "script.SessionScript.pretty",
 }
 
 
@@ -70,6 +80,26 @@ def test_no_symbol_is_reached_only_from_tests():
                     if key not in reached and key[1] not in exported
                     and "%s.%s" % key not in KEPT)
     assert unused == []
+
+
+def test_no_method_is_reached_only_from_tests():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    attributes = [node for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)]
+    unused = []
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("__"):
+                    continue
+                own = {id(node) for node in ast.walk(method)}
+                if not any(node.attr == method.name and id(node) not in own
+                           for node in attributes):
+                    unused.append("%s.%s.%s" % (mod, cls.name, method.name))
+    assert sorted(set(unused) - KEPT) == []
 
 
 def _places_naming(tree, name):
