@@ -60,6 +60,7 @@ __all__ = [
     "hilbert_numerator",
     "submodule_strand_dim",
     "quotient_dimension",
+    "series_length",
     "quotient_degree",
     "module_rank",
     "matrix_rank_generic",
@@ -539,11 +540,16 @@ def nf_poly(p, gb_polys):
         if p.ring.base_rel:
             return Poly(p.ring, p.terms)
         return p
-    ring = gb_polys[0].ring
+    basis = reduced_ideal_basis(gb_polys, gb_polys[0].ring)
+    return basis.nf(basis.module.element([p])).component(0)
+
+
+def reduced_ideal_basis(gb_polys, ring):
+    """The GBasis of an ideal from its reduced basis polys, as ideal_gb
+    and saturate_ideal return them, with no Buchberger run."""
     module = FreeModule(ring, [ring.zero_degree()])
-    data = [module.element([g]).data for g in gb_polys]
-    basis = GBasis(module, 0, [_to_ints(ring.field.char, d)[0] for d in data])
-    return basis.nf(module.element([p])).component(0)
+    return GBasis(module, 0, [_to_ints(ring.field.char, module.element([g]).data)[0]
+                              for g in gb_polys])
 
 
 def ideal_contains(gb_polys, p):
@@ -928,15 +934,15 @@ def submodule_strand_dim(gb, deg):
     return _series_coefficient(gb.module.ring, free, deg) - quotient_strand_dim(gb, deg)
 
 
-def _series_at_one(gb):
-    """(dim, g1) for the Hilbert series of ambient/<gb> with each T^mu
-    read as t^psi(mu): dim is the order of its pole at t = 1, which is
-    the Krull dimension (-1 for the zero quotient), and g1 is g(1) for
-    the numerator N(t) = (1 - t)^(n - dim) g(t), n the number of graded
-    variables."""
-    ring = gb.module.ring
+def _series_at_one(ring, numerator):
+    """(dim, g1) for the Hilbert series numerator / prod_i (1 - T^deg x_i)
+    over the graded variables, with each T^mu read as t^psi(mu): dim is
+    the order of its pole at t = 1, which is the Krull dimension (-1 for
+    the zero series), and g1 is g(1) for N(t) = (1 - t)^(n - dim) g(t),
+    n the number of graded variables.  The numerator is a basis' own
+    (GBasis.hilbert_numerator) or a sum of such with signs."""
     coeffs = {}
-    for d, v in gb.hilbert_numerator().items():
+    for d, v in numerator.items():
         k = ring.psi_value(d)
         coeffs[k] = coeffs.get(k, 0) + v
     if not any(coeffs.values()):
@@ -952,7 +958,7 @@ def _series_at_one(gb):
 def quotient_dimension(gb):
     """Krull dimension of ambient/<gb> over the generic fiber, -1 when
     the quotient is zero."""
-    return _series_at_one(gb)[0]
+    return _series_at_one(gb.module.ring, gb.hilbert_numerator())[0]
 
 
 def quotient_degree(gb):
@@ -961,21 +967,27 @@ def quotient_degree(gb):
     ring = gb.module.ring
     if any(ring.psi_value(d) != 1 for d in ring.degrees[:ring.ngraded]):
         raise NotStandardGraded("a degree is read over a standard graded ring")
-    return _series_at_one(gb)[1]
+    return _series_at_one(ring, gb.hilbert_numerator())[1]
 
 
-def presentation_vecdim(pres):
-    """Total fiber-field dimension of a presented module over the generic
-    fiber, None if infinite: the Hilbert series at t = 1 when it is a
-    polynomial, that is when its pole at t = 1 has order at most 0.  It
-    is then g(1) / prod_i psi(deg x_i) (see _series_at_one)."""
-    ring = pres.ring
-    dim, g1 = _series_at_one(pres.gb())
+def series_length(ring, numerator):
+    """Total fiber-field dimension of a graded module over the generic
+    fiber whose Hilbert series has this numerator, None if infinite: the
+    series at t = 1 when it is a polynomial, that is when its pole at
+    t = 1 has order at most 0.  It is then g(1) / prod_i psi(deg x_i)
+    (see _series_at_one)."""
+    dim, g1 = _series_at_one(ring, numerator)
     if dim > 0:
         return None
     for d in ring.degrees[:ring.ngraded]:
         g1 //= ring.psi_value(d)
     return g1
+
+
+def presentation_vecdim(pres):
+    """Total fiber-field dimension of a presented module over the generic
+    fiber, None if infinite (series_length of its relation basis)."""
+    return series_length(pres.ring, pres.gb().hilbert_numerator())
 
 
 # -- rank and torsion ------------------------------------------------------

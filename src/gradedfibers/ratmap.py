@@ -11,10 +11,16 @@ rule: the last two difference values must agree, otherwise
 UnstableLimit asks for a larger cutoff instead of extrapolating
 silently.
 
-Every ideal whose strands are counted (the image ideal, each power I^k
-and each saturation I^k : m^inf) is kept as a cyclic Presentation, so
-its reduced Groebner basis is built once (Presentation.gb) and serves
-every degree.  The identity e_sat = degY degG is asserted in one place,
+The powers I^k of the forms' ideal are built once per fiber, each from
+the products of the power below, and each keeps one reduced basis
+(_Powers.basis) that the H^1 strands, the saturation and the j lengths
+all read.  Every saturation (I^k)^sat is the unit ideal, with no basis
+computed, when the leads of I's basis show I primary to m; otherwise it
+is saturated once per power, from that power's basis.  The j lengths
+are alternating sums of Hilbert numerators, which take one basis of an
+ideal sum per power, or none when the saturation is the unit ideal.
+The image ideal keeps its basis the same way (Presentation.gb).  The
+identity e_sat = degY degG is asserted in one place,
 saturated_fiber_multiplicity.
 """
 
@@ -170,53 +176,70 @@ def image_degree(rmap, point=None):
 # -- powers and their first local cohomology ---------------------------------
 
 
-def _power_products(gens, k, ring):
-    """Generators of the k-th power: the distinct nonzero products of k
-    of the generators, repetition allowed, in the order of first appearance."""
-    level = {(): ring.one()}
-    for _ in range(k):
-        level = {combo + (j,): p * gens[j] for combo, p in level.items()
-                 for j in range(combo[-1] if combo else 0, len(gens))}
-    out = []
-    seen = set()
-    for p in level.values():
-        key = tuple(sorted(p.terms.items()))
-        if p.terms and key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
-
-
-def _gens(pres):
-    """The generators of the ideal a cyclic presentation divides out."""
-    return [col.component(0) for col in pres.relations.cols]
-
-
 class _Powers:
-    """The powers I^k of one ideal over one fiber ring, and their
-    saturations I^k : m^inf, each computed at most once and kept as a
-    cyclic presentation, whose relation basis is then built at most once."""
+    """The powers I^k of one homogeneous ideal over one fiber ring, and
+    their saturations (I^k)^sat = I^k : m^inf.
 
-    __slots__ = ("ring", "gens", "_powers", "_saturated")
+    Each power keeps one reduced basis (basis), which the H^1 strands,
+    the j lengths and the saturation all read.  When the leads of I's
+    basis hold a pure power of every x-variable (the lead test of Bayer's
+    early exit in groebner.saturate_ideal), a power of m lies in I, and
+    since I^k has the radical of I, every (I^k)^sat is the unit ideal:
+    one basis {1} serves them all, with no Buchberger run.  Otherwise
+    saturate_ideal starts from the power's reduced basis, once per power.
+    """
+
+    __slots__ = ("ring", "gens", "_level", "_generators", "_bases", "_saturated")
 
     def __init__(self, ring, gens):
         self.ring = ring
         self.gens = gens
-        self._powers = {}
+        self._level = {(): ring.one()}  # non-decreasing index tuples -> product
+        self._generators = []
+        self._bases = {}
         self._saturated = {}
 
-    def power(self, k):
-        if k not in self._powers:
-            self._powers[k] = Presentation.cyclic(
-                self.ring, _power_products(self.gens, k, self.ring))
-        return self._powers[k]
+    def generators(self, k):
+        """The generators of I^k: the distinct nonzero products of k of
+        I's generators, repetition allowed, in order of first appearance.
+        Each product is one of k - 1 generators times one more, so each
+        costs one multiplication."""
+        gens = self.gens
+        while len(self._generators) < k:
+            self._level = level = {
+                combo + (j,): p * gens[j] for combo, p in self._level.items()
+                for j in range(combo[-1] if combo else 0, len(gens))}
+            distinct = {}
+            for p in level.values():
+                if p.terms:
+                    distinct.setdefault(frozenset(p.terms.items()), p)
+            self._generators.append(list(distinct.values()))
+        return self._generators[k - 1]
+
+    def basis(self, k):
+        """The reduced basis of I^k, built at most once."""
+        if k not in self._bases:
+            self._bases[k] = Presentation.cyclic(self.ring, self.generators(k)).gb()
+        return self._bases[k]
+
+    def primary(self):
+        """True when the leads of I's basis show I primary to m."""
+        leads = [e for _c, e in self.basis(1).leads()]
+        return groebner._pure_x_powers(leads, self.ring.nx)
 
     def saturated(self, k):
-        if k not in self._saturated:
-            xgens = [self.ring.var(n) for n in self.ring.xnames]
-            sat = groebner.saturate_ideal(_gens(self.power(k)), xgens, ring=self.ring)
-            self._saturated[k] = Presentation.cyclic(self.ring, sat)
-        return self._saturated[k]
+        """The reduced basis of (I^k)^sat, computed at most once; when I
+        is primary one basis of the unit ideal, keyed 0, serves every k."""
+        key = 0 if self.primary() else k
+        if key not in self._saturated:
+            if key:
+                xgens = [self.ring.var(n) for n in self.ring.xnames]
+                sat = groebner.saturate_ideal(groebner.ideal_basis_polys(self.basis(k)),
+                                              xgens, ring=self.ring)
+            else:
+                sat = [self.ring.one()]
+            self._saturated[key] = groebner.reduced_ideal_basis(sat, self.ring)
+        return self._saturated[key]
 
 
 def _map_powers(rmap, point):
@@ -246,8 +269,8 @@ def power_h1_dims(rmap, point=None, cutoff=None):
     out = []
     for k in range(1, cutoff + 1):
         deg = (k * d,)
-        out.append(groebner.submodule_strand_dim(powers.saturated(k).gb(), deg)
-                   - groebner.submodule_strand_dim(powers.power(k).gb(), deg))
+        out.append(groebner.submodule_strand_dim(powers.saturated(k), deg)
+                   - groebner.submodule_strand_dim(powers.basis(k), deg))
     return out
 
 
@@ -286,7 +309,7 @@ def saturated_fiber_multiplicity(rmap, point=None, cutoff=None):
     sat_cutoff = _default_cutoff(fring) + 2 if cutoff is None else cutoff
     d = rmap.form_degree
     r = fring.nx - 1
-    vals = [groebner.submodule_strand_dim(powers.saturated(n).gb(), (n * d,))
+    vals = [groebner.submodule_strand_dim(powers.saturated(n), (n * d,))
             for n in range(1, sat_cutoff + 1)]
     e = _stable_tail(vals, r)
     if e is None:
@@ -322,26 +345,40 @@ def _j_multiplicity(powers, cutoff):
     fring = powers.ring
     if cutoff is None:
         cutoff = _default_cutoff(fring)
-    r = fring.nx - 1
-    vals = []
-    for n in range(1, cutoff + 1):
-        sat = _gens(powers.saturated(n + 1))
-        if groebner._has_unit(sat):
-            # the meet with the unit ideal is I^n, whose basis is built
-            num = groebner.ideal_basis_polys(powers.power(n).gb())
-        else:
-            num = groebner.intersect_ideals(sat, _gens(powers.power(n)), fring)
-        one_module, num_vecs = groebner._as_ideal_vectors(num, fring)
-        pres, _incl = groebner.subquotient_presentation(
-            num_vecs, powers.power(n + 1).relations.cols, one_module)
-        length = groebner.presentation_vecdim(pres)
-        if length is None:
-            raise AlgebraError("torsion piece of J^n/J^n+1 came out infinite")
-        vals.append(length)
-    j = _stable_tail(vals, r)
+    j = _stable_tail(_j_lengths(powers, cutoff), fring.nx - 1)
     if j is None:
         raise UnstableLimit("j-multiplicity lengths not stabilized; raise the cutoff")
     return j
+
+
+def _j_lengths(powers, cutoff):
+    """Lengths of ((I^(n+1))^sat meet I^n) / I^(n+1) for n = 1..cutoff.
+
+    With S the saturation, A = I^n and B = I^(n+1), the Hilbert series
+    of the meet is HS(S) + HS(A) - HS(S + A), so in quotient numerators
+    the length is N(R/B) + N(R/(S + A)) - N(R/S) - N(R/A) read at t = 1.
+    That takes one basis of the sum S + A, and none when S is the unit
+    ideal over the generic fiber, where both R/S and R/(S + A) vanish.
+    """
+    fring = powers.ring
+    out = []
+    for n in range(1, cutoff + 1):
+        below = powers.basis(n)
+        sat = powers.saturated(n + 1)
+        signed = [(powers.basis(n + 1), 1), (below, -1)]
+        if sat.hilbert_numerator():
+            total = Presentation.cyclic(fring, groebner.ideal_basis_polys(sat)
+                                        + groebner.ideal_basis_polys(below)).gb()
+            signed += [(total, 1), (sat, -1)]
+        num = {}
+        for gb, sign in signed:
+            for d, v in gb.hilbert_numerator().items():
+                num[d] = num.get(d, 0) + sign * v
+        length = groebner.series_length(fring, num)
+        if length is None:
+            raise AlgebraError("torsion piece of J^n/J^n+1 came out infinite")
+        out.append(length)
+    return out
 
 
 def hilbert_samuel_multiplicity(ring, ideal_gens, point=None, cutoff=None):
@@ -356,7 +393,7 @@ def hilbert_samuel_multiplicity(ring, ideal_gens, point=None, cutoff=None):
     powers = _Powers(fring, gens)
     vals = []
     for n in range(1, cutoff + 1):
-        length = groebner.presentation_vecdim(powers.power(n))
+        length = groebner.series_length(fring, powers.basis(n).hilbert_numerator())
         if length is None:
             raise AlgebraError("the ideal is not primary to the irrelevant ideal")
         vals.append(length)
@@ -475,7 +512,6 @@ def _check_primary_j(j, powers, d):
     saturate_ideal's early exit.
     """
     nx = powers.ring.nx
-    leads = [e for _c, e in powers.power(1).gb().leads()]
-    if groebner._pure_x_powers(leads, nx) and j != d ** nx:
+    if powers.primary() and j != d ** nx:
         raise MultiplicityMismatch("multiplicity identity failed: j=%d, d^r=%d"
                                    % (j, d ** nx))

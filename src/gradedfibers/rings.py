@@ -1028,8 +1028,10 @@ def make_ring(
     degree-zero z-variables.  relations is an iterable of strings or Polys
     in the parameters only, assumed radical; minimal_primes optionally
     lists its components, each an iterable of generators.  BadBase
-    refuses a single relation with a repeated factor and components
-    whose intersection is not the relation ideal.
+    refuses a single relation with a repeated factor, a one-generator
+    component that factors, and components whose intersection is not
+    the relation ideal.  A component with several generators is taken
+    on trust.
     """
     xvars = tuple(xvars)
     yvars = tuple(yvars)
@@ -1112,6 +1114,10 @@ def make_ring(
 
         comps = [[parse_zpoly(g, "minimal prime generator") for g in comp]
                  for comp in minimal_primes]
+        for comp in comps:
+            if len(comp) == 1 and [f.terms for f in irreducible_factors(comp[0])] \
+                    != [comp[0].primitive().terms]:
+                raise BadBase("the declared component (%s) is not prime" % comp[0])
         meet = comps[0] if comps else []
         for comp in comps[1:]:
             meet = intersect_ideals(meet, comp, ring)

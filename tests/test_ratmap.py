@@ -1,12 +1,14 @@
 """Rational map invariants: image degree, map degree, multiplicities."""
 
 import json
+import random
 
 import pytest
 
 from gradedfibers.errors import (AlgebraError, NotGenericallyFinite,
                                  NotHomogeneous, NotStandardGraded, UnstableLimit)
-from gradedfibers.rings import make_ring
+from gradedfibers.modules import Presentation
+from gradedfibers.rings import PrimeField, make_ring
 from gradedfibers import cli, groebner, ratmap, script
 from gradedfibers.specialize import FiberPoint
 from test_groebner import ref_degree
@@ -156,51 +158,100 @@ def test_map_constancy_report_off_the_jump():
         assert at == generic
 
 
-def test_fiber_invariants_saturate_each_power_once(monkeypatch):
-    # degG reads k = 1..6, e_sat n = 1..8 and j the powers 2..7: eight
-    # distinct saturated powers, each computed once.  Every power of the
-    # Veronese ideal is m-primary, so each saturation leaves Bayer's
-    # route at its first basis and runs no graph kernel.
-    kernels = []  # one entry per graph kernel run
-    per_saturation = []  # graph kernel runs inside each saturation
-    saturate = groebner.saturate_ideal
-    graph_kernel = groebner._graph_kernel
-
-    def counted(gens, others, ring=None):
-        before = len(kernels)
-        out = saturate(gens, others, ring=ring)
-        per_saturation.append(len(kernels) - before)
-        return out
+def _spy(monkeypatch, module, name, calls):
+    real = getattr(module, name)
 
     def spied(*args, **kwargs):
-        kernels.append(args)
-        return graph_kernel(*args, **kwargs)
+        calls.append((name, args))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "saturate_ideal", counted)
-    monkeypatch.setattr(groebner, "_graph_kernel", spied)
-    inv = ratmap.fiber_invariants(ratmap.RationalMap(R, ["x^2", "x*y", "y^2"]))
-    assert (inv["degY"], inv["degG"], inv["e_sat"], inv["j"]) == (2, 1, 2, 4)
-    assert per_saturation == [0] * 8
+    monkeypatch.setattr(module, name, spied)
+
+
+def test_fiber_invariants_saturate_each_power_once(monkeypatch):
+    # degG reads k = 1..6, e_sat n = 1..8 and j the powers 1..7.  Both
+    # ideals are m-primary, so every saturation is the unit ideal with no
+    # basis computed: no saturation, graph kernel or intersection runs,
+    # and the Buchberger runs are the image's two (the elimination and
+    # its special fiber basis) and one per power I^1..I^7.
+    calls = []
+    for name in ("saturate_ideal", "_graph_kernel", "intersect_ideals", "_buchberger"):
+        _spy(monkeypatch, groebner, name, calls)
+    built = []
+    real_basis = ratmap._Powers.basis
+
+    def basis(self, k):
+        if k not in self._bases:
+            built.append(k)
+        return real_basis(self, k)
+
+    monkeypatch.setattr(ratmap._Powers, "basis", basis)
+    for forms in (["x^2", "x*y", "y^2"], ["x^2", "y^2"]):
+        calls.clear()
+        built.clear()
+        inv = ratmap.fiber_invariants(ratmap.RationalMap(R, forms))
+        assert (inv["e_sat"], inv["j"]) == (2, 4)
+        assert [name for name, _args in calls] == ["_buchberger"] * 9
+        assert built == [1, 2, 3, 4, 5, 6, 7]
+    # the Cremona map has base points: one saturation per power
+    # I^1..I^6, each from that power's reduced basis
+    calls.clear()
+    Q = make_ring(["x", "y", "z"], [1, 1, 1])
+    powers = ratmap._Powers(Q, [Q.poly(g) for g in ("y*z", "x*z", "x*y")])
+    monkeypatch.setattr(ratmap, "_map_powers", lambda rmap, point: powers)
+    inv = ratmap.fiber_invariants(ratmap.RationalMap(Q, ["y*z", "x*z", "x*y"]))
+    assert (inv["degY"], inv["degG"], inv["e_sat"], inv["j"]) == (1, 1, 1, 2)
+    saturated = [args[0] for name, args in calls if name == "saturate_ideal"]
+    assert [[g.terms for g in gens] for gens in saturated] \
+        == [[g.terms for g in groebner.ideal_basis_polys(powers.basis(k))]
+            for k in range(1, 7)]
 
 
 def test_j_reads_the_power_basis_where_the_saturation_is_the_unit_ideal(monkeypatch):
-    # every saturation of the Veronese ideal is the unit ideal, so j meets
-    # nothing: the numerator is I^n itself, read off the basis its power
-    # already holds, and the lengths stay those of the intersection
-    meets = []
-    intersect = groebner.intersect_ideals
+    # every saturation of the Veronese ideal is the unit ideal, so the j
+    # lengths are read off the power bases alone: no basis of an ideal
+    # sum is built, and nothing is intersected
+    sums = []
+    real = ratmap.Presentation.cyclic
 
-    def spied(a, b, ring=None):
-        meets.append((a, b))
-        return intersect(a, b, ring)
+    def cyclic(ring, gens):
+        sums.append(gens)
+        return real(ring, gens)
 
-    monkeypatch.setattr(groebner, "intersect_ideals", spied)
-    inv = ratmap.fiber_invariants(ratmap.RationalMap(R, ["x^2", "x*y", "y^2"]))
-    assert inv["j"] == 4 and meets == []
-    # the Cremona map keeps its saturations proper, so j still meets them
+    monkeypatch.setattr(ratmap.Presentation, "cyclic", cyclic)
+    powers = ratmap._Powers(R, [R.poly(g) for g in ("x^2", "x*y", "y^2")])
+    assert ratmap._j_lengths(powers, 3) == [7, 11, 15]  # first differences 4 = j
+    assert len(sums) == 4  # the bases of I^1..I^4
+    # the Cremona map keeps its saturations proper: with them and the
+    # power bases in hand, each length takes one basis of the sum
+    # (I^(n+1))^sat + I^n, and no intersection
     Q = make_ring(["x", "y", "z"], [1, 1, 1])
-    assert ratmap.fiber_invariants(ratmap.RationalMap(Q, ["y*z", "x*z", "x*y"]))["j"] == 2
-    assert meets
+    powers = ratmap._Powers(Q, [Q.poly(g) for g in ("y*z", "x*z", "x*y")])
+    for n in (1, 2, 3, 4):
+        powers.saturated(n)
+    meets = []
+    _spy(monkeypatch, groebner, "intersect_ideals", meets)
+    sums.clear()
+    lengths = ratmap._j_lengths(powers, 3)
+    assert len(sums) == 3 and meets == []
+    assert lengths == [_reference_j_length(Q, powers.gens, n) for n in (1, 2, 3)]
+
+
+def _products(gens, k, ring):
+    """The generators of I^k as every power used to be built: each product
+    of k generators, repetition allowed, rebuilt from the generators."""
+    level = {(): ring.one()}
+    for _ in range(k):
+        level = {combo + (j,): p * gens[j] for combo, p in level.items()
+                 for j in range(combo[-1] if combo else 0, len(gens))}
+    out = []
+    seen = set()
+    for p in level.values():
+        key = tuple(sorted(p.terms.items()))
+        if p.terms and key not in seen:
+            seen.add(key)
+            out.append(p)
+    return out
 
 
 @pytest.mark.parametrize("ring, gens", [
@@ -209,11 +260,103 @@ def test_j_reads_the_power_basis_where_the_saturation_is_the_unit_ideal(monkeypa
      ["x^2", "s*x*y", "t*y^2"]),
 ])
 def test_power_basis_polys_are_the_ideal_basis(ring, gens):
-    powers = ratmap._Powers(ring, [ring.poly(g) for g in gens])
+    # each power is built from the one below, with the generator list
+    # and the reduced basis of the products rebuilt from scratch
+    gens = [ring.poly(g) for g in gens]
+    powers = ratmap._Powers(ring, gens)
     for n in (1, 2, 3):
-        got = groebner.ideal_basis_polys(powers.power(n).gb())
-        want = groebner.ideal_gb(ratmap._gens(powers.power(n)), ring=ring)
-        assert [g.terms for g in got] == [g.terms for g in want]
+        want = _products(gens, n, ring)
+        assert [g.terms for g in powers.generators(n)] == [g.terms for g in want]
+        got = groebner.ideal_basis_polys(powers.basis(n))
+        assert [g.terms for g in got] == [g.terms for g in groebner.ideal_gb(want, ring=ring)]
+
+
+def _xs(ring):
+    return [ring.var(n) for n in ring.xnames]
+
+
+def _reference_j_length(ring, gens, n):
+    """Length of ((I^(n+1))^sat meet I^n) / I^(n+1) through an
+    intersection and a subquotient presentation, from the raw products."""
+    sat = groebner.saturate_ideal(_products(gens, n + 1, ring), _xs(ring), ring=ring)
+    meet = groebner.intersect_ideals(sat, _products(gens, n, ring), ring)
+    module, vecs = groebner._as_ideal_vectors(meet, ring)
+    rels = [module.element([p]) for p in _products(gens, n + 1, ring)]
+    pres, _incl = groebner.subquotient_presentation(vecs, rels, module)
+    return groebner.presentation_vecdim(pres)
+
+
+def _reference_h1_dim(ring, gens, k, d):
+    """dim [(I^k)^sat / I^k]_(k d), saturating the raw products."""
+    power = _products(gens, k, ring)
+    sat = groebner.saturate_ideal(power, _xs(ring), ring=ring)
+    return (groebner.submodule_strand_dim(Presentation.cyclic(ring, sat).gb(), (k * d,))
+            - groebner.submodule_strand_dim(Presentation.cyclic(ring, power).gb(), (k * d,)))
+
+
+RANDOM_BASES = {
+    "QQ": ({}, ()),
+    "GF(32003)": ({"field": PrimeField(32003)}, ()),
+    "cusp": ({"params": ["s", "t"], "relations": ["s^2 - t^3"]}, ("s", "t")),
+}
+
+
+def _random_ideal(ring, rng, coeffs, shared, deg):
+    """nx linearly independent random forms of degree deg, m-primary for
+    most draws, or two to nx independent linear forms times one common
+    linear form, never m-primary."""
+    count = rng.randint(2, ring.nx) if shared else ring.nx
+    if shared:
+        deg = 1
+    while True:
+        forms = []
+        for _ in range(count):
+            f = ring.zero()
+            for m in ring.monomials_of_degree((deg,)):
+                if rng.random() < 0.7:
+                    f = f + rng.choice(coeffs) * ring.monomial(m)
+            forms.append(f)
+        basis = Presentation.cyclic(ring, forms).gb()
+        if groebner.submodule_strand_dim(basis, (deg,)) == count:
+            break
+    if shared:
+        line = ring.zero()
+        while line.is_zero():
+            line = sum((rng.choice(coeffs) * x for x in _xs(ring) if rng.random() < 0.7),
+                       ring.zero())
+        forms = [line * f for f in forms]
+    return forms
+
+
+@pytest.mark.parametrize("base", sorted(RANDOM_BASES))
+@pytest.mark.parametrize("nx", [2, 3])
+def test_j_lengths_and_h1_dims_match_the_reference_routes(base, nx):
+    # seeded equigenerated ideals, m-primary or not: the j lengths read off
+    # Hilbert numerators equal the meet and subquotient of the raw
+    # products, and the H^1 strands off the shared power bases equal the
+    # saturations of the raw products
+    kwargs, params = RANDOM_BASES[base]
+    ring = make_ring(["x", "y", "z"][:nx], [1] * nx, **kwargs)
+    constants = [ring.constant(c) for c in (-2, -1, 1, 2)]
+    rng = random.Random(20 + nx)
+    kinds = set()
+    for trial in range(4):
+        # over the cusp the last two plane draws take s and t as
+        # coefficients.  Bayer's intersections take seconds on larger
+        # draws: quadrics with a point for base locus in three variables,
+        # and in three variables or in degree 2 with s and t coefficients.
+        coeffs = constants + [ring.var(z) for z in params if trial >= 2 and nx == 2]
+        deg = 1 if params or nx == 3 else rng.randint(1, 2)
+        gens = _random_ideal(ring, rng, coeffs, trial % 2 == 1, deg)
+        powers = ratmap._Powers(ring, gens)
+        kinds.add(powers.primary())
+        assert ratmap._j_lengths(powers, 3) \
+            == [_reference_j_length(ring, gens, n) for n in (1, 2, 3)]
+        d = ring.degree_of(gens[0])[0]
+        rmap = ratmap.RationalMap(ring, gens)
+        assert ratmap.power_h1_dims(rmap, cutoff=3) \
+            == [_reference_h1_dim(ring, gens, k, d) for k in (1, 2, 3)]
+    assert kinds == {True, False}
 
 
 def test_primary_j_identity_is_asserted(monkeypatch):

@@ -160,16 +160,31 @@ def test_quotient_base():
     (["t"], ["t^2"], None),
     # (s) misses the component (t) of s*t = 0
     (["s", "t"], ["s*t"], [["s"]]),
-], ids=["repeated-factor", "missing-component"])
+    # (s*t) is no prime: a generic table with certificate s held at no
+    # point of the "component" (ROADMAP item 4(a))
+    (["s", "t"], ["s*t"], [["s*t"]]),
+], ids=["repeated-factor", "missing-component", "reducible-component"])
 def test_bases_the_engine_cannot_handle_are_refused(params, relations, components):
     with pytest.raises(BadBase):
         make_ring(["x", "y"], [1, 1], params=params, relations=relations,
                   minimal_primes=components)
 
 
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ROADMAP item 4(a): a component with several generators "
+                          "is taken on trust, prime or not")
+def test_a_component_with_several_generators_is_checked():
+    # (s^2, t) is not prime (nor radical), yet it is accepted as the one
+    # component of ideal(s^2, t)
+    with pytest.raises(BadBase):
+        make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2", "t"],
+                  minimal_primes=[["s^2", "t"]])
+
+
 def test_refused_bases_give_input_error_payloads(tmp_path):
     bases = ["quotient(poly(QQ, t), ideal(t^2))",
-             "quotient(poly(QQ, s, t), ideal(s*t), components((s)))"]
+             "quotient(poly(QQ, s, t), ideal(s*t), components((s)))",
+             "quotient(poly(QQ, s, t), ideal(s*t), components((s*t)))"]
     for k, base in enumerate(bases):
         text = ("ring R base %s vars x:1 y:1;\nideal I = (x^2, t*x*y, y^2);\n"
                 "cmd localcoh I window [0, 3];\n" % base)

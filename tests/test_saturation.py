@@ -15,7 +15,6 @@ import pytest
 
 from gradedfibers import groebner, ratmap
 from gradedfibers.rings import MonomialOrder, Poly, PrimeField, make_ring
-from gradedfibers.ratmap import _power_products
 
 
 def _xgens(ring):
@@ -96,7 +95,7 @@ def test_embedded_primary_component_is_peeled():
 def test_veronese_powers(k):
     ring = make_ring(["x", "y"], [1, 1])
     for forms in (["x^2", "x*y", "y^2"], ["x^2 - 2*x*y + y^2", "x*y - y^2", "y^2"]):
-        power = _power_products([ring.poly(f) for f in forms], k, ring)
+        power = ratmap._Powers(ring, [ring.poly(f) for f in forms]).generators(k)
         # (x, y)^{2k} is m-primary: its saturation is the unit ideal
         assert [str(g) for g in _agree(ring, power)] == ["1"]
 
@@ -191,7 +190,7 @@ def test_powers_over_a_base_with_relations_take_bayers_route(xvars, base, forms)
     # quotient base; the colon loop stays the reference
     ring = make_ring(xvars, [1] * len(xvars), **base)
     for k in (1, 2, 3):
-        power = _power_products([ring.poly(f) for f in forms], k, ring)
+        power = ratmap._Powers(ring, [ring.poly(f) for f in forms]).generators(k)
         sat = _agree(ring, power)
         # proper: where the parameters vanish, the forms are not primary
         # to the irrelevant ideal

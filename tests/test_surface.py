@@ -20,6 +20,7 @@ KEPT = {
     # reference oracles: tests compare the engine against them
     "groebner.ideal_contains",
     "groebner.ideal_equal",
+    "groebner.presentation_vecdim",
     "ratmap.hilbert_samuel_multiplicity",
     "ratmap.image_ideal",
     "ratmap.preimage_count",
