@@ -15,7 +15,9 @@ locus is where a cell's Hilbert function differs from the generic one,
 or, over a base whose components are not known, where the closures of
 two cells with different ones meet.  It builds no strand matrix.  The
 jump loci of H^i read the inverse strands of the resolution
-(localcohom.cohomology_strands) through defect_locus; the duality
+(localcohom.cohomology_strands): each strand's rank drops where the
+cokernel of its unit-free reduction stops being free, a non-free locus
+again (rank_drop_locus), so no minor is enumerated.  The duality
 exclusion locus reads the Ext modules and the top dual cokernel kept on
 the complex.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from .errors import AlgebraError, InvalidFiber
 from . import groebner, localcohom, resolution
+from .modules import FreeMap, FreeModule, Presentation
 from .rings import irreducible_factors, squarefree_part, transfer
 from .specialize import FiberPoint, sample_rational_point
 
@@ -46,63 +49,34 @@ def _squarefree_gens(gens):
     return out
 
 
-def defect_locus(sm_in, sm_out, target_sum, ring):
-    """Ideal of points where rank(sm_in) + rank(sm_out) < target_sum.
+def rank_drop_locus(sm, ring):
+    """Ideal of the points where the strand's rank falls below its
+    generic rank; the unit ideal encodes the empty locus.
 
-    The unit ideal encodes the empty locus, no generators the full base.
-    Over QQ[t] a rank drops only at the primes of the certifying minor of
-    the generic rank, so the locus is read off the ranks at those finitely
-    many points: the product of the prime factors where the two ranks sum
-    below target_sum.  Over any other base the condition splits over the
-    ways to cap the two ranks, so the locus is the intersection over
-    a + b = target_sum - 1 of the ideals (minors of size a+1 of sm_in) +
-    (minors of size b+1 of sm_out).  A cap at or above a strand's size,
-    or on a domain base at or above its generic rank, holds everywhere,
-    so the caps are clamped there and no pair asks for a minor that
-    vanishes identically.  Each pair's minors are cut down to their
-    reduced basis before their squarefree parts are taken.
+    The unit pivots stay pivots at every point, so the rank drops where
+    that of the unit-free reduction does.  A reduction with no rows or
+    no columns never drops, and a square one of full generic rank drops
+    on the zeros of its determinant, the certifying minor of
+    generic_rank.  Otherwise the rank drops where the reduction's
+    cokernel, presented over the ring with every shift 0, stops being
+    free of the generic rank, so the locus is the cokernel's
+    nonfree_locus: the fiber of that module has the Hilbert function of
+    a free module whose rank is the number of rows less the rank at the
+    point.  No minor is enumerated.
     """
-    if target_sum <= 0:
-        return [ring.one()]  # ranks are never negative: nothing can fail
-    if ring.nz == 1 and not ring.base_rel and ring.field.char == 0:
-        return _univariate_defect_locus(sm_in, sm_out, target_sum, ring)
-    cap_in = min(sm_in.nrows, sm_in.ncols)
-    cap_out = min(sm_out.nrows, sm_out.ncols)
-    if ring.base_is_domain:
-        cap_in = min(cap_in, sm_in.generic_rank()[0])
-        cap_out = min(cap_out, sm_out.generic_rank()[0])
-    # after clamping, drop the (a, b) pairs whose locus sits inside another
-    # pair's locus
-    pairs = {(min(a, cap_in), min(target_sum - 1 - a, cap_out))
-             for a in range(target_sum)}
-    pairs = [p for p in pairs
-             if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in pairs)]
-    acc = None
-    for a, b in sorted(pairs):
-        part = sm_in.minors_ideal(a + 1) + sm_out.minors_ideal(b + 1)
-        if not part:
-            # both rank caps hold identically: every point is in the locus
-            return []
-        part = groebner.ideal_gb(part, ring=ring)
-        part = groebner.ideal_gb(_squarefree_gens(part), ring=ring)
-        if not part:
-            return []  # all minors vanish on the base
-        acc = part if acc is None else groebner.intersect_ideals(acc, part, ring)
-        if not acc:
-            return []
-    return _squarefree_gens(acc)
-
-
-def _univariate_defect_locus(sm_in, sm_out, target_sum, ring):
-    (rank_in, minor_in), (rank_out, minor_out) = sm_in.generic_rank(), sm_out.generic_rank()
-    if rank_in + rank_out < target_sum:
-        return []  # the generic point is in the locus, so every point is
-    acc = ring.one()
-    for f in dict.fromkeys(irreducible_factors(minor_in) + irreducible_factors(minor_out)):
-        point = FiberPoint.generic(ring, [f])
-        if sm_in.rank_at(point) + sm_out.rank_at(point) < target_sum:
-            acc = acc * f
-    return [acc.primitive()]
+    red, piv = sm.reduced()
+    if not red.rows or not red.cols:
+        return [ring.one()]
+    rank, minor = sm.generic_rank()
+    if red.nrows == red.ncols == rank - piv:
+        return [squarefree_part(minor)]
+    zero = ring.zero_degree()
+    target = FreeModule(ring, [zero] * red.nrows)
+    cols = [target.element([row.get(j, ring.zero()) for row in red.data])
+            for j in range(red.ncols)]
+    coker = Presentation(FreeMap(FreeModule(ring, [zero] * red.ncols), target, cols,
+                                 check=False))
+    return nonfree_locus(coker)["ideal"]
 
 
 def nonfree_locus(pres, window=None):
@@ -282,13 +256,15 @@ def _union(acc, gens, ring):
     """Ideal of the union of the locus acc with the locus of gens.
 
     acc None is the empty start; [] is the whole base, which absorbs.
-    A side holding a unit is the empty locus, which intersect_ideals
-    meets without a graph kernel.
+    A side holding a unit is the empty locus, so the other side is the
+    union as it stands.
     """
     if acc == [] or not gens:
         return []
-    if acc is None:
+    if acc is None or groebner._has_unit(acc):
         return gens
+    if groebner._has_unit(gens):
+        return acc
     return groebner.intersect_ideals(acc, gens, ring)
 
 
@@ -302,11 +278,13 @@ def cohomology_jump_loci(pres, degrees):
     """Union over degrees and cohomological indices of the jump loci.
 
     The jump locus of [H^i]_mu is where its fiber dimension exceeds the
-    generic value, that is where the ranks of the two inverse strands
-    around it (localcohom.cohomology_strands) drop below their generic
-    sum.  Needs an irreducible base, since the generic strand ranks are
-    compared against their pointwise values.  The strands and their
-    generic ranks are those kept on the presentation's resolution.
+    generic value, that is where the rank of one of the two inverse
+    strands around it (localcohom.cohomology_strands) drops below its
+    generic rank: the union of their rank_drop_locus.  Each strand of a
+    degree serves two indices, and its locus is built once.  Needs an
+    irreducible base, since the generic strand ranks are compared
+    against their pointwise values.  The strands and their generic ranks
+    are those kept on the presentation's resolution.
     """
     ring = pres.ring
     if not ring.base_is_domain:
@@ -316,11 +294,16 @@ def cohomology_jump_loci(pres, degrees):
     detail = {}
     for mu in degrees:
         mu = ring.deg_tuple(mu)
-        for i, (lam_in, lam_out) in enumerate(localcohom.cohomology_strands(res, mu)):
-            target = lam_out.generic_rank()[0] + lam_in.generic_rank()[0]
-            gens = defect_locus(lam_in, lam_out, target, ring)
+        pairs = localcohom.cohomology_strands(res, mu)
+        drops = {}
+        for pair in pairs:
+            for sm in pair:
+                if id(sm) not in drops:
+                    drops[id(sm)] = rank_drop_locus(sm, ring)
+                    acc = _union(acc, drops[id(sm)], ring)
+        for i, (lam_in, lam_out) in enumerate(pairs):
+            gens = _union(drops[id(lam_in)], drops[id(lam_out)], ring)
             detail[(i, mu)] = [str(g) for g in gens]
-            acc = _union(acc, gens, ring)
     return {"ideal": [ring.one()] if acc is None else acc, "detail": detail}
 
 

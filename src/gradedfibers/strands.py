@@ -10,16 +10,12 @@ nonnegative exponents.
 Strand matrices are built directly as sparse rows, and every rank,
 reduction and minor runs on those rows through the elimination kernel
 of linalg: unit pivots first, then fraction-free elimination on what
-remains.  Ranks come in two flavors: at a fiber point (exact linear
-algebra over the residue field, or over the residue domain for a
-generic point) and generically over the base, with a certifying minor
-whose nonvanishing locus is where the generic rank is attained.  Each
-strand owns its minors ideals, one per size, built once: over a domain
-base a size above the generic rank has no nonzero minor, and a square
-strand of full generic rank has its certifying minor as its one minor,
-so only the sizes in between are enumerated minor by minor.  Over QQ[t]
-the loci need none, as they are read off the ranks at the primes of the
-certifying minors.
+remains.  Ranks come in two flavors: at a rational fiber point (exact
+linear algebra over the field) and generically over the base, with a
+certifying minor whose nonvanishing locus is where the generic rank is
+attained.  The points where a strand's rank drops are read off its
+cokernel (loci.rank_drop_locus); its minors ideals are the reference
+the tests hold that locus to.
 """
 
 from __future__ import annotations
@@ -113,19 +109,13 @@ class StrandMatrix:
         return self._reduction
 
     def rank_at(self, point):
-        """Rank of the strand at a fiber point (rational or generic)."""
+        """Rank of the strand at a rational fiber point."""
         red, piv = self.reduced()
         if piv:
             return piv + red.rank_at(point)
-        if point.is_rational:
-            rows = [{j: v for j, p in row.items() if (v := point.evaluate_scalar(p))}
-                    for row in self.data]
-            return linalg.field_rank(rows, self.ring.field)
-        if not self.rows or not self.cols:
-            return 0
-        rows = [{j: q for j, p in row.items() if not (q := point.evaluate(p)).is_zero()}
+        rows = [{j: v for j, p in row.items() if (v := point.evaluate_scalar(p))}
                 for row in self.data]
-        return linalg.domain_rank(rows, point.residue_ring)[0]
+        return linalg.field_rank(rows, self.ring.field)
 
     def generic_rank(self):
         """(rank over Frac(base), certifying minor) for a domain base.
@@ -144,12 +134,13 @@ class StrandMatrix:
     def minors_ideal(self, size):
         """Generators of the ideal of size x size minors, as base polys.
 
-        Memoized per size.  The minors of the unit-free reduction stand
-        for those of the strand (see reduced).  Over a domain base none
-        is nonzero above the generic rank, and a square reduction of full
-        generic rank has one minor, the certifying minor of generic_rank,
-        up to sign; any other size is enumerated one minor at a time, so
-        the count of submatrices is capped.
+        The tests' reference for loci.rank_drop_locus, which no command
+        reaches.  Memoized per size.  The minors of the unit-free
+        reduction stand for those of the strand (see reduced).  Over a
+        domain base none is nonzero above the generic rank, and a square
+        reduction of full generic rank has one minor, the certifying
+        minor of generic_rank, up to sign; any other size is enumerated
+        one minor at a time, so the count of submatrices is capped.
         """
         if size <= 0:
             return [self.ring.one()]
@@ -266,8 +257,9 @@ def scalar_rank(rows, field):
 def presentation_strand_dim(pres, mu, point=None):
     """dim over the fiber of [M]_mu for a presented module.
 
-    With point=None the base must be a domain and the result is the
-    dimension over the generic fiber, returned as (dim, certificate).
+    point is a rational fiber point; with point=None the base must be a
+    domain and the result is the dimension over the generic fiber,
+    returned as (dim, certificate).
     """
     sm = strand_matrix(pres.relations, mu)
     total = sm.nrows

@@ -32,6 +32,7 @@ CASES = {
     "loci_cusp": 0,
     "loci_quartic_family": 0,
     "ratmap_cusp": 0,
+    "loci_jumps": 0,
     "bad_window": 1,
 }
 

@@ -9,7 +9,7 @@ import pytest
 from gradedfibers.errors import AlgebraError, InvalidFiber
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
 from gradedfibers.rings import Poly, PrimeField, Ring, irreducible_factors, make_ring
-from gradedfibers import cli, groebner, localcohom, loci, resolution, script, strands
+from gradedfibers import cli, groebner, linalg, localcohom, loci, resolution, script, strands
 from gradedfibers.specialize import FiberPoint, sample_rational_point
 from test_strands import same_locus
 
@@ -373,6 +373,39 @@ UNSPLIT_CASES = {name: (lambda ring=ring, gens=gens: cyclic(ring, gens))
                  for name, (ring, gens, _, _) in UNSPLIT.items()}
 
 
+def pair_locus(sm_in, sm_out, target, ring):
+    """Ideal of the points where rank(sm_in) + rank(sm_out) < target, as
+    minors: the intersection over a + b = target - 1 of (minors of size
+    a+1 of sm_in) + (minors of size b+1 of sm_out), squarefree.  A cap at
+    or above a strand's size, or on a domain base at or above its generic
+    rank, holds everywhere, so the caps are clamped there, and a pair
+    whose locus lies inside another pair's is left out.  [] is the whole
+    base."""
+    if target <= 0:
+        return [ring.one()]
+    cap_in = min(sm_in.nrows, sm_in.ncols)
+    cap_out = min(sm_out.nrows, sm_out.ncols)
+    if ring.base_is_domain:
+        cap_in = min(cap_in, sm_in.generic_rank()[0])
+        cap_out = min(cap_out, sm_out.generic_rank()[0])
+    pairs = {(min(a, cap_in), min(target - 1 - a, cap_out)) for a in range(target)}
+    pairs = [p for p in pairs
+             if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in pairs)]
+    acc = None
+    for a, b in sorted(pairs):
+        part = sm_in.minors_ideal(a + 1) + sm_out.minors_ideal(b + 1)
+        if not part:
+            return []
+        part = groebner.ideal_gb(part, ring=ring)
+        part = groebner.ideal_gb(loci._squarefree_gens(part), ring=ring)
+        if not part:
+            return []
+        acc = part if acc is None else groebner.intersect_ideals(acc, part, ring)
+        if not acc:
+            return []
+    return loci._squarefree_gens(acc)
+
+
 def window_scan_locus(pres, degrees):
     """The non-free locus as the window scan read it: the union over the
     degrees of the points where the raw resolution's d_2 and d_1 strands
@@ -383,7 +416,7 @@ def window_scan_locus(pres, degrees):
     for mu in degrees:
         sm1 = strands.strand_matrix(res.map(1), mu)
         sm2 = strands.strand_matrix(res.map(2), mu)
-        acc = loci._union(acc, loci.defect_locus(sm2, sm1, sm1.ncols, ring), ring)
+        acc = loci._union(acc, pair_locus(sm2, sm1, sm1.ncols, ring), ring)
     return [ring.one()] if acc is None else acc
 
 
@@ -482,6 +515,49 @@ def test_duality_exclusion_builds_no_strand_matrix(monkeypatch):
     for make in (rank_two_example, LOCUS_CASES["cusp"], CAPACITY_CASES["ladder"],
                  CAPACITY_CASES["idempotent base"], UNSPLIT_CASES["plane and line, ladder"]):
         loci.duality_exclusion_locus(make())
+
+
+def test_jump_loci_enumerate_no_minor(monkeypatch):
+    # each strand's locus is read off its cokernel's stratified relation
+    # basis, or off its certifying minor when it is square of full rank
+    def banned(*args, **kwargs):
+        raise AssertionError("a minor was enumerated")
+
+    monkeypatch.setattr(strands.StrandMatrix, "minors_ideal", banned)
+    monkeypatch.setattr(linalg, "domain_det", banned)
+    katzman = katzman_presentation()[1]
+    out = loci.cohomology_jump_loci(katzman, [(-2, 2)])
+    assert [str(g) for g in out["ideal"]] == ["s^2*t + s*t^2"]
+    out = loci.cohomology_jump_loci(CAPACITY_CASES["ladder"](), [(d,) for d in range(4)])
+    assert [str(g) for g in out["ideal"]] == ["s*t"]
+    out = loci.cohomology_jump_loci(rank_two_example(), [(d,) for d in range(-3, 6)])
+    assert [str(g) for g in out["ideal"]] == ["t - 1"]
+
+
+JUMP_CASES = {
+    "rank two": (rank_two_example, range(-3, 6)),
+    "ladder": (CAPACITY_CASES["ladder"], range(0, 4)),
+    "cusp": (LOCUS_CASES["cusp"], range(-2, 4)),
+    "points M": (LOCUS_CASES["points M"], range(-2, 4)),
+    "A over QQ[s,t]": (lambda: cyclic(Rst3, ["x^2", "s*x*y + t*y^2"]), range(-1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_CASES))
+def test_jump_loci_have_the_zeros_of_the_pair_route(name):
+    # the jump locus of each [H^i]_mu, read off its two strands' rank-drop
+    # loci, against the minors of the pairs of ranks that sum below the
+    # generic sum
+    make, degrees = JUMP_CASES[name]
+    pres = make()
+    ring = pres.ring
+    out = loci.cohomology_jump_loci(pres, [(d,) for d in degrees])
+    res = pres.resolution()
+    for (i, mu), gens in out["detail"].items():
+        lam_in, lam_out = localcohom.cohomology_strands(res, mu)[i]
+        target = lam_in.generic_rank()[0] + lam_out.generic_rank()[0]
+        ref = pair_locus(lam_in, lam_out, target, ring)
+        assert same_locus([ring.poly(g) for g in gens], ref, ring), (i, mu)
 
 
 @pytest.mark.parametrize("name", sorted(UNSPLIT_CASES))

@@ -1,10 +1,9 @@
 """Strand matrices over the base: ranks, minors, fiber evaluation.
 
-The unit-pivot reduction, the QQ[t] loci read off ranks at the primes
-of the certifying minors, and the minors and loci that stop at the
-generic rank are internal shortcuts; the loops here pin them to the
-definitional computations (evaluate-then-eliminate, enumerate-all-minors)
-on random inputs.
+The unit-pivot reduction, the minors that stop at the generic rank and
+the rank-drop loci read off a cokernel's non-free locus are internal
+shortcuts; the loops here pin them to the definitional computations
+(evaluate-then-eliminate, enumerate-all-minors) on random inputs.
 """
 
 import random
@@ -14,7 +13,7 @@ import pytest
 
 from gradedfibers.errors import AlgebraError
 from gradedfibers.modules import FreeModule, FreeMap
-from gradedfibers.rings import make_ring, squarefree_part, transfer
+from gradedfibers.rings import make_ring, transfer
 from gradedfibers import groebner, linalg, loci, specialize, strands
 
 
@@ -105,39 +104,6 @@ def enumerated_minors(sm, size):
     return out
 
 
-def pair_locus(sm_in, sm_out, target):
-    """The defect locus as the squarefree intersection over a + b =
-    target - 1 of (minors of size a+1 of sm_in) + (minors of size b+1 of
-    sm_out), every pair taken and every minor enumerated; [] is the whole
-    base."""
-    ring = sm_in.ring
-    acc = None
-    for a in range(target):
-        part = enumerated_minors(sm_in, a + 1) + enumerated_minors(sm_out, target - a)
-        if not part:
-            return []
-        part = groebner.ideal_gb([squarefree_part(g) for g in part], ring=ring)
-        acc = part if acc is None else groebner.intersect_ideals(acc, part, ring)
-    return [squarefree_part(g) for g in acc]
-
-
-def test_univariate_defect_locus_matches_minors_and_points():
-    # the prime factors of t^2 + 1 have no rational point
-    rng = random.Random(23)
-    pool = POOL + ["t^2 + 1"]
-    for _ in range(30):
-        sm_in = rand_matrix(Rt, rng, rng.randint(1, 4), rng.randint(1, 4), pool)
-        sm_out = rand_matrix(Rt, rng, rng.randint(1, 4), rng.randint(1, 4), pool)
-        generic = sm_in.generic_rank()[0] + sm_out.generic_rank()[0]
-        for target in range(1, generic + 2):
-            got = loci.defect_locus(sm_in, sm_out, target, Rt)
-            assert got == pair_locus(sm_in, sm_out, target)
-            for v in range(-6, 7):
-                point = specialize.FiberPoint.rational(Rt, {"t": v})
-                drops = sm_in.rank_at(point) + sm_out.rank_at(point) < target
-                assert drops == (not got or not point.evaluate_scalar(got[0]))
-
-
 def test_minors_ideal_two_parameter_base():
     rng = random.Random(24)
     pool = ["0", "1", "s", "t", "s - t", "s*t", "t + 1"]
@@ -203,23 +169,46 @@ PARAM_POOLS = [
 ]
 
 
-@pytest.mark.parametrize("ring, pool", PARAM_POOLS, ids=["QQ[s,t]", "cusp"])
-def test_defect_locus_matches_every_pair(ring, pool):
-    # the clamped pairs and the basis of each pair's minors give the locus
-    # of every pair with every minor enumerated; the two ideals may differ,
-    # as squarefree parts of different generators do, but not their zeros
+# rational points of each base, where the rank is checked pointwise
+RATIONAL = {
+    "QQ[t]": [{"t": v} for v in range(-6, 7)],
+    "QQ[s,t]": [{"s": a, "t": b} for a in range(-2, 3) for b in range(-2, 3)],
+    "cusp": [{"s": u ** 3, "t": u ** 2} for u in range(-3, 4)],
+}
+
+
+@pytest.mark.parametrize("ring, pool, name", [
+    (Rt, POOL + ["t^2 + 1"], "QQ[t]"),  # the prime t^2 + 1 has no rational point
+    PARAM_POOLS[0] + ("QQ[s,t]",),
+    PARAM_POOLS[1] + ("cusp",),
+], ids=["QQ[t]", "QQ[s,t]", "cusp"])
+def test_rank_drop_locus_matches_the_minors(ring, pool, name):
+    # the locus has the zeros of the enumerated minors of the generic rank,
+    # and a rational point lies on it exactly when the rank drops there
     rng = random.Random(25)
-    for _ in range(16):
-        sm_in = rand_deficient(ring, rng, rng.randint(1, 3), rng.randint(1, 4), pool)
-        sm_out = rand_deficient(ring, rng, rng.randint(1, 4), rng.randint(1, 3), pool)
-        generic = sm_in.generic_rank()[0] + sm_out.generic_rank()[0]
-        for target in range(1, generic + 2):
-            got = loci.defect_locus(sm_in, sm_out, target, ring)
-            ref = pair_locus(sm_in, sm_out, target)
-            if not got or not ref:
-                assert not got and not ref
-                continue
-            assert same_locus(got, ref, ring)
+    for _ in range(25):
+        sm = rand_deficient(ring, rng, rng.randint(1, 4), rng.randint(1, 4), pool)
+        rank = sm.generic_rank()[0]
+        got = loci.rank_drop_locus(sm, ring)
+        assert same_locus(got, enumerated_minors(sm, rank), ring)
+        for values in RATIONAL[name]:
+            point = specialize.FiberPoint.rational(ring, values)
+            drops = sm.rank_at(point) < rank
+            assert drops == all(not point.evaluate_scalar(g) for g in got), values
+
+
+def test_rank_drop_locus_past_the_minor_cap():
+    # [D | D] with s on the diagonal of D and t elsewhere: its 13-minors
+    # are past the enumeration cap, and its rank drops where det D =
+    # (s - t)^12 (s + 12 t) vanishes
+    n = 13
+    ent = [[Rst.poly("s" if i == j % n else "t") for j in range(2 * n)] for i in range(n)]
+    sm = strands.StrandMatrix(Rst, [("r", i) for i in range(n)],
+                              [("c", j) for j in range(2 * n)], sparse(ent))
+    assert sm.generic_rank()[0] == n
+    with pytest.raises(AlgebraError, match="minor enumeration too large"):
+        sm.minors_ideal(n)
+    assert [str(g) for g in loci.rank_drop_locus(sm, Rst)] == ["s^2 + 11*s*t - 12*t^2"]
 
 
 @pytest.mark.parametrize("ring, pool", PARAM_POOLS, ids=["QQ[s,t]", "cusp"])

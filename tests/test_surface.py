@@ -28,6 +28,8 @@ KEPT = {
     "strands.scalar_rank",
     # the j-multiplicity of one ideal; perfbench/layertrace.py traces it by name
     "ratmap.j_multiplicity",
+    # tests' reference for the rank-drop loci; perfbench traces it by name
+    "strands.StrandMatrix.minors_ideal",
     # d_(i-1) d_i = 0 on a complex: tests check every resolution with it
     "resolution.Complex.check",
     # a monomial from its exponent tuple: tests build lead modules with it
