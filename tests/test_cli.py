@@ -33,6 +33,7 @@ CASES = {
     "loci_quartic_family": 0,
     "ratmap_cusp": 0,
     "loci_jumps": 0,
+    "harness_katzman": 0,
     "bad_window": 1,
 }
 
