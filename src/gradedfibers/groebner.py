@@ -924,14 +924,19 @@ def quotient_strand_dim(gb, deg):
     return _series_coefficient(gb.module.ring, gb.hilbert_numerator(), deg)
 
 
+def free_numerator(module):
+    """Hilbert series numerator of a free module: the sum of T^shift."""
+    free = {}
+    for shift in module.shifts:
+        free[shift] = free.get(shift, 0) + 1
+    return free
+
+
 def submodule_strand_dim(gb, deg):
     """dim of the degree-deg slice of the submodule <gb> over the generic
-    fiber: the ambient free module's, whose numerator is the sum of
-    T^shift, less the quotient's."""
-    free = {}
-    for shift in gb.module.shifts:
-        free[shift] = free.get(shift, 0) + 1
-    return _series_coefficient(gb.module.ring, free, deg) - quotient_strand_dim(gb, deg)
+    fiber: the ambient free module's less the quotient's."""
+    return (_series_coefficient(gb.module.ring, free_numerator(gb.module), deg)
+            - quotient_strand_dim(gb, deg))
 
 
 def _series_at_one(ring, numerator):

@@ -28,14 +28,20 @@ column, so every division is exact and the last pivot is the determinant
 of the pivot submatrix: the certifying minor of the rank.
 
 Bareiss runs on Python ints, not on Polys.  Each entry becomes a raw
-term dict {exponents: int}: over QQ every row is first multiplied by the
+term dict {monomial: int}: over QQ every row is first multiplied by the
 lcm of its denominators, over GF(p) the coefficients are residues mod
 p.  Over a base with relations the raw terms are lifts to the
-relation-free ring, where exact division holds, and pivots are tested
-modulo the relations by the same int reducer.  Products go through
-rings._mul_terms and the exact divisions through rings._div_terms; a
-certifying minor or a determinant becomes a Poly again only at the end,
-divided by the scales of the rows it was taken from.
+relation-free ring, where exact division holds.  Each monomial is
+packed into one int (_packed), a field of bits per variable with a
+guard bit on top, wide enough that no field overflows: a product of
+monomials is an int addition, and a divisibility test is one
+subtraction read off the guard bits.  The exact divisions pop terms in
+plain int order, a lex order and so a monomial order; the quotient of
+an exact division does not depend on the order it is computed in.
+Terms are unpacked only to test a pivot modulo the relations, by the
+same int reducer, and to turn a certifying minor or a determinant into
+a Poly again at the end, divided by the scales of the rows it was taken
+from.
 
 A Bareiss step only rescales a row whose entry in the pivot column is
 zero, by p_k / p_{k-1}.  Such rows are left alone: each row records the
@@ -48,8 +54,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 
-from .errors import BaseNotDomain
-from .rings import Poly, _div_terms, _from_ints, _mul_terms
+from .errors import AlgebraError, BaseNotDomain
+from .rings import Poly, _from_ints, _mul_terms
 
 
 def unit_pivots(rows, ring):
@@ -95,19 +101,20 @@ def domain_rank(rows, ring):
         raise BaseNotDomain("generic rank needs an integral base")
     p = ring.field.char
     work, scales = _int_rows(rows, p)
+    work, guard, unpack = _packed(work, ring.nvars)
     if ring.base_rel:
         reduce = ring.base_basis().reduce_terms
 
         def nonzero(e):
-            return bool(reduce(e)[0])
+            return bool(reduce(unpack(e))[0])
     else:
         nonzero = None
-    steps = list(_bareiss(work, ring.order.heap_key, p, nonzero))
+    steps = list(_bareiss(work, guard, p, nonzero))
     if not steps:
         return 0, [], [], ring.one()
     # the pivot rows were scaled by their denominators
     return (len(steps), [r for r, _c, _p in steps], [c for _r, c, _p in steps],
-            _to_poly(ring, steps[-1][2], prod(scales[r] for r, _c, _p in steps)))
+            _to_poly(ring, unpack(steps[-1][2]), prod(scales[r] for r, _c, _p in steps)))
 
 
 def domain_det(rows, ring):
@@ -117,8 +124,9 @@ def domain_det(rows, ring):
         return ring.one()
     p = ring.field.char
     work, scales = _int_rows(rows, p)
+    work, guard, unpack = _packed(work, ring.nvars)
     order = []
-    for k, (r, c, piv) in enumerate(_bareiss(work, ring.order.heap_key, p, None)):
+    for k, (r, c, piv) in enumerate(_bareiss(work, guard, p, None)):
         if c != k:
             return ring.zero()  # column k holds no pivot
         order.append(r)
@@ -126,7 +134,7 @@ def domain_det(rows, ring):
         return ring.zero()
     # the last pivot is the determinant of the scaled rows in pivot order
     den = prod(scales)
-    return _to_poly(ring, piv, -den if _odd(order) else den)
+    return _to_poly(ring, unpack(piv), -den if _odd(order) else den)
 
 
 # -- unit-pivot elimination ---------------------------------------------------
@@ -294,12 +302,12 @@ def _int_pivot(ring, scales):
 # -- fraction-free elimination ------------------------------------------------
 
 
-def _bareiss(work, hkey, p, nonzero):
+def _bareiss(work, guard, p, nonzero):
     """Yield (row, column, pivot) for each fraction-free elimination step.
 
-    work holds sparse rows of int term dicts (see _int_rows) over the
-    relation-free polynomial ring; hkey is its order's heap key, for
-    exact division.  A row's lead is its first column whose entry passes
+    work holds sparse rows of packed int term dicts (see _packed) over
+    the relation-free polynomial ring, and guard is the packing's mask
+    of guard bits.  A row's lead is its first column whose entry passes
     nonzero (every stored entry when nonzero is None); the next pivot is
     the smallest lead, the first row among equals.  Updated rows replace
     their slot in work; the row dicts themselves are never changed.
@@ -310,13 +318,6 @@ def _bareiss(work, hkey, p, nonzero):
     else:
         def lead(row):
             return min((j for j, e in row.items() if nonzero(e)), default=None)
-    memo = {}
-
-    def key(e):
-        k = memo.get(e)
-        if k is None:
-            k = memo[e] = hkey(e)
-        return k
 
     heap = []
     for i, row in enumerate(work):
@@ -336,10 +337,10 @@ def _bareiss(work, hkey, p, nonzero):
         prow = work[r]
         if step[r] < k:
             scale = pivots[k - 1]
-            prow = {j: _mul(e, scale, p) for j, e in prow.items()}
+            prow = {j: _packed_mul(e, scale, p) for j, e in prow.items()}
             if step[r]:
                 div = pivots[step[r] - 1]
-                prow = {j: _div_terms(e, div, key, p) for j, e in prow.items()}
+                prow = {j: _packed_div(e, div, guard, p) for j, e in prow.items()}
         piv = prow[c]
         yield r, c, piv
         others = [(j, q) for j, q in prow.items() if j != c]
@@ -348,9 +349,9 @@ def _bareiss(work, hkey, p, nonzero):
             a = row.get(c)
             if a is None:
                 continue
-            new = {j: _mul(e, piv, p) for j, e in row.items() if j != c}
+            new = {j: _packed_mul(e, piv, p) for j, e in row.items() if j != c}
             for j, q in others:
-                aq = _mul(a, q, p)
+                aq = _packed_mul(a, q, p)
                 old = new.get(j)
                 v = _sub({}, aq, p) if old is None else _sub(old, aq, p)
                 if v:
@@ -359,7 +360,7 @@ def _bareiss(work, hkey, p, nonzero):
                     new.pop(j, None)
             if step[i]:
                 div = pivots[step[i] - 1]
-                new = {j: _div_terms(e, div, key, p) for j, e in new.items()}
+                new = {j: _packed_div(e, div, guard, p) for j, e in new.items()}
             work[i] = new
             step[i] = k + 1
             nc = lead(new)
@@ -369,6 +370,109 @@ def _bareiss(work, hkey, p, nonzero):
                 leads[i] = nc
                 heappush(heap, (nc, i))
         pivots.append(piv)
+
+
+def _packed(work, nvars):
+    """(packed rows, guard, unpack) for rows of int term dicts.
+
+    Each exponent tuple becomes one int: the variables that occur take a
+    field of w bits each, the first variable in the highest field, so
+    that adding two packed ints multiplies the monomials and the int
+    order is lex.  An entry after k Bareiss steps is a minor, whose
+    exponent of a variable is at most S, the sum over rows of each row's
+    largest exponent; a product c*R - a*P before its exact division has
+    at most 2S.  The top bit of each field is a guard bit, left clear by
+    fields of w - 1 bits that hold 2S, so a borrow out of a field shows
+    in guard when one monomial does not divide another (_packed_div).
+    unpack(terms) turns a packed term dict back into exponent tuples.
+    """
+    used = sorted({i for row in work for e in row.values() for m in e
+                   for i, a in enumerate(m) if a})
+    bound = 2 * sum(max((m[i] for e in row.values() for m in e for i in used), default=0)
+                    for row in work)
+    width = bound.bit_length() + 1
+    shifts = [width * k for k in reversed(range(len(used)))]
+    guard = sum(1 << (s + width - 1) for s in shifts)
+    mask = (1 << width) - 1
+    packed = [{j: {sum(m[i] << s for i, s in zip(used, shifts)): c for m, c in e.items()}
+               for j, e in row.items()} for row in work]
+
+    def unpack(terms):
+        out = {}
+        for m, c in terms.items():
+            exps = [0] * nvars
+            for i, s in zip(used, shifts):
+                exps[i] = (m >> s) & mask
+            out[tuple(exps)] = c
+        return out
+
+    return packed, guard, unpack
+
+
+def _packed_mul(a, b, p):
+    """a * b for packed int term dicts (see _packed)."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    if p:
+        return {m: v for m, c in out.items() if (v := c % p)}
+    return {m: c for m, c in out.items() if c}
+
+
+def _packed_div(terms, dterms, guard, p):
+    """Exact quotient of two packed int term dicts, or AlgebraError.
+
+    The largest remaining term, in the int order of the packing (a lex
+    order), comes off a heap; the quotient of an exact division does not
+    depend on the monomial order it is computed in.  Coefficients are
+    ints whose quotients must be integers when p is 0, and ints mod p
+    otherwise.
+    """
+    lead = max(dterms)
+    a = dterms[lead]
+    if p:
+        inv = pow(a, p - 2, p)
+    others = [(m, c) for m, c in dterms.items() if m != lead]
+    rest = dict(terms)
+    heap = [-m for m in rest]
+    heapify(heap)
+    q = {}
+    while heap:
+        m = -heappop(heap)
+        c = rest.pop(m, None)
+        if c is None:
+            continue  # cancelled after it was queued
+        if ((m | guard) - lead) & guard != guard:
+            raise AlgebraError("inexact division")
+        qm = m - lead
+        if p:
+            qc = c * inv % p
+        else:
+            qc, r = divmod(c, a)
+            if r:
+                raise AlgebraError("inexact division")
+        q[qm] = qc
+        for om, oc in others:
+            nm = qm + om
+            w = qc * oc
+            v = rest.get(nm)
+            if v is None:
+                rest[nm] = -w % p if p else -w
+                heappush(heap, -nm)
+                continue
+            v = v - w
+            if p:
+                v %= p
+            if v:
+                rest[nm] = v
+            else:
+                del rest[nm]
+    return q
 
 
 def _int_rows(rows, p):

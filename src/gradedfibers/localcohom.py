@@ -11,10 +11,13 @@ cohomological indices, and the complex keeps them for the jump loci.
 Every table over a field base is cross checked; there is no switch to
 turn the check off.  The check reroutes the same minimal resolution
 through graded duality (Ext against the canonically twisted ring)
-whenever the grading allows it, reading each degree off the one
-relation basis of each Ext module.  Otherwise it reruns the strand
-route on the raw resolution that the minimal one was cut down from,
-which differs from it by split exact pieces only.  Resolving the module
+whenever the grading allows it: each degree is a coefficient of the
+Hilbert series of an Ext module, whose numerator comes from the bases
+of the transposed differentials (resolution.ext_numerators), one basis
+per differential, with no kernel and no Ext presentation built.  The
+invariants read the same numerators.  Otherwise the check reruns the
+strand route on the raw resolution that the minimal one was cut down
+from, which differs from it by split exact pieces only.  Resolving the module
 a second time would add no independence, since resolving is
 deterministic.  Disagreement between routes is not a mathematical
 possibility; it raises DualityMismatch and means the engine is broken.
@@ -28,13 +31,27 @@ from .rings import squarefree_part
 
 
 class CohomologyTable:
-    """dims[(i, degree)] = fiber dimension of [H^i]_degree."""
+    """dims[(i, degree)] = fiber dimension of [H^i]_degree.
 
-    __slots__ = ("dims", "meta")
+    Over a parameter base meta["certificate"] is the squarefree product
+    of the certifying minors, factored on the first read of meta: a
+    reader of dims alone never factors them.
+    """
 
-    def __init__(self, dims, meta=None):
+    __slots__ = ("dims", "_meta", "_certs")
+
+    def __init__(self, dims, meta=None, certs=None):
         self.dims = dict(dims)
-        self.meta = dict(meta or {})
+        self._meta = dict(meta or {})
+        self._certs = certs  # (ring, certifying minors) until meta is read
+
+    @property
+    def meta(self):
+        if self._certs is not None:
+            ring, minors = self._certs
+            self._meta["certificate"] = str(squarefree_part(*minors, ring=ring))
+            self._certs = None
+        return self._meta
 
 
 def cohomology_strands(res, mu):
@@ -80,24 +97,23 @@ def route_dims_at_degree(res, mu):
     return dims, certs
 
 
-def duality_dims_at_degree(exts, mu):
-    """[H^i]_mu via graded duality: the (-mu)-strand of Ext^{r-i} against
-    the canonical twist.  Field base, no second block, single grading;
-    exts is ext_modules_for_duality's list."""
-    ring = exts[0].ring
+def duality_dims_at_degree(res, mu):
+    """[H^i]_mu dims for i = 0..r via graded duality: the coefficient of
+    T^-mu in the Hilbert series of Ext^{r-i}(M, R(-delta)), delta the
+    canonical twist, read off the numerators kept on res.  Field base, no
+    second block, single grading."""
+    ring = res.ring
+    nums = _duality_numerators(res)
+    neg = tuple(-a for a in ring.deg_tuple(mu))
     r = ring.nx
-    mu = ring.deg_tuple(mu)
-    neg = tuple(-a for a in mu)
-    return {i: groebner.quotient_strand_dim(exts[r - i].gb(), neg) for i in range(r + 1)}
+    return {i: groebner._series_coefficient(ring, nums[r - i], neg) for i in range(r + 1)}
 
 
-def ext_modules_for_duality(res):
-    """Ext^j(M, R(-delta)) for j = 0..r, from M's resolution res."""
+def _duality_numerators(res):
+    """Numerators of Ext^j(M, R(-delta)) for j = 0..r (ext_numerators)."""
     ring = res.ring
     _require_duality_ok(ring)
-    delta = ring.canonical_twist()
-    twist = tuple(-a for a in delta)
-    return resolution.ext_presentations(res, twist=twist)
+    return resolution.ext_numerators(res, twist=tuple(-a for a in ring.canonical_twist()))
 
 
 def _require_duality_ok(ring):
@@ -137,28 +153,25 @@ def local_cohomology_table(pres, degrees, point=None):
                     " behind it assume a prime relation ideal" % (d[i], i, mu))
             dims[(i, mu)] = d[i]
     _cross_validate(res, degrees, dims)
-    if ring.nz > 0:
-        meta["certificate"] = str(squarefree_part(*all_certs, ring=ring))
     meta["max_cohomological_index"] = r
-    return CohomologyTable(dims, meta)
+    return CohomologyTable(dims, meta, (ring, all_certs) if ring.nz else None)
 
 
 def _cross_validate(res, degrees, dims):
     """Check dims, read off the minimal resolution res, on a field base.
 
-    Singly graded, the duality route recomputes them from the Ext
-    modules of res, reading every degree off each module's one relation
-    basis (Presentation.gb).  Otherwise the strand route reruns on
-    res.raw, the resolution before minimalization, whose extra terms
-    form split exact pieces.
+    Singly graded, the duality route recomputes them from the Hilbert
+    series of the Ext modules of res, whose numerators come from one
+    basis per transposed differential (resolution.ext_numerators).
+    Otherwise the strand route reruns on res.raw, the resolution before
+    minimalization, whose extra terms form split exact pieces.
     """
     ring = res.ring
     if ring.nz:
         return
     if ring.ny == 0 and ring.gdim == 1:
-        exts = ext_modules_for_duality(res)
         what = "strand route %d vs duality route %d"
-        others = [duality_dims_at_degree(exts, mu) for mu in degrees]
+        others = [duality_dims_at_degree(res, mu) for mu in degrees]
     else:
         what = "minimal resolution %d vs raw %d"
         others = [route_dims_at_degree(res.raw, mu)[0] for mu in degrees]
@@ -174,25 +187,17 @@ def _cross_validate(res, degrees, dims):
 
 def cohomology_invariants(pres):
     """Exact invariants over a field: per-index top degrees, Krull
-    dimension, depth, and regularity, all through the duality route."""
+    dimension, depth, and regularity, all through the duality route.
+
+    H^i vanishes exactly when the Hilbert series of Ext^{r-i} does, and
+    its top degree is minus the initial degree of Ext^{r-i}, the lowest
+    exponent of that series' numerator."""
     ring = pres.ring
-    _require_duality_ok(ring)
     r = ring.nx
-    exts = ext_modules_for_duality(pres.resolution())
-    tops = {}
-    nonzero = {}
-    for i in range(r + 1):
-        ext = exts[r - i]
-        f0 = ext.gens_module
-        if all(ext.gb().contains(f0.basis_vector(k)) for k in range(f0.rank)):
-            tops[i] = None
-            nonzero[i] = False
-            continue
-        nonzero[i] = True
-        degs = resolution.minimal_presentation(ext).gens_module.shifts
-        indeg = min(s[0] for s in degs)
-        tops[i] = -indeg
-    alive = [i for i in range(r + 1) if nonzero[i]]
+    nums = _duality_numerators(pres.resolution())
+    tops = {i: -min(d[0] for d in nums[r - i]) if nums[r - i] else None
+            for i in range(r + 1)}
+    alive = [i for i in range(r + 1) if tops[i] is not None]
     if alive:
         krull = max(alive)
         depth = min(alive)

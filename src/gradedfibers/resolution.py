@@ -10,8 +10,13 @@ which are units at every fiber, since minimal resolutions need not exist
 globally.  The result keeps the raw complex it came from, which
 localcohom reads as the independent check of the minimal one.  Only
 Presentation.resolution calls free_resolution, and the presentation owns
-the complex.  The Ext modules (kept on the complex per twist) and the
-top dual cokernel are read off it; they never resolve the module.
+the complex.  The Ext modules, their Hilbert series numerators (each
+kept on the complex per twist) and the top dual cokernel are read off
+it; they never resolve the module.  The numerators serve the duality
+route of localcohom over a field, from one basis per transposed
+differential.  The Ext presentations serve loci.duality_exclusion_locus,
+which needs the modules themselves over the parameter base for their
+non-free loci.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ class Complex:
 
     raw is the complex that minimalize reduced to this one, None for a
     complex built directly.  kept holds what readers built from it, by
-    key: Ext modules per twist (ext_presentations) and inverse strands
-    per degree (localcohom.cohomology_strands).
+    key: Ext modules and Ext numerators per twist (ext_presentations,
+    ext_numerators) and inverse strands per degree
+    (localcohom.cohomology_strands).
     """
 
     __slots__ = ("modules", "maps", "raw", "kept")
@@ -193,6 +199,40 @@ def ext_presentations(res, twist=None):
     if ("ext", twist) not in res.kept:
         res.kept["ext", twist] = [_ext_at(res, j, twist) for j in range(ring.nx + 1)]
     return res.kept["ext", twist]
+
+
+def ext_numerators(res, twist=None):
+    """Hilbert series numerators of Ext^j(M, R(twist)) for j = 0..r over
+    the generic fiber, read off a resolution res of M as ext_presentations
+    reads the modules, and kept on res per twist.
+
+    Ext^j is ker d_{j+1}^T / im d_j^T inside F_j^*, so by rank-nullity
+    in each degree N(Ext^j) = Q_j - N(F_{j+1}^*) + Q_{j+1}, where Q_k is
+    the numerator of F_k^* / im d_k^T: the hilbert_numerator of one basis
+    of the transposed differential's columns, or N(F_k^*) when they are
+    all zero.  One basis per differential serves two values of j, and no
+    kernel is computed.  Like ext_presentations, it needs res to reach
+    past r or to have ended.
+    """
+    ring = res.ring
+    twist = ring.zero_degree() if twist is None else ring.deg_tuple(twist)
+    if ("extnum", twist) not in res.kept:
+        quotients, frees = [], []
+        for k in range(ring.nx + 2):
+            free = res.module(k).dual(twist)
+            cols = [c for c in res.map(k).transpose(twist).cols if c.data]
+            frees.append(groebner.free_numerator(free))
+            quotients.append(groebner.module_gb(cols, free).hilbert_numerator() if cols
+                             else frees[-1])
+        out = []
+        for j in range(ring.nx + 1):
+            num = dict(quotients[j])
+            for sign, part in ((-1, frees[j + 1]), (1, quotients[j + 1])):
+                for d, v in part.items():
+                    num[d] = num.get(d, 0) + sign * v
+            out.append({d: v for d, v in num.items() if v})
+        res.kept["extnum", twist] = out
+    return res.kept["extnum", twist]
 
 
 def _ext_at(res, j, twist):

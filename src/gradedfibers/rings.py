@@ -22,7 +22,6 @@ eliminating graded variables never mixes in parameters.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, itemgetter, neg
 
@@ -955,55 +954,6 @@ def _from_ints(p, terms, den=1):
     return {t: Fraction(c, den) for t, c in terms.items()}
 
 
-def _div_terms(terms, dterms, hkey, p):
-    """Exact quotient of two int term dicts, or AlgebraError.
-
-    The largest remaining term comes off a heap under hkey, the heap key
-    of the monomial order.  Coefficients are ints whose quotients must
-    be integers when p is 0, and ints mod p otherwise.
-    """
-    lead = min(dterms, key=hkey)
-    a = dterms[lead]
-    if p:
-        inv = pow(a, p - 2, p)
-    others = [(e, c) for e, c in dterms.items() if e != lead]
-    rest = dict(terms)
-    heap = [(hkey(e), e) for e in rest]
-    heapify(heap)
-    q = {}
-    while heap:
-        e = heappop(heap)[1]
-        c = rest.pop(e, None)
-        if c is None:
-            continue  # cancelled after it was queued
-        qe = tuple(x - y for x, y in zip(e, lead))
-        if min(qe) < 0:
-            raise AlgebraError("inexact division")
-        if p:
-            qc = c * inv % p
-        else:
-            qc, r = divmod(c, a)
-            if r:
-                raise AlgebraError("inexact division")
-        q[qe] = qc
-        for oe, oc in others:
-            ne = tuple(x + y for x, y in zip(qe, oe))
-            w = qc * oc
-            v = rest.get(ne)
-            if v is None:
-                rest[ne] = -w % p if p else -w
-                heappush(heap, (hkey(ne), ne))
-                continue
-            v = v - w
-            if p:
-                v %= p
-            if v:
-                rest[ne] = v
-            else:
-                del rest[ne]
-    return q
-
-
 # -- construction -------------------------------------------------------
 
 
@@ -1161,20 +1111,29 @@ def irreducible_factors(p):
     out: as the first generator it would give every factor degree 0.
     There is no multivariate factorization over GF(p) here, so there the
     list holds the primitive part of p alone.  A constant, zero included,
-    has no factors and never reaches sympy.
+    has no factors and never reaches sympy, and neither does a poly of
+    degree one, which is irreducible, nor a power of one variable, whose
+    one factor is that variable.
 
     Factorizations are memoized on p's ring, keyed by p's terms, so each
     distinct poly reaches sympy at most once per ring.  Each factor
     returned is recorded as its own factorization, so asking whether a
     factor is prime costs no sympy call.  That record is skipped when
     reducing a factor modulo the base relations changed it, since the
-    reduced poly need not be irreducible.
+    reduced poly need not be irreducible.  squarefree_part records the
+    factors of the products it builds in the same memo.
     """
     ring = p.ring
     if p.constant_value() is not None:
         return []
-    if ring.field.char:
+    if ring.field.char or all(sum(e) <= 1 for e in p.terms):
         return [p.primitive()]
+    if len(p.terms) == 1:
+        (e,) = p.terms
+        used = [i for i, a in enumerate(e) if a]
+        if len(used) == 1:
+            return [Poly(ring, {tuple(int(i == used[0]) for i in range(ring.nvars)):
+                                ring.field.one})]
     key = frozenset(p.terms.items())
     if key not in ring._factors:
         ring._factors[key] = _sympy_factors(p)
@@ -1219,10 +1178,15 @@ def squarefree_part(*polys, ring=None):
     ring = polys[0].ring if polys else ring
     if any(p.is_zero() for p in polys):
         return ring.zero()
+    factors = list(dict.fromkeys(f for p in polys for f in irreducible_factors(p)))
     acc = ring.one()
-    for f in dict.fromkeys(f for p in polys for f in irreducible_factors(p)):
+    for f in factors:
         acc = acc * f
-    return acc.primitive()
+    acc = acc.primitive()
+    if factors and not ring.base_rel:
+        # a product of distinct irreducibles: its factors are known
+        ring._factors.setdefault(frozenset(acc.terms.items()), factors)
+    return acc
 
 
 def transfer(p, target):

@@ -7,13 +7,15 @@ same machinery covers the inverse-monomial strands used for top local
 cohomology, where multiplication kills any term that escapes back to
 nonnegative exponents.
 
-Strand matrices are built directly as sparse rows, and every rank,
-reduction and minor runs on those rows through the elimination kernel
-of linalg: unit pivots first, then fraction-free elimination on what
-remains.  Ranks come in two flavors: at a rational fiber point (exact
-linear algebra over the field) and generically over the base, with a
-certifying minor whose nonvanishing locus is where the generic rank is
-attained.  The points where a strand's rank drops are read off its
+Strand matrices are built directly as sparse rows: each column of the
+map is grouped by (component, graded part) once, and the group's base
+coefficient is one Poly that every strand label of that column shares.
+Every rank, reduction and minor runs on those rows through the
+elimination kernel of linalg: unit pivots first, then fraction-free
+elimination on what remains.  Ranks come in two flavors: at a rational
+fiber point (exact linear algebra over the field) and generically over
+the base, with a certifying minor whose nonvanishing locus is where the
+generic rank is attained.  The points where a strand's rank drops are read off its
 cokernel (loci.rank_drop_locus); its minors ideals are the reference
 the tests hold that locus to.
 """
@@ -189,8 +191,8 @@ def strand_matrix(fmap, mu):
     ng = ring.ngraded
     pad = (0,) * ring.nz
 
-    def image(e, m):
-        return tuple(e[k] + m[k] for k in range(ng)) + pad
+    def image(g, m):
+        return tuple(g[k] + m[k] for k in range(ng)) + pad
 
     return _strand_of(fmap, rows, cols, image)
 
@@ -208,9 +210,9 @@ def inverse_strand_matrix(fmap, mu):
     ng = ring.ngraded
     pad = (0,) * ring.nz
 
-    def image(e, m):
-        new = tuple(e[k] + m[k] for k in range(ng))
-        if any(new[k] >= 0 for k in range(nx)):
+    def image(g, m):
+        new = tuple(g[k] + m[k] for k in range(ng))
+        if nx and max(new[:nx]) >= 0:
             return None  # escaped the inverse range: dies in cohomology
         return new + pad
 
@@ -218,33 +220,36 @@ def inverse_strand_matrix(fmap, mu):
 
 
 def _strand_of(fmap, rows, cols, image):
-    """Sparse rows of a strand: column (j, m) of the strand collects the
-    terms c * x^e * z^f of column j of fmap at row label (i, image(e, m)),
-    as the base coefficient c * z^f; terms with no image are dropped."""
+    """Sparse rows of a strand: column (j, m) of the strand holds, at row
+    label (i, image(g, m)), the base coefficient of column j of fmap at
+    (component i, graded part g), the sum of its terms c * z^f there;
+    parts with no image are dropped.  Each column of fmap is grouped by
+    (component, graded part) once, and a group's coefficient is one Poly
+    shared by every label of that column."""
     from .rings import Poly
 
     ring = fmap.ring
     ng = ring.ngraded
     zpad = (0,) * ng
     row_index = {lab: k for k, lab in enumerate(rows)}
+    groups = {}  # column of fmap -> [(component, graded part, coefficient)]
     data = [{} for _ in rows]
     for cidx, (j, m) in enumerate(cols):
-        acc = {}
-        for (i, e), c in fmap.cols[j].data.items():
-            xy = image(e, m)
+        group = groups.get(j)
+        if group is None:
+            acc = {}
+            for (i, e), c in fmap.cols[j].data.items():
+                acc.setdefault((i, e[:ng]), {})[zpad + e[ng:]] = c
+            group = groups[j] = [(i, g, Poly(ring, zterms)) for (i, g), zterms in acc.items()]
+        for i, g, coeff in group:
+            xy = image(g, m)
             if xy is None:
                 continue
-            slot = acc.setdefault((i, xy), {})
-            zexp = zpad + e[ng:]
-            prev = slot.get(zexp)
-            slot[zexp] = c if prev is None else prev + c
-        for lab, zterms in acc.items():
-            ridx = row_index.get(lab)
+            ridx = row_index.get((i, xy))
             if ridx is None:
                 raise AlgebraError("map is not homogeneous across the strand")
-            p = Poly(ring, {e: c for e, c in zterms.items() if c})
-            if p.terms:
-                data[ridx][cidx] = p
+            if coeff.terms:
+                data[ridx][cidx] = coeff
     return StrandMatrix(ring, rows, cols, data)
 
 

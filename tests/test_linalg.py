@@ -15,7 +15,7 @@ from math import gcd
 import pytest
 
 from gradedfibers import groebner, linalg, specialize, strands
-from gradedfibers.errors import BaseNotDomain
+from gradedfibers.errors import AlgebraError, BaseNotDomain
 from gradedfibers.rings import PrimeField, make_ring
 
 Rq = make_ring(["x"], [1])
@@ -304,6 +304,46 @@ def check_domain_det(ring, pool, rng):
             rows = rand_rows(rng, n, n, lambda: rng.choice(pool), density)
             want = cofactor_det(dense(rows, n, ring.zero()), ring)
             assert linalg.domain_det(rows, ring) == want
+
+
+R7 = make_ring(["x"], [1], params=["s", "t"], field=PrimeField(7))
+
+# entries of degree 30 and more: Bareiss multiplies them into minors of
+# degree near 200, whose packed exponent fields must not overflow
+PACKING_POOLS = {
+    Rst: ["s^31 - t^30", "s^17*t^15 + 2", "t^33", "s*t^29 - 1", "s - t", "3"],
+    R7: ["s^31 + 3*t^30", "s^16*t^15 - 2", "t^33", "s*t^29 + s", "s - t", "3"],
+    Rc: ["s*t^31 + 1", "t^30 - s", "s^2*t^28", "s + t", "t^32 - 2*s*t", "5"],
+}
+
+
+@pytest.mark.parametrize("ring", [Rst, R7, Rc], ids=["QQ[s,t]", "GF(7)[s,t]", "cusp"])
+def test_packed_bareiss_matches_cofactor(ring):
+    # the determinant and the certifying minor, with monomials packed into
+    # ints, against the cofactor expansion on Polys
+    rng = random.Random(37)
+    check_domain_det(ring, PACKING_POOLS[ring], rng)
+    pool = [ring.poly(s) for s in PACKING_POOLS[ring]]
+    for _ in range(10):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 6)
+        rows = rand_rows(rng, nr, nc, lambda: rng.choice(pool), 0.7)
+        m = dense(rows, nc, ring.zero())
+        rank, prows, pcols, minor = linalg.domain_rank(rows, ring)
+        sub = [[m[i][j] for j in pcols] for i in prows]
+        assert minor == (cofactor_det(sub, ring) if rank else ring.one())
+        assert groebner.matrix_rank_generic(m, ring) == (rank, sorted(prows), pcols, minor)
+
+
+def test_packed_division_reads_divisibility_off_the_guard_bits():
+    # s^3*t and s^2 divide exactly; s*t^2 by s^2 borrows out of the s field
+    rows, guard, unpack = linalg._packed(
+        [{0: {(0, 3, 1): 1}, 1: {(0, 1, 2): 1}, 2: {(0, 2, 0): 1}}], 3)
+    (s3t,), (st2,), (s2,) = (list(rows[0][j]) for j in range(3))
+    assert unpack(linalg._packed_div({s3t: 6}, {s2: 2}, guard, 0)) == {(0, 1, 1): 3}
+    with pytest.raises(AlgebraError, match="inexact"):
+        linalg._packed_div({st2: 1}, {s2: 1}, guard, 0)
+    with pytest.raises(AlgebraError, match="inexact"):
+        linalg._packed_div({s3t: 3}, {s3t: 2}, guard, 0)
 
 
 def test_generic_rank_needs_a_domain():

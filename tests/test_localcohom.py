@@ -117,10 +117,9 @@ def test_route_a_equals_route_b_randomized():
             gens.append(R2.monomial(a) - R2.monomial(b))
         pres = Presentation.cyclic(R2, gens)
         res = pres.resolution()
-        exts = localcohom.ext_modules_for_duality(res)
         for d in range(-4, 3):
             a_dims, _ = localcohom.route_dims_at_degree(res, (d,))
-            b_dims = localcohom.duality_dims_at_degree(exts, (d,))
+            b_dims = localcohom.duality_dims_at_degree(res, (d,))
             assert a_dims == b_dims, (gens, d)
 
 
@@ -152,8 +151,8 @@ def test_duality_routes_share_the_resolution(monkeypatch):
     assert len(seen) == 1
 
 
-def test_invariants_reuse_the_ext_modules_of_a_table(monkeypatch):
-    # the complex keeps its Ext modules, and each keeps its relation basis
+def test_invariants_reuse_the_ext_numerators_of_a_table(monkeypatch):
+    # the complex keeps the Ext numerators that the table's check read
     pres = Presentation.cyclic(R2, [R2.poly("x^2"), R2.poly("x*y")])
     localcohom.local_cohomology_table(pres, [(0,), (1,)])
 
@@ -162,8 +161,73 @@ def test_invariants_reuse_the_ext_modules_of_a_table(monkeypatch):
 
     monkeypatch.setattr(resolution, "_ext_at", rebuilt)
     monkeypatch.setattr(groebner, "module_gb", rebuilt)
+    monkeypatch.setattr(groebner, "_graph_kernel", rebuilt)
     inv = localcohom.cohomology_invariants(pres)
     assert (inv["dimension"], inv["depth"]) == (1, 0)
+
+
+def invariants_by_presentations(pres):
+    """The invariants as the Ext presentations give them: H^i vanishes
+    when Ext^{r-i}'s relations hold every generator, and its top degree
+    is minus the least generator degree of a minimal presentation."""
+    ring = pres.ring
+    r = ring.nx
+    twist = tuple(-a for a in ring.canonical_twist())
+    exts = resolution.ext_presentations(pres.resolution(), twist)
+    tops = {}
+    for i in range(r + 1):
+        ext = exts[r - i]
+        f0 = ext.gens_module
+        if all(ext.gb().contains(f0.basis_vector(k)) for k in range(f0.rank)):
+            tops[i] = None
+            continue
+        degs = resolution.minimal_presentation(ext).gens_module.shifts
+        tops[i] = -min(s[0] for s in degs)
+    alive = [i for i in range(r + 1) if tops[i] is not None]
+    return {
+        "top_degrees": tops,
+        "dimension": max(alive) if alive else -1,
+        "depth": min(alive) if alive else None,
+        "regularity": max(tops[i] + i for i in alive) if alive else None,
+    }
+
+
+def random_form(ring, deg, rng, terms):
+    p = ring.zero()
+    for m in rng.sample(ring.monomials_of_degree((deg,)), terms):
+        p = p + ring.monomial(m) * ring.constant(rng.randint(-3, 3) or 1)
+    return p
+
+
+def random_presentation(ring, rng):
+    """An ideal quotient or a rank-two module with shifts 0 and 1, each
+    relation of two or three terms in degree at most 3."""
+    if rng.random() < 0.5:
+        return Presentation.cyclic(
+            ring, [random_form(ring, rng.randint(1, 3), rng, rng.randint(1, 2))
+                   for _ in range(rng.randint(1, 3))])
+    f0 = FreeModule(ring, [(0,), (1,)])
+    cols = []
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(2, 3)
+        cols.append(f0.element([random_form(ring, d, rng, rng.randint(1, 2)),
+                                random_form(ring, d - 1, rng, 1)]))
+    return Presentation(FreeMap.from_columns(f0, cols))
+
+
+@pytest.mark.parametrize("field", [{}, {"field": PrimeField(32003)}], ids=["qq", "gf"])
+def test_ext_numerators_match_the_ext_presentations(field):
+    rng = random.Random(2202)
+    rings = [make_ring(["x", "y", "z", "w"][:n], [1] * n, **field) for n in (2, 3, 4)]
+    for case in range(15):
+        ring = rings[case % 3]
+        pres = random_presentation(ring, rng)
+        res = pres.resolution()
+        for twist in (None, tuple(-a for a in ring.canonical_twist())):
+            nums = resolution.ext_numerators(res, twist)
+            exts = resolution.ext_presentations(res, twist)
+            assert nums == [e.gb().hilbert_numerator() for e in exts], (case, twist)
+        assert localcohom.cohomology_invariants(pres) == invariants_by_presentations(pres), case
 
 
 # a bigraded field base: local cohomology is supported in (u, v)
@@ -235,16 +299,17 @@ def test_bigraded_cross_check_catches_an_off_by_one(broken, monkeypatch):
 
 
 def test_duality_cross_check_catches_an_off_by_one(monkeypatch):
-    real = localcohom.duality_dims_at_degree
+    # one coefficient of one Ext numerator off: the H^i it feeds disagrees
+    real = resolution.ext_numerators
 
-    def off_by_one(exts, mu):
-        dims = real(exts, mu)
-        dims[0] += 1
-        return dims
+    def off_by_one(res, twist=None):
+        nums = [dict(n) for n in real(res, twist)]
+        nums[2][(0,)] = nums[2].get((0,), 0) + 1  # [Ext^2]_0 is dual to [H^0]_0
+        return nums
 
-    monkeypatch.setattr(localcohom, "duality_dims_at_degree", off_by_one)
+    monkeypatch.setattr(resolution, "ext_numerators", off_by_one)
     pres = Presentation.cyclic(R2, [R2.poly("x^2"), R2.poly("x*y")])
-    with pytest.raises(DualityMismatch, match="strand route"):
+    with pytest.raises(DualityMismatch, match=r"H\^0 at \(0,\): strand route"):
         localcohom.local_cohomology_table(pres, [(0,), (1,)])
 
 
@@ -338,24 +403,29 @@ def test_weighted_grading_top_count():
         assert dims[(2, (-d,))] == count
 
 
-def test_duality_check_builds_one_basis_per_ext_module(monkeypatch):
-    # the twisted cubic's window [-3, 3]: every degree of the duality
-    # route reads the one relation basis of each Ext module
+def test_duality_check_builds_one_basis_per_transposed_differential(monkeypatch):
+    # the twisted cubic's window [-3, 3]: the duality route reads every
+    # degree off one basis per nonzero transposed differential, and
+    # computes no kernel
     R4 = make_ring(["a", "b", "c", "d"], [1, 1, 1, 1])
     cubic = Presentation.cyclic(
         R4, [R4.poly(g) for g in ("a*c - b^2", "a*d - b*c", "b*d - c^2")])
-    exts = []
-    real_exts = localcohom.ext_modules_for_duality
-    monkeypatch.setattr(localcohom, "ext_modules_for_duality",
-                        lambda res: exts.extend(real_exts(res)) or exts)
-    built = []
-    real_gb = groebner.module_gb
+    res = cubic.resolution()
+    assert [m.rank for m in res.modules] == [1, 3, 2]
+    built, kernels = [], []
+    real_gb, real_kernel = groebner.module_gb, groebner._graph_kernel
 
-    def spy(vectors, module=None, *args, **kwargs):
-        built.append(module)
+    def spy_gb(vectors, module=None, *args, **kwargs):
+        built.append(module.shifts)
         return real_gb(vectors, module, *args, **kwargs)
 
-    monkeypatch.setattr(groebner, "module_gb", spy)
+    def spy_kernel(*args, **kwargs):
+        kernels.append(args)
+        return real_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "module_gb", spy_gb)
+    monkeypatch.setattr(groebner, "_graph_kernel", spy_kernel)
     localcohom.local_cohomology_table(cubic, [(d,) for d in range(-3, 4)])
-    assert len(exts) == R4.nx + 1
-    assert [sum(m is ext.gens_module for m in built) for ext in exts] == [1] * len(exts)
+    # d_1^T and d_2^T, into F_1^* and F_2^* twisted by R(-4)
+    assert built == [((2,), (2,), (2,)), ((1,), (1,))]
+    assert kernels == []

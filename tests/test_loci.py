@@ -286,17 +286,29 @@ def test_loci_over_a_base_with_a_relation(tmp_path):
 
 
 def test_factor_memo_agrees_with_a_fresh_ring(monkeypatch, tmp_path):
-    # every poly the loci benchmark scripts and the loci goldens factor,
-    # and every factor the memo records as its own factorization, factors
-    # the same on a fresh ring with an empty memo
-    rings = []
+    # every poly the loci benchmark scripts and the loci goldens factor
+    # gets sympy's factors, also when it never reached sympy, and every
+    # factor list the memo records (a factor as its own factorization, a
+    # squarefree product as its factors) factors the same on a fresh ring
+    # with an empty memo
+    from gradedfibers import rings as rings_module, specialize
+    from gradedfibers.rings import _sympy_factors
+
+    rings, calls = [], []
     init = Ring.__init__
 
     def keep(self, *args, **kwargs):
         init(self, *args, **kwargs)
         rings.append(self)
 
+    def spy(p):
+        got = irreducible_factors(p)
+        calls.append((p, got))
+        return got
+
     monkeypatch.setattr(Ring, "__init__", keep)
+    for module in (rings_module, loci, specialize):
+        monkeypatch.setattr(module, "irreducible_factors", spy)
     here = Path(__file__).resolve().parent
     paths = sorted((here.parent / "perfbench" / "scripts").glob("loci_*.gf"))
     paths += [here / "golden" / (name + ".gf") for name in ("module_loci", "loci_points")]
@@ -304,8 +316,14 @@ def test_factor_memo_agrees_with_a_fresh_ring(monkeypatch, tmp_path):
         assert cli.run(script.parse(path.read_text(encoding="utf-8")),
                        out_dir=str(tmp_path / path.stem)) == 0
     monkeypatch.undo()
+    calls = [(p, got) for p, got in calls
+             if p.constant_value() is None and not p.ring.field.char]
+    assert len(calls) > 20
+    for p, got in calls:
+        want = _sympy_factors(Poly(p.ring._replace(), p.terms))
+        assert [f.terms for f in got] == [f.terms for f in want], p
     memos = [(ring, key, got) for ring in rings for key, got in ring._factors.items()]
-    assert len(memos) > 20
+    assert len(memos) > 10
     for ring, key, got in memos:
         fresh = ring._replace()
         want = irreducible_factors(Poly(fresh, dict(key)))

@@ -414,6 +414,36 @@ def test_constants_have_no_factors_and_skip_sympy(monkeypatch):
     assert seen == []
 
 
+def test_linear_forms_and_variable_powers_skip_sympy(monkeypatch):
+    from gradedfibers.rings import _sympy_factors
+
+    T = make_ring(["x"], [1], params=["s", "t"])
+    polys = [T.poly(src) for src in ("t", "t - 1", "2*s + 2*t", "t^2", "-3*s^4")]
+    want = [_sympy_factors(p) for p in polys]
+    seen = []
+    real = sympy.factor_list
+    monkeypatch.setattr(sympy, "factor_list",
+                        lambda f, *a, **k: seen.append(f) or real(f, *a, **k))
+    fresh = make_ring(["x"], [1], params=["s", "t"])  # nothing memoized
+    assert [irreducible_factors(fresh.poly(str(p))) for p in polys] == \
+        [[Poly(fresh, f.terms) for f in fs] for fs in want]
+    assert [[str(f) for f in fs] for fs in want] == [["t"], ["t - 1"], ["s + t"], ["t"], ["s"]]
+    assert seen == []
+
+
+def test_a_squarefree_product_is_refactored_without_sympy(monkeypatch):
+    T = make_ring(["x"], [1], params=["s", "t"])
+    p = T.poly("(s^2 + t)^2 * (s - t) * s * (t^2 + 1)")
+    sqf = loci.squarefree_part(p)
+    seen = []
+    real = sympy.factor_list
+    monkeypatch.setattr(sympy, "factor_list",
+                        lambda f, *a, **k: seen.append(f) or real(f, *a, **k))
+    assert sorted(map(str, irreducible_factors(sqf))) == \
+        sorted(map(str, irreducible_factors(p))) == ["s", "s - t", "s^2 + t", "t^2 + 1"]
+    assert seen == []
+
+
 def test_a_returned_factor_is_checked_prime_without_sympy(monkeypatch):
     from gradedfibers.specialize import FiberPoint
 
