@@ -151,7 +151,7 @@ def test_duality_routes_share_the_resolution(monkeypatch):
     assert len(seen) == 1
 
 
-def test_invariants_reuse_the_ext_numerators_of_a_table(monkeypatch):
+def test_invariants_reuse_the_ext_modules_of_a_table(monkeypatch):
     # the complex keeps the Ext numerators that the table's check read
     pres = Presentation.cyclic(R2, [R2.poly("x^2"), R2.poly("x*y")])
     localcohom.local_cohomology_table(pres, [(0,), (1,)])
