@@ -5,8 +5,8 @@ Two eliminations run on that representation.
 
 Unit-pivot elimination splits off entries that are units of the base,
 taking the first row that holds a unit, at its first unit column.  It
-serves strand matrices and the differentials of a resolution
-(resolution.minimalize).  A matrix of constants over a field base
+serves strand matrices and the differentials of a resolution, which
+resolution.free_resolution cancels as it resolves.  A matrix of constants over a field base
 (every strand there) has every nonzero entry a unit: the coefficients
 are taken out once and eliminated as plain scalars (Fraction over QQ,
 ints mod p over GF(p)).  Every other matrix, over any base, runs on the

@@ -15,11 +15,12 @@ whenever the grading allows it: each degree is a coefficient of the
 Hilbert series of an Ext module, whose numerator comes from the bases
 of the transposed differentials (resolution.ext_numerators), one basis
 per differential, with no kernel and no Ext presentation built.  The
-invariants read the same numerators.  Otherwise the check reruns the
-strand route on the raw resolution that the minimal one was cut down
-from, which differs from it by split exact pieces only.  Resolving the module
-a second time would add no independence, since resolving is
-deterministic.  Disagreement between routes is not a mathematical
+invariants read the same numerators, and neither builds the raw
+resolution.  Otherwise the check reruns the strand route on the raw
+resolution (Complex.raw), built on this first read: the same kernel
+loop without the unit cancellation, so its kernels are taken on the
+unpruned differentials, and it differs from the minimal one by split
+exact pieces only.  Disagreement between routes is not a mathematical
 possibility; it raises DualityMismatch and means the engine is broken.
 """
 
@@ -63,14 +64,18 @@ def cohomology_strands(res, mu):
     d_{r-i+1} and d_{r-i}.  Each strand of d_0 .. d_{r+1} (zero maps at
     both ends) is built once, so the strand of d_j serves H^{r-j} as
     lam_out and H^{r-j+1} as lam_in, and its memoized generic rank is
-    shared too.  res keeps the pairs of each degree unless it is raw.
+    shared too.  The inverse strand labels of each F_k (F_-1 and those
+    past the complex are zero) are built once and serve the two strands
+    that border it.  res keeps the pairs of each degree unless it is raw.
     """
     pairs = res.kept.get(("strands", mu))
     if pairs is None:
         r = res.ring.nx
-        lam = [strands.inverse_strand_matrix(res.map(j), mu) for j in range(r + 2)]
+        labels = [strands.inverse_strand_basis(res.module(k), mu) for k in range(-1, r + 2)]
+        lam = [strands.inverse_strand_matrix(res.map(j), labels[j], labels[j + 1])
+               for j in range(r + 2)]
         pairs = [(lam[r - i + 1], lam[r - i]) for i in range(r + 1)]
-        if res.raw is not None:  # a raw complex is read once, by the cross check
+        if res.pruned:  # a raw complex is read once, by the cross check
             res.kept[("strands", mu)] = pairs
     return pairs
 
@@ -162,9 +167,10 @@ def _cross_validate(res, degrees, dims):
 
     Singly graded, the duality route recomputes them from the Hilbert
     series of the Ext modules of res, whose numerators come from one
-    basis per transposed differential (resolution.ext_numerators).
-    Otherwise the strand route reruns on res.raw, the resolution before
-    minimalization, whose extra terms form split exact pieces.
+    basis per transposed differential (resolution.ext_numerators), and
+    res.raw stays unbuilt.  Otherwise the strand route reruns on res.raw,
+    the kernel walk without unit cancellation, built on its first read,
+    whose extra terms form split exact pieces.
     """
     ring = res.ring
     if ring.nz:

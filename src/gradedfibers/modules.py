@@ -345,14 +345,14 @@ class Presentation:
 
     def resolution(self):
         """The module's resolution, memoized: length nx + 1, enough for
-        every H^i, after resolution.minimalize (minimal over a field; over
-        a parameter base less its constant units).  Its raw attribute is
-        the raw resolution, which the cross check of the cohomology
-        routes reads."""
+        every H^i, with units cancelled as it is built (minimal over a
+        field; over a parameter base less its constant units).  Its raw
+        attribute, built on first read, is the resolution without the
+        cancellation, which the cross check of multigraded tables reads."""
         if self._resolution is None:
-            from .resolution import free_resolution, minimalize
+            from .resolution import free_resolution
 
-            self._resolution = minimalize(free_resolution(self, self.ring.nx + 1))
+            self._resolution = free_resolution(self, self.ring.nx + 1)
         return self._resolution
 
     def evaluate(self, fiber):

@@ -1,14 +1,19 @@
 """Free resolutions, duals and Ext presentations.
 
-Resolutions are built stepwise from kernel Groebner bases, which leaves
-them far from minimal: the rational quartic resolves with ranks
-[1, 4, 9, 15, 20, 22] against a minimal [1, 4, 4, 1].  minimalize
-cancels the unit entries (nonzero constants) through the unit-pivot
-kernel of linalg, over any base.  Over a field the result is the minimal
-resolution; over a parameter base it prunes only the constant units,
-which are units at every fiber, since minimal resolutions need not exist
-globally.  The result keeps the raw complex it came from, which
-localcohom reads as the independent check of the minimal one.  Only
+free_resolution resolves a presented module minimally as it goes: each
+differential's columns are a kernel Groebner basis of the previous
+differential, and before that kernel is taken the unit entries (nonzero
+constants) of the differential are cancelled through the unit-pivot
+kernel of linalg, so every kernel is taken on the pruned Schur
+complement.  Over a field the result is the minimal resolution: the
+rational quartic resolves with ranks [1, 4, 4, 1].  Over a parameter
+base it prunes only the constant units, which are units at every fiber,
+since minimal resolutions need not exist globally.  The same kernel loop
+without the cancellation gives the raw resolution, far from minimal (the
+quartic's is [1, 4, 9, 15, 20, 22]); the minimal complex builds it on
+the first read of its raw attribute, and localcohom reads it as the
+independent check of multigraded field-base tables.  minimalize runs the
+same cancellation stage over a complex already built.  Only
 Presentation.resolution calls free_resolution, and the presentation owns
 the complex.  The Ext modules, their Hilbert series numerators (each
 kept on the complex per twist) and the top dual cokernel are read off
@@ -21,6 +26,8 @@ non-free loci.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import AlgebraError
 from .modules import FreeMap, FreeModule, Presentation, Vector
 from .rings import Poly
@@ -30,22 +37,35 @@ from . import groebner, linalg
 class Complex:
     """A chain complex of free modules: maps[i-1] is d_i : F_i -> F_{i-1}.
 
-    raw is the complex that minimalize reduced to this one, None for a
-    complex built directly.  kept holds what readers built from it, by
-    key: Ext modules and Ext numerators per twist (ext_presentations,
-    ext_numerators) and inverse strands per degree
-    (localcohom.cohomology_strands).
+    raw is the complex that unit cancellation cut this one down from,
+    None for a complex built directly.  free_resolution's complex holds
+    the raw walk unbuilt and builds it on the first read of raw; pruned
+    tells whether there is a raw complex without building it.  kept holds
+    what readers built from it, by key: Ext modules and Ext numerators
+    per twist (ext_presentations, ext_numerators) and inverse strands per
+    degree (localcohom.cohomology_strands).
     """
 
-    __slots__ = ("modules", "maps", "raw", "kept")
+    __slots__ = ("modules", "maps", "_raw", "kept")
 
     def __init__(self, modules, maps, raw=None):
         self.modules = list(modules)
         self.maps = list(maps)
-        self.raw = raw
+        self._raw = raw  # a Complex, or a function that builds it
         self.kept = {}
         if len(self.modules) != len(self.maps) + 1:
             raise AlgebraError("a complex needs one more module than maps")
+
+    @property
+    def raw(self):
+        if callable(self._raw):
+            self._raw = self._raw()
+        return self._raw
+
+    @property
+    def pruned(self):
+        """Whether this complex was cut down from a raw one."""
+        return self._raw is not None
 
     @property
     def ring(self):
@@ -98,67 +118,121 @@ class Complex:
 
 
 def free_resolution(pres, length):
-    """Resolution of the presented module out to homological degree `length`.
+    """Resolution of the presented module out to homological degree
+    `length`, with each differential's unit entries cancelled before its
+    kernel is taken: minimal over a field, less its constant units over
+    a parameter base.
 
-    The tail map is pres.relations as given; each further map's columns
-    are a kernel Groebner basis of the previous one.  Stops early when a
-    kernel vanishes.
+    d_1 is pres.relations less its unit pivots.  The complex's raw is
+    the same walk without the cancellation, built on its first read from
+    the relations map alone, so it holds no reference to pres.
     """
-    modules = [pres.gens_module]
-    maps = []
-    current = pres.relations
-    for _step in range(1, length + 1):
-        modules.append(current.source)
-        maps.append(current)
-        if _step == length:
+    return _walk(pres.relations, length, True)
+
+
+def _walk(relations, length, cancel):
+    """The kernel loop: d_1 is relations and each further map's columns
+    are a kernel Groebner basis of the previous one, taken after that one
+    lost its unit pivots when cancel is set.  Stops early when a kernel
+    vanishes."""
+    stages = _Cancellation(relations.target) if cancel else None
+    modules, maps = [relations.target], []
+    current = relations
+    for step in range(1, length + 1):
+        if stages is None:
+            modules.append(current.source)
+            maps.append(current)
+        else:
+            stages.cancel(current, range(current.target.rank))
+            current = stages.map(step)
+        if step == length:
             break
         ker = groebner.kernel_gens(current)
         if not ker:
             break
         current = FreeMap.from_columns(current.source, ker, check=False)
-    return Complex(modules, maps)
+    if stages is None:
+        return Complex(modules, maps)
+    return stages.complex(partial(_walk, relations, length, False))
 
 
 def minimalize(complex_):
     """Homotopy-reduce away unit entries; minimal over a field.
 
     The result keeps complex_ as its raw.  Stage by stage from d_1 up,
-    linalg.unit_pivots cancels the unit entries of d_i and replaces d_i
-    by the Schur complement of its pivots.  A pivot at row r, column c
-    of d_i drops basis element r of F_{i-1}, a column of d_{i-1}, and
-    basis element c of F_i, a row of d_{i+1}.  Dropping only deletes
-    entries, so no stage gains a unit after its turn.
+    the cancellation stage that free_resolution runs while it resolves
+    (_Cancellation.cancel) takes d_i's unit pivots.
     """
-    ring = complex_.ring
-    alive = [list(range(m.rank)) for m in complex_.modules]  # surviving basis
-    residuals = []  # d_i's rows that took no pivot, by F_{i-1} index
+    stages = _Cancellation(complex_.module(0))
     for i in range(1, complex_.length + 1):
-        rows = alive[i - 1]
-        pivots, residual = linalg.unit_pivots(_sparse_rows(complex_.map(i), rows), ring)
-        residuals.append({rows[k]: row for k, row in residual.items()})
-        alive[i - 1] = [r for k, r in enumerate(rows) if k in residual]
-        dropped = {c for _k, c in pivots}
-        alive[i] = [c for c in alive[i] if c not in dropped]
+        stages.cancel(complex_.map(i), stages.alive[i - 1])
+    return stages.complex(complex_)
 
-    # a zero module past F_0 ends the complex: stages beyond it are what a
-    # truncated resolution leaves uncancelled, not part of the resolution
-    end = next((i for i in range(1, len(alive)) if not alive[i]), len(alive))
-    modules = [FreeModule(ring, [complex_.modules[k].shifts[j] for j in alive[k]])
-               for k in range(end)]
-    maps = []
-    for i in range(1, end):
-        col_index = {c: n for n, c in enumerate(alive[i])}
-        cols = [{} for _ in alive[i]]
-        for n, r in enumerate(alive[i - 1]):
-            for c, p in residuals[i - 1][r].items():
+
+class _Cancellation:
+    """Unit cancellation of a complex's differentials, one stage per map
+    from d_1 up.
+
+    modules[k] is F_k as it came in, alive[k] the indices of its basis
+    elements that survive so far, and residuals[i-1] the rows of d_i that
+    took no pivot, by F_{i-1} index, each a sparse row {F_i index: Poly}.
+    """
+
+    __slots__ = ("ring", "modules", "alive", "residuals")
+
+    def __init__(self, f0):
+        self.ring = f0.ring
+        self.modules = [f0]
+        self.alive = [list(range(f0.rank))]
+        self.residuals = []
+
+    def cancel(self, fmap, rows):
+        """Take d_i = fmap, whose rows at `rows` are the survivors of
+        F_{i-1}, in order.
+
+        linalg.unit_pivots cancels the unit entries of d_i and replaces
+        d_i by the Schur complement of its pivots.  A pivot at row r,
+        column c of d_i drops basis element r of F_{i-1}, a column of
+        d_{i-1}, and basis element c of F_i, a row of d_{i+1}.  Dropping
+        only deletes entries, so no stage gains a unit after its turn.
+        """
+        survivors = self.alive[-1]
+        pivots, residual = linalg.unit_pivots(_sparse_rows(fmap, rows), self.ring)
+        self.residuals.append({survivors[k]: row for k, row in residual.items()})
+        self.alive[-1] = [r for k, r in enumerate(survivors) if k in residual]
+        dropped = {c for _k, c in pivots}
+        self.modules.append(fmap.source)
+        self.alive.append([c for c in range(fmap.source.rank) if c not in dropped])
+
+    def module(self, k):
+        """The survivors of F_k."""
+        return FreeModule(self.ring, [self.modules[k].shifts[j] for j in self.alive[k]])
+
+    def map(self, i):
+        """d_i between the survivors of F_i and F_{i-1}."""
+        source, target = self.module(i), self.module(i - 1)
+        col_index = {c: n for n, c in enumerate(self.alive[i])}
+        cols = [{} for _ in self.alive[i]]
+        residual = self.residuals[i - 1]
+        for n, r in enumerate(self.alive[i - 1]):
+            for c, p in residual[r].items():
                 k = col_index.get(c)
                 if k is not None:
                     for e, coef in p.terms.items():
                         cols[k][(n, e)] = coef
-        target = modules[i - 1]
-        maps.append(FreeMap(modules[i], target, [Vector(target, d) for d in cols],
-                            check=False))
-    return Complex(modules, maps, raw=complex_)
+        return FreeMap(source, target, [Vector(target, d) for d in cols], check=False)
+
+    def complex(self, raw):
+        """The survivors as a complex whose raw is `raw`.
+
+        A zero module past F_0 ends it: stages beyond it are what a
+        truncated resolution leaves uncancelled, not part of the
+        resolution.
+        """
+        alive = self.alive
+        end = next((i for i in range(1, len(alive)) if not alive[i]), len(alive))
+        return Complex([self.module(k) for k in range(end)],
+                       [self.map(i) for i in range(1, end)], raw=raw)
 
 
 def _sparse_rows(fmap, rows):

@@ -197,15 +197,16 @@ def strand_matrix(fmap, mu):
     return _strand_of(fmap, rows, cols, image)
 
 
-def inverse_strand_matrix(fmap, mu):
+def inverse_strand_matrix(fmap, rows, cols):
     """Strand of the map induced on top local cohomology of free modules.
 
-    Basis labels carry negative x exponents; multiplying by a monomial
-    adds exponents and kills the term if any x exponent becomes >= 0.
+    rows and cols are the inverse_strand_basis labels of the target and
+    the source at one degree, which the caller shares between the two
+    strands that border a module.  Basis labels carry negative x
+    exponents; multiplying by a monomial adds exponents and kills the
+    term if any x exponent becomes >= 0.
     """
     ring = fmap.ring
-    rows = inverse_strand_basis(fmap.target, mu)
-    cols = inverse_strand_basis(fmap.source, mu)
     nx = ring.nx
     ng = ring.ngraded
     pad = (0,) * ring.nz

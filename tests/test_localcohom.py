@@ -12,7 +12,7 @@ import pytest
 from gradedfibers.errors import AlgebraError, DualityMismatch
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
 from gradedfibers.rings import PrimeField, make_ring
-from gradedfibers import groebner, localcohom, loci, resolution, specialize
+from gradedfibers import groebner, localcohom, loci, resolution, specialize, strands
 
 
 R2 = make_ring(["x", "y"], [1, 1])
@@ -266,7 +266,8 @@ def test_bigraded_table_reads_the_minimal_complex_and_checks_the_raw(monkeypatch
     # one resolution, whose raw form the check reads: ranks [1, 3, 3, 1]
     # against the minimal [1, 1] of the table
     assert len(built) == 1
-    assert [m.rank for m in built[0].modules] == [1, 3, 3, 1]
+    assert [m.rank for m in built[0].modules] == [1, 1]
+    assert [m.rank for m in built[0].raw.modules] == [1, 3, 3, 1]
     # the redundant generators change nothing: the table is that of R/(f)
     plain = Presentation.cyclic(RB, [RB.poly("x^2*v^2 - 3*x*y*u*v + 2*y^2*u^2")])
     assert tab.dims == table_dict(plain, BIGRADED_DEGREES)
@@ -429,3 +430,27 @@ def test_duality_check_builds_one_basis_per_transposed_differential(monkeypatch)
     # d_1^T and d_2^T, into F_1^* and F_2^* twisted by R(-4)
     assert built == [((2,), (2,), (2,)), ((1,), (1,))]
     assert kernels == []
+
+
+def test_strands_share_the_labels_of_each_free_module(monkeypatch):
+    # the twisted cubic's window [-3, 3]: the inverse strand labels of each
+    # F_k, from F_-1 = 0 to F_{r+1}, are built once per degree and serve
+    # both strands that border it
+    R4 = make_ring(["a", "b", "c", "d"], [1, 1, 1, 1])
+    cubic = Presentation.cyclic(
+        R4, [R4.poly(g) for g in ("a*c - b^2", "a*d - b*c", "b*d - c^2")])
+    res = cubic.resolution()
+    calls = []
+    real = strands.inverse_strand_basis
+
+    def spy(module, mu):
+        calls.append((module.shifts, mu))
+        return real(module, mu)
+
+    monkeypatch.setattr(strands, "inverse_strand_basis", spy)
+    window = [(d,) for d in range(-3, 4)]
+    localcohom.local_cohomology_table(cubic, window)
+    r = R4.nx
+    per_degree = [res.module(k).shifts for k in range(-1, r + 2)]
+    assert calls == [(shifts, mu) for mu in window for shifts in per_degree]
+    assert per_degree[1:4] == [((0,),), ((2,),) * 3, ((3,),) * 2]

@@ -183,13 +183,13 @@ def test_jump_loci_reuse_the_strands_of_a_table(monkeypatch):
     pres = rank_two_example()
     localcohom.local_cohomology_table(pres, [(0,), (1,)])
     built = []
-    real = strands.inverse_strand_matrix
+    real = strands.inverse_strand_basis
 
-    def spy(fmap, mu):
+    def spy(module, mu):
         built.append(mu)
-        return real(fmap, mu)
+        return real(module, mu)
 
-    monkeypatch.setattr(strands, "inverse_strand_matrix", spy)
+    monkeypatch.setattr(strands, "inverse_strand_basis", spy)
     out = loci.cohomology_jump_loci(pres, [(0,), (1,), (2,)])
     assert set(built) == {(2,)}
     assert out == loci.cohomology_jump_loci(rank_two_example(), [(0,), (1,), (2,)])

@@ -1,12 +1,14 @@
 """Free resolutions, minimalization, Ext presentations."""
 
+import gc
 import random
+from functools import partial
 
 import pytest
 
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
 from gradedfibers.rings import PrimeField, make_ring
-from gradedfibers import resolution
+from gradedfibers import localcohom, resolution
 
 
 R2 = make_ring(["x", "y"], [1, 1])
@@ -234,3 +236,134 @@ def test_minimalize_matches_the_dense_loop(name):
         # the same terms, in the same order
         assert [list(c.data.items()) for c in g.cols] == [list(c.data.items()) for c in w.cols]
     got.check()
+
+
+# seeded draws for the walk's properties: coefficient pools per base, the
+# constants among them units that the walk has to cancel
+WALK_BASES = {
+    "QQ": (make_ring(["x", "y", "z"], [1, 1, 1]), ("1", "2", "-3")),
+    "GF(32003)": (make_ring(["x", "y", "z"], [1, 1, 1], field=PrimeField(32003)),
+                  ("1", "2", "-3")),
+    "QQ[t]": (make_ring(["x", "y", "z"], [1, 1, 1], params=["t"]),
+              ("1", "-2", "t", "(t - 1)")),
+    "QQ[s,t]": (make_ring(["x", "y", "z"], [1, 1, 1], params=["s", "t"]),
+                ("1", "3", "s", "t", "(s + t)")),
+    "cusp": (make_ring(["x", "y", "z"], [1, 1, 1], params=["s", "t"],
+                       relations=["s^2 - t^3"]), ("1", "-1", "s", "t")),
+}
+
+
+def _form(rng, ring, degree, coeffs):
+    """A form of the given x-degree: up to three terms, or rarely zero."""
+    if rng.random() < 0.1:
+        return ring.zero()
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        mono = [rng.choice(ring.names[:ring.nx]) for _ in range(degree)]
+        terms.append("*".join([rng.choice(coeffs)] + mono))
+    return ring.poly(" + ".join(terms))
+
+
+def walk_draws(name, count=8):
+    """count presentations over the named base, alternately ideals with
+    two or three generators of degree 1 to 3 and rank-two modules with
+    generators in degrees 0 and 0 or 1, whose degree-zero entries may be
+    units.  Half of them get a redundant relation, a linear multiple of
+    the first, whose syzygy has a unit entry."""
+    ring, coeffs = WALK_BASES[name]
+    rng = random.Random("walk-" + name)
+    out = []
+    for k in range(count):
+        if k % 2 == 0:
+            target = FreeModule(ring, [(0,)])
+            shifts = (0,)
+        else:
+            shifts = rng.choice([(0, 1), (0, 0)])
+            target = FreeModule(ring, [(s,) for s in shifts])
+        cols = []
+        for _ in range(rng.randint(2, 3)):
+            degree = rng.randint(1, 3 if len(shifts) == 1 else 2)
+            col = target.element([_form(rng, ring, degree - s, coeffs) for s in shifts])
+            if col:
+                cols.append(col)
+        if not cols:
+            cols.append(target.element([ring.poly("x")] + [ring.zero()] * (len(shifts) - 1)))
+        if k % 4 < 2:
+            cols.append(cols[0].scale(_form(rng, ring, 1, coeffs) or ring.poly("y")))
+        out.append(Presentation(FreeMap.from_columns(target, cols)))
+    return out
+
+
+def _has_unit_entry(complex_):
+    return any((v := p.constant_value()) is not None and v
+               for fmap in complex_.maps for row in fmap.entries() for p in row)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_BASES))
+def test_the_walk_resolves_minimally_as_it_goes(name):
+    for pres in walk_draws(name):
+        res = pres.resolution()
+        res.check()
+        # constant units are units at every fiber: none survives the walk,
+        # and over a field that makes the complex minimal
+        assert not _has_unit_entry(res), pres
+        assert res.pruned and res.raw.raw is None
+        got = [m.shifts for m in res.modules]
+        want = [m.shifts for m in resolution.minimalize(res.raw).modules]
+        if pres.ring.nz:
+            # F_{r+1} is a kernel basis that no later stage prunes, and over
+            # a parameter base pruning constant units leaves it unique only
+            # up to units that are not constant: the QQ[s,t] draws hold one
+            # whose F_4 has rank 1 from the walk and 4 from minimalize
+            got, want = got[:pres.ring.nx + 1], want[:pres.ring.nx + 1]
+        assert got == want, pres
+        for d in range(-3, 3):
+            assert (localcohom.route_dims_at_degree(res, (d,))[0]
+                    == localcohom.route_dims_at_degree(res.raw, (d,))[0]), (pres, d)
+
+
+RB = make_ring(["u", "v"], [(1, 0), (1, 0)], yvars=["x", "y"],
+               ydegrees=[(0, 1), (0, 1)])
+
+
+def _count_raw_walks(monkeypatch):
+    walks = []
+    real = resolution._walk
+
+    def spy(relations, length, cancel):
+        walks.append(cancel)
+        return real(relations, length, cancel)
+
+    monkeypatch.setattr(resolution, "_walk", spy)
+    return walks
+
+
+@pytest.mark.parametrize("name", ["QQ", "GF(32003)"])
+def test_a_singly_graded_field_table_never_builds_the_raw_complex(name, monkeypatch):
+    walks = _count_raw_walks(monkeypatch)
+    for pres in walk_draws(name, 4):
+        localcohom.local_cohomology_table(pres, [(d,) for d in range(-3, 3)])
+        localcohom.cohomology_invariants(pres)
+    assert walks == [True] * 4
+
+
+def test_a_bigraded_field_table_builds_the_raw_complex_once(monkeypatch):
+    walks = _count_raw_walks(monkeypatch)
+    f = RB.poly("x^2*v^2 - 3*x*y*u*v + 2*y^2*u^2")
+    pres = Presentation.cyclic(RB, [f, RB.poly("u") * f, RB.poly("y") * f])
+    localcohom.local_cohomology_table(pres, [(-1, 2), (-4, 3)])
+    localcohom.local_cohomology_table(pres, [(-6, 2), (0, 0)])
+    assert walks == [True, False]
+    assert [m.rank for m in pres.resolution().modules] == [1, 1]
+    assert [m.rank for m in pres.resolution().raw.modules] == [1, 3, 3, 1]
+
+
+def test_the_unbuilt_raw_complex_holds_no_presentation():
+    # the raw walk waits on the relations map alone: a presentation and
+    # the complex it owns form no reference cycle
+    pres = walk_draws("QQ", 1)[0]
+    res = pres.resolution()
+    assert res.pruned
+    assert not any(isinstance(r, partial) for r in gc.get_referrers(pres))
+    assert [m.rank for m in res.modules] == [1, 2, 1]
+    assert [m.rank for m in res.raw.modules] == [1, 3, 3, 1]

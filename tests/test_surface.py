@@ -130,3 +130,8 @@ def test_one_place_resolves_a_module():
               for scope in _places_naming(ast.parse(p.read_text(encoding="utf-8")),
                                           "free_resolution")}
     assert places == {"modules.Presentation.resolution"}
+    # the kernel loop runs only inside the resolution routine, or as the
+    # raw complex it leaves unbuilt until read
+    walks = {"%s.%s" % (p.stem, scope) for p in sorted(SRC.glob("*.py"))
+             for scope in _places_naming(ast.parse(p.read_text(encoding="utf-8")), "_walk")}
+    assert walks == {"resolution.free_resolution", "resolution._walk"}
