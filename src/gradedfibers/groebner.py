@@ -25,7 +25,10 @@ where generators enter and where bases, normal forms and quotients leave.
 Kernels, syzygies and preimages all go through one graph construction:
 a Groebner basis of {(phi(e_j), e_j)} in target (+) source with the
 target block dominating; basis elements supported in the source block
-are exactly a basis of the kernel.
+are exactly a basis of the kernel.  Meets and colons of ideals are
+preimages too: {r : r*c_i in J_i for all i} is the preimage of
+(+) J_i*e_i under r -> (r*c_i)_i, one graph basis for any number of
+ideals (_meet).
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ __all__ = [
     "kernel_gens",
     "preimage_gens",
     "subquotient_presentation",
-    "colon_element",
     "colon_ideal",
     "saturate_ideal",
     "intersect_ideals",
@@ -618,31 +620,33 @@ def subquotient_presentation(gens, rel_gens, module):
 # -- ideal arithmetic ------------------------------------------------------
 
 
-def _as_ideal_vectors(gens, ring):
-    module = FreeModule(ring, [ring.zero_degree()])
-    return module, [module.element([ring.poly(g)]) for g in gens]
-
-
-def colon_element(gens, f, ring=None):
-    """(gens) : f for an ideal; returns ideal generators."""
-    ring = ring or f.ring
-    module, vecs = _as_ideal_vectors(gens, ring)
-    fmap = FreeMap.from_columns(module, [module.element([f])], check=False)
-    pre = preimage_gens(fmap, vecs)
-    return [v.component(0) for v in pre if v.data]
+def _meet(cols, ideals, ring):
+    """{r : r*cols[i] in ideals[i] for every i}, as ideal generators: the
+    preimage of (+) ideals[i]*e_i under r -> (r*cols[i])_i, read off one
+    graph basis (Singular's modulo; Greuel & Pfister, 2.8).  Component i
+    is shifted by -deg cols[i] so the map is graded; a zero column has no
+    degree and keeps shift 0."""
+    cols = [ring.poly(c) for c in cols]
+    target = FreeModule(ring, [tuple(-a for a in ring.degree_of(c) or ring.zero_degree())
+                               for c in cols])
+    fmap = FreeMap(FreeModule(ring, [ring.zero_degree()]), target,
+                   [target.element(cols)], check=False)
+    zeros = [ring.zero()] * len(cols)
+    subgens = [target.element(zeros[:i] + [ring.poly(g)] + zeros[i + 1:])
+               for i, ideal in enumerate(ideals) for g in ideal]
+    out = [v.component(0) for v in preimage_gens(fmap, subgens)]
+    return [p for p in out if not p.is_zero()]
 
 
 def colon_ideal(gens, others, ring=None):
-    """(gens) : (others), via intersection over the second ideal's generators."""
+    """(gens) : (others), as the one preimage {r : r*f in (gens) for
+    every f in others}."""
     others = list(others)
     if not others:
         raise AlgebraError("colon by the zero ideal")
     ring = ring or others[0].ring
-    result = None
-    for f in others:
-        part = colon_element(gens, ring.poly(f), ring)
-        result = part if result is None else intersect_ideals(result, part, ring)
-    return result
+    gens = list(gens)
+    return _meet(others, [gens] * len(others), ring)
 
 
 def saturate_ideal(gens, others, ring=None):
@@ -650,9 +654,10 @@ def saturate_ideal(gens, others, ring=None):
 
     Homogeneous ideals saturated by the whole x-block of a standard
     graded grevlex ring take Bayer's route, which returns the unit ideal
-    at once when the ideal's own basis shows it primary to that block;
-    every other input iterates colons.  Both return the same reduced
-    basis.
+    at once when the ideal's own basis shows it primary to that block
+    and otherwise meets its per-variable stages in one preimage (_meet);
+    every other input iterates colons, each one preimage.  Both return
+    the same reduced basis.
     """
     others = list(others)
     ring = ring or others[0].ring
@@ -688,7 +693,8 @@ def _bayer_applies(gens, others, ring):
 
 
 def _saturate_bayer(gens, ring):
-    """I : m^infinity as the meet over i of I : x_i^infinity.
+    """I : m^infinity as the meet over i of I : x_i^infinity, taken as
+    one preimage (_meet) of all nx stages.
 
     With x_i last in grevlex, x_i divides a homogeneous element exactly
     as often as it divides the element's lead, so dividing every element
@@ -707,7 +713,7 @@ def _saturate_bayer(gens, ring):
     native = ideal_gb(gens, ring=ring)
     if _pure_x_powers([g.leading_monomial() for g in native], nx):
         return [ring.one()]
-    result = None
+    parts = []
     for i in range(nx):
         if i == nx - 1:
             basis = native
@@ -721,8 +727,8 @@ def _saturate_bayer(gens, ring):
             a = min(e[i] for e in g.terms)
             part.append(Poly(ring, {e[:i] + (e[i] - a,) + e[i + 1:]: c
                                     for e, c in g.terms.items()}, _reduce=False))
-        result = part if result is None else intersect_ideals(result, part, ring)
-    return result if nx > 1 else ideal_gb(result, ring=ring)
+        parts.append(part)
+    return ideal_gb(_meet([1] * nx, parts, ring), ring=ring)
 
 
 def _pure_x_powers(leads, nx):
@@ -755,9 +761,8 @@ def intersect_ideals(gens_a, gens_b, ring=None):
     A side holding a nonzero constant is the unit ideal, so the meet is
     the other side's reduced basis, returned with no graph kernel: the
     reduced basis is unique, so it is the one the kernel would give.
-    The zero poly is no unit.  Otherwise the meet is the first
-    coordinate of the kernel of (c, u, v) -> (c + u.a, c + v.b), read
-    off one graph basis.
+    The zero poly is no unit.  Otherwise the meet is one preimage
+    (_meet) with both columns 1.
     """
     gens_a = list(gens_a)
     gens_b = list(gens_b)
@@ -771,18 +776,7 @@ def intersect_ideals(gens_a, gens_b, ring=None):
         return ideal_gb(gens_b, ring=ring)
     if _has_unit(gens_b):
         return ideal_gb(gens_a, ring=ring)
-    target = FreeModule(ring, [ring.zero_degree(), ring.zero_degree()])
-    cols = [target.element([ring.one(), ring.one()])]
-    for g in gens_a:
-        cols.append(target.element([g, ring.zero()]))
-    for g in gens_b:
-        cols.append(target.element([ring.zero(), g]))
-    fmap = FreeMap.from_columns(target, cols, check=False)
-    out = []
-    for v in kernel_gens(fmap):
-        p = v.component(0)
-        if not p.is_zero():
-            out.append(p)
+    out = _meet([1, 1], [gens_a, gens_b], ring)
     return ideal_gb(out, ring=ring) if out else []
 
 

@@ -1060,7 +1060,7 @@ def make_ring(
         raise BadBase("relation %s has a repeated factor" % rel_polys[0])
     prime_raw = []
     if minimal_primes is not None:
-        from .groebner import ideal_equal, intersect_ideals
+        from .groebner import _meet, ideal_equal
 
         comps = [[parse_zpoly(g, "minimal prime generator") for g in comp]
                  for comp in minimal_primes]
@@ -1068,9 +1068,7 @@ def make_ring(
             if len(comp) == 1 and [f.terms for f in irreducible_factors(comp[0])] \
                     != [comp[0].primitive().terms]:
                 raise BadBase("the declared component (%s) is not prime" % comp[0])
-        meet = comps[0] if comps else []
-        for comp in comps[1:]:
-            meet = intersect_ideals(meet, comp, ring)
+        meet = _meet([1] * len(comps), comps, ring) if comps else []
         if not ideal_equal(meet, rel_polys, ring):
             raise BadBase("the declared components do not cut out the relations")
         prime_raw = [[g.terms for g in comp] for comp in comps]

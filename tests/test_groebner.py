@@ -131,7 +131,7 @@ def test_preimage_gens():
 
 def test_colon_and_saturation():
     gens = [R2.poly("x^2*y"), R2.poly("x*y^2")]
-    col = groebner.colon_element(gens, R2.poly("x*y"), ring=R2)
+    col = groebner.colon_ideal(gens, [R2.poly("x*y")], ring=R2)
     assert groebner.ideal_equal(col, [R2.poly("x"), R2.poly("y")], ring=R2)
     # (x^2 y, x y^2) = xy*(x, y), so saturating by the irrelevant ideal
     # peels the embedded component and leaves (xy)
@@ -171,8 +171,8 @@ def test_intersect_with_the_unit_ideal_skips_the_kernel(monkeypatch):
     with_zero = ([zero, K.poly("s")], other)
     want_zero = _meet_by_kernel(*with_zero, K)
     ran = []
-    real = groebner.kernel_gens
-    monkeypatch.setattr(groebner, "kernel_gens",
+    real = groebner._graph_kernel
+    monkeypatch.setattr(groebner, "_graph_kernel",
                         lambda *a, **k: ran.append(a) or real(*a, **k))
     for (a, b), w in zip(cases, want):
         got = groebner.intersect_ideals(a, b, K)
@@ -181,6 +181,62 @@ def test_intersect_with_the_unit_ideal_skips_the_kernel(monkeypatch):
     got = groebner.intersect_ideals(*with_zero, K)
     assert [g.terms for g in got] == [g.terms for g in want_zero]
     assert len(ran) == 1
+
+
+MEET_BASES = {
+    "QQ": make_ring(["x", "y", "z"], [1, 1, 1]),
+    "GF(32003)": make_ring(["x", "y", "z"], [1, 1, 1], field=PrimeField(32003)),
+    "QQ[t]": make_ring(["x", "y"], [1, 1], params=["t"]),
+    "cusp": make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"]),
+}
+
+
+def _rand_form_ideal(ring, rng):
+    """Two x-forms of degree 1 or 2, each of two monomials times a
+    parameter (or 1) and a small integer."""
+    params = [ring.one()] + [ring.var(z) for z in ring.znames]
+    out = []
+    for _ in range(2):
+        p = ring.zero()
+        for e in rng.sample(ring.monomials_of_degree((rng.randint(1, 2),)), 2):
+            p = p + ring.monomial(e) * rng.choice(params) * rng.choice([1, -1, 2, -3])
+        if not p.is_zero():
+            out.append(p)
+    return out
+
+
+def _colon_by_folds(gens, others, ring):
+    # (gens) : f for each f as its own preimage, the parts met pairwise
+    # by the two-row kernel
+    module = FreeModule(ring, [ring.zero_degree()])
+    rels = [module.element([g]) for g in gens]
+    acc = None
+    for f in others:
+        fmap = FreeMap.from_columns(module, [module.element([f])], check=False)
+        part = [v.component(0) for v in groebner.preimage_gens(fmap, rels)]
+        part = [p for p in part if not p.is_zero()]
+        acc = part if acc is None else _meet_by_kernel(acc, part, ring)
+    return groebner.ideal_gb(acc, ring=ring) if acc else []
+
+
+@pytest.mark.parametrize("name", sorted(MEET_BASES))
+def test_meets_and_colons_match_the_pairwise_routes(name):
+    # one preimage per meet or colon gives the reduced bases of the
+    # two-row kernel and of the per-element folds, term for term
+    ring = MEET_BASES[name]
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(12):
+        a, b = _rand_form_ideal(ring, rng), _rand_form_ideal(ring, rng)
+        if not a or not b:
+            continue
+        got = groebner.intersect_ideals(a, b, ring)
+        assert [g.terms for g in got] == [g.terms for g in _meet_by_kernel(a, b, ring)], (a, b)
+        col = groebner.colon_ideal(a, b, ring)
+        col = groebner.ideal_gb(col, ring=ring) if col else []
+        assert [g.terms for g in col] == [g.terms for g in _colon_by_folds(a, b, ring)], (a, b)
+        checked += 2
+    assert checked == 24
 
 
 def test_eliminate_ideal():

@@ -7,7 +7,7 @@ import pytest
 
 from gradedfibers.errors import (AlgebraError, NotGenericallyFinite,
                                  NotHomogeneous, NotStandardGraded, UnstableLimit)
-from gradedfibers.modules import Presentation
+from gradedfibers.modules import FreeModule, Presentation
 from gradedfibers.rings import PrimeField, make_ring
 from gradedfibers import cli, groebner, ratmap, script
 from gradedfibers.specialize import FiberPoint
@@ -280,7 +280,8 @@ def _reference_j_length(ring, gens, n):
     intersection and a subquotient presentation, from the raw products."""
     sat = groebner.saturate_ideal(_products(gens, n + 1, ring), _xs(ring), ring=ring)
     meet = groebner.intersect_ideals(sat, _products(gens, n, ring), ring)
-    module, vecs = groebner._as_ideal_vectors(meet, ring)
+    module = FreeModule(ring, [ring.zero_degree()])
+    vecs = [module.element([p]) for p in meet]
     rels = [module.element([p]) for p in _products(gens, n + 1, ring)]
     pres, _incl = groebner.subquotient_presentation(vecs, rels, module)
     return groebner.presentation_vecdim(pres)

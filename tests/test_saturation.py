@@ -195,3 +195,19 @@ def test_powers_over_a_base_with_relations_take_bayers_route(xvars, base, forms)
         # proper: where the parameters vanish, the forms are not primary
         # to the irrelevant ideal
         assert [str(g) for g in sat] != ["1"]
+
+
+# Two cubes that Bayer's route once took seconds or minutes on, while it
+# met its per-variable stages pairwise; CI runs them under a timeout.
+
+@pytest.mark.parametrize("xvars, base, forms", [
+    (["x", "y", "z"], {},
+     ["x*y + y^2 - x*z - 2*y*z + 2*z^2", "2*x*y + 2*y^2 - 2*x*z - 2*y*z - z^2",
+      "x^2 + x*y + x*z + 2*y*z + 2*z^2"]),
+    (["x", "y"], CUSP, ["x^2 - 2*x*y + y^2", "s*x^2 - y^2"]),
+], ids=["QQ", "cusp"])
+def test_capacity_cube_saturates_by_bayers_route(xvars, base, forms):
+    ring = make_ring(xvars, [1] * len(xvars), **base)
+    power = ratmap._Powers(ring, [ring.poly(f) for f in forms]).generators(3)
+    sat = _agree(ring, power)
+    assert [str(g) for g in sat] != ["1"]
