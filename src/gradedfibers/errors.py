@@ -35,10 +35,6 @@ class NotOnVariety(InvalidFiber):
     """Closed-point coordinates fail the base relations."""
 
 
-class NoRank(AlgebraError):
-    """The module has no constant generic rank, so Rees powers are undefined."""
-
-
 class BaseNotDomain(AlgebraError):
     """An operation needs an integral parameter ring."""
 

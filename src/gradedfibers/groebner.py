@@ -38,8 +38,7 @@ from itertools import accumulate
 from math import gcd
 from operator import add, sub
 
-from .errors import (AlgebraError, BaseNotDomain, NotHomogeneous, NotStandardGraded,
-                     RingMismatch)
+from .errors import AlgebraError, BaseNotDomain, NotStandardGraded, RingMismatch
 from . import linalg
 from .modules import FreeMap, FreeModule, Presentation, Vector
 from .rings import Poly, _from_ints, _to_ints
@@ -64,7 +63,6 @@ __all__ = [
     "quotient_dimension",
     "series_length",
     "quotient_degree",
-    "module_rank",
     "matrix_rank_generic",
     "torsion_submodule",
     "embed_in_free",
@@ -127,10 +125,6 @@ def _no_key(e):
 # The kernel runs on int vectors: over QQ a vector is scaled to integer
 # coefficients, over GF(p) it holds the residues in [0, p).  Field
 # elements come in through _to_ints and go out through _from_ints.
-
-
-def _scale_data(data, factor):
-    return {t: c * factor for t, c in data.items()}
 
 
 def _sub_scaled(data, other, shift_exps, factor, p):
@@ -1006,15 +1000,6 @@ def matrix_rank_generic(entries, ring):
     return rank, sorted(piv_rows), piv_cols, minor
 
 
-def module_rank(pres):
-    """Generic rank of a presented module over the fraction field of R."""
-    entries = pres.relations.entries()
-    if not entries or not entries[0]:
-        return pres.ngens
-    rank, _r, _c, _m = matrix_rank_generic(entries, pres.ring)
-    return pres.ngens - rank
-
-
 def torsion_submodule(pres):
     """Torsion of a presented module over a domain, via the double dual.
 
@@ -1055,65 +1040,27 @@ def _evaluation_map(f0, functionals, ring):
     return FreeMap(f0, w, cols, check=False)
 
 
-def embed_in_free(pres, seed=0):
+def embed_in_free(pres):
     """Embedding of a torsion-free presented module into free of equal rank.
 
-    Returns a FreeMap from the generator module of pres to a free module
-    of rank equal to the module rank; its columns-by-rows composite kills
-    exactly the relations.  Tries coordinate projections of the double
-    dual first, then seeded random combinations.
+    Returns the evaluation map of the generator module of pres at the
+    first dual generators independent over the fraction field K: the
+    pivot columns of the matrix whose columns are the dual generators
+    (Bareiss pivots a column exactly when it is independent of the ones
+    before it).  Over a domain, functionals on a torsion-free module M,
+    as many as its rank, map M into free injectively exactly when they
+    are independent over K, since the kernel is zero exactly when it is
+    zero after tensoring with K.  So the kernel of the map is exactly
+    the relations; a kernel element outside them is an engine bug.
     """
     ring = pres.ring
     if not ring.base_is_domain:
         raise BaseNotDomain("free embeddings need an integral base")
-    rho = module_rank(pres)
-    phi = pres.relations
     f0 = pres.gens_module
-    if rho == 0:
-        return FreeMap(f0, FreeModule(ring, []), [FreeModule(ring, []).zero() for _ in range(f0.rank)], check=False)
-    dual_gens = kernel_gens(phi.transpose())
-    p = len(dual_gens)
-    if p < rho:
-        raise AlgebraError("dual has too few generators; module is not torsion free")
-
-    def build(selection_rows):
-        return _evaluation_map(f0, selection_rows, ring)
-
-    def injective_mod_rels(emb):
-        return all(pres.gb().contains(v) for v in kernel_gens(emb))
-
-    from itertools import combinations
-
-    tried = 0
-    for combo in combinations(range(p), rho):
-        emb = build([dual_gens[i] for i in combo])
-        if injective_mod_rels(emb):
-            return emb
-        tried += 1
-        if tried >= 60:
-            break
-    import random
-
-    rng = random.Random(seed)
-    for _ in range(40):
-        picks = []
-        for _i in range(rho):
-            coeffs = [ring.field.coerce(rng.randint(-3, 3)) for _j in range(p)]
-            acc = None
-            for c, k in zip(coeffs, dual_gens):
-                if not c:
-                    continue
-                term = Vector(k.module, _scale_data(k.data, c))
-                acc = term if acc is None else acc + term
-            if acc is None or not acc.data:
-                break
-            picks.append(acc)
-        if len(picks) != rho:
-            continue
-        try:
-            emb = build(picks)
-        except NotHomogeneous:
-            continue  # a pick mixing degrees gives no graded embedding
-        if injective_mod_rels(emb):
-            return emb
-    raise AlgebraError("no injective projection found; increase the search budget")
+    dual_gens = kernel_gens(pres.relations.transpose())
+    _rho, _r, cols, _m = matrix_rank_generic(
+        [[k.component(i) for k in dual_gens] for i in range(f0.rank)], ring)
+    emb = _evaluation_map(f0, [dual_gens[j] for j in sorted(cols)], ring)
+    if not all(pres.gb().contains(v) for v in kernel_gens(emb)):
+        raise RuntimeError("independent dual generators do not embed a torsion-free module")
+    return emb

@@ -484,9 +484,9 @@ def fiber_invariants(rmap, point=None, cutoff=None):
     finite = generically_finite(rmap, point)
     out["generically_finite"] = finite
     if finite:
+        out["degY"] = image_degree(rmap, point)  # exact: no power limit is read
         try:
             md = map_degree(rmap, point, cutoff=cutoff)
-            out["degY"] = md["degY"]
             out["degG"] = md["degG"]
             out["power_table"] = md["h1_dims"]
             out["e_sat"] = saturated_fiber_multiplicity(rmap, point, cutoff=cutoff)

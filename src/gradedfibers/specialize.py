@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .errors import AlgebraError, BaseNotDomain, InvalidFiber, NoRank, NotOnVariety
+from .errors import AlgebraError, BaseNotDomain, InvalidFiber, NotOnVariety
 from .modules import FreeModule, FreeMap, Presentation
 from .rings import Poly, irreducible_factors, squarefree_part, transfer
 from . import groebner, resolution
@@ -194,22 +194,17 @@ def sample_rational_point(ring, rng, avoid=(), on=(), reject=None):
 # -- specialized powers ------------------------------------------------------
 
 
-def _torsion_free_embedding(pres, seed=0):
+def _torsion_free_embedding(pres):
     """Minimal torsion-free quotient together with an embedding into free.
 
-    The embedding target has rank equal to the module rank; failure to
-    find one means the rank is not realizable and powers are undefined.
+    The embedding target has rank equal to the module rank: the quotient
+    is evaluated at its first dual generators independent over the
+    fraction field (groebner.embed_in_free).
     """
     pres_min = resolution.minimal_presentation(pres)
     _tors, tf = groebner.torsion_submodule(pres_min)
     tf = resolution.minimal_presentation(tf)
-    try:
-        emb = groebner.embed_in_free(tf, seed=seed)
-    except BaseNotDomain:
-        raise
-    except AlgebraError as exc:
-        raise NoRank(str(exc))
-    return tf, emb
+    return tf, groebner.embed_in_free(tf)
 
 
 class PowersBundle:
@@ -281,19 +276,21 @@ class PowersBundle:
         return module, vectors
 
 
-def rees_powers(source, ring=None, seed=0):
+def rees_powers(source, ring=None):
     """Bundle the Rees-power data of an ideal or of a presented module.
 
     Pass a Presentation for the module construction, or a list of ideal
     generators together with their ring.  The base must be a domain so
-    torsion and rank make sense.
+    torsion and rank make sense.  A module's powers are read in Sym of
+    the free module its torsion-free quotient embeds in
+    (_torsion_free_embedding); an ideal embeds in the ring itself.
     """
     if isinstance(source, Presentation):
         ring = source.ring
         if not ring.base_is_domain:
             raise BaseNotDomain("module powers need an integral base")
         kind = "module"
-        tf, emb = _torsion_free_embedding(source, seed=seed)
+        tf, emb = _torsion_free_embedding(source)
     else:
         if ring is None:
             raise AlgebraError("ideal generators need an explicit ring")

@@ -27,6 +27,7 @@ CASES = {
     "rees_qq": 0,
     "quotient_qq": 0,
     "module_powers": 0,
+    "module_embed": 0,
     "quartic_qq": 0,
     "ratmap_p2": 0,
     "loci_cusp": 0,
@@ -103,3 +104,46 @@ def test_invariants_over_a_parameter_base_ask_for_a_rational_point(fiber, tmp_pa
     error = json.loads((tmp_path / "01_invariants.json").read_text())["error"]
     assert (error["type"], error["kind"]) == ("AlgebraError", "input")
     assert "need a field base or a rational fiber point" in error["message"]
+
+
+def mirror_rows(payload):
+    """The rows a payload's CSV mirror holds: its `entries` or `rows`
+    table, else one (key, JSON value) row per scalar key."""
+    for key, head in (("entries", "i"), ("rows", "power")):
+        if key in payload:
+            return [[head, "degree", "dim"]] + [
+                [str(e[head]), " ".join(map(str, e["degree"])), str(e["dim"])]
+                for e in payload[key]]
+    return [["key", "value"]] + [[k, json.dumps(v)] for k, v in sorted(payload.items())
+                                 if not isinstance(v, (dict, list))]
+
+
+def test_power_cutoff_caps_powers_and_keeps_the_exact_image_degree(tmp_path):
+    # the cutoff stops the power limits short, but deg Y is read off the
+    # image and needs none: 2 for the Veronese map, 1 for (x^2, y^2)
+    assert cli.main(["--script", str(GOLDEN / "rees_qq.gf"), "--out", str(tmp_path),
+                     "--power-cutoff", "2"]) == 0
+    ratmaps = [json.loads((tmp_path / name).read_text())
+               for name in ("01_ratmap.json", "02_ratmap.json")]
+    assert [(p["degY"], p["stable"]) for p in ratmaps] == [(2, False), (1, False)]
+    powers = json.loads((tmp_path / "03_specialize.json").read_text())
+    assert powers["power"] == 2
+    assert {row["power"] for row in powers["rows"]} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("name, cutoff", [("rees_qq", ["--power-cutoff", "2"]),
+                                          ("cubic_qq", [])])
+def test_csv_mirrors_match_their_payloads(name, cutoff, tmp_path):
+    assert cli.main(["--script", str(GOLDEN / (name + ".gf")), "--out", str(tmp_path),
+                     "--csv"] + cutoff) == 0
+    payloads = sorted(tmp_path.glob("*.json"))
+    assert payloads and sorted(tmp_path.glob("*.csv")) == [p.with_suffix(".csv")
+                                                             for p in payloads]
+    kinds = set()
+    for path in payloads:
+        payload = json.loads(path.read_text())
+        want = mirror_rows(payload)
+        kinds.add(want[0][0])
+        got = [line.split(",") for line in path.with_suffix(".csv").read_text().splitlines()]
+        assert got == want, path.name
+    assert kinds == ({"key", "power"} if name == "rees_qq" else {"i"})

@@ -1,5 +1,7 @@
 """Fiber points and the specialization of Rees powers."""
 
+import itertools
+import json
 import random
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from gradedfibers.errors import AlgebraError, InvalidFiber, NotOnVariety
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
 from gradedfibers.rings import make_ring
-from gradedfibers import groebner, specialize
+from gradedfibers import cli, groebner, script, specialize
 from gradedfibers.specialize import FiberPoint
 
 
@@ -206,19 +208,119 @@ def test_power_zero_and_one():
     assert len(vectors1) == 3
 
 
+R3 = make_ring(["x", "y", "z"], [1, 1, 1])
+R3t = make_ring(["x", "y", "z"], [1, 1, 1], params=["t"])
+
+
+def presentation(ring, ngens, cols):
+    gens = FreeModule(ring, [ring.zero_degree()] * ngens)
+    return Presentation(FreeMap.from_columns(
+        gens, [gens.element([ring.poly(e) for e in col]) for col in cols]))
+
+
 def test_embedding_independence_of_dims():
-    gens = FreeModule(R, [(1,), (1,)])
-    col = gens.element([R.poly("-y"), R.poly("x")])
-    pres = Presentation(FreeMap.from_columns(gens, [col]))
+    # R^3/(x, y, z) has rank two and three dual generators, the Koszul
+    # syzygies; two different pairs of them embed its torsion-free quotient
+    pres = presentation(R3, 3, [["x", "y", "z"]])
+    bundle = specialize.rees_powers(pres)
+    tf = bundle.tf
+    dual = groebner.kernel_gens(tf.relations.transpose())
+    assert (len(dual), bundle.embedding.target.rank) == (3, 2)
+    other = groebner._evaluation_map(tf.gens_module, dual[1:], R3)
+    assert [str(c) for c in other.cols] != [str(c) for c in bundle.embedding.cols]
+    assert all(tf.gb().contains(v) for v in groebner.kernel_gens(other))
     dims = []
-    for seed in (0, 7):
-        bundle = specialize.rees_powers(pres, seed=seed)
-        module, vectors = bundle.power_vectors(2)
+    for b in (bundle, specialize.PowersBundle(R3, "module", other, tf, bundle.b)):
+        module, vectors = b.power_vectors(2)
         gb = groebner.module_gb(vectors, module)
         w = module.shifts[0][0] - 2 if module.shifts else 0
         dims.append([groebner.submodule_strand_dim(gb, (2 + w + i,))
                      for i in range(4)])
     assert dims[0] == dims[1]
+
+
+def first_injective_choice(tf):
+    """The dual generators of tf, its rank ngens - rank(relations), and the
+    evaluation map at the first choice of rank many dual generators, in
+    itertools.combinations order, that is injective modulo the relations."""
+    ring = tf.ring
+    dual = groebner.kernel_gens(tf.relations.transpose())
+    entries = tf.relations.entries()
+    rank = tf.ngens - (groebner.matrix_rank_generic(entries, ring)[0]
+                       if entries and entries[0] else 0)
+    for combo in itertools.combinations(range(len(dual)), rank):
+        emb = groebner._evaluation_map(tf.gens_module, [dual[i] for i in combo], ring)
+        if all(tf.gb().contains(v) for v in groebner.kernel_gens(emb)):
+            return dual, rank, combo, emb
+    raise AssertionError("no choice of dual generators is injective")
+
+
+def seeded_presentations(ring, params, seed, count=16):
+    """Quotients of R^3 or R^4 by one or two columns of sparse linear forms
+    drawn from a seed, some coefficients a parameter times a constant."""
+    rng = random.Random(seed)
+    xs = ring.names[:ring.ngraded]
+    for _ in range(count):
+        ngens = rng.randint(3, 4)
+        cols = []
+        for _c in range(rng.randint(1, 2)):
+            col = []
+            for _i in range(ngens):
+                terms = []
+                for v in rng.sample(xs, rng.randint(0, 2)):
+                    c = rng.choice([1, -1, 2, 3])
+                    if params and rng.random() < 0.5:
+                        v = rng.choice(params) + "*" + v
+                    terms.append("%d*%s" % (c, v))
+                col.append(" + ".join(terms) or "0")
+            cols.append(col)
+        yield presentation(ring, ngens, cols)
+
+
+# modules with more dual generators than rank: (ring, ngens, columns)
+WIDE_DUALS = {
+    "R^3/(x, y, z)": (R3, 3, [["x", "y", "z"]]),
+    "R^3/(t*x, y, z)": (R3t, 3, [["t*x", "y", "z"]]),
+    "R^4 by two columns": (R3, 4, [["x", "y", "z", "0"], ["0", "x", "y", "z"]]),
+    "R^3 over the cusp": (CUSP, 3, [["s*x", "t*y", "x + y"]]),
+}
+
+
+def test_embedding_takes_the_first_injective_dual_generators():
+    cases = [presentation(*case) for case in WIDE_DUALS.values()]
+    for ring, params in ((R3, []), (R3t, ["t"]), (CUSP, ["s", "t"])):
+        cases += list(seeded_presentations(ring, params, seed=9))
+    wide = later = 0
+    for pres in cases:
+        tf, emb = specialize._torsion_free_embedding(pres)
+        dual, rank, combo, ref = first_injective_choice(tf)
+        assert emb.target.rank == rank
+        assert emb.target.shifts == ref.target.shifts
+        assert [str(c) for c in emb.cols] == [str(c) for c in ref.cols]
+        if len(dual) > rank:
+            wide += 1
+            later += combo != tuple(range(rank))
+    # the fixed cases and some seeded ones have more dual generators than
+    # rank, and some first choices skip a dependent dual generator
+    assert wide >= len(WIDE_DUALS) + 3 and later >= 2
+
+
+def test_a_dropped_pivot_is_an_internal_error(monkeypatch, tmp_path):
+    rank = groebner.matrix_rank_generic
+
+    def drop_last_pivot(entries, ring):
+        r, rows, cols, minor = rank(entries, ring)
+        return r - 1, rows[:-1], cols[:-1], minor
+
+    monkeypatch.setattr(groebner, "matrix_rank_generic", drop_last_pivot)
+    # one dual generator too few leaves a kernel outside the relations
+    with pytest.raises(RuntimeError):
+        groebner.embed_in_free(presentation(R3, 3, [["x", "y", "z"]]))
+    text = ("ring R base QQ vars x:1 y:1 z:1;\nmodule E = coker [x; y; z];\n"
+            "cmd specialize E power 2;\n")
+    assert cli.run(script.parse(text), out_dir=str(tmp_path)) == 1
+    error = json.loads((tmp_path / "01_specialize.json").read_text())["error"]
+    assert (error["type"], error["kind"]) == ("RuntimeError", "internal")
 
 
 def test_evaluate_presentation_changes_strand():
