@@ -312,7 +312,9 @@ def _buchberger(ctx, gens_data):
             push(h)
 
     # pair queue: a heap keyed by (psi degree of lcm, i, j), same-component
-    # pairs only; the set holds the pairs still queued, for the chain criterion
+    # pairs only, and no pair of two terms, whose S-vector is zero
+    # (Buchberger 1979); the set holds the pairs still queued, and the
+    # chain criterion reads every other pair as done
     rank1 = ctx.split == 0 and len(ctx.shifts) == 1
     queue = []
     pairs = set()
@@ -322,9 +324,10 @@ def _buchberger(ctx, gens_data):
 
     def add_pairs(j):
         cj, ej = leads[j]
+        term = len(G[j]) == 1
         for i in range(j):
             ci, ei = leads[i]
-            if ci != cj:
+            if ci != cj or (term and len(G[i]) == 1):
                 continue
             l = lcm_exps(ei, ej)
             if rank1 and all(x + y == z for x, y, z in zip(ei, ej, l)):

@@ -12,16 +12,16 @@ UnstableLimit asks for a larger cutoff instead of extrapolating
 silently.
 
 The powers I^k of the forms' ideal are built once per fiber, each from
-the products of the power below, and each keeps one reduced basis
-(_Powers.basis) that the H^1 strands, the saturation and the j lengths
-all read.  Every saturation (I^k)^sat is the unit ideal, with no basis
-computed, when the leads of I's basis show I primary to m; otherwise it
-is saturated once per power, from that power's basis.  The j lengths
-are alternating sums of Hilbert numerators, which take one basis of an
-ideal sum per power, or none when the saturation is the unit ideal.
-The image ideal keeps its basis the same way (Presentation.gb).  The
-identity e_sat = degY degG is asserted in one place,
-saturated_fiber_multiplicity.
+the products of the reduced basis of the power below with that of I,
+and each keeps one reduced basis (_Powers.basis) that the H^1 strands,
+the saturation and the j lengths all read.  Every saturation (I^k)^sat
+is the unit ideal, with no basis computed, when the leads of I's basis
+show I primary to m; otherwise it is saturated once per power, from
+that power's basis.  The j lengths are alternating sums of Hilbert
+numerators, which take one basis of an ideal sum per power, or none
+when the saturation is the unit ideal.  The image ideal keeps its
+basis the same way (Presentation.gb).  The identity e_sat = degY degG
+is asserted in one place, saturated_fiber_multiplicity.
 """
 
 from __future__ import annotations
@@ -181,7 +181,8 @@ class _Powers:
     their saturations (I^k)^sat = I^k : m^inf.
 
     Each power keeps one reduced basis (basis), which the H^1 strands,
-    the j lengths and the saturation all read.  When the leads of I's
+    the j lengths and the saturation all read, and which the next power
+    is built from (generators).  When the leads of I's
     basis hold a pure power of every x-variable (the lead test of Bayer's
     early exit in groebner.saturate_ideal), a power of m lies in I, and
     since I^k has the radical of I, every (I^k)^sat is the unit ideal:
@@ -189,32 +190,32 @@ class _Powers:
     saturate_ideal starts from the power's reduced basis, once per power.
     """
 
-    __slots__ = ("ring", "gens", "_level", "_generators", "_bases", "_saturated")
+    __slots__ = ("ring", "gens", "_bases", "_saturated")
 
     def __init__(self, ring, gens):
         self.ring = ring
         self.gens = gens
-        self._level = {(): ring.one()}  # non-decreasing index tuples -> product
-        self._generators = []
         self._bases = {}
         self._saturated = {}
 
     def generators(self, k):
-        """The generators of I^k: the distinct nonzero products of k of
-        I's generators, repetition allowed, in order of first appearance.
-        Each product is one of k - 1 generators times one more, so each
-        costs one multiplication."""
-        gens = self.gens
-        while len(self._generators) < k:
-            self._level = level = {
-                combo + (j,): p * gens[j] for combo, p in self._level.items()
-                for j in range(combo[-1] if combo else 0, len(gens))}
-            distinct = {}
-            for p in level.values():
-                if p.terms:
-                    distinct.setdefault(frozenset(p.terms.items()), p)
-            self._generators.append(list(distinct.values()))
-        return self._generators[k - 1]
+        """The generators of I^k, in order of first appearance: for k = 1
+        I's distinct nonzero generators, above it the distinct nonzero
+        products g*h of g in the reduced basis of I^(k-1) and h in I's.
+        Each basis generates its ideal over A[x], so the products
+        generate I^(k-1) I = I^k, and the reduced basis of I^k is the
+        one the products of k generators give."""
+        if k == 1:
+            products = self.gens
+        else:
+            first = groebner.ideal_basis_polys(self.basis(1))
+            products = [g * h for g in groebner.ideal_basis_polys(self.basis(k - 1))
+                        for h in first]
+        distinct = {}
+        for p in products:
+            if p.terms:
+                distinct.setdefault(frozenset(p.terms.items()), p)
+        return list(distinct.values())
 
     def basis(self, k):
         """The reduced basis of I^k, built at most once."""

@@ -474,6 +474,61 @@ def test_reduced_basis_matches_textbook_buchberger(ring, rank, split):
         assert [v.data for v in gb] == ref_gb(gens, ring, split)
 
 
+def _spy_s_vectors(monkeypatch):
+    """Count the S-vectors Buchberger's loop builds: one _sub_scaled each."""
+    calls = []
+    real = groebner._sub_scaled
+
+    def spied(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_sub_scaled", spied)
+    return calls
+
+
+def test_pairs_of_terms_build_no_s_vector(monkeypatch):
+    # the S-vector of two terms in one component is zero, so a basis of
+    # terms is its own minimal part and no pair of it is reduced
+    calls = _spy_s_vectors(monkeypatch)
+    septics = [Rq3.monomial(e) for e in Rq3.monomials_of_degree((7,))]
+    octics = [m * Rq3.var(x) for m in septics for x in "xyz"]  # m^8, repeated
+    assert len(octics) > len({tuple(p.terms) for p in octics})
+    got = groebner.ideal_gb(octics, ring=Rq3)
+    assert sorted(g.leading_monomial() for g in got) == sorted(Rq3.monomials_of_degree((8,)))
+    # a rank-two module of terms, where no coprime-lead rule applies
+    module = FreeModule(Rt2, [Rt2.zero_degree()] * 2)
+    terms = [{(0, (2, 0, 1)): Fraction(3)}, {(0, (1, 1, 0)): Fraction(-2)},
+             {(0, (0, 3, 2)): Fraction(5)}, {(1, (1, 1, 1)): Fraction(7)},
+             {(1, (0, 2, 0)): Fraction(1, 2)}, {(1, (3, 0, 0)): Fraction(1)}]
+    gb = groebner.module_gb([Vector(module, g) for g in terms], module)
+    assert [v.data for v in gb] == ref_gb(terms, Rt2, 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("ring,rank,split", CASES)
+def test_terms_beside_binomials_match_textbook_buchberger(ring, rank, split, monkeypatch):
+    # the pairs of two terms are skipped, every pair with a binomial is
+    # still reduced, and the basis is the textbook one
+    calls = _spy_s_vectors(monkeypatch)
+    rng = random.Random(61 + rank + split)
+    module = FreeModule(ring, [ring.zero_degree()] * rank)
+    ng = ring.ngraded
+
+    def term():
+        e = [0] * ring.nvars
+        for _ in range(rng.randint(1, 3)):  # no unit
+            e[rng.randrange(ng)] += 1
+        e[ng:] = [rng.randint(0, 1) for _ in e[ng:]]
+        return (rng.randrange(rank), tuple(e)), ring.field.coerce(rng.choice(COEFFS))
+
+    for _ in range(6):
+        gens = [dict([term()]) for _ in range(3)] + [dict([term(), term()]) for _ in range(2)]
+        gb = groebner.module_gb([Vector(module, g) for g in gens], module, split=split)
+        assert [v.data for v in gb] == ref_gb(gens, ring, split)
+    assert calls
+
+
 @pytest.mark.parametrize("ring", [Rq3, Rp3, Rt2])
 def test_nf_is_the_textbook_normal_form(ring):
     """On inputs that are not primitive, nf is reduced and equals the

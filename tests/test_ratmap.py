@@ -237,16 +237,11 @@ def test_j_reads_the_power_basis_where_the_saturation_is_the_unit_ideal(monkeypa
     assert lengths == [_reference_j_length(Q, powers.gens, n) for n in (1, 2, 3)]
 
 
-def _products(gens, k, ring):
-    """The generators of I^k as every power used to be built: each product
-    of k generators, repetition allowed, rebuilt from the generators."""
-    level = {(): ring.one()}
-    for _ in range(k):
-        level = {combo + (j,): p * gens[j] for combo, p in level.items()
-                 for j in range(combo[-1] if combo else 0, len(gens))}
+def _distinct(polys):
+    """The distinct nonzero polys, in order of first appearance."""
     out = []
     seen = set()
-    for p in level.values():
+    for p in polys:
         key = tuple(sorted(p.terms.items()))
         if p.terms and key not in seen:
             seen.add(key)
@@ -254,21 +249,70 @@ def _products(gens, k, ring):
     return out
 
 
+def _products(gens, k, ring):
+    """The generators of I^k as every power used to be built: each product
+    of k generators, repetition allowed, rebuilt from the generators."""
+    level = {(): ring.one()}
+    for _ in range(k):
+        level = {combo + (j,): p * gens[j] for combo, p in level.items()
+                 for j in range(combo[-1] if combo else 0, len(gens))}
+    return _distinct(level.values())
+
+
+def _ladder(gens, k, ring):
+    """The generators of I^k as the power ladder builds them, with both
+    factor lists rebuilt from scratch: the products of the reduced basis
+    of I^(k-1), taken from the raw products, and I's reduced basis."""
+    if k == 1:
+        return _products(gens, 1, ring)
+    below = groebner.ideal_gb(_products(gens, k - 1, ring), ring=ring)
+    return _distinct([g * h for g in below for h in groebner.ideal_gb(gens, ring=ring)])
+
+
+POWER_BASES = {
+    "QQ": ({}, ()),
+    "GF(32003)": ({"field": PrimeField(32003)}, ()),
+    "QQ[t]": ({"params": ["t"]}, ("t",)),
+    "QQ[s,t]": ({"params": ["s", "t"]}, ("s", "t")),
+    "cusp": ({"params": ["s", "t"], "relations": ["s^2 - t^3"]}, ("s", "t")),
+}
+
+
+def _seeded_quadrics(name, seed):
+    """A plane ring over the named base and three seeded quadrics of two
+    or three terms, whose coefficients are small constants and the
+    parameters."""
+    kwargs, params = POWER_BASES[name]
+    ring = make_ring(["x", "y"], [1, 1], **kwargs)
+    rng = random.Random(seed)
+    coeffs = [ring.constant(c) for c in (-2, -1, 1, 2)] + [ring.var(z) for z in params]
+    forms = []
+    while len(forms) < 3:
+        f = sum((rng.choice(coeffs) * ring.monomial(m)
+                 for m in ring.monomials_of_degree((2,)) if rng.random() < 0.6), ring.zero())
+        if len(f.terms) >= 2:
+            forms.append(f)
+    return ring, forms
+
+
 @pytest.mark.parametrize("ring, gens", [
     (R, ["x^2", "x*y", "y^2"]),
     (make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"]),
      ["x^2", "s*x*y", "t*y^2"]),
-])
+] + [pytest.param(*_seeded_quadrics(name, 30 + i), id=name)
+     for i, name in enumerate(POWER_BASES)])
 def test_power_basis_polys_are_the_ideal_basis(ring, gens):
-    # each power is built from the one below, with the generator list
-    # and the reduced basis of the products rebuilt from scratch
+    # each power above the first is built from the reduced bases of the
+    # power below and of I, and its reduced basis is the one the raw
+    # products of k generators give, term for term
     gens = [ring.poly(g) for g in gens]
     powers = ratmap._Powers(ring, gens)
-    for n in (1, 2, 3):
-        want = _products(gens, n, ring)
-        assert [g.terms for g in powers.generators(n)] == [g.terms for g in want]
+    for n in (1, 2, 3, 4):
+        assert [g.terms for g in powers.generators(n)] \
+            == [g.terms for g in _ladder(gens, n, ring)]
         got = groebner.ideal_basis_polys(powers.basis(n))
-        assert [g.terms for g in got] == [g.terms for g in groebner.ideal_gb(want, ring=ring)]
+        want = groebner.ideal_gb(_products(gens, n, ring), ring=ring)
+        assert [g.terms for g in got] == [g.terms for g in want]
 
 
 def _xs(ring):
@@ -431,3 +475,19 @@ def test_generic_j_over_a_two_relation_base_matches_a_point():
     at_one = FiberPoint.rational(A, {"a": 1, "b": 1, "c": 1})
     assert ratmap.j_multiplicity(A, gens, at_one, cutoff=3) == 4
     assert ratmap.j_multiplicity(A, gens, cutoff=3) == 4
+
+
+def test_capacity_cusp_linear_map():
+    # three linear forms over the cusp s^2 = t^3 with parameters in their
+    # leads, so every saturation runs Bayer's stages over the base.  With
+    # each power built from products of the raw forms, the generic map
+    # ran past 120 s.  Its invariants are those of the rational points
+    # (1, 1) and (8, 4) of the cusp, where det = 4 - s is nonzero.
+    Q = make_ring(["x", "y", "z"], [1, 1, 1], params=["s", "t"], relations=["s^2 - t^3"])
+    rm = ratmap.RationalMap(Q, ["s*x + t*y + 2*z", "-2*x + 2*y - z", "-y"])
+    generic = ratmap.fiber_invariants(rm)
+    assert generic["stable"]
+    assert _invariant_tuple(generic) == (True, 1, 1, 1, 1)
+    for point in ({"s": 1, "t": 1}, {"s": 8, "t": 4}):
+        at = ratmap.fiber_invariants(rm, FiberPoint.rational(Q, point))
+        assert at["stable"] and _invariant_tuple(at) == _invariant_tuple(generic)
