@@ -806,8 +806,11 @@ def eliminate_ideal(gens, varnames, ring=None):
 #
 # Every count of a quotient ambient/<gb> is read off one series: the
 # Hilbert numerator of the basis' leads over the generic fiber
-# (GBasis.hilbert_numerator).  A strand dimension is a coefficient of
-# the series; its dimension, degree and length are read at t = 1 once
+# (GBasis.hilbert_numerator), from Bigatti's pivot recursion down to
+# leads in at most two variables, read as a staircase.  A strand
+# dimension is a coefficient of the series: a sum of numerator
+# coefficients times counts of monomials (Ring.monomial_count), none of
+# them listed.  Its dimension, degree and length are read at t = 1 once
 # each T^mu is sent to t^psi(mu).
 
 
@@ -836,7 +839,9 @@ def hilbert_numerator(leads, module):
     are (component, exponents) pairs of a GBasis (GBasis.leads), read
     over the generic fiber (_generic_leads); component c adds
     T^shift_c times the numerator of k[x]/(its monomial ideal), from
-    Bigatti's pivot recursion (JPAA 119, 1997).
+    Bigatti's pivot recursion (JPAA 119, 1997) down to generators in at
+    most two variables, whose numerator is read off their staircase
+    (_monomial_numerator).
     """
     ring = module.ring
     ng = ring.ngraded
@@ -854,32 +859,56 @@ def hilbert_numerator(leads, module):
 
 
 def _monomial_numerator(gens, degs, memo):
-    """Numerator of k[x]/(gens) for exponent tuples gens, memoized.
+    """Numerator of k[x]/(gens) for exponent tuples gens, memoized on the
+    sorted generators and on their minimal ones.
 
-    Pivot on x_j^a, x_j a variable in the most generators and a the
-    lower median of its positive exponents there: N(I) = N(I + x_j^a)
-    + T^(a deg x_j) N(I : x_j^a).  With x_j in two or more minimal
-    generators x_j^a is none of them, and both sides have a smaller
-    exponent sum, so the recursion ends at generators with pairwise
-    disjoint supports, whose numerator is prod (1 - T^deg m).
+    Minimal generators in at most two variables x_u, x_v form a
+    staircase m_1, ..., m_s, sorted by ascending exponent of x_u, so
+    descending in x_v; its numerator is 1 - sum T^deg(m_i) + sum
+    T^deg(lcm(m_i, m_(i+1))), the ranks of its Hilbert-Burch resolution.
+    Any other ideal pivots on x_j^a, x_j a variable in the most
+    generators and a the lower median of its positive exponents there:
+    N(I) = N(I + x_j^a) + T^(a deg x_j) N(I : x_j^a).  With x_j in two
+    or more minimal generators x_j^a is none of them, and both sides
+    have a smaller exponent sum, so the recursion ends at staircases or
+    at generators with pairwise disjoint supports, whose numerator is
+    prod (1 - T^deg m).
     """
-    gens = sorted(set(gens))
-    gens = [e for e in gens
-            if not any(f != e and all(a <= b for a, b in zip(f, e)) for f in gens)]
-    key = tuple(gens)
-    if key in memo:
-        return memo[key]
+    key = tuple(sorted(set(gens)))
+    out = memo.get(key)
+    if out is not None:
+        return out
+    minimal = []
+    for e in sorted(key, key=sum):  # a divisor of e comes before it
+        if not any(all(a <= b for a, b in zip(f, e)) for f in minimal):
+            minimal.append(e)
+    mkey = tuple(minimal)
+    out = memo.get(mkey)
+    if out is None:
+        out = _minimal_numerator(minimal, degs, memo)
+        memo[mkey] = out
+    memo[key] = out
+    return out
+
+
+def _minimal_numerator(gens, degs, memo):
+    """_monomial_numerator of minimal generators gens."""
     zero = (0,) * len(degs[0])
     counts = [sum(1 for e in gens if e[j]) for j in range(len(degs))]
-    if any(not any(e) for e in gens):
-        out = {}
+    support = [j for j, n in enumerate(counts) if n]
+    out = {zero: 1}
+    if len(support) <= 2:
+        u = support[0] if support else 0
+        stairs = sorted(gens, key=lambda e: e[u])
+        for e in stairs:
+            d = _monomial_degree(e, degs)
+            out[d] = out.get(d, 0) - 1
+        for e, f in zip(stairs, stairs[1:]):
+            d = _monomial_degree(tuple(map(max, e, f)), degs)
+            out[d] = out.get(d, 0) + 1
     elif all(n < 2 for n in counts):
-        out = {zero: 1}
         for e in gens:
-            d = zero
-            for j, a in enumerate(e):
-                if a:
-                    d = tuple(x + a * y for x, y in zip(d, degs[j]))
+            d = _monomial_degree(e, degs)
             nxt = dict(out)
             for k, v in out.items():
                 k = tuple(map(add, k, d))
@@ -896,17 +925,24 @@ def _monomial_numerator(gens, degs, memo):
         for k, v in _monomial_numerator(colon, degs, memo).items():
             k = tuple(map(add, k, shift))
             out[k] = out.get(k, 0) + v
-    out = {k: v for k, v in out.items() if v}
-    memo[key] = out
-    return out
+    return {k: v for k, v in out.items() if v}
+
+
+def _monomial_degree(e, degs):
+    """Degree of the monomial with exponents e in variables of degrees degs."""
+    d = (0,) * len(degs[0])
+    for a, y in zip(e, degs):
+        if a:
+            d = tuple(x + a * c for x, c in zip(d, y))
+    return d
 
 
 def _series_coefficient(ring, numerator, deg):
     """Coefficient of T^deg in numerator / prod_i (1 - T^deg(x_i)) over
     the graded variables: the sum of N_d times the number of graded
-    monomials of degree deg - d."""
+    monomials of degree deg - d (Ring.monomial_count)."""
     deg = ring.deg_tuple(deg)
-    return sum(v * len(ring.monomials_of_degree(tuple(map(sub, deg, d))))
+    return sum(v * ring.monomial_count(tuple(map(sub, deg, d)))
                for d, v in numerator.items())
 
 

@@ -448,10 +448,10 @@ def constancy_report(pres, degrees, seed=0, samples=2, locus=()):
         sample_rows = []
         ok = True
         other_avoid = []
+        pgb = groebner.ideal_gb(list(prime), ring=ring) if prime and len(comps) > 1 else []
         for other in comps:
             if other == prime:
                 continue
-            pgb = groebner.ideal_gb(list(prime), ring=ring) if prime else []
             for q in other:
                 if _not_in_component(q, pgb, ring):
                     other_avoid.append(q)

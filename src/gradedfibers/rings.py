@@ -22,7 +22,7 @@ eliminating graded variables never mixes in parameters.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, itemgetter, neg
 
 from .errors import (
@@ -311,6 +311,7 @@ class Ring:
         "_base_basis",
         "_fiber_ring",
         "_mono_cache",
+        "_count_cache",
         "_inv_mono_cache",
         "_factors",
         "_key",
@@ -336,6 +337,7 @@ class Ring:
         self._base_basis = None
         self._fiber_ring = None
         self._mono_cache = {}
+        self._count_cache = {}  # monomial_count's memo, keyed (variable, degree)
         self._inv_mono_cache = {}
         self._factors = {}  # irreducible_factors' memo, keyed by terms
         self._key = order.key
@@ -563,8 +565,10 @@ class Ring:
     def monomials_of_degree(self, deg):
         """Exponent tuples of the graded monomials of the given degree.
 
-        Parameter entries are zero; the result is sorted descending in the
-        ring order, so strand bases come out deterministic.
+        These label the rows and columns of a strand matrix: parameter
+        entries are zero, and the result is sorted descending in the ring
+        order, so strand bases come out deterministic.  A count of them is
+        monomial_count's, which lists none.
         """
         deg = self.deg_tuple(deg)
         cached = self._mono_cache.get(deg)
@@ -577,6 +581,37 @@ class Ring:
         monos = tuple(monos)
         self._mono_cache[deg] = monos
         return monos
+
+    def monomial_count(self, deg):
+        """Number of graded monomials of the given degree, memoized:
+        len(monomials_of_degree(deg)), with none of them listed.
+
+        Under the standard single grading it is C(d + n - 1, n - 1) for n
+        graded variables.  Any other grading walks _enumerate's recursion
+        under the same psi bounds: for each power of the first variable,
+        the count of what remains in the variables after it, memoized per
+        variable and degree.
+        """
+        return self._count(0, self.deg_tuple(deg))
+
+    def _count(self, i, rest):
+        """Number of monomials in the graded variables i, i + 1, ... of
+        degree rest."""
+        key = (i, rest)
+        n = self._count_cache.get(key)
+        if n is None:
+            degs = self.degrees
+            pv = self.psi_value(rest)
+            if pv <= 0 or i == len(degs):
+                n = 0 if any(rest) else 1
+            elif i == 0 and self.gdim == 1 and all(d == (1,) for d in degs):
+                n = comb(rest[0] + len(degs) - 1, len(degs) - 1)
+            else:
+                d = degs[i]
+                n = sum(self._count(i + 1, tuple(r - a * c for r, c in zip(rest, d)))
+                        for a in range(pv // self.psi_value(d) + 1))
+            self._count_cache[key] = n
+        return n
 
     def inverse_monomials_of_degree(self, deg):
         """Exponent tuples with every x-exponent <= -1 and y-exponents >= 0.

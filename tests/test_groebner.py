@@ -861,6 +861,35 @@ def test_hilbert_numerator_of_seeded_monomial_modules():
     assert finite >= 5 and infinite >= 5
 
 
+def test_hilbert_numerator_of_seeded_staircases():
+    """Leads in two of the graded variables, as the powers of a Veronese
+    map have them: 8 to 16 per module, over weighted rings in up to four
+    variables and free modules of rank 1 to 3, so that each component's
+    numerator is read off its staircase."""
+    rng = random.Random(53)
+    steps = 0
+    for trial in range(30):
+        n = rng.randint(2, 4)
+        ring = make_ring(["x%d" % i for i in range(n)], [rng.randint(1, 3) for _ in range(n)])
+        u, v = rng.sample(range(n), 2)
+        module = FreeModule(ring, [(rng.randint(-2, 3),) for _ in range(rng.randint(1, 3))])
+        leads = []
+        for _ in range(rng.randint(8, 16)):
+            e = [0] * n
+            a = rng.randint(0, 8)  # near an antidiagonal, so most are minimal
+            e[u], e[v] = a, max(rng.randint(5, 8) - a, 0)
+            leads.append((rng.randrange(module.rank), tuple(e)))
+        vectors = [module.basis_vector(c).scale(ring.monomial(e)) for c, e in leads]
+        gb = Presentation(FreeMap.from_columns(module, vectors, check=False)).gb()
+        steps += len(gb.leads()) - module.rank
+        for d in range(-3, 16):
+            want = len(ref_standard_monomials(gb.leads(), module, (d,)))
+            assert groebner.quotient_strand_dim(gb, (d,)) == want, (leads, d)
+            free = sum(len(ring.monomials_of_degree((d - s[0],))) for s in module.shifts)
+            assert groebner.submodule_strand_dim(gb, (d,)) == free - want, (leads, d)
+    assert steps >= 90  # staircases with inner corners, not single generators
+
+
 @pytest.mark.parametrize("ring", RELATION_BASES, ids=RELATION_IDS)
 def test_generic_counts_match_a_point_off_the_certificate(ring):
     """presentation_vecdim and submodule_strand_dim over the generic fiber

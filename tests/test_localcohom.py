@@ -11,7 +11,7 @@ import pytest
 
 from gradedfibers.errors import AlgebraError, DualityMismatch
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
-from gradedfibers.rings import PrimeField, make_ring
+from gradedfibers.rings import PrimeField, Ring, make_ring
 from gradedfibers import groebner, localcohom, loci, resolution, specialize, strands
 
 
@@ -454,3 +454,27 @@ def test_strands_share_the_labels_of_each_free_module(monkeypatch):
     per_degree = [res.module(k).shifts for k in range(-1, r + 2)]
     assert calls == [(shifts, mu) for mu in window for shifts in per_degree]
     assert per_degree[1:4] == [((0,),), ((2,),) * 3, ((3,),) * 2]
+
+
+def test_strand_counts_list_no_monomials(monkeypatch):
+    # the twisted cubic's counts are read off Hilbert numerators and
+    # counts of monomials, and list none; a fresh ring has no monomial
+    # list cached
+    R4 = make_ring(["a", "b", "c", "d"], [1, 1, 1, 1])
+    cubic = Presentation.cyclic(
+        R4, [R4.poly(g) for g in ("a*c - b^2", "a*d - b*c", "b*d - c^2")])
+    res = cubic.resolution()
+    gb = cubic.gb()
+
+    def listed(self, degvecs, target):
+        raise AssertionError("listed the monomials of degree %r" % (target,))
+
+    monkeypatch.setattr(Ring, "_enumerate", listed)
+    for d in range(-3, 6):
+        # the cubic's Hilbert function is 3d + 1 from degree 0 on, and its
+        # H^2 makes up the difference below
+        assert groebner.quotient_strand_dim(gb, (d,)) == max(3 * d + 1, 0)
+        assert groebner.submodule_strand_dim(gb, (d,)) \
+            == ((d + 3) * (d + 2) * (d + 1) // 6 - 3 * d - 1 if d >= 0 else 0)
+        assert localcohom.duality_dims_at_degree(res, (d,)) \
+            == {0: 0, 1: 0, 2: max(-3 * d - 1, 0), 3: 0, 4: 0}

@@ -210,6 +210,24 @@ def test_constancy_report_locally_but_not_globally_constant():
             assert row["match"]
 
 
+def test_constancy_report_builds_each_component_basis_once(monkeypatch):
+    # three components: each prime's basis tests the generators of both
+    # others, and is built once
+    A = make_ring(["x"], [1], params=["t"], relations=["t^3 - t"])
+    pres = Presentation.cyclic(A, [A.poly("x"), A.poly("t")])
+    built = []
+    real = groebner.ideal_gb
+
+    def spy(gens, *args, **kwargs):
+        built.append(tuple(str(g) for g in gens))
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "ideal_gb", spy)
+    rep = loci.constancy_report(pres, [(0,)], seed=3, samples=1)
+    assert built == [tuple(str(g) for g in p) for p in A.minimal_primes()]
+    assert rep["locally_constant"] is True and rep["globally_constant"] is False
+
+
 def test_constancy_report_on_a_cuspidal_base_samples_its_component():
     A = make_ring(["x", "y"], [1, 1], params=["s", "t"], relations=["s^2 - t^3"])
     pres = Presentation.cyclic(A, [A.poly(g) for g in ("x^2", "s*x*y", "t*y^2")])

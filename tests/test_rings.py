@@ -120,6 +120,27 @@ def test_monomial_counts():
     assert len(B.monomials_of_degree((2, 1))) == 6  # 3 uv-monomials x 2
 
 
+MONOMIAL_COUNT_RINGS = {
+    "standard": lambda: make_ring(["x", "y", "z"]),
+    "weighted": lambda: make_ring(["x", "y", "z"], [1, 2, 3]),
+    "bigraded": lambda: make_ring(["u", "v"], [(1, 0), (1, 0)], yvars=["x", "y"]),
+    "y-degrees": lambda: make_ring(["u", "v"], [(1, 0), (2, 0)], yvars=["x", "y"],
+                                   ydegrees=[(-1, 1), (0, 1)]),
+    "parameters": lambda: make_ring(["x", "y"], params=["s", "t"], relations=["s^2 - t^3"]),
+    # make_ring asks for a graded variable; a Ring built directly may have none
+    "ungraded": lambda: make_ring(["x"], params=["s"])._replace(
+        names=("s",), nx=0, degrees=(), order=MonomialOrder([("grevlex", [0])])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_COUNT_RINGS))
+def test_monomial_count_matches_the_listed_monomials(name):
+    R = MONOMIAL_COUNT_RINGS[name]()
+    for d in range(-3, 11):
+        for deg in [(d,)] if R.gdim == 1 else [(d, b) for b in range(-2, 5)]:
+            assert R.monomial_count(deg) == len(R.monomials_of_degree(deg)), deg
+
+
 def test_grevlex_vs_lex():
     R = std_ring()
     assert R.poly("x*y^2 + x^2*y").leading_monomial() == (2, 1)
