@@ -239,6 +239,8 @@ def _cmd_specialize(env, cmd, opts):
     if ring.gdim != 1:
         raise AlgebraError("specialize works over singly graded module rings")
     kmax = cmd["power"]
+    if kmax < 0:
+        raise AlgebraError("power %d is negative" % kmax)
     if opts.power_cutoff is not None:
         kmax = min(kmax, opts.power_cutoff)
     bundle = env.bundle(cmd["target"])
@@ -280,6 +282,8 @@ def _cmd_harness(env, cmd, opts):
     pres = env.presentation(cmd["target"])
     degrees = _window_degrees(ring, cmd["window"])
     samples = cmd["samples"] if cmd["samples"] is not None else 2
+    if samples < 0:
+        raise AlgebraError("sample count %d is negative" % samples)
     out = {"target": cmd["target"], "window": cmd["window"]}
     rad = ()
     if ring.nz and ring.base_is_domain:
@@ -366,6 +370,8 @@ def main(argv=None):
                     help="cap on symbolic powers and limit cutoffs")
     ap.add_argument("--csv", action="store_true", help="also write CSV mirrors")
     args = ap.parse_args(argv)
+    if args.power_cutoff is not None and args.power_cutoff < 1:
+        ap.error("--power-cutoff must be at least 1")
     try:
         with open(args.script, encoding="utf-8") as fh:
             text = fh.read()

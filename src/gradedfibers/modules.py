@@ -182,13 +182,6 @@ class Vector:
             raise NotHomogeneous("vector has degrees %s" % sorted(degs))
         return degs.pop()
 
-    def is_homogeneous(self):
-        try:
-            self.degree()
-            return True
-        except NotHomogeneous:
-            return False
-
     def __str__(self):
         return "(" + ", ".join(str(p) for p in self.components()) + ")"
 

@@ -11,9 +11,10 @@ rule: the last two difference values must agree, otherwise
 UnstableLimit asks for a larger cutoff instead of extrapolating
 silently.
 
-The powers I^k of the forms' ideal are built once per fiber, each from
-the products of the reduced basis of the power below with that of I,
-and each keeps one reduced basis (_Powers.basis) that the H^1 strands,
+The powers I^k of the forms' ideal are built once per fiber on the
+ladder of specialize.PowersBundle, of which _Powers is the rank-one case
+(F = R): each from the products of the reduced basis of the power below
+with that of I, and each keeps one reduced basis that the H^1 strands,
 the saturation and the j lengths all read.  Every saturation (I^k)^sat
 is the unit ideal, with no basis computed, when the leads of I's basis
 show I primary to m; otherwise it is saturated once per power, from
@@ -35,6 +36,7 @@ from .errors import (AlgebraError, BaseNotDomain, InvalidFiber, MultiplicityMism
 from . import groebner
 from .modules import Presentation
 from .rings import squarefree_part, transfer
+from .specialize import PowersBundle, ideal_embedding, point_key
 
 
 class RationalMap:
@@ -74,12 +76,6 @@ class RationalMap:
 def _default_cutoff(fring):
     # a plane source needs deeper powers than a space one at desk scale
     return 6 if fring.nx <= 2 else 4
-
-
-def _point_key(point):
-    if point is None:
-        return "generic"
-    return repr(point.describe())
 
 
 def _stable_tail(values, order):
@@ -125,7 +121,7 @@ def _fresh_names(stem, count, taken):
 
 
 def _image_data(rmap, point):
-    key = _point_key(point)
+    key = point_key(point)
     if key in rmap._cache:
         return rmap._cache[key]
     fring, forms = _forms_at(rmap.ring, rmap.forms, point)
@@ -176,13 +172,15 @@ def image_degree(rmap, point=None):
 # -- powers and their first local cohomology ---------------------------------
 
 
-class _Powers:
+class _Powers(PowersBundle):
     """The powers I^k of one homogeneous ideal over one fiber ring, and
     their saturations (I^k)^sat = I^k : m^inf.
 
-    Each power keeps one reduced basis (basis), which the H^1 strands,
-    the j lengths and the saturation all read, and which the next power
-    is built from (generators).  When the leads of I's
+    The powers are the rank-one case of PowersBundle: F = R, embedded by
+    the row of I's generators, read at the generic point of the fiber
+    ring, so basis(k) is the reduced basis of I^k, built from the
+    products of the bases of I^(k-1) and I.  The H^1 strands, the j
+    lengths and the saturation all read it.  When the leads of I's
     basis hold a pure power of every x-variable (the lead test of Bayer's
     early exit in groebner.saturate_ideal), a power of m lies in I, and
     since I^k has the radical of I, every (I^k)^sat is the unit ideal:
@@ -190,38 +188,11 @@ class _Powers:
     saturate_ideal starts from the power's reduced basis, once per power.
     """
 
-    __slots__ = ("ring", "gens", "_bases", "_saturated")
+    __slots__ = ("_saturated",)
 
     def __init__(self, ring, gens):
-        self.ring = ring
-        self.gens = gens
-        self._bases = {}
+        super().__init__(ring, ideal_embedding(ring, gens))
         self._saturated = {}
-
-    def generators(self, k):
-        """The generators of I^k, in order of first appearance: for k = 1
-        I's distinct nonzero generators, above it the distinct nonzero
-        products g*h of g in the reduced basis of I^(k-1) and h in I's.
-        Each basis generates its ideal over A[x], so the products
-        generate I^(k-1) I = I^k, and the reduced basis of I^k is the
-        one the products of k generators give."""
-        if k == 1:
-            products = self.gens
-        else:
-            first = groebner.ideal_basis_polys(self.basis(1))
-            products = [g * h for g in groebner.ideal_basis_polys(self.basis(k - 1))
-                        for h in first]
-        distinct = {}
-        for p in products:
-            if p.terms:
-                distinct.setdefault(frozenset(p.terms.items()), p)
-        return list(distinct.values())
-
-    def basis(self, k):
-        """The reduced basis of I^k, built at most once."""
-        if k not in self._bases:
-            self._bases[k] = Presentation.cyclic(self.ring, self.generators(k)).gb()
-        return self._bases[k]
 
     def primary(self):
         """True when the leads of I's basis show I primary to m."""
@@ -246,11 +217,10 @@ class _Powers:
 def _map_powers(rmap, point):
     """The powers of the ideal of the map's forms at a fiber, kept in the
     map's cache so every invariant of that fiber shares them."""
-    key = ("powers", _point_key(point))
+    key = ("powers", point_key(point))
     if key not in rmap._cache:
         fring, forms = _forms_at(rmap.ring, rmap.forms, point)
-        forms = [g for g in forms if not g.is_zero()]
-        if not forms:
+        if all(g.is_zero() for g in forms):
             raise InvalidFiber("every form vanishes at this fiber")
         rmap._cache[key] = _Powers(fring, forms)
     return rmap._cache[key]
@@ -336,8 +306,7 @@ def j_multiplicity(ring, ideal_gens, point=None, cutoff=None):
     if ring.ny or ring.gdim != 1:
         raise NotStandardGraded("ideal multiplicities live on a singly graded x-block")
     fring, gens = _forms_at(ring, ideal_gens, point)
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    if all(g.is_zero() for g in gens):
         return 0
     return _j_multiplicity(_Powers(fring, gens), cutoff)
 
@@ -388,7 +357,6 @@ def hilbert_samuel_multiplicity(ring, ideal_gens, point=None, cutoff=None):
     if ring.ny or ring.gdim != 1:
         raise NotStandardGraded("ideal multiplicities live on a singly graded x-block")
     fring, gens = _forms_at(ring, ideal_gens, point)
-    gens = [g for g in gens if not g.is_zero()]
     if cutoff is None:
         cutoff = _default_cutoff(fring) + 2
     powers = _Powers(fring, gens)

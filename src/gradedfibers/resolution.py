@@ -94,21 +94,6 @@ class Complex:
             if not comp.is_zero():
                 raise AlgebraError("differential composite is nonzero at step %d" % i)
 
-    def dual(self, twist=None):
-        """The dualized complex, reindexed as a chain complex.
-
-        Position i of the dual holds F_{length-i}^*; homology there is
-        Ext^{length-i} against R(twist) when self is a resolution.
-        """
-        r = self.length
-        if twist is None:
-            twist = self.ring.zero_degree()
-        mods = [self.modules[r - i].dual(twist) for i in range(r + 1)]
-        maps = []
-        for i in range(1, r + 1):
-            maps.append(self.map(r - i + 1).transpose(twist))
-        return Complex(mods, maps)
-
     def __str__(self):
         parts = []
         for i, mod in enumerate(self.modules):

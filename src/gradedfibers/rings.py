@@ -803,9 +803,6 @@ class Poly:
                 return c
         return None
 
-    def degree(self):
-        return self.ring.degree_of(self)
-
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other):

@@ -6,6 +6,14 @@ point of an irreducible closed subset, carried as an enlarged relation
 ideal.  Everything downstream evaluates through the same two-method
 interface: fiber_ring(ring) says where evaluated objects live and
 evaluate(poly) moves elements there.
+
+The Rees powers of an ideal or of a module climb one ladder
+(PowersBundle): the k-th power, inside Sym^k of a free module the
+module embeds in, is generated by the products of the reduced bases of
+the power below and of the first power, and each basis is kept once per
+power and point.  The agreement certificate and the fiber dimensions of
+`specialize` read those bases, and ratmap reads an ideal's powers off
+the rank-one case.
 """
 
 from __future__ import annotations
@@ -150,6 +158,14 @@ class FiberPoint:
         return "FiberPoint(generic: %s)" % ", ".join(str(g) for g in self.prime_gens)
 
 
+def point_key(point):
+    """A hashable key of a fiber choice, None being the generic point of
+    the whole base, under which per-fiber data is kept."""
+    if point is None:
+        return "generic"
+    return repr(point.describe())
+
+
 def _int_pow(v, a, field):
     out = field.one
     base = v
@@ -207,73 +223,91 @@ def _torsion_free_embedding(pres):
     return tf, groebner.embed_in_free(tf)
 
 
-class PowersBundle:
-    """Everything needed to specialize the powers of one module.
+def ideal_embedding(ring, gens):
+    """An ideal I as a module embedded in F = R: the row of I's nonzero
+    generators, a map from the free module of their degrees to R."""
+    # zero generators add nothing to the ideal
+    gens = [g for g in map(ring.poly, gens) if not g.is_zero()]
+    free = FreeModule(ring, [ring.zero_degree()])
+    src = FreeModule(ring, [ring.deg_tuple(ring.degree_of(g)) for g in gens])
+    return FreeMap(src, free, [free.element([g]) for g in gens], check=False)
 
-    Holds the torsion-free quotient, its embedding into a graded free
-    module of the same rank, and b, the largest generator degree.  The
-    embedding is part of the data on purpose: away from the agreement
-    locus the specialized power can depend on it, and callers comparing
-    embeddings build two bundles.
+
+class PowersBundle:
+    """The Rees powers P_k of one module E, on one ladder.
+
+    E is given by an embedding into a graded free module F (for an ideal,
+    F = R), and P_k is the image of Sym^k E in Sym^k F: P_1 is spanned by
+    the embedding's columns, and P_k = P_(k-1) P_1.  power_vectors builds
+    each P_k from the reduced bases of P_(k-1) and P_1, and basis keeps
+    one reduced basis per (k, point), so every power is built once per
+    point and the next one is built from it.  b is the largest generator
+    degree.  The embedding is part of the data on purpose: away from the
+    agreement locus the specialized power can depend on it, and callers
+    comparing embeddings build two bundles.
     """
 
-    __slots__ = ("ring", "kind", "embedding", "tf", "b")
+    __slots__ = ("ring", "embedding", "b", "_bases")
 
-    def __init__(self, ring, kind, embedding, tf, b):
+    def __init__(self, ring, embedding):
         self.ring = ring
-        self.kind = kind
         self.embedding = embedding
-        self.tf = tf
-        self.b = b
+        self.b = max((s[0] for s in embedding.source.shifts), default=0)
+        self._bases = {}
 
     def power_vectors(self, k, point=None):
-        """Generators of the k-th power inside Sym^k of the embedding target.
+        """Generators of P_k inside Sym^k F, in order of first appearance.
 
         Returns (free_module, vectors).  With a point the entries are
         evaluated there; otherwise they stay over the parameter ring.
+        P_0 is R, P_1 is spanned by the embedding's distinct nonzero
+        columns, and above that the generators are the distinct nonzero
+        products u*v of u in the reduced basis of P_(k-1) and v in that
+        of P_1.  Each basis generates its module over the base, so the
+        products generate P_(k-1) P_1 = P_k, and its reduced basis is
+        the one the products of k columns give.
         """
         ring = self.ring if point is None else point.fiber_ring(self.ring)
-        emb = self.embedding
-        m = emb.target.rank
-        cols = []
-        for j in range(emb.source.rank):
-            col = emb.cols[j]
-            comps = []
-            for i in range(m):
-                entry = col.component(i)
-                comps.append(entry if point is None else point.evaluate(entry))
-            cols.append(comps)
-        basis = list(combinations_with_replacement(range(m), k))
-        shifts = []
-        for alpha in basis:
-            s = ring.zero_degree()
-            for i in alpha:
-                s = tuple(a + b for a, b in zip(s, emb.target.shifts[i]))
-            shifts.append(s)
-        module = FreeModule(ring, shifts)
-        index = {alpha: i for i, alpha in enumerate(basis)}
-        vectors = []
-        for combo in combinations_with_replacement(range(len(cols)), k):
-            state = {(): ring.one()}
-            for j in combo:
-                nxt = {}
-                for alpha, c in state.items():
-                    for i, entry in enumerate(cols[j]):
-                        if entry.is_zero():
-                            continue
-                        key = tuple(sorted(alpha + (i,)))
-                        p = c * entry
-                        prev = nxt.get(key)
-                        s = p if prev is None else prev + p
-                        if s.is_zero():
-                            nxt.pop(key, None)
-                        else:
-                            nxt[key] = s
-                state = nxt
-            if state:
-                vectors.append(module.element(
-                    [state.get(alpha, ring.zero()) for alpha in basis]))
-        return module, vectors
+        if k == 0:
+            module = FreeModule(ring, [ring.zero_degree()])
+            return module, [module.element([ring.one()])]
+        if k == 1:
+            emb = self.embedding if point is None else self.embedding.evaluate(point)
+            return emb.target, _distinct(emb.cols)
+        target_shifts = self.embedding.target.shifts
+        m = len(target_shifts)
+        lower = list(combinations_with_replacement(range(m), k - 1))
+        labels = list(combinations_with_replacement(range(m), k))
+        index = {alpha: j for j, alpha in enumerate(labels)}
+        module = FreeModule(ring, [tuple(map(sum, zip(*(target_shifts[i] for i in alpha))))
+                                   for alpha in labels])
+        first = [v.components() for v in self.basis(1, point)]
+        products = []
+        for u in self.basis(k - 1, point):
+            below = [(alpha, p) for alpha, p in zip(lower, u.components()) if not p.is_zero()]
+            for comps in first:
+                entries = [ring.zero()] * len(labels)
+                for alpha, p in below:
+                    for i, q in enumerate(comps):
+                        if not q.is_zero():
+                            j = index[tuple(sorted(alpha + (i,)))]
+                            entries[j] = entries[j] + p * q
+                products.append(module.element(entries))
+        return module, _distinct(products)
+
+    def basis(self, k, point=None):
+        """The reduced basis of P_k at the point, built at most once;
+        point None is the generic point of the base."""
+        key = (k, point_key(point))
+        if key not in self._bases:
+            module, vectors = self.power_vectors(k, point)
+            self._bases[key] = groebner.module_gb(vectors, module)
+        return self._bases[key]
+
+
+def _distinct(vectors):
+    """The distinct nonzero vectors, in order of first appearance."""
+    return list(dict.fromkeys(v for v in vectors if v))
 
 
 def rees_powers(source, ring=None):
@@ -283,36 +317,29 @@ def rees_powers(source, ring=None):
     generators together with their ring.  The base must be a domain so
     torsion and rank make sense.  A module's powers are read in Sym of
     the free module its torsion-free quotient embeds in
-    (_torsion_free_embedding); an ideal embeds in the ring itself.
+    (_torsion_free_embedding); an ideal embeds in the ring itself
+    (ideal_embedding).
     """
     if isinstance(source, Presentation):
         ring = source.ring
         if not ring.base_is_domain:
             raise BaseNotDomain("module powers need an integral base")
-        kind = "module"
-        tf, emb = _torsion_free_embedding(source)
+        _tf, emb = _torsion_free_embedding(source)
     else:
         if ring is None:
             raise AlgebraError("ideal generators need an explicit ring")
         if not ring.base_is_domain:
             raise BaseNotDomain("ideal powers need an integral base")
-        kind = "ideal"
-        # zero generators add nothing to the ideal
-        gens = [g for g in map(ring.poly, source) if not g.is_zero()]
-        free = FreeModule(ring, [ring.zero_degree()])
-        src = FreeModule(ring, [ring.deg_tuple(ring.degree_of(g)) for g in gens])
-        emb = FreeMap(src, free, [free.element([g]) for g in gens], check=False)
-        tf = Presentation(FreeMap.from_columns(src, [], check=False))
-    mus = [s[0] for s in tf.gens_module.shifts]
-    return PowersBundle(ring, kind, emb, tf, max(mus) if mus else 0)
+        emb = ideal_embedding(ring, source)
+    return PowersBundle(ring, emb)
 
 
 def generic_agreement_certificate(bundle, ks, degrees):
     """Parameter element off whose zeros every listed power keeps its
     generic dimension in every degree, with those dimensions.
 
-    Each power's basis over the base (the one power_dims_at builds, at
-    the generic point) has minimal generic lead coefficients; off the
+    Each power's basis over the base (bundle.basis at the generic point)
+    has minimal generic lead coefficients; off the
     zeros of their product every fiber has the basis' leads, so it has
     the Hilbert function of the generic fiber in every degree
     (Kalkbrener, JSC 1997).  The certificate is the squarefree part of that product
@@ -324,7 +351,8 @@ def generic_agreement_certificate(bundle, ks, degrees):
         raise BaseNotDomain("agreement certificates need an integral base")
     coeffs = []
     generic_dims = {}
-    for k, gb in _power_bases(bundle, ks, None):
+    for k in ks:
+        gb = bundle.basis(k)
         coeffs.extend(gb.minimal_lead_coefficients())
         for deg in degrees:
             generic_dims[(k, deg)] = groebner.submodule_strand_dim(gb, deg)
@@ -334,13 +362,5 @@ def generic_agreement_certificate(bundle, ks, degrees):
 def power_dims_at(bundle, ks, degrees, point):
     """{(k, degree): dim of that strand of the k-th power at a fiber
     point}, k by k and then degree by degree."""
-    return {(k, deg): groebner.submodule_strand_dim(gb, deg)
-            for k, gb in _power_bases(bundle, ks, point) for deg in degrees}
-
-
-def _power_bases(bundle, ks, point):
-    """(k, basis of the k-th power at the point) for each k; point None
-    is the generic point of the base."""
-    for k in ks:
-        module, vectors = bundle.power_vectors(k, point)
-        yield k, groebner.module_gb(vectors, module)
+    return {(k, deg): groebner.submodule_strand_dim(bundle.basis(k, point), deg)
+            for k in ks for deg in degrees}

@@ -35,6 +35,7 @@ CASES = {
     "ratmap_cusp": 0,
     "loci_jumps": 0,
     "harness_katzman": 0,
+    "powers_capacity": 0,
     "bad_window": 1,
 }
 
@@ -129,6 +130,33 @@ def test_power_cutoff_caps_powers_and_keeps_the_exact_image_degree(tmp_path):
     powers = json.loads((tmp_path / "03_specialize.json").read_text())
     assert powers["power"] == 2
     assert {row["power"] for row in powers["rows"]} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("command, message", [
+    ("specialize V power -1", "power -1 is negative"),
+    ("harness V window [0, 1] samples -1", "sample count -1 is negative"),
+], ids=["power", "samples"])
+def test_negative_counts_are_refused_as_input(command, message, tmp_path):
+    # a negative power or sample count has no answer: an input error, not
+    # an empty table or a verdict as if no rational point existed
+    text = ("ring R base poly(QQ, t) vars x:1 y:1;\n"
+            "ideal V = (x^2, t*x*y, y^2);\n"
+            "cmd %s;\n" % command)
+    assert cli.run(script.parse(text), out_dir=str(tmp_path)) == 1
+    (path,) = tmp_path.glob("01_*.json")
+    payload = json.loads(path.read_text())
+    assert sorted(payload) == ["command", "error", "index", "seed"]
+    assert payload["error"] == {"type": "AlgebraError", "message": message, "kind": "input"}
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-2"])
+def test_power_cutoff_below_one_is_a_usage_error(cutoff, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--script", str(GOLDEN / "rees_qq.gf"), "--out", str(tmp_path / "out"),
+                  "--power-cutoff", cutoff])
+    assert exc.value.code == 2
+    assert "--power-cutoff must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, cutoff", [("rees_qq", ["--power-cutoff", "2"]),

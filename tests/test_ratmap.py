@@ -9,7 +9,7 @@ from gradedfibers.errors import (AlgebraError, NotGenericallyFinite,
                                  NotHomogeneous, NotStandardGraded, UnstableLimit)
 from gradedfibers.modules import FreeModule, Presentation
 from gradedfibers.rings import PrimeField, make_ring
-from gradedfibers import cli, groebner, ratmap, script
+from gradedfibers import cli, groebner, ratmap, script, specialize
 from gradedfibers.specialize import FiberPoint
 from test_groebner import ref_degree
 
@@ -168,6 +168,18 @@ def _spy(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, spied)
 
 
+def _spy_power_builds(monkeypatch, built):
+    """Record the power k of each basis the power ladder builds:
+    power_vectors runs once per basis, when the basis is built."""
+    real = specialize.PowersBundle.power_vectors
+
+    def power_vectors(self, k, point=None):
+        built.append(k)
+        return real(self, k, point)
+
+    monkeypatch.setattr(specialize.PowersBundle, "power_vectors", power_vectors)
+
+
 def test_fiber_invariants_saturate_each_power_once(monkeypatch):
     # degG reads k = 1..6, e_sat n = 1..8 and j the powers 1..7.  Both
     # ideals are m-primary, so every saturation is the unit ideal with no
@@ -178,14 +190,7 @@ def test_fiber_invariants_saturate_each_power_once(monkeypatch):
     for name in ("saturate_ideal", "_graph_kernel", "intersect_ideals", "_buchberger"):
         _spy(monkeypatch, groebner, name, calls)
     built = []
-    real_basis = ratmap._Powers.basis
-
-    def basis(self, k):
-        if k not in self._bases:
-            built.append(k)
-        return real_basis(self, k)
-
-    monkeypatch.setattr(ratmap._Powers, "basis", basis)
+    _spy_power_builds(monkeypatch, built)
     for forms in (["x^2", "x*y", "y^2"], ["x^2", "y^2"]):
         calls.clear()
         built.clear()
@@ -211,7 +216,7 @@ def test_j_reads_the_power_basis_where_the_saturation_is_the_unit_ideal(monkeypa
     # every saturation of the Veronese ideal is the unit ideal, so the j
     # lengths are read off the power bases alone: no basis of an ideal
     # sum is built, and nothing is intersected
-    sums = []
+    sums, built = [], []
     real = ratmap.Presentation.cyclic
 
     def cyclic(ring, gens):
@@ -219,22 +224,25 @@ def test_j_reads_the_power_basis_where_the_saturation_is_the_unit_ideal(monkeypa
         return real(ring, gens)
 
     monkeypatch.setattr(ratmap.Presentation, "cyclic", cyclic)
+    _spy_power_builds(monkeypatch, built)
     powers = ratmap._Powers(R, [R.poly(g) for g in ("x^2", "x*y", "y^2")])
     assert ratmap._j_lengths(powers, 3) == [7, 11, 15]  # first differences 4 = j
-    assert len(sums) == 4  # the bases of I^1..I^4
+    assert (built, sums) == ([1, 2, 3, 4], [])  # the bases of I^1..I^4
     # the Cremona map keeps its saturations proper: with them and the
     # power bases in hand, each length takes one basis of the sum
     # (I^(n+1))^sat + I^n, and no intersection
     Q = make_ring(["x", "y", "z"], [1, 1, 1])
-    powers = ratmap._Powers(Q, [Q.poly(g) for g in ("y*z", "x*z", "x*y")])
+    cremona = [Q.poly(g) for g in ("y*z", "x*z", "x*y")]
+    powers = ratmap._Powers(Q, cremona)
     for n in (1, 2, 3, 4):
         powers.saturated(n)
     meets = []
     _spy(monkeypatch, groebner, "intersect_ideals", meets)
     sums.clear()
+    built.clear()
     lengths = ratmap._j_lengths(powers, 3)
-    assert len(sums) == 3 and meets == []
-    assert lengths == [_reference_j_length(Q, powers.gens, n) for n in (1, 2, 3)]
+    assert (len(sums), built, meets) == (3, [], [])
+    assert lengths == [_reference_j_length(Q, cremona, n) for n in (1, 2, 3)]
 
 
 def _distinct(polys):
@@ -308,7 +316,8 @@ def test_power_basis_polys_are_the_ideal_basis(ring, gens):
     gens = [ring.poly(g) for g in gens]
     powers = ratmap._Powers(ring, gens)
     for n in (1, 2, 3, 4):
-        assert [g.terms for g in powers.generators(n)] \
+        _module, vectors = powers.power_vectors(n)
+        assert [v.component(0).terms for v in vectors] \
             == [g.terms for g in _ladder(gens, n, ring)]
         got = groebner.ideal_basis_polys(powers.basis(n))
         want = groebner.ideal_gb(_products(gens, n, ring), ring=ring)

@@ -107,13 +107,6 @@ def test_top_dual_cokernel_zero_for_cm_of_max_depth():
     assert td.ngens <= 1  # R itself: dual complex exact at the top
 
 
-def test_dual_complex_twist():
-    res = resolution.free_resolution(koszul_mm(), 2)
-    dual = res.dual(twist=R2.deg_tuple(-2))
-    dual_ranks = [m.rank for m in dual.modules]
-    assert sorted(dual_ranks) == sorted(m.rank for m in res.modules[:len(dual_ranks)])
-
-
 def test_schreyer_connected_sum_rank_bookkeeping():
     # 3 generic-looking quadrics in 3 variables: 1, 3, then first syzygies
     pres = Presentation.cyclic(

@@ -101,13 +101,13 @@ def test_poly_str_reparses():
 
 def test_degrees_and_homogeneity():
     R = std_ring()
-    assert R.poly("x^2*y").degree() == (3,)
+    assert R.degree_of(R.poly("x^2*y")) == (3,)
     with pytest.raises(NotHomogeneous):
-        R.poly("x + x*y").degree()
+        R.degree_of(R.poly("x + x*y"))
     # parameters do not contribute to the degree
     A = make_ring(["x"], [1], params=["t"])
-    assert A.poly("t^5*x").degree() == (1,)
-    assert A.poly("t^2 - 3").degree() == (0,)
+    assert A.degree_of(A.poly("t^5*x")) == (1,)
+    assert A.degree_of(A.poly("t^2 - 3")) == (0,)
 
 
 def test_monomial_counts():

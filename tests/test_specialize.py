@@ -8,7 +8,7 @@ import pytest
 
 from gradedfibers.errors import AlgebraError, InvalidFiber, NotOnVariety
 from gradedfibers.modules import FreeModule, FreeMap, Presentation
-from gradedfibers.rings import make_ring
+from gradedfibers.rings import PrimeField, make_ring
 from gradedfibers import cli, groebner, script, specialize
 from gradedfibers.specialize import FiberPoint
 
@@ -87,7 +87,7 @@ def test_sample_rational_point():
 
 def test_specialize_power_at_fibers():
     bundle = specialize.rees_powers(["t*x", "y"], ring=Rt)
-    assert bundle.kind == "ideal"
+    assert bundle.embedding.target.rank == 1  # an ideal embeds in R itself
     assert bundle.b == 1
     pt0 = FiberPoint.rational(Rt, {"t": 0})
     pt1 = FiberPoint.rational(Rt, {"t": 1})
@@ -185,8 +185,7 @@ def test_module_powers_drop_torsion():
             gens.element([R.zero(), R.poly("-y"), R.poly("x")])]
     pres = Presentation(FreeMap.from_columns(gens, cols))
     bundle = specialize.rees_powers(pres)
-    assert bundle.kind == "module"
-    assert bundle.tf.ngens == 2
+    assert bundle.embedding.source.rank == 2  # the generators of the quotient m
     assert bundle.b == 1
     module, vectors = bundle.power_vectors(2)
     assert len(vectors) == 3
@@ -222,15 +221,15 @@ def test_embedding_independence_of_dims():
     # R^3/(x, y, z) has rank two and three dual generators, the Koszul
     # syzygies; two different pairs of them embed its torsion-free quotient
     pres = presentation(R3, 3, [["x", "y", "z"]])
-    bundle = specialize.rees_powers(pres)
-    tf = bundle.tf
+    tf, emb = specialize._torsion_free_embedding(pres)
+    bundle = specialize.PowersBundle(R3, emb)
     dual = groebner.kernel_gens(tf.relations.transpose())
     assert (len(dual), bundle.embedding.target.rank) == (3, 2)
     other = groebner._evaluation_map(tf.gens_module, dual[1:], R3)
     assert [str(c) for c in other.cols] != [str(c) for c in bundle.embedding.cols]
     assert all(tf.gb().contains(v) for v in groebner.kernel_gens(other))
     dims = []
-    for b in (bundle, specialize.PowersBundle(R3, "module", other, tf, bundle.b)):
+    for b in (bundle, specialize.PowersBundle(R3, other)):
         module, vectors = b.power_vectors(2)
         gb = groebner.module_gb(vectors, module)
         w = module.shifts[0][0] - 2 if module.shifts else 0
@@ -286,6 +285,75 @@ WIDE_DUALS = {
 }
 
 
+
+def raw_power_vectors(bundle, k, point=None):
+    """The generators of the k-th power as every power used to be built:
+    each product of k embedding columns, repetition allowed, expanded in
+    Sym^k of the embedding target.  The reference for the power ladder."""
+    ring = bundle.ring if point is None else point.fiber_ring(bundle.ring)
+    emb = bundle.embedding
+    m = emb.target.rank
+    cols = [[e if point is None else point.evaluate(e) for e in col.components()]
+            for col in emb.cols]
+    basis = list(itertools.combinations_with_replacement(range(m), k))
+    shifts = []
+    for alpha in basis:
+        s = ring.zero_degree()
+        for i in alpha:
+            s = tuple(a + b for a, b in zip(s, emb.target.shifts[i]))
+        shifts.append(s)
+    module = FreeModule(ring, shifts)
+    vectors = []
+    for combo in itertools.combinations_with_replacement(range(len(cols)), k):
+        state = {(): ring.one()}
+        for j in combo:
+            nxt = {}
+            for alpha, c in state.items():
+                for i, entry in enumerate(cols[j]):
+                    if not entry.is_zero():
+                        key = tuple(sorted(alpha + (i,)))
+                        nxt[key] = nxt.get(key, ring.zero()) + c * entry
+            state = {alpha: c for alpha, c in nxt.items() if not c.is_zero()}
+        if state:
+            vectors.append(module.element([state.get(alpha, ring.zero()) for alpha in basis]))
+    return module, vectors
+
+
+# (ring, parameter names, extra presentations) for the ladder's property test
+LADDER_BASES = {
+    "QQ": (R3, [], []),
+    "GF(32003)": (make_ring(["x", "y", "z"], [1, 1, 1], field=PrimeField(32003)), [], []),
+    "QQ[t]": (R3t, ["t"], [powers_module, lambda: presentation(*WIDE_DUALS["R^3/(t*x, y, z)"])]),
+    "cusp": (CUSP, ["s", "t"], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_BASES))
+def test_the_power_ladder_matches_the_products_of_k_columns(name):
+    # each power is built from the reduced bases of the power below and
+    # of the first, and its reduced basis is the one the products of k
+    # columns give, term for term, generically and at a rational point;
+    # the QQ[t] cases add the module_powers and module_embed modules
+    ring, params, extra = LADDER_BASES[name]
+    rng = random.Random(41)
+    cases = list(seeded_presentations(ring, params, seed=17, count=3)) + [f() for f in extra]
+    ranks = set()
+    for pres in cases:
+        bundle = specialize.rees_powers(pres)
+        ranks.add(bundle.embedding.target.rank)
+        points = [None]
+        if params:
+            points.append(specialize.sample_rational_point(pres.ring, rng))
+        for point in points:
+            for k in range(4):
+                module, vectors = raw_power_vectors(bundle, k, point)
+                got = bundle.basis(k, point)
+                assert got.module == module
+                assert [v.data for v in got] \
+                    == [v.data for v in groebner.module_gb(vectors, module)]
+    assert max(ranks) >= 2
+
+
 def test_embedding_takes_the_first_injective_dual_generators():
     cases = [presentation(*case) for case in WIDE_DUALS.values()]
     for ring, params in ((R3, []), (R3t, ["t"]), (CUSP, ["s", "t"])):
@@ -338,7 +406,7 @@ def test_zero_generators_leave_the_ideal_unchanged():
     # (0, x) and (x) are one ideal: the same bundle, powers and certificate
     zero = specialize.rees_powers(["0", "t*x", "0"], ring=Rt)
     plain = specialize.rees_powers(["t*x"], ring=Rt)
-    assert (zero.kind, zero.b) == (plain.kind, plain.b) == ("ideal", 1)
+    assert zero.b == plain.b == 1
     pt0 = FiberPoint.rational(Rt, {"t": 0})
     for k in range(4):
         for point in (None, pt0):
