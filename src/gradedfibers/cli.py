@@ -333,7 +333,10 @@ def _error_kind(exc):
 
 
 def run(session, seed=0, out_dir=".", power_cutoff=None, csv=False):
-    """Execute every command; returns 0 iff none errored."""
+    """Execute every command; returns 0 iff none errored.  A power
+    cutoff below 1 is refused with ValueError before anything is written."""
+    if power_cutoff is not None and power_cutoff < 1:
+        raise ValueError("--power-cutoff must be at least 1")
     opts = argparse.Namespace(power_cutoff=power_cutoff)
     env = _Env(session, seed)
     os.makedirs(out_dir, exist_ok=True)
@@ -370,8 +373,6 @@ def main(argv=None):
                     help="cap on symbolic powers and limit cutoffs")
     ap.add_argument("--csv", action="store_true", help="also write CSV mirrors")
     args = ap.parse_args(argv)
-    if args.power_cutoff is not None and args.power_cutoff < 1:
-        ap.error("--power-cutoff must be at least 1")
     try:
         with open(args.script, encoding="utf-8") as fh:
             text = fh.read()
@@ -383,8 +384,11 @@ def main(argv=None):
     except ScriptError as exc:
         print("script error: %s" % exc, file=sys.stderr)
         return 2
-    return run(session, seed=args.seed, out_dir=args.out,
-               power_cutoff=args.power_cutoff, csv=args.csv)
+    try:
+        return run(session, seed=args.seed, out_dir=args.out,
+                   power_cutoff=args.power_cutoff, csv=args.csv)
+    except ValueError as exc:
+        ap.error(str(exc))
 
 
 if __name__ == "__main__":

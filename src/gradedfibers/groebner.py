@@ -417,11 +417,10 @@ class GBasis:
     form a Groebner basis of the same module.
     """
 
-    __slots__ = ("module", "split", "elements", "_ctx", "_table", "_numerator")
+    __slots__ = ("module", "elements", "_ctx", "_table", "_numerator")
 
     def __init__(self, module, split, data_list):
         self.module = module
-        self.split = split
         self._numerator = None
         self._ctx = ctx = _Ctx(module.ring, module.shifts, split)
         p = ctx.p

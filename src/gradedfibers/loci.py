@@ -38,15 +38,7 @@ def _squarefree_gens(gens):
     vanishing set, and dropping them keeps unions of loci from piling up
     powers.
     """
-    out = []
-    seen = set()
-    for g in gens:
-        s = squarefree_part(g)
-        key = tuple(sorted(s.terms.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
+    return list(dict.fromkeys(squarefree_part(g) for g in gens))
 
 
 def rank_drop_locus(sm, ring):
@@ -147,7 +139,7 @@ def nonfree_locus(pres, window=None):
 def _product(polys, ring):
     """The product of the distinct polys, content dropped."""
     acc = ring.one()
-    for f in {tuple(sorted(f.terms.items())): f for f in polys}.values():
+    for f in dict.fromkeys(polys):
         acc = acc * f
     return acc.primitive()
 
@@ -189,7 +181,7 @@ def _stratum(pres, adjoined, prime, reference, hilbert, ring, cells, seen):
         return True, []
     factors = []
     for f in coeffs:
-        factors.extend(irreducible_factors(f) if not base.field.char else [f.primitive()])
+        factors.extend(irreducible_factors(f))
     whole = empty or cell_bad
     bad = [closure] if cell_bad else []
     # over a polynomial base one irreducible factor cuts out a prime
@@ -203,7 +195,7 @@ def _stratum(pres, adjoined, prime, reference, hilbert, ring, cells, seen):
         if groebner._has_unit(rels):
             continue  # f is a unit on this stratum
         child = adjoined + [transfer(f, ring)]
-        key = tuple(tuple(sorted(g.terms.items())) for g in rels)
+        key = tuple(rels)
         if key not in seen:
             seen[key] = _stratum(pres.evaluate(fiber), child, prime_below,
                                  reference, hilbert, ring, cells, seen)

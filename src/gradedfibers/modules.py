@@ -1,14 +1,14 @@
 """Graded free modules, their elements, maps and cokernel presentations.
 
 A vector is stored as a flat dict keyed by (component, exponent tuple);
-the Groebner engine works on these dicts directly.  Maps are column
-based: col j is the image of the j-th source basis vector, and source
-shifts are pinned down by homogeneity.
+the Groebner engine works on these dicts directly.  Vector sums, scalings
+and map transposes go component by component through Poly, which owns
+the term arithmetic and the normal form modulo the base relations.  Maps
+are column based: col j is the image of the j-th source basis vector,
+and source shifts are pinned down by homogeneity.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import AlgebraError, NotHomogeneous, RingMismatch
 from .rings import Poly
@@ -113,18 +113,8 @@ class Vector:
 
     def __add__(self, other):
         self._check(other)
-        data = dict(self.data)
-        for t, c in other.data.items():
-            s = data.get(t)
-            if s is None:
-                data[t] = c
-            else:
-                s = s + c
-                if s:
-                    data[t] = s
-                else:
-                    del data[t]
-        return Vector(self.module, data)
+        pairs = zip(self.components(), other.components())
+        return self.module.element([p + q for p, q in pairs])
 
     def __neg__(self):
         return Vector(self.module, {t: -c for t, c in self.data.items()})
@@ -133,40 +123,21 @@ class Vector:
         return self.__add__(other.__neg__())
 
     def scale(self, p):
-        """Multiply by a ring element or number."""
-        if isinstance(p, (int, Fraction)):
+        """Multiply by a ring element or number, component by component."""
+        if not isinstance(p, Poly):
             p = self.ring.constant(p)
-        if p.is_zero() or not self.data:
-            return self.module.zero()
-        data = {}
-        for (i, e), c in self.data.items():
-            for pe, pc in p.terms.items():
-                key = (i, tuple(a + b for a, b in zip(e, pe)))
-                s = data.get(key)
-                v = c * pc
-                if s is None:
-                    data[key] = v
-                else:
-                    s = s + v
-                    if s:
-                        data[key] = s
-                    else:
-                        del data[key]
-        ring = self.ring
-        if ring.base_rel:
-            comps = {}
-            for (i, e), c in data.items():
-                comps.setdefault(i, {})[e] = c
-            data = {(i, e): c for i, terms in comps.items()
-                    for e, c in ring._reduce_base(terms).items()}
-        return Vector(self.module, data)
+        return self.module.element([q * p for q in self.components()])
 
     def component(self, i):
         terms = {e: c for (j, e), c in self.data.items() if j == i}
         return Poly(self.ring, terms, _reduce=False)
 
     def components(self):
-        return [self.component(i) for i in range(self.module.rank)]
+        """One Poly per component, read in one pass over the terms."""
+        comps = [{} for _ in range(self.module.rank)]
+        for (i, e), c in self.data.items():
+            comps[i][e] = c
+        return [Poly(self.ring, terms, _reduce=False) for terms in comps]
 
     def degree(self):
         """Common degree of all terms, None for zero, NotHomogeneous otherwise."""
@@ -256,14 +227,9 @@ class FreeMap:
         """Hom(-, R(twist)) applied to the map: sources and targets swap and dualize."""
         new_source = self.target.dual(twist)
         new_target = self.source.dual(twist)
-        cols = []
-        for i in range(self.target.rank):
-            data = {}
-            for j in range(self.source.rank):
-                p = self.entry(i, j)
-                for e, c in p.terms.items():
-                    data[(j, e)] = c
-            cols.append(Vector(new_target, data))
+        entries = [col.components() for col in self.cols]
+        cols = [new_target.element([row[i] for row in entries])
+                for i in range(self.target.rank)]
         return FreeMap(new_source, new_target, cols, check=False)
 
     def evaluate(self, fiber):

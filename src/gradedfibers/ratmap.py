@@ -139,7 +139,6 @@ def _image_data(rmap, point):
     spread = groebner.quotient_dimension(gb)
     data = {
         "fring": fring,
-        "forms": forms,
         "tring": tring,
         "gens": gens,
         "gb": gb,
@@ -425,14 +424,13 @@ def preimage_count(rmap, point=None, seed=0, tries=40):
 
 
 def _eval_at_coords(g, coords, field):
+    """Value of a form of a field-coefficient ring at the point whose
+    graded coordinates are coords."""
     total = field.zero
-    ng = g.ring.ngraded
     for e, co in g.terms.items():
-        v = co
-        for i in range(ng):
-            for _ in range(e[i]):
-                v = v * coords[i]
-        total = total + v
+        for x, a in zip(coords, e):
+            co = co * x ** a
+        total = total + co
     return total
 
 

@@ -7,11 +7,11 @@ a reduced quotient A = k[z]/(relations); make_ring refuses a single
 relation with a repeated factor and declared components that do not cut
 out the relations.  The ring owns the reduced Groebner basis of its
 relations (Ring.base_basis), and every normal form modulo them goes
-through that basis' int reducer: Poly construction, Vector.scale and the
-eliminations of linalg.  All coefficient arithmetic is exact.  Poly
-coefficients are fractions.Fraction over QQ and ModInt over GF(p); the
-Groebner and elimination kernels take them apart into Python ints on
-entry (denominators cleared over QQ, residues over GF(p)) and build field
+through that basis' int reducer: Poly construction and the eliminations
+of linalg.  All coefficient arithmetic is exact.  Poly coefficients are
+fractions.Fraction over QQ and ModInt over GF(p); the Groebner and
+elimination kernels take them apart into Python ints on entry
+(denominators cleared over QQ, residues over GF(p)) and build field
 elements again only for their results.
 
 The monomial order always sorts the graded block before the parameter
@@ -94,6 +94,9 @@ class ModInt:
         if not other.v:
             raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
         return ModInt(self.v * pow(other.v, self.p - 2, self.p), self.p)
+
+    def __pow__(self, n):
+        return ModInt(pow(self.v, n, self.p), self.p)
 
     def __neg__(self):
         return ModInt(-self.v, self.p)
@@ -349,7 +352,8 @@ class Ring:
                 self.degrees, self.psi, self.order, self.base_rel)
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self._signature() == other._signature()
+        return self is other or (isinstance(other, Ring)
+                                 and self._signature() == other._signature())
 
     def __hash__(self):
         return hash(self._signature())
@@ -755,7 +759,7 @@ class Poly:
     __slots__ = ("ring", "terms", "_sorted")
 
     def __init__(self, ring, terms, _reduce=True):
-        if _reduce and ring.base_rel:
+        if _reduce and terms and ring.base_rel:
             terms = ring._reduce_base(terms)
         self.ring = ring
         self.terms = terms

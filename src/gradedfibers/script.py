@@ -98,8 +98,6 @@ def _join_poly(tokens):
                 out.append(str(v))
             else:
                 out.append(" %s " % v)
-        elif v in ("*", "/", "^", "(", ")", ","):
-            out.append(str(v))
         else:
             out.append(str(v))
         prev = v

@@ -96,24 +96,13 @@ class FiberPoint:
         return self.residue_ring
 
     def evaluate_scalar(self, p):
-        """Value in the field of a parameter-only polynomial."""
+        """Value in the field of a parameter-only polynomial: its
+        evaluation at this rational point, a constant of the fiber ring."""
         if not self.is_rational:
             raise AlgebraError("generic points have no scalar values")
-        ring = p.ring
-        field = ring.field
-        nz = ring.nz
-        ng = ring.ngraded
-        total = field.zero
-        for e, c in p.terms.items():
-            if any(e[:ng]):
-                raise AlgebraError("not a parameter-only polynomial: %s" % p)
-            v = c
-            for k in range(nz):
-                a = e[ng + k]
-                if a:
-                    v = v * _int_pow(self.values[k], a, field)
-            total = total + v
-        return total
+        if p.support_vars() - set(p.ring.znames):
+            raise AlgebraError("not a parameter-only polynomial: %s" % p)
+        return self.evaluate(p).constant_value()
 
     def evaluate(self, p):
         """Full evaluation of a ring element at this point."""
@@ -123,14 +112,13 @@ class FiberPoint:
         out_ring = src.fiber_ring()
         ng = src.ngraded
         nz = src.nz
-        field = src.field
         terms = {}
         for e, c in p.terms.items():
             v = c
             for k in range(nz):
                 a = e[ng + k]
                 if a:
-                    v = v * _int_pow(self.values[k], a, field)
+                    v = v * self.values[k] ** a
             if not v:
                 continue
             key = e[:ng]
@@ -164,17 +152,6 @@ def point_key(point):
     if point is None:
         return "generic"
     return repr(point.describe())
-
-
-def _int_pow(v, a, field):
-    out = field.one
-    base = v
-    while a:
-        if a & 1:
-            out = out * base
-        base = base * base
-        a >>= 1
-    return out
 
 
 def sample_rational_point(ring, rng, avoid=(), on=(), reject=None):

@@ -175,3 +175,13 @@ def test_csv_mirrors_match_their_payloads(name, cutoff, tmp_path):
         got = [line.split(",") for line in path.with_suffix(".csv").read_text().splitlines()]
         assert got == want, path.name
     assert kinds == ({"key", "power"} if name == "rees_qq" else {"i"})
+
+
+@pytest.mark.parametrize("cutoff", [0, -2])
+def test_run_refuses_a_power_cutoff_below_one(cutoff, tmp_path):
+    # the in-process entry refuses the cutoff as main does, before any
+    # payload is written
+    session = script.parse((GOLDEN / "rees_qq.gf").read_text())
+    with pytest.raises(ValueError, match="--power-cutoff must be at least 1"):
+        cli.run(session, out_dir=str(tmp_path / "out"), power_cutoff=cutoff)
+    assert not (tmp_path / "out").exists()

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from gradedfibers.specialize import FiberPoint
 
 R = make_ring(["x", "y"], [1, 1])
 Rt = make_ring(["x", "y"], [1, 1], params=["t"])
+Rt_gf = make_ring(["x", "y"], [1, 1], params=["t"], field=PrimeField(32003))
 
 
 def cyclic(ring, gens):
@@ -41,6 +43,29 @@ def test_rational_evaluation():
     assert pt.evaluate_scalar(Rt.poly("t^2 - t")) == Rt.field.coerce(2)
     with pytest.raises(AlgebraError):
         pt.evaluate_scalar(Rt.poly("x"))
+
+
+@pytest.mark.parametrize("name", ["QQ[t]", "GF(32003)[t]", "cusp"])
+def test_scalar_evaluation_is_a_ring_map_at_rational_points(name):
+    # at t = a, or at (s, t) = (a^3, a^2) on the cusp, a parameter poly
+    # takes the value of its terms with those numbers substituted, and
+    # evaluate_scalar is additive and multiplicative there
+    ring = {"QQ[t]": Rt, "GF(32003)[t]": Rt_gf, "cusp": CUSP}[name]
+    coerce = ring.field.coerce
+    rng = random.Random(29)
+    for a in (-2, -1, 0, 1, 3, 181):
+        coords = [a ** 3, a ** 2] if name == "cusp" else [a]
+        pt = FiberPoint.rational(ring, coords)
+        zpad = (0,) * ring.ngraded
+        for _ in range(8):
+            f, g = (sum((ring.monomial(zpad + tuple(rng.randint(0, 9) for _ in coords),
+                                       rng.randint(-4, 4)) for _ in range(3)), ring.zero())
+                    for _ in range(2))
+            value = sum((c * coerce(math.prod(v ** k for v, k in zip(coords, e[len(zpad):])))
+                         for e, c in f.terms.items()), ring.field.zero)
+            assert pt.evaluate_scalar(f) == value
+            assert pt.evaluate_scalar(f * g) == pt.evaluate_scalar(f) * pt.evaluate_scalar(g)
+            assert pt.evaluate_scalar(f + g) == pt.evaluate_scalar(f) + pt.evaluate_scalar(g)
 
 
 def test_generic_point_needs_one_irreducible_generator():

@@ -6,7 +6,7 @@ named from some module of ``src/gradedfibers`` (other than from inside its
 own definition) or be exported through ``gradedfibers.__all__``.  A method
 that is not a dunder has to be named as an attribute somewhere in the
 package outside its own body.  The symbols in ``KEPT`` are exempt on
-purpose.
+purpose.  Likewise every name a module imports is read in that module.
 """
 
 import ast
@@ -135,3 +135,22 @@ def test_one_place_resolves_a_module():
     walks = {"%s.%s" % (p.stem, scope) for p in sorted(SRC.glob("*.py"))
              for scope in _places_naming(ast.parse(p.read_text(encoding="utf-8")), "_walk")}
     assert walks == {"resolution.free_resolution", "resolution._walk"}
+
+
+def test_every_import_is_used():
+    # a name imported and never read is a leftover of code that moved away;
+    # the package's __init__ imports its __all__ to re-export it
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported = set(gradedfibers.__all__) if path.stem == "__init__" else set()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    local = (alias.asname or alias.name).split(".")[0]
+                    if local not in read and local not in exported:
+                        unused.append("%s: %s" % (path.stem, local))
+    assert unused == []
