@@ -13,10 +13,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import loci, localcohom, ratmap, script, specialize
-from .errors import AlgebraError, DualityMismatch, MultiplicityMismatch, ScriptError
+from .errors import (AlgebraError, DualityMismatch, InvalidFiber, MultiplicityMismatch,
+                     ScriptError)
 from .modules import FreeModule, FreeMap, Presentation
 from .rings import MonomialOrder, PrimeField, QQ, make_ring
 
@@ -151,8 +151,18 @@ class _Env:
             if "point" in decl:
                 values = {}
                 for z, text in decl["point"]:
-                    v = Fraction(text)
-                    values[z] = int(v) if v.denominator == 1 else v
+                    if z not in ring.znames:
+                        raise InvalidFiber("%s is not a parameter of the base" % z)
+                    if z in values:
+                        raise InvalidFiber("point gives %s twice" % z)
+                    try:  # a constant of the coefficient field, such as 1/2 or 2^3
+                        v = ring.fiber_ring().poly(text).constant_value()
+                    except AlgebraError:
+                        v = None
+                    if v is None:
+                        raise InvalidFiber("the value of %s is not a constant of %r: %s"
+                                           % (z, ring.field, text))
+                    values[z] = v
                 missing = [n for n in ring.znames if n not in values]
                 if missing:
                     raise AlgebraError("point gives no value for %s"

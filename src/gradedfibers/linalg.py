@@ -5,20 +5,19 @@ Two eliminations run on that representation.
 
 Unit-pivot elimination splits off entries that are units of the base,
 taking the first row that holds a unit, at its first unit column.  It
-serves strand matrices and the differentials of a resolution, which
-resolution.free_resolution cancels as it resolves.  A matrix of constants over a field base
-(every strand there) has every nonzero entry a unit: the coefficients
-are taken out once and eliminated as plain scalars (Fraction over QQ,
-ints mod p over GF(p)).  Every other matrix, over any base, runs on the
-int term dicts of _int_rows, each with an int row scale, and a unit is
-an entry whose one term is a constant.  With the pivot's constant c, a
-row R with entry a in the pivot column becomes c*R - a*P with scale c
-times its own, and the gcd of its content and its scale is divided out
-(over GF(p) it becomes R - (a/c)*P).  Over a base with relations each
-product a*q is reduced modulo them by the int reducer of the ring's
-relation basis (Ring.base_basis), which works on the int terms as they
-are, so entries stay in normal form and a unit shows as one; the
-residual becomes Polys once, at the end.
+serves strand matrices, the differentials of a resolution, which
+resolution.free_resolution cancels as it resolves, and strands at a
+fiber point, whose nonzero entries are all units: there the pivots take
+the whole rank.  Every matrix runs on the int term dicts of _int_rows,
+each with an int row scale, and a unit is an entry whose one term is a
+constant.  With the pivot's constant c, a row R with entry a in the
+pivot column becomes (c*R - a*P)/g, g the gcd of c and the content of a
+signed like c, with scale c/g times its own, and the gcd of its content
+and its scale is divided out (over GF(p) it becomes R - (a/c)*P).  Over
+a base with relations each product a*q is reduced modulo them by the int
+reducer of the ring's relation basis (Ring.base_basis), which works on
+the int terms as they are, so entries stay in normal form and a unit
+shows as one; the residual becomes Polys once, at the end.
 
 Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) ranks a
 matrix over a domain, taking pivots column by column from the first
@@ -62,32 +61,20 @@ def unit_pivots(rows, ring):
     """Split off the unit entries of a matrix over ring.
 
     rows are sparse rows of Polys of ring: base polynomials for a strand,
-    any polynomials for a differential.  Returns (pivots,
+    any polynomials for a differential, constants of a fiber ring for a
+    strand at a point.  Returns (pivots,
     residual): pivots lists the (row, column) of each unit pivot in the
     order taken, and residual maps every row that took no pivot to its
     entries in the columns that took none, the Schur complement of the
-    pivots.  No entry of the residual is a unit.
+    pivots.  No entry of the residual is a unit: over a field a matrix of
+    constants has as many pivots as its rank.
     """
     p = ring.field.char
-    scalars = None if ring.nz else _scalar_rows(rows, p)
-    if scalars is not None:
-        pivots, residual = _unit_eliminate(scalars, _scalar_unit_col, _scalar_pivot(p))
-        return pivots, {i: {j: ring.constant(v) for j, v in row.items()}
-                        for i, row in residual.items()}
     work, scales = _int_rows(rows, p)
     pivots, residual = _unit_eliminate(work, _int_unit_col(ring.nvars), _int_pivot(ring, scales))
     # entries stay in normal form modulo the relations throughout
     return pivots, {i: {j: Poly(ring, _from_ints(p, e, scales[i]), _reduce=False)
                         for j, e in row.items()} for i, row in residual.items()}
-
-
-def field_rank(rows, field):
-    """Rank of sparse rows of field elements (Fraction or ModInt)."""
-    p = field.char
-    if p:
-        rows = [{j: v.v for j, v in row.items()} for row in rows]
-    pivots, _residual = _unit_eliminate(rows, _scalar_unit_col, _scalar_pivot(p))
-    return len(pivots)
 
 
 def domain_rank(rows, ring):
@@ -141,7 +128,7 @@ def domain_det(rows, ring):
 
 
 def _unit_eliminate(rows, unit_col, pivot):
-    """Shared loop of unit_pivots and field_rank.
+    """The loop of unit_pivots.
 
     unit_col(row) is the first column of a row holding a unit, or None;
     pivot(prow, j) returns update(row, k), which clears column j of row k
@@ -182,51 +169,6 @@ def _unit_eliminate(rows, unit_col, pivot):
     return pivots, residual
 
 
-def _scalar_rows(rows, p):
-    """Rows of constant Polys as scalars (ints mod p over GF(p)), or None
-    when some entry is not a constant."""
-    out = []
-    for row in rows:
-        scalars = {}
-        for j, e in row.items():
-            v = e.constant_value()
-            if v is None:
-                return None
-            scalars[j] = v.v if p else v
-        out.append(scalars)
-    return out
-
-
-def _scalar_unit_col(row):
-    return min(row, default=None)
-
-
-def _scalar_pivot(p):
-    """Row update for scalars: Fractions when p is 0, else ints mod p."""
-
-    def pivot(prow, j):
-        inv = pow(prow[j], p - 2, p) if p else 1 / prow[j]
-        others = [(l, q) for l, q in prow.items() if l != j]
-
-        def update(row, _k):
-            f = row[j] * inv
-            new = dict(row)
-            del new[j]
-            for l, q in others:
-                v = new.get(l, 0) - f * q
-                if p:
-                    v %= p
-                if v:
-                    new[l] = v
-                else:
-                    new.pop(l, None)
-            return new
-
-        return update
-
-    return pivot
-
-
 def _int_unit_col(nvars):
     """First column whose entry is a nonzero constant, a unit of the base."""
     one = (0,) * nvars
@@ -238,12 +180,12 @@ def _int_unit_col(nvars):
 
 
 def _int_pivot(ring, scales):
-    """Row update for int term dicts over a parameter base (see above).
+    """Row update for int term dicts over any base (see above).
 
-    scales[k] is the row scale of row k, whose entries are its int terms
-    divided by scales[k]; updates change it in place.  A reduction
-    modulo the relations that multiplies a product by some m scales the
-    row by the lcm of those multipliers.
+    scales[k] is the positive row scale of row k, whose entries are its
+    int terms divided by scales[k]; updates change it in place.  A
+    reduction modulo the relations that multiplies a product by some m
+    scales the row by the lcm of those multipliers.
     """
     p = ring.field.char
     one = (0,) * ring.nvars
@@ -252,17 +194,21 @@ def _int_pivot(ring, scales):
     def pivot(prow, j):
         c = prow[j][one]
         others = [(l, q) for l, q in prow.items() if l != j]
-        if p:
+        if p and c != 1:
+            # over GF(p) the rows take a multiple of P/c, made once
             inv = pow(c, p - 2, p)
+            others = [(l, {m: v * inv % p for m, v in q.items()}) for l, q in others]
 
         def update(row, k):
             a = row[j]
-            if p:
-                if inv != 1:
-                    a = {m: v * inv % p for m, v in a.items()}
-                mult = 1
-            else:
-                mult = c
+            mult = 1
+            if not p:
+                # (c*R - a*P)/g, g the gcd of c and a's content signed like c
+                g = gcd(c, *a.values())
+                g = -g if c < 0 else g
+                mult = c // g
+                if g != 1:
+                    a = {m: v // g for m, v in a.items()}
             prods = [(l, _mul(a, q, p)) for l, q in others]
             if reduce is not None:
                 reduced = [(l, *reduce(aq)) for l, aq in prods]
@@ -287,8 +233,6 @@ def _int_pivot(ring, scales):
                     g = gcd(g, *e.values())
                     if g == 1:
                         break
-                if scale < 0:
-                    g = -g
                 if g != 1:
                     new = {l: {m: v // g for m, v in e.items()} for l, e in new.items()}
                 scales[k] = scale // g

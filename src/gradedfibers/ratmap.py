@@ -16,8 +16,9 @@ ladder of specialize.PowersBundle, of which _Powers is the rank-one case
 (F = R): each from the products of the reduced basis of the power below
 with that of I, and each keeps one reduced basis that the H^1 strands,
 the saturation and the j lengths all read.  Every saturation (I^k)^sat
-is the unit ideal, with no basis computed, when the leads of I's basis
-show I primary to m; otherwise it is saturated once per power, from
+is the unit ideal, with no basis computed, when the generic leads of
+I's basis show I primary to m over the generic fiber, whose counts are
+the only ones read; otherwise it is saturated once per power, from
 that power's basis.  The j lengths are alternating sums of Hilbert
 numerators, which take one basis of an ideal sum per power, or none
 when the saturation is the unit ideal.  The image ideal keeps its
@@ -179,12 +180,14 @@ class _Powers(PowersBundle):
     the row of I's generators, read at the generic point of the fiber
     ring, so basis(k) is the reduced basis of I^k, built from the
     products of the bases of I^(k-1) and I.  The H^1 strands, the j
-    lengths and the saturation all read it.  When the leads of I's
-    basis hold a pure power of every x-variable (the lead test of Bayer's
-    early exit in groebner.saturate_ideal), a power of m lies in I, and
-    since I^k has the radical of I, every (I^k)^sat is the unit ideal:
-    one basis {1} serves them all, with no Buchberger run.  Otherwise
-    saturate_ideal starts from the power's reduced basis, once per power.
+    lengths and the saturation all read it.  When the generic leads of
+    I's basis (groebner._generic_leads, parameter parts dropped) hold a
+    pure power of every x-variable (the lead test of Bayer's early exit
+    in groebner.saturate_ideal), a power of m lies in I over the generic
+    fiber, and since I^k has the radical of I, every (I^k)^sat is the
+    unit ideal there: one basis {1} serves them all, with no Buchberger
+    run.  Otherwise saturate_ideal starts from the power's reduced basis,
+    once per power.
     """
 
     __slots__ = ("_saturated",)
@@ -194,9 +197,10 @@ class _Powers(PowersBundle):
         self._saturated = {}
 
     def primary(self):
-        """True when the leads of I's basis show I primary to m."""
-        leads = [e for _c, e in self.basis(1).leads()]
-        return groebner._pure_x_powers(leads, self.ring.nx)
+        """True when the generic leads of I's basis show I primary to m
+        over the generic fiber, the only fiber whose counts are read."""
+        leads = groebner._generic_leads(self.basis(1).leads(), self.ring)
+        return groebner._pure_x_powers([e for _c, e in leads], self.ring.nx)
 
     def saturated(self, k):
         """The reduced basis of (I^k)^sat, computed at most once; when I
@@ -470,8 +474,9 @@ def fiber_invariants(rmap, point=None, cutoff=None):
 
 
 def _check_primary_j(j, powers, d):
-    """Assert j = d^r, r the number of x-variables, when the leads of the
-    forms' reduced basis show their ideal primary to m.
+    """Assert j = d^r, r the number of x-variables, when the generic
+    leads of the forms' reduced basis show their ideal primary to m
+    (_Powers.primary).
 
     r general combinations of the forms then generate a reduction of the
     ideal, a complete intersection of degree d^r, so the j-multiplicity,

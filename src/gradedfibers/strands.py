@@ -13,11 +13,11 @@ coefficient is one Poly that every strand label of that column shares.
 Every rank, reduction and minor runs on those rows through the
 elimination kernel of linalg: unit pivots first, then fraction-free
 elimination on what remains.  Ranks come in two flavors: at a rational
-fiber point (exact linear algebra over the field) and generically over
-the base, with a certifying minor whose nonvanishing locus is where the
-generic rank is attained.  The points where a strand's rank drops are read off its
-cokernel (loci.rank_drop_locus); its minors ideals are the reference
-the tests hold that locus to.
+fiber point (unit pivots of the evaluated constants) and generically
+over the base, with a certifying minor whose nonvanishing locus is where
+the generic rank is attained.  The points where a strand's rank drops
+are read off its cokernel (loci.rank_drop_locus); its minors ideals are
+the reference the tests hold that locus to.
 """
 
 from __future__ import annotations
@@ -111,13 +111,17 @@ class StrandMatrix:
         return self._reduction
 
     def rank_at(self, point):
-        """Rank of the strand at a rational fiber point."""
+        """Rank of the strand at a rational fiber point.  Evaluated there,
+        its nonzero entries are constants of the fiber ring, all units, so
+        the unit pivots take the whole rank."""
         red, piv = self.reduced()
         if piv:
             return piv + red.rank_at(point)
-        rows = [{j: v for j, p in row.items() if (v := point.evaluate_scalar(p))}
+        if not point.is_rational:
+            raise AlgebraError("generic points have no scalar values")
+        rows = [{j: v for j, p in row.items() if not (v := point.evaluate(p)).is_zero()}
                 for row in self.data]
-        return linalg.field_rank(rows, self.ring.field)
+        return len(linalg.unit_pivots(rows, self.ring.fiber_ring())[0])
 
     def generic_rank(self):
         """(rank over Frac(base), certifying minor) for a domain base.
@@ -254,10 +258,12 @@ def _strand_of(fmap, rows, cols, image):
     return StrandMatrix(ring, rows, cols, data)
 
 
-def scalar_rank(rows, field):
-    """Rank of a dense matrix over the coefficient field."""
-    return linalg.field_rank([{j: v for j, v in enumerate(row) if v} for row in rows],
-                             field)
+def scalar_rank(rows, ring):
+    """Rank of a dense matrix over the coefficient field of ring: the
+    unit pivots of its entries as constants of the fiber ring."""
+    fring = ring.fiber_ring()
+    rows = [{j: fring.constant(v) for j, v in enumerate(row) if v} for row in rows]
+    return len(linalg.unit_pivots(rows, fring)[0])
 
 
 def presentation_strand_dim(pres, mu, point=None):

@@ -35,6 +35,7 @@ CASES = {
     "ratmap_cusp": 0,
     "loci_jumps": 0,
     "harness_katzman": 0,
+    "harness_components": 0,
     "powers_capacity": 0,
     "bad_window": 1,
 }
@@ -86,6 +87,38 @@ def test_specialize_drops_zero_generators(tmp_path):
     for payload in (zero, plain):
         del payload["index"], payload["target"]
     assert zero == plain
+
+
+@pytest.mark.parametrize("point, words", [
+    ("t=1, u=5", "u is not a parameter"),
+    ("t=1, t=2", "t twice"),
+    ("t=1/0", "not a constant of QQ"),
+    ("t=x + 1", "not a constant of QQ"),
+])
+def test_bad_fiber_points_are_input_errors(point, words, tmp_path):
+    # a name that is not a parameter, a repeated name or a value that is
+    # not a constant is refused as input, not read past or filed as a bug
+    text = ("ring R base poly(QQ, t) vars x:1 y:1;\n"
+            "ideal I = (x^2, t*x*y, y^2);\n"
+            "fiber F = point(%s);\n"
+            "cmd localcoh I window [0, 1] at F;\n" % point)
+    assert cli.run(script.parse(text), out_dir=str(tmp_path)) == 1
+    error = json.loads((tmp_path / "01_localcoh.json").read_text())["error"]
+    assert (error["type"], error["kind"]) == ("InvalidFiber", "input")
+    assert words in error["message"]
+
+
+def test_fiber_point_values_are_constant_expressions(tmp_path):
+    # a value is any constant of the coefficient field, as in a polynomial
+    text = ("ring R base poly(QQ, t) vars x:1 y:1;\n"
+            "ideal I = (x^2, t*x*y, y^2);\n"
+            "fiber F = point(t=(2^3 - 6)/4);\nfiber G = point(t=1/2);\n"
+            "cmd localcoh I window [0, 1] at F;\ncmd localcoh I window [0, 1] at G;\n")
+    assert cli.run(script.parse(text), out_dir=str(tmp_path)) == 0
+    at_f, at_g = (json.loads((tmp_path / ("%02d_localcoh.json" % i)).read_text())
+                  for i in (1, 2))
+    del at_f["index"], at_g["index"]
+    assert at_f == at_g
 
 
 @pytest.mark.parametrize("fiber", ["", " at H"])

@@ -488,10 +488,11 @@ def test_generic_j_over_a_two_relation_base_matches_a_point():
 
 def test_capacity_cusp_linear_map():
     # three linear forms over the cusp s^2 = t^3 with parameters in their
-    # leads, so every saturation runs Bayer's stages over the base.  With
-    # each power built from products of the raw forms, the generic map
-    # ran past 120 s.  Its invariants are those of the rational points
-    # (1, 1) and (8, 4) of the cusp, where det = 4 - s is nonzero.
+    # leads.  With each power built from products of the raw forms, and
+    # every saturation run by Bayer's stages over the base, the generic
+    # map ran past 120 s; its generic leads show the forms m-primary, so
+    # no saturation runs now.  Its invariants are those of the rational
+    # points (1, 1) and (8, 4) of the cusp, where det = 4 - s is nonzero.
     Q = make_ring(["x", "y", "z"], [1, 1, 1], params=["s", "t"], relations=["s^2 - t^3"])
     rm = ratmap.RationalMap(Q, ["s*x + t*y + 2*z", "-2*x + 2*y - z", "-y"])
     generic = ratmap.fiber_invariants(rm)
@@ -500,3 +501,21 @@ def test_capacity_cusp_linear_map():
     for point in ({"s": 1, "t": 1}, {"s": 8, "t": 4}):
         at = ratmap.fiber_invariants(rm, FiberPoint.rational(Q, point))
         assert at["stable"] and _invariant_tuple(at) == _invariant_tuple(generic)
+
+
+@pytest.mark.parametrize("forms, bayer", [
+    (["x^2", "s*x*y"], 8),
+    (["x^3", "s*x^2*y", "t*x*y^2"], 8),
+    # m-primary over the generic fiber, though s and t sit in the leads
+    (["x^2", "s*x*y", "t*y^2"], 0),
+    (["s*x + t*y + 2*z", "-2*x + 2*y - z", "-y"], 0),
+])
+def test_saturations_over_the_cusp_read_the_generic_leads(forms, bayer, monkeypatch):
+    # only forms that are not m-primary over the generic fiber saturate
+    # their powers, by Bayer's stages over the base
+    names = ["x", "y", "z"] if any("z" in f for f in forms) else ["x", "y"]
+    Q = make_ring(names, [1] * len(names), params=["s", "t"], relations=["s^2 - t^3"])
+    calls = []
+    _spy(monkeypatch, groebner, "_saturate_bayer", calls)
+    assert ratmap.fiber_invariants(ratmap.RationalMap(Q, forms))["stable"]
+    assert len(calls) == bayer
